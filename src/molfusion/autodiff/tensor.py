@@ -1,26 +1,16 @@
 """Dense tensors with a reverse-mode gradient tape.
 
-Values are float64 numpy arrays (float32 available via ``dtype``). Each
-operation records its parents and a backward closure; ``backward`` on a
-scalar walks the tape in reverse topological order and accumulates exact
-analytic gradients. Gradients add up across calls until ``zero_grad``.
+Values are float64 numpy arrays. Each operation records its parents and a
+backward closure; ``backward`` on a scalar walks the tape in reverse
+topological order and accumulates exact analytic gradients. Gradients add up
+across calls until ``zero_grad``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_DTYPE = np.float64
-
 _FINITE_CHECK = False
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch new leaf tensors to float32/float64 (float64 is the default)."""
-    global DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError("dtype must be numpy float32 or float64")
-    DEFAULT_DTYPE = dtype
 
 
 def set_finite_check(enabled: bool) -> None:
@@ -45,8 +35,8 @@ class NonFiniteError(FloatingPointError):
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op_name")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()

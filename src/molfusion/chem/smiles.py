@@ -381,7 +381,10 @@ def _build_graph(atoms, raw_bonds) -> MolecularGraph:
             bonds.append(Bond(rb.u, rb.v, order))
         except ValueError as exc:
             raise SmilesError(str(exc)) from exc
-    return MolecularGraph(atoms, bonds)
+    try:
+        return MolecularGraph(atoms, bonds)
+    except ValueError as exc:  # a ring closure repeating a bond, as in C1C1
+        raise SmilesError(str(exc)) from exc
 
 
 def _perceive_double_bond_stereo(graph: MolecularGraph, raw_bonds) -> None:

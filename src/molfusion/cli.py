@@ -9,6 +9,7 @@ MOLFUSION_LOG sets log verbosity (DEBUG/INFO/WARNING/ERROR).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -31,7 +32,7 @@ from .autodiff.rng import make_rng
 from .chem import SmilesError, parse_smiles
 from .chem.graph import Atom, Bond, BondOrder, MolecularGraph
 from .chem.perception import annotate
-from .data import DataError, load_csv
+from .data import DataError, load_csv, read_csv
 from .featurize import FeaturizeConfig, featurize
 from .model import ConfigError, ModelConfig
 from .model.network import MlfgnnModel
@@ -178,15 +179,10 @@ def cmd_featurize(args) -> int:
         featurize_config = FeaturizeConfig.from_dict(
             {**featurize_config.to_dict(), "components": components}
         )
-    raw = Path(args.input).read_text("utf-8").splitlines()
-    import csv as _csv
-
-    reader = _csv.DictReader(raw)
-    if not reader.fieldnames or args.smiles_col not in reader.fieldnames:
-        raise DataError(f"{args.input}: missing SMILES column {args.smiles_col!r}")
+    _header, rows, _checksum = read_csv(args.input, [args.smiles_col])
     records = []
     n_errors = 0
-    for row_num, row in enumerate(reader, start=2):
+    for row_num, row in enumerate(rows, start=2):
         smiles = (row[args.smiles_col] or "").strip()
         try:
             mol = featurize(parse_smiles(smiles), featurize_config)
@@ -194,10 +190,9 @@ def cmd_featurize(args) -> int:
             records.append({"row": row_num, "smiles": smiles, "error": str(exc)})
             n_errors += 1
             continue
-        src, dst, feats = mol.directed_edges()
         bonds = [
-            {"u": int(u), "v": int(v), "features": feats[k].tolist()}
-            for k, (u, v) in enumerate(zip(src, dst))
+            {"u": int(u), "v": int(v), "features": feats.tolist()}
+            for u, v, feats in zip(mol.src, mol.dst, mol.bond_features)
             if u < v
         ]
         records.append(
@@ -222,20 +217,10 @@ def cmd_featurize(args) -> int:
 # -- train -------------------------------------------------------------------
 
 
-def _label_columns(args, dataset_header: list[str]) -> list[str]:
-    if args.label_cols:
-        return [c.strip() for c in args.label_cols.split(",")]
-    return [c for c in dataset_header if c != args.smiles_col]
-
-
 def cmd_train(args) -> int:
     task = {"cls": "classification", "reg": "regression"}[args.task]
     file_config = load_config_file(args.config)
-    import csv as _csv
-
-    with open(args.data, newline="") as fh:
-        header = next(_csv.reader(fh))
-    label_cols = _label_columns(args, header)
+    label_cols = [c.strip() for c in args.label_cols.split(",")] if args.label_cols else None
     dataset = load_csv(args.data, args.smiles_col, label_cols, task)
     seeds = tuple(range(args.seeds)) if args.seeds is not None else None
     model_config, train_config, featurize_config = resolve_configs(
@@ -285,36 +270,40 @@ def cmd_train(args) -> int:
 # -- predict -------------------------------------------------------------------
 
 
-def build_model_from_checkpoint(path: str, force: bool = False) -> tuple[MlfgnnModel, dict]:
+def build_model_from_checkpoint(
+    path: str, force: bool = False
+) -> tuple[MlfgnnModel, FeaturizeConfig]:
+    """The checkpoint's model and featurize config, checked to agree on fingerprint width."""
     config, arrays = load_checkpoint(path, force=force)
     model_config = ModelConfig.from_dict(config["model"])
+    featurize_config = FeaturizeConfig.from_dict(config["featurize"])
+    width = featurize_config.fingerprint_length
+    if width != model_config.fingerprint_dim:
+        raise DataError(
+            f"{path}: featurize config gives {width}-wide fingerprints but the model "
+            f"expects {model_config.fingerprint_dim}"
+        )
     model = MlfgnnModel(model_config, seed=0)
     model.load_state_arrays(arrays)
-    return model, config
+    return model, featurize_config
 
 
 def cmd_predict(args) -> int:
-    model, config = build_model_from_checkpoint(args.checkpoint, force=args.force)
-    featurize_config = FeaturizeConfig.from_dict(config["featurize"])
-    import csv as _csv
-
-    raw = Path(args.input).read_text("utf-8").splitlines()
-    reader = _csv.DictReader(raw)
-    if not reader.fieldnames or args.smiles_col not in reader.fieldnames:
-        raise DataError(f"{args.input}: missing SMILES column {args.smiles_col!r}")
+    model, featurize_config = build_model_from_checkpoint(args.checkpoint, force=args.force)
+    _header, rows, _checksum = read_csv(args.input, [args.smiles_col])
     n_tasks = model.config.n_tasks
     pred_cols = [f"prediction_{i}" for i in range(n_tasks)] if n_tasks > 1 else ["prediction"]
     n_errors = 0
     with open(args.out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow([args.smiles_col, *pred_cols])
-        for row in reader:
+        for row in rows:
             smiles = (row[args.smiles_col] or "").strip()
             try:
                 mol = featurize(parse_smiles(smiles), featurize_config)
                 preds = model.predict(mol)
                 writer.writerow([smiles, *[repr(float(p)) for p in preds]])
-            except (SmilesError, ValueError) as exc:
+            except SmilesError as exc:
                 n_errors += 1
                 writer.writerow([smiles, *[f"ERROR:{exc}" for _ in pred_cols]])
     print(f"predictions written to {args.out} ({n_errors} error rows)")
@@ -325,8 +314,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    model, config = build_model_from_checkpoint(args.checkpoint, force=args.force)
-    featurize_config = FeaturizeConfig.from_dict(config["featurize"])
+    model, featurize_config = build_model_from_checkpoint(args.checkpoint, force=args.force)
     mol = featurize(parse_smiles(args.smiles), featurize_config)
     trace: dict = {}
     out = model.forward(mol, trace=trace)

@@ -1,14 +1,16 @@
 """Dataset ingestion and split generation.
 
-CSV in (RFC-4180, header required), immutable Dataset out; splits are
+CSV in (UTF-8, RFC-4180, header required), immutable Dataset out; splits are
 reproducible functions of (checksum, method, seed, fractions) and export as
-JSON manifests for exact reruns.
+JSON manifests for exact reruns. ``read_csv`` is the one CSV reader: every
+subcommand that takes a CSV goes through it.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 from dataclasses import dataclass
@@ -113,29 +115,55 @@ def _parse_label(cell: str, task_type: str, row_num: int, column: str) -> float 
     return value
 
 
+def read_csv(
+    path: str | Path, columns: list[str]
+) -> tuple[list[str], list[dict[str, str | None]], str]:
+    """Read a CSV with a header row: (header, rows, sha256 of the file bytes).
+
+    The bytes are UTF-8, optionally BOM-prefixed. Records split per RFC-4180,
+    so a quoted newline or a U+2028 inside a cell stays in its record. Every
+    name in ``columns`` must be in the header; a short row reads None for
+    its missing cells.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc})") from exc
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
+        header = reader.fieldnames
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from exc
+    if not header:
+        raise EmptyDatasetError(f"{path}: empty file, no header row")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise MissingColumnError(f"{path}: columns {missing} not in header {header}")
+    return header, rows, hashlib.sha256(raw).hexdigest()
+
+
 def load_csv(
     path: str | Path,
     smiles_column: str,
-    task_columns: list[str],
+    task_columns: list[str] | None = None,
     task_type: str = "regression",
 ) -> Dataset:
     """Load a benchmark-style CSV.
 
-    Rows with unparseable SMILES or no labels at all are dropped with a
-    logged count; empty label cells stay missing (mask, never impute).
+    ``task_columns`` defaults to every column but the SMILES one. Rows with
+    unparseable SMILES or no labels at all are dropped with a logged count;
+    empty label cells stay missing (mask, never impute).
     """
-    path = Path(path)
-    raw = path.read_bytes()
-    checksum = hashlib.sha256(raw).hexdigest()
-    reader = csv.DictReader(raw.decode("utf-8").splitlines())
-    header = reader.fieldnames or []
-    missing = [c for c in [smiles_column, *task_columns] if c not in header]
-    if missing:
-        raise MissingColumnError(f"{path}: columns {missing} not in header {header}")
+    header, rows, checksum = read_csv(path, [smiles_column, *(task_columns or [])])
+    if task_columns is None:
+        task_columns = [c for c in header if c != smiles_column]
     records = []
     bad_smiles = 0
     no_labels = 0
-    for row_num, row in enumerate(reader, start=2):
+    for row_num, row in enumerate(rows, start=2):
         smiles = (row[smiles_column] or "").strip()
         labels = tuple(
             _parse_label(row[c] or "", task_type, row_num, c) for c in task_columns

@@ -8,7 +8,6 @@ from .features import (
     FeaturizeConfig,
     FeaturizedMolecule,
     compute_fingerprint,
-    concat_fingerprints,
     featurize,
     featurize_atoms,
     featurize_bonds,
@@ -26,7 +25,6 @@ __all__ = [
     "FeaturizedMolecule",
     "KeyTable",
     "compute_fingerprint",
-    "concat_fingerprints",
     "default_key_table",
     "environment_codes",
     "erg_fingerprint",

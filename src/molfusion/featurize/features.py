@@ -19,7 +19,7 @@ Atom rows are 57-wide, bond vectors 13-wide. Layout (offsets inclusive):
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,30 +103,16 @@ class FeaturizeConfig:
 
 @dataclass
 class FeaturizedMolecule:
+    """One molecule's model inputs. Directed edge k means atom ``dst[k]`` is a
+    neighbor of ``src[k]``; each bond appears both ways, sorted by (src, dst)."""
+
     atom_features: np.ndarray  # [n_atoms, 57]
-    bond_features: dict[tuple[int, int], np.ndarray]  # symmetric, 13-wide
+    src: np.ndarray  # [E] int64
+    dst: np.ndarray  # [E] int64
+    bond_features: np.ndarray  # [E, 13], row k for edge (src[k], dst[k])
     adjacency_normalized: np.ndarray  # [n_atoms, n_atoms], rows sum to 1
     fingerprint: np.ndarray
     n_atoms: int
-    _edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def directed_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(src, dst, bond feature matrix [E,13]) over directed edges.
-
-        Edge (v, u) means u is a neighbor of v; sorted for determinism.
-        """
-        if self._edges is None:
-            pairs = sorted({(v, u) for (v, u) in self.bond_features})
-            src = np.array([p[0] for p in pairs], dtype=np.int64)
-            dst = np.array([p[1] for p in pairs], dtype=np.int64)
-            if pairs:
-                feats = np.stack([self.bond_features[p] for p in pairs])
-            else:
-                feats = np.zeros((0, BOND_FEATURE_DIM), dtype=np.float64)
-            self._edges = (src, dst, feats)
-        return self._edges
 
 
 def featurize_atoms(graph: MolecularGraph) -> np.ndarray:
@@ -184,10 +170,6 @@ def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:
     return adj / adj.sum(axis=1, keepdims=True)
 
 
-def concat_fingerprints(morgan: np.ndarray, keys: np.ndarray, erg: np.ndarray) -> np.ndarray:
-    return np.concatenate([morgan, keys, erg])
-
-
 def compute_fingerprint(graph: MolecularGraph, config: FeaturizeConfig) -> np.ndarray:
     parts = []
     if "morgan" in config.components:
@@ -203,9 +185,13 @@ def compute_fingerprint(graph: MolecularGraph, config: FeaturizeConfig) -> np.nd
 
 def featurize(graph: MolecularGraph, config: FeaturizeConfig | None = None) -> FeaturizedMolecule:
     config = config or FeaturizeConfig()
+    bonds = featurize_bonds(graph)
+    edges = sorted(bonds)  # this order fixes the GAT's summation order
     return FeaturizedMolecule(
         atom_features=featurize_atoms(graph),
-        bond_features=featurize_bonds(graph),
+        src=np.array([e[0] for e in edges], dtype=np.int64),
+        dst=np.array([e[1] for e in edges], dtype=np.int64),
+        bond_features=np.array([bonds[e] for e in edges]).reshape(len(edges), BOND_FEATURE_DIM),
         adjacency_normalized=normalized_adjacency(graph),
         fingerprint=compute_fingerprint(graph, config),
         n_atoms=graph.n_atoms,

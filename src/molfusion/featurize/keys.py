@@ -157,8 +157,3 @@ def substructure_key_fingerprint(
         if _evaluate(predicate, args, stats):
             out[k] = 1.0
     return out
-
-
-def key_description(index: int, table: KeyTable | None = None) -> str:
-    table = table or default_key_table()
-    return table.entries[index][2]

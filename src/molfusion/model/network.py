@@ -138,10 +138,10 @@ class MlfgnnModel:
         if c.has_gat:
             if trace is not None:
                 trace.setdefault("gat_attention", [])
-            src, dst, bond_feats = mol.directed_edges()
+            src, dst = mol.src, mol.dst
             if len(src):
                 edge_in = T.concat(
-                    [T.gather_rows(atom_feats, dst), Tensor(bond_feats)], axis=1
+                    [T.gather_rows(atom_feats, dst), Tensor(mol.bond_features)], axis=1
                 )
                 edge_ctx = T.relu(self.edge_init(edge_in))  # [E, g]
             else:

@@ -198,18 +198,6 @@ class TestOpSemantics:
         finally:
             ad.set_finite_check(False)
 
-    def test_float32_mode_optional(self):
-        ad.set_default_dtype(np.float32)
-        try:
-            t = Tensor([[1.0, 2.0]], requires_grad=True)
-            assert t.data.dtype == np.float32
-            out = ad.sum_(ad.mul(t, t))
-            backward(out)
-            assert t.grad.dtype == np.float32
-        finally:
-            ad.set_default_dtype(np.float64)
-        assert Tensor([[1.0]]).data.dtype == np.float64
-
     def test_forward_determinism(self):
         rng1, rng2 = make_rng(42), make_rng(42)
         a = rng1.standard_normal((50, 50))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from molfusion.autodiff import load_checkpoint
+from molfusion.autodiff import load_checkpoint, save_checkpoint
 from molfusion.cli import main, random_molecule_graph
 
 import corpus_util
@@ -52,6 +52,41 @@ def trained(workdir):
     )
     assert code == 0
     return out
+
+
+def csv_command(command: str, data: Path, workdir: Path, trained: Path, out: Path) -> list[str]:
+    """Argument list running ``command`` on the CSV ``data``, writing under ``out``."""
+    if command == "featurize":
+        return ["featurize", "--input", str(data), "--out", str(out / "f.jsonl"),
+                "--config", str(workdir / "config.json")]
+    if command == "train":
+        return ["train", "--data", str(data), "--task", "reg", "--config",
+                str(workdir / "config.json"), "--seeds", "1", "--epochs", "1",
+                "--out", str(out / "run")]
+    return ["predict", "--checkpoint", str(trained / "seed_0.ckpt"), "--input", str(data),
+            "--out", str(out / "p.csv")]
+
+
+class TestInputCsv:
+    """featurize, train and predict share one reader, so each gets every case."""
+
+    @pytest.mark.parametrize("command", ["featurize", "train", "predict"])
+    def test_bom_header_accepted(self, workdir, trained, tmp_path, command):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + (workdir / "reg.csv").read_bytes())
+        assert main(csv_command(command, data, workdir, trained, tmp_path)) == 0
+
+    @pytest.mark.parametrize("command", ["featurize", "train", "predict"])
+    @pytest.mark.parametrize(
+        "raw, cause",
+        [(b"", "empty file"), (b"smiles,y\nCCO,1\nCC\xff,2\n", "not UTF-8")],
+        ids=["empty", "not-utf8"],
+    )
+    def test_unreadable_file_exit_2(self, workdir, trained, tmp_path, capsys, command, raw, cause):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(raw)
+        assert main(csv_command(command, data, workdir, trained, tmp_path)) == 2
+        assert cause in capsys.readouterr().err
 
 
 class TestFeaturizeCommand:
@@ -201,11 +236,10 @@ class TestPredictCommand:
         import csv
 
         from molfusion.cli import build_model_from_checkpoint
-        from molfusion.featurize import FeaturizeConfig, featurize
+        from molfusion.featurize import featurize
         from molfusion.chem import parse_smiles
 
-        model, config = build_model_from_checkpoint(str(trained / "seed_0.ckpt"))
-        fcfg = FeaturizeConfig.from_dict(config["featurize"])
+        model, fcfg = build_model_from_checkpoint(str(trained / "seed_0.ckpt"))
         rows = list(csv.DictReader(out.read_text().splitlines()))
         for row in rows[:5]:
             mol = featurize(parse_smiles(row["smiles"]), fcfg)
@@ -230,10 +264,13 @@ class TestPredictCommand:
         for row in csv.DictReader(preds.read_text().splitlines()):
             assert 0.0 < float(row["prediction"]) < 1.0
 
-    def test_bad_rows_marked_not_dropped(self, workdir, trained):
-        bad = workdir / "mixed.csv"
-        bad.write_text("smiles,y\nCCO,1\nxx((bad,2\nCCC,3\n")
-        out = workdir / "mixed_preds.csv"
+    @pytest.mark.parametrize(
+        "cell", ["1", "1\u2028x", '"1\nx"'], ids=["plain", "u2028", "quoted-newline"]
+    )
+    def test_bad_rows_marked_not_dropped(self, trained, tmp_path, cell):
+        bad = tmp_path / "mixed.csv"
+        bad.write_text(f"smiles,y\nCCO,{cell}\nxx((bad,2\nCCC,3\n", encoding="utf-8")
+        out = tmp_path / "mixed_preds.csv"
         code = main(
             ["predict", "--checkpoint", str(trained / "seed_0.ckpt"),
              "--input", str(bad), "--out", str(out)]
@@ -260,6 +297,20 @@ class TestPredictCommand:
              "--input", str(workdir / "reg.csv"), "--out", str(tmp_path / "p.csv")]
         )
         assert code == 0
+
+    def test_fingerprint_width_mismatch_exit_2(self, workdir, trained, tmp_path, capsys):
+        config, arrays = load_checkpoint(trained / "seed_0.ckpt")
+        config["featurize"]["components"] = ["morgan"]  # 128 wide; the model takes 393
+        ckpt = tmp_path / "mismatch.ckpt"
+        save_checkpoint(ckpt, config, arrays)
+        for argv in (
+            ["predict", "--input", str(workdir / "reg.csv"), "--out", str(tmp_path / "p.csv")],
+            ["explain", "--smiles", "CCO", "--out", str(tmp_path / "e.json")],
+        ):
+            assert main([*argv, "--checkpoint", str(ckpt)]) == 2
+            err = capsys.readouterr().err
+            assert "128" in err and "393" in err
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestExplainCommand:

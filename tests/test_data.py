@@ -1,10 +1,13 @@
 """Dataset loading and split protocol tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from molfusion.chem import parse_smiles, scaffold_hash
 from molfusion.data import (
+    DataError,
     DatasetSplit,
     EmptyDatasetError,
     LabelError,
@@ -12,6 +15,7 @@ from molfusion.data import (
     TooSmallError,
     load_csv,
     random_split,
+    read_csv,
     scaffold_split,
 )
 
@@ -23,6 +27,42 @@ def regression_csv(tmp_path):
     return corpus_util.write_regression_csv(
         tmp_path / "reg.csv", corpus_util.build_corpus(60)
     )
+
+
+class TestReadCsv:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "smiles,y\nCCO,1.0\nCCC,2.0\n",
+            "smiles,y\r\nCCO,1.0\r\nCCC,2.0\r\n",
+            "\ufeffsmiles,y\nCCO,1.0\nCCC,2.0\n",  # BOM, as spreadsheets export
+        ],
+    )
+    def test_header_and_rows(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        header, rows, checksum = read_csv(path, ["smiles"])
+        assert header == ["smiles", "y"]
+        assert [(r["smiles"], r["y"]) for r in rows] == [("CCO", "1.0"), ("CCC", "2.0")]
+        assert checksum == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("cell", ["a\u2028b", '"a\nb"', '"a\r\nb"'])
+    def test_line_break_in_cell_stays_in_record(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_bytes(f"name,smiles\n{cell},CCO\nz,CCC\n".encode("utf-8"))
+        _header, rows, _checksum = read_csv(path, ["smiles"])
+        assert [r["smiles"] for r in rows] == ["CCO", "CCC"]
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"", b"\n", b"\xef\xbb\xbf", b"smiles,y\nCC\xff,1\n", b"smiles\n" + b"C" * 200_000],
+        ids=["empty", "blank", "bom-only", "not-utf8", "oversized-field"],
+    )
+    def test_unreadable_file_is_data_error(self, tmp_path, raw):
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError):
+            read_csv(path, ["smiles"])
 
 
 class TestLoadCsv:
@@ -42,10 +82,13 @@ class TestLoadCsv:
 
     def test_missing_labels_preserved_as_missing(self, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text("smiles,a,b\nCCO,1,\nCCC,,0\nCCN,1,1\n")
+        path.write_text("a,smiles,b\n1,CCO,\n,CCC,0\n1,CCN,1\n")
         ds = load_csv(path, "smiles", ["a", "b"], task_type="classification")
         assert ds.records[0][1] == (1.0, None)
         assert ds.records[1][1] == (None, 0.0)
+        default = load_csv(path, "smiles", task_type="classification")
+        assert default.task_names == ("a", "b")
+        assert default.records == ds.records
 
     def test_twelve_task_sparse_file(self, tmp_path):
         # toxicity-benchmark shape: many tasks, mostly blank cells

@@ -10,7 +10,6 @@ from molfusion.featurize import (
     ATOM_FEATURE_DIM,
     BOND_FEATURE_DIM,
     FeaturizeConfig,
-    concat_fingerprints,
     default_key_table,
     environment_codes,
     erg_fingerprint,
@@ -22,7 +21,6 @@ from molfusion.featurize import (
     normalized_adjacency,
     substructure_key_fingerprint,
 )
-from molfusion.featurize.keys import key_description
 
 import corpus_util
 
@@ -275,7 +273,7 @@ class TestKeys:
             assert set(np.unique(fp)) <= {0.0, 1.0}
 
     def test_descriptions_available(self):
-        assert "nitrogen" in key_description(8)
+        assert "nitrogen" in default_key_table().entries[8][2]
 
 
 class TestErg:
@@ -326,11 +324,6 @@ class TestAssembly:
         assert np.array_equal(mol.fingerprint[:2048], morgan)
         assert mol.fingerprint.shape == (2523,)
 
-    def test_concat_fingerprints_additive(self):
-        m, p, e = np.zeros(2048), np.zeros(160), np.zeros(315)
-        assert concat_fingerprints(m, p, e).shape == (2523,)
-        assert not concat_fingerprints(m, p, e).any()
-
     def test_component_subsets(self):
         config = FeaturizeConfig(components=("morgan",))
         mol = featurize(parse_smiles("CCO"), config)
@@ -338,7 +331,7 @@ class TestAssembly:
 
     def test_directed_edges(self):
         mol = featurize(parse_smiles("CCO"))
-        src, dst, feats = mol.directed_edges()
+        src, dst, feats = mol.src, mol.dst, mol.bond_features
         assert len(src) == 4  # 2 bonds, both directions
         assert feats.shape == (4, 13)
         assert sorted(zip(src.tolist(), dst.tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]

@@ -94,10 +94,6 @@ class TestSegmentSoftmax:
 
 
 class TestGatLayer:
-    def _edge_arrays(self, mol):
-        src, dst, feats = mol.directed_edges()
-        return src, dst, feats
-
     def test_single_neighbor_attention_is_one(self):
         store = ParameterStore()
         layer = GatLayer(store, make_rng(0), "gat", 4)
@@ -408,7 +404,7 @@ class TestNodeAndEdgeInit:
     def test_single_atom_has_state_and_no_edge_contexts(self):
         model = MlfgnnModel(small_config(), seed=0)
         mol = featurized("C")
-        src, dst, feats = mol.directed_edges()
+        src, dst, feats = mol.src, mol.dst, mol.bond_features
         assert len(src) == 0 and feats.shape == (0, 13)
         assert model.forward(mol).shape == (1, 1)
 
@@ -423,7 +419,7 @@ class TestNodeAndEdgeInit:
         # for (u -> v) vs (v -> u) the neighbor features differ when atoms do
         model = MlfgnnModel(small_config(), seed=1)
         mol = featurized("CO")
-        src, dst, feats = mol.directed_edges()
+        src, dst, feats = mol.src, mol.dst, mol.bond_features
         edge_in = ad.concat([ad.gather_rows(Tensor(mol.atom_features), dst), Tensor(feats)], axis=1)
         ctx = ad.relu(model.edge_init(edge_in)).data
         forward_idx = next(k for k in range(len(src)) if (src[k], dst[k]) == (0, 1))
@@ -466,7 +462,9 @@ class TestForwardContract:
 
         empty = FeaturizedMolecule(
             atom_features=np.zeros((0, 57)),
-            bond_features={},
+            src=np.zeros(0, dtype=np.int64),
+            dst=np.zeros(0, dtype=np.int64),
+            bond_features=np.zeros((0, 13)),
             adjacency_normalized=np.zeros((0, 0)),
             fingerprint=np.zeros(SMALL_FEATURIZE.fingerprint_length),
             n_atoms=0,

@@ -143,6 +143,11 @@ class TestErrors:
         with pytest.raises(SmilesError):
             parse_smiles("CC=")
 
+    @pytest.mark.parametrize("smiles", ["C1C1", "C12CC12", "SCCCc01ccccc01"])
+    def test_ring_closure_repeating_a_bond(self, smiles):
+        with pytest.raises(SmilesError, match="duplicate bond"):
+            parse_smiles(smiles)
+
     def test_aromatic_bond_needs_aromatic_atoms(self):
         with pytest.raises(SmilesError):
             parse_smiles("C:C")
