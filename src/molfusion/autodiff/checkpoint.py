@@ -14,7 +14,8 @@ Byte layout (all integers little-endian):
 
 The digest covers ``json.dumps(config, sort_keys=True, separators=(",", ":"))``;
 loading rejects a header whose digest does not match its own config unless
-forced. Writing is deterministic: identical config + arrays give identical
+forced, and raises ``CheckpointError`` for any file that does not follow this
+layout. Writing is deterministic: identical config + arrays give identical
 bytes.
 """
 
@@ -31,7 +32,11 @@ MAGIC = b"MOLFUSE1"
 FORMAT_VERSION = 1
 
 
-class DigestMismatchError(ValueError):
+class CheckpointError(ValueError):
+    """The file is not a readable checkpoint of this format."""
+
+
+class DigestMismatchError(CheckpointError):
     pass
 
 
@@ -73,21 +78,30 @@ def save_checkpoint(path: str | Path, config: dict, arrays: dict[str, np.ndarray
 def load_checkpoint(path: str | Path, force: bool = False) -> tuple[dict, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
-        raise ValueError(f"{path}: not a molfusion checkpoint (bad magic)")
-    (header_len,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
-    config = header["config"]
-    if not force and header["config_digest"] != config_digest(config):
-        raise DigestMismatchError(
-            f"{path}: config digest mismatch (checkpoint corrupted or edited); "
-            "pass force=True to load anyway"
-        )
-    payload = raw[12 + header_len :]
-    arrays = {}
-    for entry in header["tensors"]:
-        start, nbytes = entry["offset"], entry["nbytes"]
-        arr = np.frombuffer(payload[start : start + nbytes], dtype="<f8")
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+        raise CheckpointError(f"{path}: not a molfusion checkpoint (bad magic)")
+    try:
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        if 12 + header_len > len(raw):
+            raise CheckpointError(f"{path}: header runs past the end of the file")
+        header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
+        if header.get("format_version") != FORMAT_VERSION:
+            raise CheckpointError(
+                f"{path}: unsupported checkpoint version {header.get('format_version')}"
+            )
+        config = header["config"]
+        if not force and header["config_digest"] != config_digest(config):
+            raise DigestMismatchError(
+                f"{path}: config digest mismatch (checkpoint corrupted or edited); "
+                "pass force=True to load anyway"
+            )
+        payload = raw[12 + header_len :]
+        arrays = {}
+        for entry in header["tensors"]:
+            start, nbytes = entry["offset"], entry["nbytes"]
+            arr = np.frombuffer(payload[start : start + nbytes], dtype="<f8")
+            arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+    except CheckpointError:
+        raise
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: corrupt checkpoint ({type(exc).__name__}: {exc})") from exc
     return config, arrays

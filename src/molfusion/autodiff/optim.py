@@ -7,42 +7,13 @@ import numpy as np
 from .params import ParameterStore
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: dict,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[dict[str, np.ndarray], dict]:
-    """One bias-corrected Adam update; pure function of its inputs.
-
-    ``state`` holds {"t": int, "m": {name: array}, "v": {name: array}} and is
-    initialized lazily to zeros at t=0.
-    """
-    if not state:
-        state = {"t": 0, "m": {}, "v": {}}
-    t = state["t"] + 1
-    m_state, v_state = state["m"], state["v"]
-    new_params = {}
-    for name, p in params.items():
-        g = grads[name]
-        m = m_state.get(name, np.zeros_like(p))
-        v = v_state.get(name, np.zeros_like(p))
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_params[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        m_state[name] = m
-        v_state[name] = v
-    state["t"] = t
-    return new_params, state
-
-
 class Adam:
-    """In-place Adam over a ParameterStore, consuming accumulated ``.grad``."""
+    """In-place Adam over a ParameterStore, consuming accumulated ``.grad``.
+
+    A parameter without a gradient takes a zero gradient for the step. The
+    moments ``m`` and ``v`` start at zero and, like the parameters, are
+    updated in place.
+    """
 
     def __init__(self, store: ParameterStore, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -51,19 +22,22 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.state: dict = {}
+        self.t = 0
+        self.m = {p.name: np.zeros_like(p.data) for p in store}
+        self.v = {p.name: np.zeros_like(p.data) for p in store}
 
     def step(self) -> None:
-        params = {}
-        grads = {}
+        self.t += 1
+        m_scale = 1.0 - self.beta1**self.t
+        v_scale = 1.0 - self.beta2**self.t
         for p in self.store:
-            params[p.name] = p.tensor.data
-            grads[p.name] = p.grad if p.grad is not None else np.zeros_like(p.tensor.data)
-        new_params, self.state = adam_step(
-            params, grads, self.state, self.lr, self.beta1, self.beta2, self.eps
-        )
-        for p in self.store:
-            p.tensor.data = new_params[p.name]
+            g = p.grad if p.grad is not None else 0.0
+            m, v = self.m[p.name], self.v[p.name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p.tensor.data -= self.lr * (m / m_scale) / (np.sqrt(v / v_scale) + self.eps)
 
     def zero_grad(self) -> None:
         self.store.zero_grad()

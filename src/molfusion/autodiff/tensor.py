@@ -57,9 +57,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op_name}, requires_grad={self.requires_grad})"
 
@@ -90,9 +87,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, key):
-        return slice_(self, key)
 
     @property
     def T(self) -> "Tensor":
@@ -233,24 +227,30 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product of 2-D operands, or of two stacks of matrices whose
+    leading axes match (``[s, n, k] @ [s, k, m]``, one product per slice)."""
+    if (a.data.ndim != b.data.ndim or a.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     data = a.data @ b.data
 
     def back(g):
         if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(data, (a, b), back, "matmul")
 
 
-def transpose(a: Tensor) -> Tensor:
-    def back(g):
-        _accumulate(a, g.T)
+def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
+    """Permute the axes (reverse them when ``axes`` is None); the result is contiguous."""
+    inverse = None if axes is None else tuple(np.argsort(axes))
 
-    return _make(a.data.T.copy(), (a,), back, "transpose")
+    def back(g):
+        _accumulate(a, np.transpose(g, inverse))
+
+    return _make(np.transpose(a.data, axes).copy(), (a,), back, "transpose")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -273,15 +273,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
                 _accumulate(t, g[tuple(idx)])
 
     return _make(data, tuple(tensors), back, "concat")
-
-
-def slice_(a: Tensor, key) -> Tensor:
-    def back(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, key, g)
-        _accumulate(a, ga)
-
-    return _make(a.data[key].copy(), (a,), back, "slice")
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -433,13 +424,6 @@ def exp(a: Tensor) -> Tensor:
         _accumulate(a, g * e)
 
     return _make(e, (a,), back, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    def back(g):
-        _accumulate(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), back, "log")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

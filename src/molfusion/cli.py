@@ -15,18 +15,14 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .autodiff.checkpoint import (
-    DigestMismatchError,
-    config_digest,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .autodiff.checkpoint import CheckpointError, config_digest, load_checkpoint, save_checkpoint
 from .autodiff.gradcheck import grad_check
 from .autodiff.rng import make_rng
 from .chem import SmilesError, parse_smiles
@@ -87,6 +83,17 @@ def load_config_file(path: str | None) -> dict:
     return config
 
 
+@contextmanager
+def config_errors():
+    """Report bad keys or values in a config section as ``ConfigError``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def resolve_configs(
     file_config: dict,
     task: str,
@@ -95,7 +102,7 @@ def resolve_configs(
     seeds: tuple[int, ...] | None = None,
     epochs: int | None = None,
 ) -> tuple[ModelConfig, TrainConfig, FeaturizeConfig]:
-    try:
+    with config_errors():
         featurize_config = FeaturizeConfig.from_dict(file_config.get("featurize", {}))
         model_kwargs = dict(file_config.get("model", {}))
         model_kwargs["task"] = task
@@ -111,10 +118,6 @@ def resolve_configs(
         if epochs is not None:
             train_kwargs["epochs"] = epochs
         train_config = TrainConfig(**train_kwargs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:  # bad keys/values in the file
-        raise ConfigError(str(exc)) from exc
     return model_config, train_config, featurize_config
 
 
@@ -172,13 +175,11 @@ def random_molecule_graph(n_atoms: int, seed: int = 0) -> MolecularGraph:
 
 
 def cmd_featurize(args) -> int:
-    components = tuple(args.fingerprints.split(",")) if args.fingerprints else None
     file_config = load_config_file(args.config)
-    featurize_config = FeaturizeConfig.from_dict(file_config.get("featurize", {}))
-    if components:
-        featurize_config = FeaturizeConfig.from_dict(
-            {**featurize_config.to_dict(), "components": components}
-        )
+    overrides = {"components": args.fingerprints.split(",")} if args.fingerprints else {}
+    with config_errors():
+        featurize_config = FeaturizeConfig.from_dict({**file_config.get("featurize", {}), **overrides})
+        featurize_config.fingerprint_length  # reads the key table file, as resolve_configs does
     _header, rows, _checksum = read_csv(args.input, [args.smiles_col])
     records = []
     n_errors = 0
@@ -443,7 +444,7 @@ def main(argv=None) -> int:
         args.ablate = _ABLATION_FLAG[args.ablate]
     try:
         return args.func(args)
-    except (DataError, SmilesError, DigestMismatchError, FileNotFoundError) as exc:
+    except (DataError, SmilesError, CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as exc:

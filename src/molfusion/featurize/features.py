@@ -19,7 +19,7 @@ Atom rows are 57-wide, bond vectors 13-wide. Layout (offsets inclusive):
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,17 +61,27 @@ class FeaturizeConfig:
     erg_max_path: int = 15
     components: tuple[str, ...] = FINGERPRINT_COMPONENTS
     key_table_path: str | None = None
+    _key_table: KeyTable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for c in self.components:
             if c not in FINGERPRINT_COMPONENTS:
                 raise ValueError(f"unknown fingerprint component {c!r}")
         self.components = tuple(self.components)
+        if self.morgan_radius < 0:
+            raise ValueError("morgan_radius must be >= 0")
+        if self.morgan_bits < 64:
+            raise ValueError("morgan_bits must be >= 64")
+        if self.erg_max_path < 1:
+            raise ValueError("erg_max_path must be >= 1")
 
     def key_table(self) -> KeyTable:
+        """The key table, read from ``key_table_path`` on first use only."""
         if self.key_table_path is None:
             return default_key_table()
-        return KeyTable.load(self.key_table_path)
+        if self._key_table is None:
+            self._key_table = KeyTable.load(self.key_table_path)
+        return self._key_table
 
     @property
     def fingerprint_length(self) -> int:

@@ -96,6 +96,26 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
     return T.div(e, T.gather_rows(denom, segment_ids))
 
 
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mix) -> Tensor:
+    """Scaled dot-product attention of queries [m, heads*d_k] over keys and
+    values [n, heads*d_k], all heads in one stacked op.
+
+    Head i reads columns i*d_k:(i+1)*d_k. The per-head weights
+    softmax(Q_i K_i^T / sqrt(d_k)) form one [heads, m, n] tensor that
+    ``mix`` maps to the weights applied to V (the identity, or a blend with
+    a prior). The result is [m, heads*d_k], head i in its own columns.
+    """
+    m, n = q.shape[0], k.shape[0]
+    d_k = q.shape[1] // heads
+    q_h = T.transpose(T.reshape(q, (m, heads, d_k)), (1, 0, 2))  # [heads, m, d_k]
+    k_t = T.transpose(T.reshape(k, (n, heads, d_k)), (1, 2, 0))  # [heads, d_k, n]
+    v_h = T.transpose(T.reshape(v, (n, heads, d_k)), (1, 0, 2))  # [heads, n, d_k]
+    scale = Tensor(1.0 / math.sqrt(d_k))
+    soft = T.softmax(T.mul(T.matmul(q_h, k_t), scale), axis=-1)
+    out = T.matmul(mix(soft), v_h)  # [heads, m, d_k]
+    return T.reshape(T.transpose(out, (1, 0, 2)), (m, heads * d_k))
+
+
 class FingerprintMlp:
     """Two-layer embedding of the concatenated fingerprint vector."""
 
@@ -147,13 +167,13 @@ class TransformerLayer:
     """Self-attention with an optional adjacency prior, post-block squashing.
 
     Per head: (w_attn * softmax(Q K^T / sqrt(d_k)) + w_adj * A) V, where A is
-    the row-normalized adjacency; heads concatenate through an output
-    projection, then residual + norm, position-wise FFN, residual + norm.
+    the row-normalized adjacency; all heads run as one stacked op and
+    concatenate through an output projection, then residual + norm,
+    position-wise FFN, residual + norm.
     """
 
-    def __init__(self, store, rng, prefix, dim, heads, head_dim, norm_kind, adjacency_bias):
+    def __init__(self, store, rng, prefix, dim, heads, norm_kind, adjacency_bias):
         self.heads = heads
-        self.head_dim = head_dim
         self.adjacency_bias = adjacency_bias
         self.w_q = _register_matrix(store, rng, f"{prefix}.w_q", dim, dim)
         self.w_k = _register_matrix(store, rng, f"{prefix}.w_k", dim, dim)
@@ -171,32 +191,22 @@ class TransformerLayer:
         self.ffn1 = Linear(store, rng, f"{prefix}.ffn1", dim, FFN_MULT * dim)
         self.ffn2 = Linear(store, rng, f"{prefix}.ffn2", FFN_MULT * dim, dim)
 
-    def head_mix(self, h: Tensor, adjacency: Tensor, trace=None) -> list[Tensor]:
-        """Per-head mixed attention outputs (before concatenation)."""
-        q = T.matmul(h, self.w_q)
-        k = T.matmul(h, self.w_k)
-        v = T.matmul(h, self.w_v)
-        scale = Tensor(1.0 / math.sqrt(self.head_dim))
-        outs = []
-        head_trace = [] if trace is not None else None
-        for i in range(self.heads):
-            cols = slice(i * self.head_dim, (i + 1) * self.head_dim)
-            qi, ki, vi = q[:, cols], k[:, cols], v[:, cols]
-            soft = T.softmax(T.mul(T.matmul(qi, T.transpose(ki)), scale), axis=1)
-            if head_trace is not None:
-                head_trace.append(soft.data.copy())
-            if self.adjacency_bias:
-                mixed = T.add(T.mul(self.lambda_attn, soft), T.mul(self.lambda_adj, adjacency))
-            else:
-                mixed = soft
-            outs.append(T.matmul(mixed, vi))
-        if trace is not None:
-            trace.append(head_trace)
-        return outs
+    def attend(self, h: Tensor, adjacency: Tensor, trace=None) -> Tensor:
+        """Mixed attention of all heads, [n, heads*head_dim], before the output projection."""
+
+        def mix(soft: Tensor) -> Tensor:
+            if trace is not None:
+                trace.append(list(soft.data.copy()))
+            if not self.adjacency_bias:
+                return soft
+            return T.add(T.mul(self.lambda_attn, soft), T.mul(self.lambda_adj, adjacency))
+
+        q, k, v = (T.matmul(h, w) for w in (self.w_q, self.w_k, self.w_v))
+        return multi_head_attention(q, k, v, self.heads, mix)
 
     def __call__(self, h, adjacency, dropout_attn=0.0, dropout_ffn=0.0,
                  train=False, rng=None, trace=None):
-        attn = self.out(T.concat(self.head_mix(h, adjacency, trace), axis=1))
+        attn = self.out(self.attend(h, adjacency, trace))
         if train and dropout_attn > 0.0:
             attn = T.dropout(attn, dropout_attn, rng, True)
         x = self.norm1(T.add(h, attn))
@@ -283,9 +293,8 @@ class SupernodeReadout:
 class CrossAttention:
     """Fingerprint embedding queries the graph tokens (virtual node + atoms)."""
 
-    def __init__(self, store, rng, prefix, fp_dim, dim, heads, head_dim):
+    def __init__(self, store, rng, prefix, fp_dim, dim, heads):
         self.heads = heads
-        self.head_dim = head_dim
         self.w_q = _register_matrix(store, rng, f"{prefix}.w_q", fp_dim, dim)
         self.w_k = _register_matrix(store, rng, f"{prefix}.w_k", dim, dim)
         self.w_v = _register_matrix(store, rng, f"{prefix}.w_v", dim, dim)
@@ -293,18 +302,12 @@ class CrossAttention:
 
     def __call__(self, fp_embed, virtual, node_states, trace=None) -> Tensor:
         tokens = T.concat([virtual, node_states], axis=0)  # virtual node first
+
+        def weights(soft: Tensor) -> Tensor:
+            if trace is not None:
+                trace["cross_attention"] = [head[0].copy() for head in soft.data]
+            return soft
+
         q = T.matmul(fp_embed, self.w_q)
-        k = T.matmul(tokens, self.w_k)
-        v = T.matmul(tokens, self.w_v)
-        scale = Tensor(1.0 / math.sqrt(self.head_dim))
-        outs = []
-        head_trace = [] if trace is not None else None
-        for i in range(self.heads):
-            cols = slice(i * self.head_dim, (i + 1) * self.head_dim)
-            weights = T.softmax(T.mul(T.matmul(q[:, cols], T.transpose(k[:, cols])), scale), axis=1)
-            if head_trace is not None:
-                head_trace.append(weights.data[0].copy())
-            outs.append(T.matmul(weights, v[:, cols]))
-        if trace is not None:
-            trace["cross_attention"] = head_trace
-        return self.out(T.concat(outs, axis=1))
+        k, v = T.matmul(tokens, self.w_k), T.matmul(tokens, self.w_v)
+        return self.out(multi_head_attention(q, k, v, self.heads, weights))

@@ -63,8 +63,8 @@ class MlfgnnModel:
             self.adapter = Linear(store, rng, "transformer.adapter", g, d)
             self.transformer_stack = [
                 TransformerLayer(
-                    store, rng, f"transformer.layer{i}", d, c.heads, c.head_dim,
-                    c.norm, c.adjacency_bias,
+                    store, rng, f"transformer.layer{i}", d, c.heads, c.norm,
+                    c.adjacency_bias,
                 )
                 for i in range(c.transformer_layers)
             ]
@@ -79,7 +79,7 @@ class MlfgnnModel:
                 c.dropout_ffn,
             )
             self.cross_attention = CrossAttention(
-                store, rng, "cross_attention", c.fingerprint_embed_dim, d, c.heads, c.head_dim
+                store, rng, "cross_attention", c.fingerprint_embed_dim, d, c.heads
             )
             mlp_in = 2 * d + c.fingerprint_embed_dim
         else:

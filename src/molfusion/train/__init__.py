@@ -1,7 +1,6 @@
 """Losses, metrics and the training protocol."""
 
 from .loop import (
-    EmptySpaceError,
     EvalReport,
     NonFiniteLossError,
     TrainConfig,
@@ -10,8 +9,6 @@ from .loop import (
     evaluate_metric,
     multi_seed,
     prepare_inputs,
-    random_search,
-    sample_search_space,
     train,
 )
 from .losses import AllMaskedError, masked_loss
@@ -20,7 +17,6 @@ from .metrics import EmptyError, SingleClassError, masked_rmse, rmse, roc_auc, r
 __all__ = [
     "AllMaskedError",
     "EmptyError",
-    "EmptySpaceError",
     "EvalReport",
     "NonFiniteLossError",
     "SingleClassError",
@@ -32,10 +28,8 @@ __all__ = [
     "masked_rmse",
     "multi_seed",
     "prepare_inputs",
-    "random_search",
     "rmse",
     "roc_auc",
     "roc_auc_multi",
-    "sample_search_space",
     "train",
 ]

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..autodiff import backward
 from ..autodiff.optim import Adam
-from ..autodiff.rng import make_rng, split_streams
+from ..autodiff.rng import split_streams
 from ..chem import parse_smiles
 from ..data import Dataset, DatasetSplit, random_split, scaffold_split
 from ..featurize import FeaturizeConfig, FeaturizedMolecule, featurize
@@ -25,10 +25,6 @@ log = logging.getLogger(__name__)
 
 
 class NonFiniteLossError(FloatingPointError):
-    pass
-
-
-class EmptySpaceError(ValueError):
     pass
 
 
@@ -259,45 +255,3 @@ def multi_seed(
         per_seed[seed] = result.test_metric
     report = aggregate(metric_name, per_seed)
     return report, results, splits
-
-
-def sample_search_space(space: dict, budget: int, seed: int) -> list[dict]:
-    """Draw ``budget`` uniform samples from the space, deterministically.
-
-    Space values are either an explicit list of choices or a (low, high)
-    tuple sampled uniformly (integer bounds give integers).
-    """
-    if budget < 1:
-        raise EmptySpaceError("budget must be >= 1")
-    if not space:
-        raise EmptySpaceError("search space is empty")
-    rng = make_rng(seed)
-    samples = []
-    for _ in range(budget):
-        config = {}
-        for key in sorted(space):
-            spec = space[key]
-            if isinstance(spec, tuple) and len(spec) == 2:
-                lo, hi = spec
-                if isinstance(lo, int) and isinstance(hi, int):
-                    config[key] = int(rng.integers(lo, hi + 1))
-                else:
-                    config[key] = float(rng.uniform(lo, hi))
-            else:
-                config[key] = spec[int(rng.integers(0, len(spec)))]
-        samples.append(config)
-    return samples
-
-
-def random_search(
-    space: dict,
-    budget: int,
-    seed: int,
-    evaluate_config: Callable[[dict], float],
-    maximize: bool,
-) -> list[tuple[float, dict]]:
-    """Evaluate uniform samples and rank by the returned validation metric."""
-    samples = sample_search_space(space, budget, seed)
-    scored = [(float(evaluate_config(config)), config) for config in samples]
-    scored.sort(key=lambda pair: -pair[0] if maximize else pair[0])
-    return scored

@@ -97,12 +97,13 @@ def test_criterion_2_boundary_identities():
     h = Tensor(rng.standard_normal((mol.n_atoms, config.hidden_dim)))
     adjacency = Tensor(mol.adjacency_normalized)
     v = h.data @ layer.w_v.data
+    out = layer.attend(h, adjacency)
     adj_ok = all(
         np.array_equal(
-            out.data,
+            out.data[:, i * 4 : (i + 1) * 4],
             mol.adjacency_normalized @ v[:, i * 4 : (i + 1) * 4],
         )
-        for i, out in enumerate(layer.head_mix(h, adjacency))
+        for i in range(2)
     )
 
     # plain attention when the adjacency weight is zero
@@ -110,12 +111,13 @@ def test_criterion_2_boundary_identities():
     layer.lambda_adj.data[:] = 0.0
     q, k = h.data @ layer.w_q.data, h.data @ layer.w_k.data
     plain_ok = True
-    for i, out in enumerate(layer.head_mix(h, adjacency)):
+    out = layer.attend(h, adjacency)
+    for i in range(2):
         cols = slice(i * 4, (i + 1) * 4)
         logits = q[:, cols] @ k[:, cols].T / 2.0
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         soft = e / e.sum(axis=1, keepdims=True)
-        plain_ok &= np.allclose(out.data, soft @ v[:, cols], atol=1e-14)
+        plain_ok &= np.allclose(out.data[:, cols], soft @ v[:, cols], atol=1e-14)
 
     # forced mixture gate reproduces pure streams bitwise
     gat_out = [Tensor(rng.standard_normal((4, config.gat_out_dim)))]

@@ -1,6 +1,7 @@
 """Command-line interface tests, exercised through main()."""
 
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,25 @@ class TestFeaturizeCommand:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert "error" in lines[1]
         assert lines[1]["row"] == 3
+
+    @pytest.mark.parametrize(
+        "flags,section",
+        [(["--fingerprints", "maccs"], {}), ([], {"morgan_bits": 8}), ([], {"bits": 64}),
+         ([], {"key_table_path": "keys.txt"})],
+        ids=["unknown-component", "bad-value", "unknown-key", "malformed-key-table"],
+    )
+    def test_config_error_exit_1(self, workdir, tmp_path, capsys, flags, section):
+        (tmp_path / "keys.txt").write_text("0|element_ge|C,1|carbon\n5|element_ge|N,1|gap\n")
+        if "key_table_path" in section:
+            section = {"key_table_path": str(tmp_path / section["key_table_path"])}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"featurize": section}))
+        out = tmp_path / "f.jsonl"
+        code = main(["featurize", "--input", str(workdir / "reg.csv"), "--out", str(out),
+                     "--config", str(config), *flags])
+        assert code == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainCommand:
@@ -311,6 +331,38 @@ class TestPredictCommand:
             err = capsys.readouterr().err
             assert "128" in err and "393" in err
         assert not (tmp_path / "p.csv").exists()
+
+
+def _set_header_length(raw: bytes, length: int) -> bytes:
+    return raw[:8] + struct.pack("<I", length) + raw[12:]
+
+
+CHECKPOINT_CORRUPTIONS = {
+    "text-file": lambda raw: b"smiles,y\nCCO,1\n",
+    "no-header-length": lambda raw: raw[:10],
+    "header-length-past-eof": lambda raw: _set_header_length(raw, len(raw)),
+    "truncated-header": lambda raw: raw[:40],
+    "garbled-header": lambda raw: raw[:12] + b"#" + raw[13:],
+    "unsupported-version": lambda raw: raw.replace(b'"format_version":1', b'"format_version":7'),
+    "short-payload": lambda raw: raw[:-8],
+}
+
+
+@pytest.mark.parametrize("command", ["predict", "explain"])
+@pytest.mark.parametrize("corruption", sorted(CHECKPOINT_CORRUPTIONS))
+def test_corrupt_checkpoint_exit_2(workdir, trained, tmp_path, capsys, command, corruption):
+    raw = (trained / "seed_0.ckpt").read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(CHECKPOINT_CORRUPTIONS[corruption](raw))
+    assert bad.read_bytes() != raw
+    out = tmp_path / "out"
+    if command == "predict":
+        argv = ["predict", "--input", str(workdir / "reg.csv"), "--out", str(out)]
+    else:
+        argv = ["explain", "--smiles", "CCO", "--out", str(out)]
+    assert main([*argv, "--checkpoint", str(bad)]) == 2
+    assert "data error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestExplainCommand:

@@ -275,6 +275,29 @@ class TestKeys:
     def test_descriptions_available(self):
         assert "nitrogen" in default_key_table().entries[8][2]
 
+    def test_key_table_file_read_once_per_config(self, tmp_path, monkeypatch):
+        from importlib import resources
+
+        from molfusion.featurize.keys import KeyTable
+
+        path = tmp_path / "keys.txt"
+        path.write_text(
+            resources.files("molfusion.featurize").joinpath("keys_table.txt").read_text("utf-8")
+        )
+        calls = []
+        load = KeyTable.load
+        monkeypatch.setattr(
+            KeyTable, "load", classmethod(lambda cls, p=None: calls.append(p) or load(p))
+        )
+        config = FeaturizeConfig(morgan_bits=64, erg_max_path=5, key_table_path=str(path))
+        default = FeaturizeConfig(morgan_bits=64, erg_max_path=5)
+        for smiles in corpus_util.build_corpus(20):
+            graph = parse_smiles(smiles)
+            assert np.array_equal(
+                featurize(graph, config).fingerprint, featurize(graph, default).fingerprint
+            )
+        assert calls == [str(path)]
+
 
 class TestErg:
     def test_no_labeled_atoms(self):

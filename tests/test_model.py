@@ -17,6 +17,7 @@ from molfusion.model.layers import (
     DynamicTanh,
     GatLayer,
     GruCell,
+    multi_head_attention,
     segment_softmax,
 )
 from molfusion.model.network import EmptyMoleculeError
@@ -199,12 +200,13 @@ class TestTransformerBoundaries:
             layer.lambda_adj.data[:] = 1.0
             h = Tensor(rng.standard_normal((mol.n_atoms, model.config.hidden_dim)))
             adjacency = Tensor(mol.adjacency_normalized)
-            outs = layer.head_mix(h, adjacency)
+            out = layer.attend(h, adjacency)
             v = (h.data @ layer.w_v.data)
-            for i, out in enumerate(outs):
-                cols = slice(i * layer.head_dim, (i + 1) * layer.head_dim)
+            d_k = model.config.head_dim
+            for i in range(layer.heads):
+                cols = slice(i * d_k, (i + 1) * d_k)
                 expected = mol.adjacency_normalized @ v[:, cols]
-                assert np.array_equal(out.data, expected)
+                assert np.array_equal(out.data[:, cols], expected)
 
     def test_no_adjacency_reduces_to_plain_attention(self):
         model, mol = self._setup()
@@ -214,14 +216,15 @@ class TestTransformerBoundaries:
             layer.lambda_adj.data[:] = 0.0
             h = Tensor(rng.standard_normal((mol.n_atoms, model.config.hidden_dim)))
             adjacency = Tensor(mol.adjacency_normalized)
-            outs = layer.head_mix(h, adjacency)
+            out = layer.attend(h, adjacency)
             q, k, v = (h.data @ w.data for w in (layer.w_q, layer.w_k, layer.w_v))
-            for i, out in enumerate(outs):
-                cols = slice(i * layer.head_dim, (i + 1) * layer.head_dim)
-                logits = q[:, cols] @ k[:, cols].T / math.sqrt(layer.head_dim)
+            d_k = model.config.head_dim
+            for i in range(layer.heads):
+                cols = slice(i * d_k, (i + 1) * d_k)
+                logits = q[:, cols] @ k[:, cols].T / math.sqrt(d_k)
                 e = np.exp(logits - logits.max(axis=1, keepdims=True))
                 soft = e / e.sum(axis=1, keepdims=True)
-                assert np.allclose(out.data, soft @ v[:, cols], atol=1e-14)
+                assert np.allclose(out.data[:, cols], soft @ v[:, cols], atol=1e-14)
 
     def test_single_node_softmax_degenerates(self):
         model, mol = self._setup("C")
@@ -229,15 +232,14 @@ class TestTransformerBoundaries:
         rng = make_rng(2)
         h = Tensor(rng.standard_normal((1, model.config.hidden_dim)))
         trace = []
-        outs = layer.head_mix(h, Tensor(mol.adjacency_normalized), trace)
+        out = layer.attend(h, Tensor(mol.adjacency_normalized), trace)
         lam_a = layer.lambda_attn.data[0, 0]
         lam_b = layer.lambda_adj.data[0, 0]
         v = h.data @ layer.w_v.data
-        for head, out in zip(trace[0], outs):
+        assert len(trace[0]) == layer.heads
+        for head in trace[0]:
             assert head == pytest.approx(1.0)
-        for i, out in enumerate(outs):
-            cols = slice(i * layer.head_dim, (i + 1) * layer.head_dim)
-            assert np.allclose(out.data, (lam_a + lam_b) * v[:, cols])
+        assert np.allclose(out.data, (lam_a + lam_b) * v)
 
     def test_attention_rows_sum_to_one(self):
         model, mol = self._setup("CC(=O)Nc1ccccc1")
@@ -364,6 +366,48 @@ class TestInitialization:
                 assert np.abs(p.tensor.data).max() <= bound
 
 
+class TestMultiHeadAttention:
+    """The stacked op against a plain per-head loop over column blocks."""
+
+    @staticmethod
+    def oracle(q, k, v, heads, weight_of):
+        d_k = q.shape[1] // heads
+        outs = []
+        for i in range(heads):
+            cols = slice(i * d_k, (i + 1) * d_k)
+            logits = q[:, cols] @ k[:, cols].T / math.sqrt(d_k)
+            e = np.exp(logits - logits.max(axis=1, keepdims=True))
+            outs.append(weight_of(e / e.sum(axis=1, keepdims=True)) @ v[:, cols])
+        return np.concatenate(outs, axis=1)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("m,n", [(1, 5), (3, 1), (4, 4)], ids=["query", "one-atom", "self"])
+    def test_matches_per_head_loop(self, heads, m, n):
+        rng = make_rng(10 * heads + m + n)
+        width = 3 * heads
+        q = Tensor(rng.standard_normal((m, width)), requires_grad=True)
+        k = Tensor(rng.standard_normal((n, width)), requires_grad=True)
+        v = Tensor(rng.standard_normal((n, width)), requires_grad=True)
+        prior = rng.uniform(size=(m, n))
+        plain = multi_head_attention(q, k, v, heads, lambda soft: soft)
+        assert plain.shape == (m, width)
+        assert np.allclose(plain.data, self.oracle(q.data, k.data, v.data, heads, lambda w: w),
+                           rtol=1e-12, atol=1e-14)
+
+        def blend(soft):
+            return ad.add(ad.mul(Tensor(0.3), soft), Tensor(0.7 * prior))
+
+        mixed = multi_head_attention(q, k, v, heads, blend)
+        expected = self.oracle(q.data, k.data, v.data, heads, lambda w: 0.3 * w + 0.7 * prior)
+        assert np.allclose(mixed.data, expected, rtol=1e-12, atol=1e-14)
+        w = Tensor(rng.standard_normal((m, width)))
+        report = grad_check(
+            lambda: ad.sum_(ad.mul(multi_head_attention(q, k, v, heads, blend), w)),
+            [q, k, v], rtol=1e-5, atol=1e-8,
+        )
+        assert report.passed, report.summary()
+
+
 class TestCrossAttention:
     def test_weights_sum_to_one_with_virtual_token(self):
         config = small_config()
@@ -377,7 +421,7 @@ class TestCrossAttention:
 
     def test_identical_keys_give_token_value(self):
         store = ParameterStore()
-        attn = CrossAttention(store, make_rng(0), "xattn", 6, 8, 2, 4)
+        attn = CrossAttention(store, make_rng(0), "xattn", 6, 8, 2)
         rng = make_rng(1)
         fp = Tensor(rng.standard_normal((1, 6)))
         token = rng.standard_normal(8)
