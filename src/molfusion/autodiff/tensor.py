@@ -2,15 +2,21 @@
 
 Values are float64 numpy arrays. Each operation records its parents and a
 backward closure; ``backward`` on a scalar walks the tape in reverse
-topological order and accumulates exact analytic gradients. Gradients add up
-across calls until ``zero_grad``.
+topological order and accumulates exact analytic gradients into the leaves
+(tensors made with ``requires_grad=True``), where they add up across calls
+until ``zero_grad``. ``backward`` consumes the graph it walks: each
+intermediate drops its gradient, closure and parents once propagated, so the
+tape's memory is freed as it goes. Inside ``no_grad()`` no op records a tape.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 _FINITE_CHECK = False
+_GRAD_ENABLED = True
 
 
 def set_finite_check(enabled: bool) -> None:
@@ -30,6 +36,22 @@ class NotScalarError(ValueError):
 
 class NonFiniteError(FloatingPointError):
     pass
+
+
+class GraphConsumedError(RuntimeError):
+    pass
+
+
+@contextmanager
+def no_grad():
+    """Run ops without recording parents or closures (eval forwards)."""
+    global _GRAD_ENABLED
+    previous = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = previous
 
 
 class Tensor:
@@ -114,7 +136,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -
         raise NonFiniteError(f"non-finite values produced by {op}")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
     out.grad = None
     out.op_name = op
     if out.requires_grad:
@@ -143,8 +165,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _consumed(g) -> None:
+    """The closure of an op whose graph ``backward`` has already walked."""
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate d loss / d t into ``t.grad`` for every reachable tensor."""
+    """Accumulate d loss / d t into ``t.grad`` for every reachable leaf.
+
+    The graph is consumed: each intermediate drops its gradient, closure and
+    parents once propagated. A later ``backward`` that reaches one of those
+    intermediates raises ``GraphConsumedError`` before changing any gradient.
+    """
     if loss.size != 1:
         raise NotScalarError(f"backward needs a scalar, got shape {loss.shape}")
     topo: list[Tensor] = []
@@ -157,15 +188,24 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._backward is _consumed:
+            raise GraphConsumedError(
+                f"backward reached the output of {node.op_name!r}, whose graph an earlier "
+                "backward already consumed; run the forward again"
+            )
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     _accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(topo):
+    while topo:  # reverse topological order; popping frees each node once done
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
 
 # -- arithmetic ------------------------------------------------------------
@@ -227,17 +267,21 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-D operands, or of two stacks of matrices whose
-    leading axes match (``[s, n, k] @ [s, k, m]``, one product per slice)."""
-    if (a.data.ndim != b.data.ndim or a.data.ndim < 2 or a.shape[:-2] != b.shape[:-2]
-            or a.shape[-1] != b.shape[-2]):
+    """Matrix product of 2-D operands, of two stacks of matrices whose leading
+    axes match (``[s, n, k] @ [s, k, m]``, one product per slice), or of a
+    stack and one matrix (``[s, n, k] @ [k, m]``, the matrix shared)."""
+    shared = b.data.ndim == 2 and a.data.ndim > 2
+    if (a.data.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or not shared and (a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2])):
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     data = a.data @ b.data
 
     def back(g):
         if a.requires_grad:
             _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
+        if b.requires_grad and shared:
+            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+        elif b.requires_grad:
             _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(data, (a, b), back, "matmul")
@@ -257,7 +301,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def back(g):
         _accumulate(a, g.reshape(a.shape))
 
-    return _make(a.data.reshape(shape).copy(), (a,), back, "reshape")
+    return _make(a.data.reshape(shape), (a,), back, "reshape")
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -276,7 +320,8 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Rows a[indices]; backward scatter-adds into the source rows."""
+    """Rows a[indices], shaped ``indices.shape + a.shape[1:]`` (any index
+    shape); backward scatter-adds into the source rows."""
     indices = np.asarray(indices, dtype=np.int64)
 
     def back(g):
@@ -299,15 +344,6 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
         _accumulate(a, g[segment_ids])
 
     return _make(data, (a,), back, "segment_sum")
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    data = np.broadcast_to(a.data, shape).copy()
-
-    def back(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-
-    return _make(data, (a,), back, "broadcast_to")
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -367,7 +403,7 @@ _GELU_A = 0.044715
 def gelu(a: Tensor) -> Tensor:
     """Tanh-form gelu: 0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x^3)))."""
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x**3)
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
@@ -460,9 +496,10 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Te
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return a
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
+    keep = rng.random(a.shape) >= rate
+    scale = 1.0 / (1.0 - rate)
 
     def back(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * keep * scale)
 
-    return _make(a.data * mask, (a,), back, "dropout")
+    return _make(a.data * keep * scale, (a,), back, "dropout")

@@ -25,12 +25,13 @@ from . import __version__
 from .autodiff.checkpoint import CheckpointError, config_digest, load_checkpoint, save_checkpoint
 from .autodiff.gradcheck import grad_check
 from .autodiff.rng import make_rng
+from .autodiff.tensor import no_grad
 from .chem import SmilesError, parse_smiles
 from .chem.graph import Atom, Bond, BondOrder, MolecularGraph
 from .chem.perception import annotate
 from .data import DataError, load_csv, read_csv
 from .featurize import FeaturizeConfig, featurize
-from .model import ConfigError, ModelConfig
+from .model import ConfigError, ModelConfig, MoleculeBatch, chunks
 from .model.network import MlfgnnModel
 from .train import TrainConfig, multi_seed
 
@@ -294,19 +295,30 @@ def cmd_predict(args) -> int:
     _header, rows, _checksum = read_csv(args.input, [args.smiles_col])
     n_tasks = model.config.n_tasks
     pred_cols = [f"prediction_{i}" for i in range(n_tasks)] if n_tasks > 1 else ["prediction"]
+
+    def featurized():
+        """(smiles, molecule, None) per row, or (smiles, None, parse error)."""
+        for row in rows:
+            smiles = (row[args.smiles_col] or "").strip()
+            try:
+                yield smiles, featurize(parse_smiles(smiles), featurize_config), None
+            except SmilesError as exc:
+                yield smiles, None, exc
+
     n_errors = 0
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.smiles_col, *pred_cols])
-        for row in rows:
-            smiles = (row[args.smiles_col] or "").strip()
-            try:
-                mol = featurize(parse_smiles(smiles), featurize_config)
-                preds = model.predict(mol)
-                writer.writerow([smiles, *[repr(float(p)) for p in preds]])
-            except SmilesError as exc:
-                n_errors += 1
-                writer.writerow([smiles, *[f"ERROR:{exc}" for _ in pred_cols]])
+        # Rows run in packed chunks; an error row rides in its chunk with no atoms.
+        for chunk in chunks(featurized(), lambda row: 0 if row[1] is None else row[1].n_atoms):
+            mols = [mol for _smiles, mol, _error in chunk if mol is not None]
+            preds = iter(model.predict_batch(MoleculeBatch(mols)) if mols else ())
+            for smiles, mol, error in chunk:
+                if mol is None:
+                    n_errors += 1
+                    writer.writerow([smiles, *[f"ERROR:{error}" for _ in pred_cols]])
+                else:
+                    writer.writerow([smiles, *[repr(float(p)) for p in next(preds)]])
     print(f"predictions written to {args.out} ({n_errors} error rows)")
     return EXIT_OK
 
@@ -318,7 +330,8 @@ def cmd_explain(args) -> int:
     model, featurize_config = build_model_from_checkpoint(args.checkpoint, force=args.force)
     mol = featurize(parse_smiles(args.smiles), featurize_config)
     trace: dict = {}
-    out = model.forward(mol, trace=trace)
+    with no_grad():
+        out = model.forward(mol, trace=trace)
     prediction = out.data[0].tolist()
     bundle = {
         "smiles": args.smiles,
@@ -344,18 +357,23 @@ def cmd_explain(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.atoms < 1:
+        raise ConfigError(f"--atoms must be at least 1, got {args.atoms}")
     file_config = load_config_file(args.config)
     model_config, _train_config, featurize_config = resolve_configs(
         file_config, "regression", 1, ablation=args.ablate
     )
-    graph = random_molecule_graph(args.atoms, seed=args.seed)
-    mol = featurize(graph, featurize_config)
+    # Two molecules of different sizes, so the check covers padding and masks.
+    batch = MoleculeBatch([
+        featurize(random_molecule_graph(n, seed=args.seed + i), featurize_config)
+        for i, n in enumerate((args.atoms, max(1, args.atoms // 2)))
+    ])
     model = MlfgnnModel(model_config, seed=args.seed)
 
     from .autodiff import tensor as T
 
     def f():
-        out = model.forward(mol)
+        out = model.forward(batch)
         return T.sum_(T.mul(out, out))
 
     tensors = {p.name: p.tensor for p in model.params}

@@ -1,5 +1,6 @@
 """Model architecture."""
 
+from .batch import MAX_CHUNK_ATOMS, EmptyMoleculeError, MoleculeBatch, chunks
 from .config import ABLATIONS, NORMS, TASKS, ConfigError, ModelConfig
 from .layers import (
     CrossAttention,
@@ -14,10 +15,11 @@ from .layers import (
     TransformerLayer,
     segment_softmax,
 )
-from .network import EmptyMoleculeError, MlfgnnModel
+from .network import MlfgnnModel
 
 __all__ = [
     "ABLATIONS",
+    "MAX_CHUNK_ATOMS",
     "ConfigError",
     "CrossAttention",
     "DynamicTanh",
@@ -30,9 +32,11 @@ __all__ = [
     "MixedInformation",
     "MlfgnnModel",
     "ModelConfig",
+    "MoleculeBatch",
     "NORMS",
     "SupernodeReadout",
     "TASKS",
     "TransformerLayer",
+    "chunks",
     "segment_softmax",
 ]

@@ -96,24 +96,36 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
     return T.div(e, T.gather_rows(denom, segment_ids))
 
 
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mix) -> Tensor:
-    """Scaled dot-product attention of queries [m, heads*d_k] over keys and
-    values [n, heads*d_k], all heads in one stacked op.
+def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mix,
+                         key_mask: Tensor | None = None) -> Tensor:
+    """Scaled dot-product attention of queries [..., m, heads*d_k] over keys
+    and values [..., n, heads*d_k], all heads in one stacked op.
 
-    Head i reads columns i*d_k:(i+1)*d_k. The per-head weights
-    softmax(Q_i K_i^T / sqrt(d_k)) form one [heads, m, n] tensor that
-    ``mix`` maps to the weights applied to V (the identity, or a blend with
-    a prior). The result is [m, heads*d_k], head i in its own columns.
+    Leading axes (a batch of molecules) are kept. Head i reads columns
+    i*d_k:(i+1)*d_k. The per-head weights softmax(Q_i K_i^T / sqrt(d_k) +
+    key_mask) form one [..., heads, m, n] tensor that ``mix`` maps to the
+    weights applied to V (the identity, or a blend with a prior). The
+    additive ``key_mask`` [..., 1, 1, n] shuts padding keys out. The result
+    is [..., m, heads*d_k], head i in its own columns.
     """
-    m, n = q.shape[0], k.shape[0]
-    d_k = q.shape[1] // heads
-    q_h = T.transpose(T.reshape(q, (m, heads, d_k)), (1, 0, 2))  # [heads, m, d_k]
-    k_t = T.transpose(T.reshape(k, (n, heads, d_k)), (1, 2, 0))  # [heads, d_k, n]
-    v_h = T.transpose(T.reshape(v, (n, heads, d_k)), (1, 0, 2))  # [heads, n, d_k]
-    scale = Tensor(1.0 / math.sqrt(d_k))
-    soft = T.softmax(T.mul(T.matmul(q_h, k_t), scale), axis=-1)
-    out = T.matmul(mix(soft), v_h)  # [heads, m, d_k]
-    return T.reshape(T.transpose(out, (1, 0, 2)), (m, heads * d_k))
+    *lead, m, width = q.shape
+    n = k.shape[-2]
+    d_k = width // heads
+    a = len(lead)
+    to_heads = (*range(a), a + 1, a, a + 2)  # [..., x, heads, d_k] <-> [..., heads, x, d_k]
+    q_h = T.transpose(T.reshape(q, (*lead, m, heads, d_k)), to_heads)
+    k_t = T.transpose(T.reshape(k, (*lead, n, heads, d_k)), (*range(a), a + 1, a + 2, a))
+    v_h = T.transpose(T.reshape(v, (*lead, n, heads, d_k)), to_heads)
+    scores = T.mul(T.matmul(q_h, k_t), Tensor(1.0 / math.sqrt(d_k)))
+    if key_mask is not None:
+        scores = T.add(scores, key_mask)
+    out = T.matmul(mix(T.softmax(scores, axis=-1)), v_h)  # [..., heads, m, d_k]
+    return T.reshape(T.transpose(out, to_heads), (*lead, m, width))
+
+
+def _per_head(soft: Tensor) -> np.ndarray:
+    """Attention weights [..., heads, m, n] of one molecule as [heads, m, n]."""
+    return soft.data.reshape((-1,) + soft.shape[-2:]).copy()
 
 
 class FingerprintMlp:
@@ -169,7 +181,8 @@ class TransformerLayer:
     Per head: (w_attn * softmax(Q K^T / sqrt(d_k)) + w_adj * A) V, where A is
     the row-normalized adjacency; all heads run as one stacked op and
     concatenate through an output projection, then residual + norm,
-    position-wise FFN, residual + norm.
+    position-wise FFN, residual + norm. Only the attention runs on padded
+    per-molecule slots; everything else runs on the flat atom rows.
     """
 
     def __init__(self, store, rng, prefix, dim, heads, norm_kind, adjacency_bias):
@@ -191,22 +204,31 @@ class TransformerLayer:
         self.ffn1 = Linear(store, rng, f"{prefix}.ffn1", dim, FFN_MULT * dim)
         self.ffn2 = Linear(store, rng, f"{prefix}.ffn2", FFN_MULT * dim, dim)
 
-    def attend(self, h: Tensor, adjacency: Tensor, trace=None) -> Tensor:
-        """Mixed attention of all heads, [n, heads*head_dim], before the output projection."""
+    def attend(self, h: Tensor, adjacency: Tensor, trace=None, batch=None) -> Tensor:
+        """Mixed attention of all heads, [N, heads*head_dim], before the output projection.
+
+        ``h`` holds one molecule's rows with its [n, n] ``adjacency``, or,
+        given a ``MoleculeBatch``, the batch's flat atom rows with its padded
+        [B, 1, n_max, n_max] adjacency; attention then runs on the padded
+        slots under the key mask.
+        """
 
         def mix(soft: Tensor) -> Tensor:
             if trace is not None:
-                trace.append(list(soft.data.copy()))
+                trace.append(list(_per_head(soft)))
             if not self.adjacency_bias:
                 return soft
             return T.add(T.mul(self.lambda_attn, soft), T.mul(self.lambda_adj, adjacency))
 
-        q, k, v = (T.matmul(h, w) for w in (self.w_q, self.w_k, self.w_v))
-        return multi_head_attention(q, k, v, self.heads, mix)
+        slots = h if batch is None else batch.pad_atoms(h)
+        q, k, v = (T.matmul(slots, w) for w in (self.w_q, self.w_k, self.w_v))
+        key_mask = None if batch is None else batch.atoms.mask
+        out = multi_head_attention(q, k, v, self.heads, mix, key_mask)
+        return out if batch is None else batch.unpad_atoms(out)
 
-    def __call__(self, h, adjacency, dropout_attn=0.0, dropout_ffn=0.0,
+    def __call__(self, h, adjacency, batch=None, dropout_attn=0.0, dropout_ffn=0.0,
                  train=False, rng=None, trace=None):
-        attn = self.out(self.attend(h, adjacency, trace))
+        attn = self.out(self.attend(h, adjacency, trace, batch))
         if train and dropout_attn > 0.0:
             attn = T.dropout(attn, dropout_attn, rng, True)
         x = self.norm1(T.add(h, attn))
@@ -266,9 +288,10 @@ class MixedInformation:
 class SupernodeReadout:
     """Virtual-node pooling: sum-initialized anchor refined by attention + GRU.
 
-    The anchor starts as the sum of node states; per-atom scores against the
-    anchor are softmax-normalized, the weighted transformed states form a
-    context vector, and a GRU merges context into the anchor.
+    Per molecule (rows grouped by ``graph_ids``): the anchor starts as the
+    sum of its node states; per-atom scores against the anchor are
+    softmax-normalized within the molecule, the weighted transformed states
+    form a context vector, and a GRU merges context into the anchor.
     """
 
     def __init__(self, store, rng, prefix, dim):
@@ -276,17 +299,20 @@ class SupernodeReadout:
         self.agg_w = _register_matrix(store, rng, f"{prefix}.agg_w", dim, dim)
         self.gru = GruCell(store, rng, f"{prefix}.gru", dim, dim)
 
-    def __call__(self, node_states: Tensor, trace=None) -> Tensor:
-        n = node_states.shape[0]
-        anchor = T.sum_(node_states, axis=0, keepdims=True)
-        anchor_rows = T.broadcast_to(anchor, (n, anchor.shape[1]))
+    def __call__(self, node_states: Tensor, graph_ids: np.ndarray, n_graphs: int,
+                 trace=None) -> Tensor:
+        """[n_graphs, dim] molecule vectors from the [N, dim] node states."""
+        anchor = T.segment_sum(node_states, graph_ids, n_graphs)
         scores = T.leaky_relu(
-            T.matmul(T.concat([anchor_rows, node_states], axis=1), self.attn_w), LEAKY_SLOPE
+            T.matmul(T.concat([T.gather_rows(anchor, graph_ids), node_states], axis=1),
+                     self.attn_w),
+            LEAKY_SLOPE,
         )
-        attn = T.softmax(scores, axis=0)
+        attn = segment_softmax(scores, graph_ids, n_graphs)
         if trace is not None:
             trace["readout_attention"] = attn.data[:, 0].copy()
-        context = T.elu(T.matmul(T.transpose(attn), T.matmul(node_states, self.agg_w)))
+        messages = T.mul(attn, T.matmul(node_states, self.agg_w))
+        context = T.elu(T.segment_sum(messages, graph_ids, n_graphs))
         return self.gru(context, anchor)
 
 
@@ -300,14 +326,19 @@ class CrossAttention:
         self.w_v = _register_matrix(store, rng, f"{prefix}.w_v", dim, dim)
         self.out = Linear(store, rng, f"{prefix}.out", dim, dim)
 
-    def __call__(self, fp_embed, virtual, node_states, trace=None) -> Tensor:
-        tokens = T.concat([virtual, node_states], axis=0)  # virtual node first
+    def __call__(self, fp_embed, virtual, node_states, tokens, trace=None) -> Tensor:
+        """Each of the B fingerprint rows [B, fp_dim] attends over its molecule's
+        token slots in ``tokens`` (a ``batch.Padding`` over the rows [virtual;
+        node_states]); returns [B, dim]."""
+        b = fp_embed.shape[0]
 
         def weights(soft: Tensor) -> Tensor:
             if trace is not None:
-                trace["cross_attention"] = [head[0].copy() for head in soft.data]
+                trace["cross_attention"] = [head[0] for head in _per_head(soft)]
             return soft
 
-        q = T.matmul(fp_embed, self.w_q)
-        k, v = T.matmul(tokens, self.w_k), T.matmul(tokens, self.w_v)
-        return self.out(multi_head_attention(q, k, v, self.heads, weights))
+        slots = T.gather_rows(T.concat([virtual, node_states], axis=0), tokens.index)
+        q = T.reshape(T.matmul(fp_embed, self.w_q), (b, 1, -1))
+        k, v = T.matmul(slots, self.w_k), T.matmul(slots, self.w_v)
+        out = multi_head_attention(q, k, v, self.heads, weights, tokens.mask)
+        return self.out(T.reshape(out, (b, -1)))

@@ -9,6 +9,7 @@ from ..autodiff.params import ParameterStore
 from ..autodiff.rng import make_rng
 from ..autodiff.tensor import Tensor
 from ..featurize.features import FeaturizedMolecule
+from .batch import MoleculeBatch
 from .config import ModelConfig
 from .layers import (
     CrossAttention,
@@ -19,10 +20,6 @@ from .layers import (
     SupernodeReadout,
     TransformerLayer,
 )
-
-
-class EmptyMoleculeError(ValueError):
-    pass
 
 
 class MlfgnnModel:
@@ -96,40 +93,41 @@ class MlfgnnModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, mol: FeaturizedMolecule, train: bool = False,
+    def forward(self, batch: MoleculeBatch | FeaturizedMolecule, train: bool = False,
                 rng: np.random.Generator | None = None, trace: dict | None = None) -> Tensor:
-        """Predict [1, n_tasks]; raw logits for classification tasks.
+        """Predict [B, n_tasks] for a packed batch (one molecule is a batch of
+        one); raw logits for classification tasks.
 
         ``rng`` drives dropout and is required when ``train`` is true;
-        ``trace``, when given, collects attention maps and gate values.
+        ``trace``, when given, collects the attention maps and gate values of
+        a batch of one.
         """
         c = self.config
-        if mol.n_atoms < 1:
-            raise EmptyMoleculeError("molecule has no atoms")
+        if isinstance(batch, FeaturizedMolecule):
+            batch = MoleculeBatch([batch])
         if train and rng is None:
             raise ValueError("training forward needs an rng for dropout")
-        atom_feats = Tensor(mol.atom_features)
-        adjacency = Tensor(mol.adjacency_normalized)
-        h0 = T.relu(self.node_init(atom_feats))  # [n, g]
+        if trace is not None and batch.size != 1:
+            raise ValueError("trace needs a batch of one molecule")
+        atom_feats = Tensor(batch.atom_features)
+        h0 = T.relu(self.node_init(atom_feats))  # [N, g]
 
         fp_embed = None
         if c.has_fingerprint:
-            if mol.fingerprint.shape[0] != c.fingerprint_dim:
-                raise T.ShapeMismatchError(
-                    "fingerprint", mol.fingerprint.shape, (c.fingerprint_dim,)
-                )
-            fp_embed = self.fingerprint_mlp(
-                Tensor(mol.fingerprint[None, :]), train=train, rng=rng
-            )
+            width = batch.fingerprints.shape[1]
+            if width != c.fingerprint_dim:
+                raise T.ShapeMismatchError("fingerprint", (width,), (c.fingerprint_dim,))
+            fp_embed = self.fingerprint_mlp(Tensor(batch.fingerprints), train=train, rng=rng)
 
         transformer_out = None
         if c.has_transformer:
             if trace is not None:
                 trace.setdefault("transformer_attention", [])
+            adjacency = Tensor(batch.adjacency)
             x = self.adapter(h0)
             for layer in self.transformer_stack:
                 x = layer(
-                    x, adjacency, c.dropout_attn, c.dropout_ffn, train, rng,
+                    x, adjacency, batch, c.dropout_attn, c.dropout_ffn, train, rng,
                     trace["transformer_attention"] if trace is not None else None,
                 )
             transformer_out = x
@@ -138,10 +136,10 @@ class MlfgnnModel:
         if c.has_gat:
             if trace is not None:
                 trace.setdefault("gat_attention", [])
-            src, dst = mol.src, mol.dst
+            src, dst = batch.src, batch.dst
             if len(src):
                 edge_in = T.concat(
-                    [T.gather_rows(atom_feats, dst), Tensor(mol.bond_features)], axis=1
+                    [T.gather_rows(atom_feats, dst), Tensor(batch.bond_features)], axis=1
                 )
                 edge_ctx = T.relu(self.edge_init(edge_in))  # [E, g]
             else:
@@ -151,17 +149,17 @@ class MlfgnnModel:
             for i, layer in enumerate(self.gat_stack):
                 neighbor_reps = edge_ctx if i == 0 else T.gather_rows(states, dst)
                 states = layer(
-                    states, neighbor_reps, src, dst, mol.n_atoms,
+                    states, neighbor_reps, src, dst, batch.n_atoms,
                     c.dropout_gat, train, rng,
                     trace["gat_attention"] if trace is not None else None,
                 )
                 gat_outputs.append(states)
 
         mixed = self.mixture(gat_outputs, transformer_out, trace)
-        molecule_vec = self.readout(mixed, trace)
+        molecule_vec = self.readout(mixed, batch.graph_ids, batch.size, trace)
 
         if c.has_fingerprint:
-            fused = self.cross_attention(fp_embed, molecule_vec, mixed, trace)
+            fused = self.cross_attention(fp_embed, molecule_vec, mixed, batch.tokens, trace)
             representation = T.concat([fused, molecule_vec, fp_embed], axis=1)
         else:
             representation = molecule_vec
@@ -183,12 +181,17 @@ class MlfgnnModel:
                 trace["gate_alpha"] = 1.0 if c.ablation == "gat_only" else 0.0
         return out
 
-    def predict(self, mol: FeaturizedMolecule) -> np.ndarray:
-        """Eval-mode prediction; sigmoid applied for classification."""
-        out = self.forward(mol).data[0]
+    def predict_batch(self, batch: MoleculeBatch) -> np.ndarray:
+        """Eval-mode predictions [B, n_tasks], no tape; sigmoid applied for classification."""
+        with T.no_grad():
+            out = self.forward(batch).data
         if self.config.task == "classification":
             return 1.0 / (1.0 + np.exp(-out))
-        return out.copy()
+        return out
+
+    def predict(self, mol: FeaturizedMolecule) -> np.ndarray:
+        """Eval-mode prediction [n_tasks] for one molecule."""
+        return self.predict_batch(MoleculeBatch([mol]))[0]
 
     # -- introspection helpers ----------------------------------------------
 

@@ -11,12 +11,13 @@ from typing import Callable
 
 import numpy as np
 
-from ..autodiff import backward
+from ..autodiff import backward, no_grad
 from ..autodiff.optim import Adam
 from ..autodiff.rng import split_streams
 from ..chem import parse_smiles
 from ..data import Dataset, DatasetSplit, random_split, scaffold_split
 from ..featurize import FeaturizeConfig, FeaturizedMolecule, featurize
+from ..model.batch import MoleculeBatch, chunks
 from ..model.network import MlfgnnModel
 from .losses import masked_loss
 from .metrics import SingleClassError, masked_rmse, roc_auc_multi
@@ -32,7 +33,7 @@ class NonFiniteLossError(FloatingPointError):
 class TrainConfig:
     epochs: int = 300
     lr: float = 1e-3
-    batch_size: int = 32  # gradient-accumulation granularity
+    batch_size: int = 32  # molecules per optimizer step
     seeds: tuple[int, ...] = (0,)
     patience: int = 30
     task_type: str = "regression"
@@ -106,7 +107,11 @@ def evaluate_metric(model, mols, labels, mask, indices, task_type) -> float | No
     """
     if not indices:
         return None
-    preds = np.stack([model.forward(mols[i]).data[0] for i in indices])
+    with no_grad():
+        preds = np.concatenate([
+            model.forward(MoleculeBatch([mols[i] for i in chunk])).data
+            for chunk in chunks(indices, lambda i: mols[i].n_atoms)
+        ])
     sub_labels, sub_mask = labels[indices], mask[indices]
     if task_type == "classification":
         try:
@@ -133,12 +138,14 @@ def train(
     seed: int,
     log_path: str | Path | None = None,
 ) -> TrainResult:
-    """Train with gradient accumulation, keep the best-validation parameters.
+    """Train with mini-batches, keep the best-validation parameters.
 
-    Each epoch shuffles the training indices (seeded), accumulates gradients
-    over ``batch_size`` molecules per optimizer step, then scores the
-    validation set. Training stops after ``patience`` non-improving epochs.
-    The returned state is the best-validation snapshot (last epoch when the
+    Each epoch shuffles the training indices (seeded) and takes one optimizer
+    step per ``batch_size`` molecules. A batch runs as a few packed chunks
+    (``model.batch.chunks``), each with one forward and one backward; the
+    gradients add up to that of the mean per-molecule loss. Then the epoch
+    scores the validation set. Training stops after ``patience``
+    non-improving epochs. The returned state is the best-validation snapshot (last epoch when the
     validation set is empty), already restored into the model.
     """
     streams = split_streams(seed, ("shuffle", "dropout"))
@@ -152,23 +159,25 @@ def train(
     try:
         for epoch in range(1, config.epochs + 1):
             order = streams["shuffle"].permutation(split.train).tolist()
-            epoch_losses = []
+            loss_sum = 0.0
             for start in range(0, len(order), config.batch_size):
                 batch = order[start : start + config.batch_size]
                 optimizer.zero_grad()
-                scale = 1.0 / len(batch)
-                for idx in batch:
-                    out = model.forward(mols[idx], train=True, rng=streams["dropout"])
-                    loss = masked_loss(out, labels[idx], mask[idx], config.task_type)
+                for chunk in chunks(batch, lambda i: mols[i].n_atoms):
+                    out = model.forward(
+                        MoleculeBatch([mols[i] for i in chunk]), train=True,
+                        rng=streams["dropout"],
+                    )
+                    loss = masked_loss(out, labels[chunk], mask[chunk], config.task_type)
                     value = loss.item()
                     if not math.isfinite(value):
                         raise NonFiniteLossError(
-                            f"non-finite loss at epoch {epoch}, record {idx}: {value}"
+                            f"non-finite loss at epoch {epoch}, records {chunk}: {value}"
                         )
-                    epoch_losses.append(value)
-                    backward(loss * scale)
+                    loss_sum += value * len(chunk)
+                    backward(loss * (len(chunk) / len(batch)))
                 optimizer.step()
-            train_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
+            train_loss = loss_sum / len(order) if order else float("nan")
             valid_metric = evaluate_metric(
                 model, mols, labels, mask, split.valid, config.task_type
             )

@@ -13,16 +13,17 @@ class AllMaskedError(ValueError):
 
 
 def masked_loss(output: Tensor, labels: np.ndarray, mask: np.ndarray, task_type: str) -> Tensor:
-    """Mean loss over unmasked entries.
+    """Mean over molecules (rows) of each molecule's mean loss over its unmasked entries.
 
     Classification consumes raw logits through a numerically stable
     binary cross-entropy (softplus(x) - x*y); regression uses squared error.
-    Masked positions contribute nothing, including to gradients.
+    Masked positions contribute nothing, including to gradients. Every row
+    needs at least one unmasked entry.
     """
     labels = np.asarray(labels, dtype=np.float64).reshape(output.shape)
     mask = np.asarray(mask, dtype=np.float64).reshape(output.shape)
-    count = mask.sum()
-    if count == 0:
+    counts = mask.sum(axis=-1, keepdims=True)
+    if not counts.all():
         raise AllMaskedError("no unmasked labels to compute a loss over")
     if task_type == "classification":
         per_entry = T.sub(T.softplus(output), T.mul(output, Tensor(labels)))
@@ -31,5 +32,4 @@ def masked_loss(output: Tensor, labels: np.ndarray, mask: np.ndarray, task_type:
         per_entry = T.mul(diff, diff)
     else:
         raise ValueError(f"unknown task type {task_type!r}")
-    total = T.sum_(T.mul(per_entry, Tensor(mask)))
-    return T.mul(total, Tensor(1.0 / count))
+    return T.sum_(T.mul(per_entry, Tensor(mask / (counts * counts.size))))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import molfusion.autodiff as ad
 from molfusion.autodiff import (
     Adam,
+    CheckpointError,
     DigestMismatchError,
     NotScalarError,
     ShapeMismatchError,
@@ -105,6 +106,16 @@ class TestPrimitiveGradients:
 
     @given(seed=st.integers(0, 29))
     @settings(max_examples=30, deadline=None)
+    def test_stack_times_shared_matrix(self, seed):
+        rng = make_rng(seed + 2600)
+        s, n, k, m = (int(rng.integers(1, 5)) for _ in range(4))
+        a, b = _rand(rng, s, n, k), _rand(rng, k, m)
+        assert np.allclose((a @ b).data, np.einsum("snk,km->snm", a.data, b.data))
+        report = grad_check(lambda: ad.sum_(ad.mul(a @ b, a @ b)), [a, b], rtol=1e-5, atol=1e-8)
+        assert report.passed
+
+    @given(seed=st.integers(0, 29))
+    @settings(max_examples=30, deadline=None)
     def test_transpose_axes(self, seed):
         rng = make_rng(seed + 2700)
         x = _rand(rng, *(int(rng.integers(1, 5)) for _ in range(3)))
@@ -142,6 +153,18 @@ class TestPrimitiveGradients:
 
     @given(seed=st.integers(0, 19))
     @settings(max_examples=20, deadline=None)
+    def test_gather_rows_with_a_2d_index(self, seed):
+        rng = make_rng(seed + 4500)
+        a = _rand(rng, 4, 3)
+        idx = rng.integers(0, 4, size=(2, 5))  # repeats rows, as padding slots do
+        w = Tensor(rng.standard_normal((2, 5, 3)))
+        assert np.array_equal(ad.gather_rows(a, idx).data, a.data[idx])
+        report = grad_check(lambda: ad.sum_(ad.mul(ad.gather_rows(a, idx), w)), [a],
+                            rtol=1e-5, atol=1e-8)
+        assert report.passed
+
+    @given(seed=st.integers(0, 19))
+    @settings(max_examples=20, deadline=None)
     def test_segment_sum_and_broadcast(self, seed):
         rng = make_rng(seed + 5000)
         x = _rand(rng, 6, 3)
@@ -149,7 +172,7 @@ class TestPrimitiveGradients:
 
         def f():
             pooled = ad.segment_sum(x, seg, 3)
-            wide = ad.broadcast_to(ad.sum_(pooled, axis=0, keepdims=True), (4, 3))
+            wide = ad.gather_rows(ad.sum_(pooled, axis=0, keepdims=True), np.zeros(4, int))
             return ad.sum_(ad.mul(wide, wide))
 
         report = grad_check(f, [x], rtol=1e-5, atol=1e-8)
@@ -192,6 +215,40 @@ class TestOpSemantics:
         x.zero_grad()
         assert x.grad is None
 
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        x = Tensor([[2.0]], requires_grad=True)
+        y = ad.tanh(x)
+        loss = ad.sum_(ad.mul(y, y))
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(ad.GraphConsumedError, match="'sum'"):
+            loss.backward()
+        with pytest.raises(ad.GraphConsumedError, match="'tanh'"):  # a new graph over y
+            ad.sum_(ad.mul(y, Tensor(3.0))).backward()
+        assert np.array_equal(x.grad, first)  # neither attempt changed a gradient
+
+    def test_backward_frees_intermediates_keeps_leaves(self):
+        x = Tensor([[1.0, -2.0]], requires_grad=True)
+        y = ad.mul(x, x)
+        ad.sum_(y).backward()
+        assert y.grad is None and y._parents == ()
+        assert np.array_equal(x.grad, [[2.0, -4.0]])
+        assert np.array_equal(y.data, [[1.0, 4.0]])  # values stay readable
+
+    def test_no_grad_records_nothing_and_resumes(self):
+        x = Tensor([[1.5]], requires_grad=True)
+        with ad.no_grad():
+            y = ad.mul(x, x)
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        assert y.data[0, 0] == 2.25
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError("inside")
+        z = ad.mul(x, x)
+        assert z.requires_grad and z._parents == (x, x)
+        ad.sum_(z).backward()
+        assert x.grad[0, 0] == 3.0
+
     def test_not_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(NotScalarError):
@@ -204,6 +261,8 @@ class TestOpSemantics:
         assert "(2, 3)" in str(err.value)
         with pytest.raises(ShapeMismatchError):  # stacks must share their leading axes
             ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+        with pytest.raises(ShapeMismatchError):  # a matrix times a stack is not defined
+            ad.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))))
 
     def test_finite_check(self):
         ad.set_finite_check(True)
@@ -367,6 +426,45 @@ class TestCheckpoint:
             load_checkpoint(path)
         config, _ = load_checkpoint(path, force=True)
         assert config == {"k": 2}
+
+    def test_payload_checksum_verified_even_when_forced(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"k": 1}, {"w": np.ones(2)})
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01  # one bit of the last float
+        path.write_bytes(bytes(raw))
+        for force in (False, True):
+            with pytest.raises(CheckpointError, match="payload checksum"):
+                load_checkpoint(path, force=force)
+
+    def test_entry_size_must_match_its_shape(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {}, {"a": np.ones(2), "b": np.ones((2, 2))})
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"shape":[2,2]', b'"shape":[1,2]'))
+        with pytest.raises(CheckpointError, match="does not fit"):
+            load_checkpoint(path)
+
+    def test_version_1_still_loads(self, tmp_path):
+        import json as _json
+        import struct
+
+        path = tmp_path / "v1.ckpt"
+        config = {"k": 1}
+        header = {
+            "format_version": 1,
+            "config_digest": ad.config_digest(config),
+            "config": config,
+            "tensors": [{"name": "w", "shape": [2], "offset": 0, "nbytes": 16}],
+        }
+        head = _json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        payload = np.array([1.5, -2.0]).astype("<f8").tobytes()
+        path.write_bytes(b"MOLFUSE1" + struct.pack("<I", len(head)) + head + payload)
+        loaded_config, arrays = load_checkpoint(path)
+        assert loaded_config == config and arrays["w"].tolist() == [1.5, -2.0]
+        path.write_bytes(b"MOLFUSE1" + struct.pack("<I", len(head)) + head + payload[:8])
+        with pytest.raises(CheckpointError, match="does not fit"):
+            load_checkpoint(path)
 
     def test_little_endian_float64_payload(self, tmp_path):
         import json as _json

@@ -1,6 +1,7 @@
 """Command-line interface tests, exercised through main()."""
 
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -259,12 +260,19 @@ class TestPredictCommand:
         from molfusion.featurize import featurize
         from molfusion.chem import parse_smiles
 
+        from molfusion.model import MoleculeBatch, chunks
+
         model, fcfg = build_model_from_checkpoint(str(trained / "seed_0.ckpt"))
         rows = list(csv.DictReader(out.read_text().splitlines()))
-        for row in rows[:5]:
-            mol = featurize(parse_smiles(row["smiles"]), fcfg)
-            expected = model.predict(mol)[0]
-            assert float(row["prediction"]) == expected  # bit-for-bit via repr
+        mols = [featurize(parse_smiles(row["smiles"]), fcfg) for row in rows]
+        written = np.array([float(row["prediction"]) for row in rows])
+        # bit-for-bit via repr, against the packed chunks predict runs
+        packed = [model.predict_batch(MoleculeBatch(run))[:, 0]
+                  for run in chunks(mols, lambda mol: mol.n_atoms)]
+        assert len(packed) > 1 and np.array_equal(written, np.concatenate(packed))
+        # and to 1e-12 against one molecule at a time
+        single = np.array([model.predict(mol)[0] for mol in mols])
+        assert np.abs(written - single).max() <= 1e-12 * np.abs(single).max()
 
     def test_classification_outputs_probabilities(self, workdir):
         out_dir = workdir / "cls_run"
@@ -343,8 +351,10 @@ CHECKPOINT_CORRUPTIONS = {
     "header-length-past-eof": lambda raw: _set_header_length(raw, len(raw)),
     "truncated-header": lambda raw: raw[:40],
     "garbled-header": lambda raw: raw[:12] + b"#" + raw[13:],
-    "unsupported-version": lambda raw: raw.replace(b'"format_version":1', b'"format_version":7'),
+    "unsupported-version": lambda raw: re.sub(rb'"format_version":\d+', b'"format_version":7',
+                                              raw),
     "short-payload": lambda raw: raw[:-8],
+    "flipped-payload-byte": lambda raw: raw[:-20] + bytes([raw[-20] ^ 0x10]) + raw[-19:],
 }
 
 
@@ -363,6 +373,10 @@ def test_corrupt_checkpoint_exit_2(workdir, trained, tmp_path, capsys, command, 
     assert main([*argv, "--checkpoint", str(bad)]) == 2
     assert "data error:" in capsys.readouterr().err
     assert not out.exists()
+    if corruption == "flipped-payload-byte":  # --force skips the config digest only
+        assert main([*argv, "--checkpoint", str(bad), "--force"]) == 2
+        assert "payload checksum" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExplainCommand:
@@ -405,6 +419,38 @@ class TestGradcheckCommand:
         code = main(["gradcheck", "--config", str(workdir / "config.json"), "--atoms", "5"])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_checks_a_padded_two_molecule_pack(self, workdir, monkeypatch):
+        from molfusion import cli
+
+        packs = []
+
+        class Recorded(cli.MoleculeBatch):
+            def __init__(self, mols):
+                super().__init__(mols)
+                packs.append(self)
+
+        monkeypatch.setattr(cli, "MoleculeBatch", Recorded)
+        assert main(["gradcheck", "--config", str(workdir / "config.json"), "--atoms", "5"]) == 0
+        assert [(b.size, b.n_atoms) for b in packs] == [(2, 7)]
+        assert packs[0].atoms.mask is not None
+
+    def test_wrong_gradient_exit_3(self, workdir, monkeypatch, capsys):
+        from molfusion.autodiff import tensor
+
+        def tanh_with_doubled_gradient(a):
+            t = np.tanh(a.data)
+            return tensor._make(t, (a,), lambda g: tensor._accumulate(a, 2 * g * (1 - t * t)),
+                                "tanh")
+
+        monkeypatch.setattr(tensor, "tanh", tanh_with_doubled_gradient)
+        assert main(["gradcheck", "--config", str(workdir / "config.json"), "--atoms", "5"]) == 3
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("atoms", ["0", "-2"])
+    def test_no_atoms_exit_1(self, atoms, capsys):
+        assert main(["gradcheck", "--atoms", atoms]) == 1
+        assert "--atoms must be at least 1" in capsys.readouterr().err
 
     def test_no_fingerprint_path_differentiable(self, workdir):
         code = main(

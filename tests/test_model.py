@@ -11,6 +11,7 @@ from molfusion.autodiff.params import ParameterStore
 from molfusion.chem import parse_smiles
 from molfusion.featurize import FeaturizeConfig, featurize
 from molfusion.model import ConfigError, ModelConfig, MlfgnnModel
+from molfusion.model.batch import Padding
 from molfusion.model.config import LEAKY_SLOPE
 from molfusion.model.layers import (
     CrossAttention,
@@ -20,7 +21,7 @@ from molfusion.model.layers import (
     multi_head_attention,
     segment_softmax,
 )
-from molfusion.model.network import EmptyMoleculeError
+from molfusion.model import EmptyMoleculeError
 
 import corpus_util
 
@@ -316,7 +317,7 @@ class TestReadout:
         model = MlfgnnModel(config, seed=0)
         trace = {}
         states = Tensor(make_rng(0).standard_normal((1, config.hidden_dim)))
-        model.readout(states, trace)
+        model.readout(states, np.zeros(1, np.int64), 1, trace)
         assert trace["readout_attention"][0] == pytest.approx(1.0)
 
     def test_identical_embeddings_split_evenly(self):
@@ -324,7 +325,7 @@ class TestReadout:
         model = MlfgnnModel(config, seed=0)
         row = make_rng(1).standard_normal(config.hidden_dim)
         trace = {}
-        model.readout(Tensor(np.stack([row, row])), trace)
+        model.readout(Tensor(np.stack([row, row])), np.zeros(2, np.int64), 1, trace)
         assert np.allclose(trace["readout_attention"], [0.5, 0.5])
 
     def test_permutation_invariant(self):
@@ -333,8 +334,9 @@ class TestReadout:
         rng = make_rng(2)
         states = rng.standard_normal((5, config.hidden_dim))
         perm = rng.permutation(5)
-        out1 = model.readout(Tensor(states)).data
-        out2 = model.readout(Tensor(states[perm])).data
+        one_graph = np.zeros(5, np.int64)
+        out1 = model.readout(Tensor(states), one_graph, 1).data
+        out2 = model.readout(Tensor(states[perm]), one_graph, 1).data
         assert np.allclose(out1, out2, atol=1e-12)
 
     def test_attention_sums_to_one_tight(self):
@@ -343,7 +345,7 @@ class TestReadout:
         for seed in range(5):
             states = Tensor(make_rng(seed).standard_normal((7, config.hidden_dim)))
             trace = {}
-            model.readout(states, trace)
+            model.readout(states, np.zeros(7, np.int64), 1, trace)
             assert abs(trace["readout_attention"].sum() - 1.0) <= 1e-12
 
 
@@ -408,6 +410,27 @@ class TestMultiHeadAttention:
         assert report.passed, report.summary()
 
 
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_padded_batch_matches_each_molecule(self, heads):
+        """Molecules of 1, 4 and 2 rows padded to 4 slots under a key mask."""
+        rng = make_rng(heads)
+        width, sizes = 3 * heads, [1, 4, 2]
+        q, k, v = (rng.standard_normal((len(sizes), 4, width)) for _ in range(3))
+        real = np.arange(4)[None, :] < np.array(sizes)[:, None]
+        mask = Tensor(np.where(real, 0.0, -1e30)[:, None, None, :])
+        prior = rng.uniform(size=(len(sizes), 1, 4, 4)) * real[:, None, None, :]
+
+        def blend(soft):
+            return ad.add(ad.mul(Tensor(0.3), soft), Tensor(0.7 * prior))
+
+        out = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), heads, blend, mask)
+        assert out.shape == (len(sizes), 4, width)
+        for b, n in enumerate(sizes):
+            expected = self.oracle(q[b], k[b, :n], v[b, :n], heads,
+                                   lambda w: 0.3 * w + 0.7 * prior[b, 0, :, :n])
+            assert np.allclose(out.data[b], expected, rtol=1e-12, atol=1e-14)
+
+
 class TestCrossAttention:
     def test_weights_sum_to_one_with_virtual_token(self):
         config = small_config()
@@ -427,7 +450,7 @@ class TestCrossAttention:
         token = rng.standard_normal(8)
         virtual = Tensor(token[None, :])
         nodes = Tensor(np.tile(token, (3, 1)))
-        out = attn(fp, virtual, nodes)
+        out = attn(fp, virtual, nodes, Padding(np.arange(4)[None, :], None))
         v = token[None, :] @ attn.w_v.data
         expected = v @ attn.out.w.data + attn.out.b.data
         assert np.allclose(out.data, expected, atol=1e-12)

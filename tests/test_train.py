@@ -78,6 +78,23 @@ class TestMaskedLoss:
         out = Tensor(np.zeros((1, 2)))
         with pytest.raises(AllMaskedError):
             masked_loss(out, np.zeros((1, 2)), np.zeros((1, 2), bool), "regression")
+        with pytest.raises(AllMaskedError):  # one molecule without labels is enough
+            masked_loss(Tensor(np.zeros((2, 2))), np.zeros((2, 2)),
+                        np.array([[True, False], [False, False]]), "regression")
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_rows_are_molecules_with_equal_weight(self, task):
+        rng = make_rng(3)
+        out = rng.standard_normal((3, 3))
+        labels = rng.integers(0, 2, size=(3, 3)).astype(float)
+        mask = np.array([[True, True, True], [False, True, False], [True, False, True]])
+        if task == "regression":
+            entry = (out - labels) ** 2
+        else:
+            entry = np.log1p(np.exp(out)) - out * labels
+        per_row = [entry[i][mask[i]].mean() for i in range(3)]
+        packed = masked_loss(Tensor(out), labels, mask, task).item()
+        assert packed == pytest.approx(np.mean(per_row), rel=1e-12)
 
 
 def brute_force_auc(scores, labels):
