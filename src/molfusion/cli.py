@@ -366,7 +366,7 @@ def cmd_gradcheck(args) -> int:
     # Two molecules of different sizes, so the check covers padding and masks.
     batch = MoleculeBatch([
         featurize(random_molecule_graph(n, seed=args.seed + i), featurize_config)
-        for i, n in enumerate((args.atoms, max(1, args.atoms // 2)))
+        for i, n in enumerate((args.atoms, args.atoms // 2 or args.atoms + 1))
     ])
     model = MlfgnnModel(model_config, seed=args.seed)
 

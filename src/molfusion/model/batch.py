@@ -56,7 +56,7 @@ class Padding:
     """Padded per-molecule slots over a set of flat rows."""
 
     index: np.ndarray  # [B, width] source row of each slot; a padding slot repeats a real row
-    mask: Tensor | None  # [B, 1, 1, width], 0 on real slots; None when no slot is padding
+    mask: Tensor  # [B, 1, 1, width], 0 on real slots and _MASKED on padding slots
 
 
 class MoleculeBatch:
@@ -85,18 +85,13 @@ class MoleculeBatch:
         slot = np.arange(n_max)
         real = slot[None, :] < sizes[:, None]  # [B, n_max]
         index = starts[:, None] + np.where(real, slot, 0)
-        key_mask = None
-        token_mask = None
-        if not real.all():
-            scores = np.where(real, 0.0, _MASKED)
-            key_mask = Tensor(scores[:, None, None, :])
-            token_mask = Tensor(np.pad(scores, ((0, 0), (1, 0)))[:, None, None, :])
+        scores = np.where(real, 0.0, _MASKED)
         # Transformer slots over the atom rows; cross-attention slots over the
         # token rows [virtual node of each molecule; atom rows], virtual first.
-        self.atoms = Padding(index, key_mask)
+        self.atoms = Padding(index, Tensor(scores[:, None, None, :]))
         self.tokens = Padding(
             np.concatenate([np.arange(self.size)[:, None], self.size + index], axis=1),
-            token_mask,
+            Tensor(np.pad(scores, ((0, 0), (1, 0)))[:, None, None, :]),
         )
         self._real_slots = np.flatnonzero(real)  # atom rows in the flattened [B * n_max] slots
         self.adjacency = np.zeros((self.size, 1, n_max, n_max))  # padded, broadcast over heads
@@ -105,11 +100,8 @@ class MoleculeBatch:
 
     def pad_atoms(self, rows: Tensor) -> Tensor:
         """Flat atom rows [N, d] as padded slots [B, n_max, d]."""
-        if self.atoms.mask is None:
-            return T.reshape(rows, self.atoms.index.shape + rows.shape[1:])
         return T.gather_rows(rows, self.atoms.index)
 
     def unpad_atoms(self, slots: Tensor) -> Tensor:
         """Padded slots [B, n_max, d] back to the flat atom rows [N, d]."""
-        flat = T.reshape(slots, (-1, slots.shape[-1]))
-        return flat if self.atoms.mask is None else T.gather_rows(flat, self._real_slots)
+        return T.gather_rows(T.reshape(slots, (-1, slots.shape[-1])), self._real_slots)

@@ -97,7 +97,7 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mix,
-                         key_mask: Tensor | None = None) -> Tensor:
+                         key_mask: Tensor) -> Tensor:
     """Scaled dot-product attention of queries [..., m, heads*d_k] over keys
     and values [..., n, heads*d_k], all heads in one stacked op.
 
@@ -116,9 +116,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mix,
     q_h = T.transpose(T.reshape(q, (*lead, m, heads, d_k)), to_heads)
     k_t = T.transpose(T.reshape(k, (*lead, n, heads, d_k)), (*range(a), a + 1, a + 2, a))
     v_h = T.transpose(T.reshape(v, (*lead, n, heads, d_k)), to_heads)
-    scores = T.mul(T.matmul(q_h, k_t), Tensor(1.0 / math.sqrt(d_k)))
-    if key_mask is not None:
-        scores = T.add(scores, key_mask)
+    scores = T.add(T.mul(T.matmul(q_h, k_t), Tensor(1.0 / math.sqrt(d_k))), key_mask)
     out = T.matmul(mix(T.softmax(scores, axis=-1)), v_h)  # [..., heads, m, d_k]
     return T.reshape(T.transpose(out, to_heads), (*lead, m, width))
 
@@ -204,13 +202,12 @@ class TransformerLayer:
         self.ffn1 = Linear(store, rng, f"{prefix}.ffn1", dim, FFN_MULT * dim)
         self.ffn2 = Linear(store, rng, f"{prefix}.ffn2", FFN_MULT * dim, dim)
 
-    def attend(self, h: Tensor, adjacency: Tensor, trace=None, batch=None) -> Tensor:
+    def attend(self, h: Tensor, adjacency: Tensor, batch, trace=None) -> Tensor:
         """Mixed attention of all heads, [N, heads*head_dim], before the output projection.
 
-        ``h`` holds one molecule's rows with its [n, n] ``adjacency``, or,
-        given a ``MoleculeBatch``, the batch's flat atom rows with its padded
-        [B, 1, n_max, n_max] adjacency; attention then runs on the padded
-        slots under the key mask.
+        ``h`` holds the flat atom rows of ``batch`` (a ``MoleculeBatch``) and
+        ``adjacency`` its padded [B, 1, n_max, n_max] adjacency; attention
+        runs on the padded slots under the batch's key mask.
         """
 
         def mix(soft: Tensor) -> Tensor:
@@ -220,15 +217,14 @@ class TransformerLayer:
                 return soft
             return T.add(T.mul(self.lambda_attn, soft), T.mul(self.lambda_adj, adjacency))
 
-        slots = h if batch is None else batch.pad_atoms(h)
+        slots = batch.pad_atoms(h)
         q, k, v = (T.matmul(slots, w) for w in (self.w_q, self.w_k, self.w_v))
-        key_mask = None if batch is None else batch.atoms.mask
-        out = multi_head_attention(q, k, v, self.heads, mix, key_mask)
-        return out if batch is None else batch.unpad_atoms(out)
+        out = multi_head_attention(q, k, v, self.heads, mix, batch.atoms.mask)
+        return batch.unpad_atoms(out)
 
-    def __call__(self, h, adjacency, batch=None, dropout_attn=0.0, dropout_ffn=0.0,
+    def __call__(self, h, adjacency, batch, dropout_attn=0.0, dropout_ffn=0.0,
                  train=False, rng=None, trace=None):
-        attn = self.out(self.attend(h, adjacency, trace, batch))
+        attn = self.out(self.attend(h, adjacency, batch, trace))
         if train and dropout_attn > 0.0:
             attn = T.dropout(attn, dropout_attn, rng, True)
         x = self.norm1(T.add(h, attn))

@@ -27,6 +27,7 @@ from molfusion.featurize import (
     morgan_fingerprint,
 )
 from molfusion.model import MlfgnnModel, ModelConfig
+from molfusion.model.batch import MoleculeBatch
 from molfusion.model.layers import GatLayer
 from molfusion.train import TrainConfig, prepare_inputs, train, roc_auc
 
@@ -95,9 +96,10 @@ def test_criterion_2_boundary_identities():
     layer.lambda_attn.data[:] = 0.0
     layer.lambda_adj.data[:] = 1.0
     h = Tensor(rng.standard_normal((mol.n_atoms, config.hidden_dim)))
-    adjacency = Tensor(mol.adjacency_normalized)
+    batch = MoleculeBatch([mol])
+    adjacency = Tensor(batch.adjacency)
     v = h.data @ layer.w_v.data
-    out = layer.attend(h, adjacency)
+    out = layer.attend(h, adjacency, batch)
     adj_ok = all(
         np.array_equal(
             out.data[:, i * 4 : (i + 1) * 4],
@@ -111,7 +113,7 @@ def test_criterion_2_boundary_identities():
     layer.lambda_adj.data[:] = 0.0
     q, k = h.data @ layer.w_q.data, h.data @ layer.w_k.data
     plain_ok = True
-    out = layer.attend(h, adjacency)
+    out = layer.attend(h, adjacency, batch)
     for i in range(2):
         cols = slice(i * 4, (i + 1) * 4)
         logits = q[:, cols] @ k[:, cols].T / 2.0

@@ -72,7 +72,7 @@ def test_pack_layout(mols):
     assert np.array_equal(batch.tokens.index[0], [0, 3, 3, 3, 3, 3, 3, 3])
     assert np.array_equal(batch.adjacency[2, 0], mols[2].adjacency_normalized)
     assert not batch.adjacency[0, 0, 1:].any() and not batch.adjacency[0, 0, :, 1:].any()
-    assert MoleculeBatch(mols[1:2]).atoms.mask is None  # nothing to pad
+    assert not MoleculeBatch(mols[1:2]).atoms.mask.data.any()  # nothing to pad
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))

@@ -420,7 +420,8 @@ class TestGradcheckCommand:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_checks_a_padded_two_molecule_pack(self, workdir, monkeypatch):
+    @pytest.mark.parametrize("atoms,pack_atoms", [(5, 7), (1, 3)])
+    def test_checks_a_padded_two_molecule_pack(self, workdir, monkeypatch, atoms, pack_atoms):
         from molfusion import cli
 
         packs = []
@@ -431,9 +432,10 @@ class TestGradcheckCommand:
                 packs.append(self)
 
         monkeypatch.setattr(cli, "MoleculeBatch", Recorded)
-        assert main(["gradcheck", "--config", str(workdir / "config.json"), "--atoms", "5"]) == 0
-        assert [(b.size, b.n_atoms) for b in packs] == [(2, 7)]
-        assert packs[0].atoms.mask is not None
+        args = ["gradcheck", "--config", str(workdir / "config.json"), "--atoms", str(atoms)]
+        assert main(args) == 0
+        assert [(b.size, b.n_atoms) for b in packs] == [(2, pack_atoms)]
+        assert (packs[0].atoms.mask.data != 0.0).any()  # a padding slot is masked
 
     def test_wrong_gradient_exit_3(self, workdir, monkeypatch, capsys):
         from molfusion.autodiff import tensor

@@ -11,7 +11,7 @@ from molfusion.autodiff.params import ParameterStore
 from molfusion.chem import parse_smiles
 from molfusion.featurize import FeaturizeConfig, featurize
 from molfusion.model import ConfigError, ModelConfig, MlfgnnModel
-from molfusion.model.batch import Padding
+from molfusion.model.batch import MoleculeBatch, Padding
 from molfusion.model.config import LEAKY_SLOPE
 from molfusion.model.layers import (
     CrossAttention,
@@ -200,8 +200,8 @@ class TestTransformerBoundaries:
             layer.lambda_attn.data[:] = 0.0
             layer.lambda_adj.data[:] = 1.0
             h = Tensor(rng.standard_normal((mol.n_atoms, model.config.hidden_dim)))
-            adjacency = Tensor(mol.adjacency_normalized)
-            out = layer.attend(h, adjacency)
+            batch = MoleculeBatch([mol])
+            out = layer.attend(h, Tensor(batch.adjacency), batch)
             v = (h.data @ layer.w_v.data)
             d_k = model.config.head_dim
             for i in range(layer.heads):
@@ -216,8 +216,8 @@ class TestTransformerBoundaries:
             layer.lambda_attn.data[:] = 1.0
             layer.lambda_adj.data[:] = 0.0
             h = Tensor(rng.standard_normal((mol.n_atoms, model.config.hidden_dim)))
-            adjacency = Tensor(mol.adjacency_normalized)
-            out = layer.attend(h, adjacency)
+            batch = MoleculeBatch([mol])
+            out = layer.attend(h, Tensor(batch.adjacency), batch)
             q, k, v = (h.data @ w.data for w in (layer.w_q, layer.w_k, layer.w_v))
             d_k = model.config.head_dim
             for i in range(layer.heads):
@@ -233,7 +233,8 @@ class TestTransformerBoundaries:
         rng = make_rng(2)
         h = Tensor(rng.standard_normal((1, model.config.hidden_dim)))
         trace = []
-        out = layer.attend(h, Tensor(mol.adjacency_normalized), trace)
+        batch = MoleculeBatch([mol])
+        out = layer.attend(h, Tensor(batch.adjacency), batch, trace)
         lam_a = layer.lambda_attn.data[0, 0]
         lam_b = layer.lambda_adj.data[0, 0]
         v = h.data @ layer.w_v.data
@@ -391,7 +392,8 @@ class TestMultiHeadAttention:
         k = Tensor(rng.standard_normal((n, width)), requires_grad=True)
         v = Tensor(rng.standard_normal((n, width)), requires_grad=True)
         prior = rng.uniform(size=(m, n))
-        plain = multi_head_attention(q, k, v, heads, lambda soft: soft)
+        no_mask = Tensor(np.zeros((1, 1, n)))
+        plain = multi_head_attention(q, k, v, heads, lambda soft: soft, no_mask)
         assert plain.shape == (m, width)
         assert np.allclose(plain.data, self.oracle(q.data, k.data, v.data, heads, lambda w: w),
                            rtol=1e-12, atol=1e-14)
@@ -399,12 +401,12 @@ class TestMultiHeadAttention:
         def blend(soft):
             return ad.add(ad.mul(Tensor(0.3), soft), Tensor(0.7 * prior))
 
-        mixed = multi_head_attention(q, k, v, heads, blend)
+        mixed = multi_head_attention(q, k, v, heads, blend, no_mask)
         expected = self.oracle(q.data, k.data, v.data, heads, lambda w: 0.3 * w + 0.7 * prior)
         assert np.allclose(mixed.data, expected, rtol=1e-12, atol=1e-14)
         w = Tensor(rng.standard_normal((m, width)))
         report = grad_check(
-            lambda: ad.sum_(ad.mul(multi_head_attention(q, k, v, heads, blend), w)),
+            lambda: ad.sum_(ad.mul(multi_head_attention(q, k, v, heads, blend, no_mask), w)),
             [q, k, v], rtol=1e-5, atol=1e-8,
         )
         assert report.passed, report.summary()
@@ -450,7 +452,8 @@ class TestCrossAttention:
         token = rng.standard_normal(8)
         virtual = Tensor(token[None, :])
         nodes = Tensor(np.tile(token, (3, 1)))
-        out = attn(fp, virtual, nodes, Padding(np.arange(4)[None, :], None))
+        no_mask = Tensor(np.zeros((1, 1, 1, 4)))
+        out = attn(fp, virtual, nodes, Padding(np.arange(4)[None, :], no_mask))
         v = token[None, :] @ attn.w_v.data
         expected = v @ attn.out.w.data + attn.out.b.data
         assert np.allclose(out.data, expected, atol=1e-12)
