@@ -52,9 +52,6 @@ class ParameterStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def tensors(self) -> list[Tensor]:
-        return [p.tensor for p in self._params.values()]
-
     def count_values(self) -> int:
         return sum(p.tensor.size for p in self._params.values())
 
@@ -65,14 +62,12 @@ class ParameterStore:
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.tensor.data.copy() for name, p in self._params.items()}
 
-    def load_state_arrays(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         missing = [n for n in self._params if n not in state]
         extra = [n for n in state if n not in self._params]
-        if strict and (missing or extra):
+        if missing or extra:
             raise KeyError(f"parameter mismatch: missing={missing}, unexpected={extra}")
         for name, arr in state.items():
-            if name not in self._params:
-                continue
             t = self._params[name].tensor
             if t.data.shape != arr.shape:
                 raise ValueError(
@@ -83,6 +78,5 @@ class ParameterStore:
 
 def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)); fan_in is the input width."""
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
-    bound = 1.0 / np.sqrt(fan_in)
+    bound = 1.0 / np.sqrt(shape[0])
     return rng.uniform(-bound, bound, size=shape)

@@ -140,12 +140,6 @@ class MolecularGraph:
     def neighbors(self, idx: int) -> list[int]:
         return [b.other(idx) for b in self._adjacency[idx]]
 
-    def bond_between(self, u: int, v: int) -> Bond | None:
-        for bond in self._adjacency[u]:
-            if bond.other(u) == v:
-                return bond
-        return None
-
     def components(self) -> list[list[int]]:
         """Connected components as sorted atom-index lists."""
         seen = [False] * self.n_atoms

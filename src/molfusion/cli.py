@@ -1,6 +1,7 @@
 """Command-line interface: featurize, train, predict, explain, gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
+Exit codes: 0 success, 1 usage error, 2 data error (a non-finite training
+loss included), 3 verification failure.
 Config files are JSON with optional "model", "train" and "featurize"
 sections; every key mirrors the corresponding dataclass field. The env var
 MOLFUSION_LOG sets log verbosity (DEBUG/INFO/WARNING/ERROR).
@@ -16,7 +17,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .data import DataError, load_csv, read_csv
 from .featurize import FeaturizeConfig, featurize
 from .model import ConfigError, ModelConfig, MoleculeBatch, chunks
 from .model.network import MlfgnnModel
-from .train import TrainConfig, multi_seed
+from .train import NonFiniteLossError, TrainConfig, multi_seed
 
 log = logging.getLogger(__name__)
 
@@ -123,17 +124,13 @@ def resolve_configs(
 
 
 def combined_config_dict(model_config, train_config, featurize_config) -> dict:
+    """Every constructor field of the three configs, by section."""
     return {
-        "model": model_config.to_dict(),
-        "train": {
-            "epochs": train_config.epochs,
-            "lr": train_config.lr,
-            "batch_size": train_config.batch_size,
-            "seeds": list(train_config.seeds),
-            "patience": train_config.patience,
-            "task_type": train_config.task_type,
+        "model": asdict(model_config),
+        "train": asdict(train_config),
+        "featurize": {
+            f.name: getattr(featurize_config, f.name) for f in fields(featurize_config) if f.init
         },
-        "featurize": featurize_config.to_dict(),
     }
 
 
@@ -363,7 +360,7 @@ def cmd_gradcheck(args) -> int:
     model_config, _train_config, featurize_config = resolve_configs(
         file_config, "regression", 1, ablation=args.ablate
     )
-    # Two molecules of different sizes, so the check covers padding and masks.
+    # Two molecules of different sizes, so the check covers the cross-molecule masks.
     batch = MoleculeBatch([
         featurize(random_molecule_graph(n, seed=args.seed + i), featurize_config)
         for i, n in enumerate((args.atoms, args.atoms // 2 or args.atoms + 1))
@@ -462,7 +459,8 @@ def main(argv=None) -> int:
         args.ablate = _ABLATION_FLAG[args.ablate]
     try:
         return args.func(args)
-    except (DataError, SmilesError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, SmilesError, CheckpointError, FileNotFoundError,
+            NonFiniteLossError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as exc:

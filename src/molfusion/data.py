@@ -13,6 +13,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,6 +109,8 @@ def _parse_label(cell: str, task_type: str, row_num: int, column: str) -> float 
         value = float(cell)
     except ValueError as exc:
         raise LabelError(f"row {row_num}, column {column!r}: non-numeric label {cell!r}") from exc
+    if not math.isfinite(value):
+        raise LabelError(f"row {row_num}, column {column!r}: non-finite label {cell!r}")
     if task_type == "classification" and value not in (0.0, 1.0):
         raise LabelError(
             f"row {row_num}, column {column!r}: classification label must be 0 or 1, got {cell!r}"

@@ -94,15 +94,6 @@ class FeaturizeConfig:
             total += erg_length(self.erg_max_path)
         return total
 
-    def to_dict(self) -> dict:
-        return {
-            "morgan_radius": self.morgan_radius,
-            "morgan_bits": self.morgan_bits,
-            "erg_max_path": self.erg_max_path,
-            "components": list(self.components),
-            "key_table_path": self.key_table_path,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "FeaturizeConfig":
         d = dict(d)

@@ -3,30 +3,31 @@
 A ``MoleculeBatch`` joins B featurized molecules the way PyTorch Geometric
 mini-batches graphs (Fey & Lenssen 2019): the atom rows are concatenated,
 the edge indices are offset into them, and a graph-id vector names the
-molecule of each row. The message-passing layers and the readout run on
-those flat rows. The two attention blocks run on padded per-molecule rows
-instead, as in MAT (Maziarka et al. 2020): a ``Padding`` gathers the flat
-rows into ``[B, width]`` slots and its additive key mask keeps each
-molecule's attention on its own slots.
+molecule of each row. Every layer runs on those joined rows. The two
+attention blocks score all query/key pairs of the batch and add a
+block-diagonal mask that shuts out the pairs of different molecules, so
+each molecule attends only over its own rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from ..autodiff import tensor as T
 from ..autodiff.tensor import ShapeMismatchError, Tensor
 from ..featurize.features import FeaturizedMolecule
 
-# Atoms per packed forward pass. Attention is quadratic in the padded width
-# and a batch's tape holds every intermediate until backward, so packs are
-# capped by atoms, not by molecule count.
+# Atoms per packed forward pass. Attention scores all N^2 query/key pairs of
+# the joined rows, masked ones included, and a batch's tape holds every
+# intermediate until backward, so packs are capped by atoms, not by molecule
+# count. On small molecules a full pack scores about 5x the pairs that padded
+# per-molecule slots would (N^2 against B * n_max^2), but at N <= 64 the
+# per-op overhead of the tape dominates and the extra pairs cost no time
+# that shows.
 MAX_CHUNK_ATOMS = 64
 
-_MASKED = -1e30  # added to the scores of padding slots; exp() of it is exactly 0
+_MASKED = -1e30  # added to the scores of another molecule's keys; exp() of it is exactly 0
 
 Item = TypeVar("Item")
 
@@ -51,16 +52,8 @@ def chunks(items: Iterable[Item], n_atoms: Callable[[Item], int]) -> Iterator[li
         yield run
 
 
-@dataclass(frozen=True)
-class Padding:
-    """Padded per-molecule slots over a set of flat rows."""
-
-    index: np.ndarray  # [B, width] source row of each slot; a padding slot repeats a real row
-    mask: Tensor  # [B, 1, 1, width], 0 on real slots and _MASKED on padding slots
-
-
 class MoleculeBatch:
-    """B molecules as one disjoint-union graph, plus the padded attention layout."""
+    """B molecules as one disjoint-union graph with its attention masks."""
 
     def __init__(self, mols: Sequence[FeaturizedMolecule]):
         if not mols:
@@ -81,27 +74,15 @@ class MoleculeBatch:
         self.graph_ids = np.repeat(np.arange(self.size), sizes)
         self.fingerprints = np.stack([m.fingerprint for m in mols])
 
-        n_max = int(sizes.max())
-        slot = np.arange(n_max)
-        real = slot[None, :] < sizes[:, None]  # [B, n_max]
-        index = starts[:, None] + np.where(real, slot, 0)
-        scores = np.where(real, 0.0, _MASKED)
-        # Transformer slots over the atom rows; cross-attention slots over the
-        # token rows [virtual node of each molecule; atom rows], virtual first.
-        self.atoms = Padding(index, Tensor(scores[:, None, None, :]))
-        self.tokens = Padding(
-            np.concatenate([np.arange(self.size)[:, None], self.size + index], axis=1),
-            Tensor(np.pad(scores, ((0, 0), (1, 0)))[:, None, None, :]),
+        same = self.graph_ids[:, None] == self.graph_ids[None, :]
+        # Additive masks over the joined atom rows, and over the token rows
+        # [virtual node of each molecule; atom rows] that the fingerprint
+        # rows attend to: 0 within a molecule, _MASKED across molecules.
+        self.atom_mask = Tensor(np.where(same, 0.0, _MASKED))  # [N, N]
+        token_ids = np.concatenate([np.arange(self.size), self.graph_ids])
+        self.token_mask = Tensor(  # [B, B + N]
+            np.where(np.arange(self.size)[:, None] == token_ids[None, :], 0.0, _MASKED)
         )
-        self._real_slots = np.flatnonzero(real)  # atom rows in the flattened [B * n_max] slots
-        self.adjacency = np.zeros((self.size, 1, n_max, n_max))  # padded, broadcast over heads
-        for b, m in enumerate(mols):
-            self.adjacency[b, 0, : m.n_atoms, : m.n_atoms] = m.adjacency_normalized
-
-    def pad_atoms(self, rows: Tensor) -> Tensor:
-        """Flat atom rows [N, d] as padded slots [B, n_max, d]."""
-        return T.gather_rows(rows, self.atoms.index)
-
-    def unpad_atoms(self, slots: Tensor) -> Tensor:
-        """Padded slots [B, n_max, d] back to the flat atom rows [N, d]."""
-        return T.gather_rows(T.reshape(slots, (-1, slots.shape[-1])), self._real_slots)
+        self.adjacency = np.zeros((self.n_atoms, self.n_atoms))  # block diagonal
+        for m, s in zip(mols, starts):
+            self.adjacency[s : s + m.n_atoms, s : s + m.n_atoms] = m.adjacency_normalized

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..featurize.features import ATOM_FEATURE_DIM, BOND_FEATURE_DIM
 
@@ -139,26 +139,6 @@ class ModelConfig:
             mlp_in = d
         total += linear(mlp_in, d) + linear(d, self.n_tasks)  # output MLP
         return total
-
-    def to_dict(self) -> dict:
-        return {
-            "transformer_layers": self.transformer_layers,
-            "heads": self.heads,
-            "head_dim": self.head_dim,
-            "gat_out_dim": self.gat_out_dim,
-            "gat_layers": self.gat_layers,
-            "hidden_dim": self.hidden_dim,
-            "fingerprint_embed_dim": self.fingerprint_embed_dim,
-            "fingerprint_dim": self.fingerprint_dim,
-            "dropout_gat": self.dropout_gat,
-            "dropout_ffn": self.dropout_ffn,
-            "dropout_attn": self.dropout_attn,
-            "task": self.task,
-            "n_tasks": self.n_tasks,
-            "ablation": self.ablation,
-            "norm": self.norm,
-            "adjacency_bias": self.adjacency_bias,
-        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

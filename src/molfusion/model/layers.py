@@ -97,33 +97,25 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mix,
-                         key_mask: Tensor) -> Tensor:
-    """Scaled dot-product attention of queries [..., m, heads*d_k] over keys
-    and values [..., n, heads*d_k], all heads in one stacked op.
+                         mask: Tensor) -> Tensor:
+    """Scaled dot-product attention of queries [m, heads*d_k] over keys and
+    values [n, heads*d_k], all heads in one stacked op.
 
-    Leading axes (a batch of molecules) are kept. Head i reads columns
-    i*d_k:(i+1)*d_k. The per-head weights softmax(Q_i K_i^T / sqrt(d_k) +
-    key_mask) form one [..., heads, m, n] tensor that ``mix`` maps to the
-    weights applied to V (the identity, or a blend with a prior). The
-    additive ``key_mask`` [..., 1, 1, n] shuts padding keys out. The result
-    is [..., m, heads*d_k], head i in its own columns.
+    Head i reads columns i*d_k:(i+1)*d_k. The per-head weights
+    softmax(Q_i K_i^T / sqrt(d_k) + mask) form one [heads, m, n] tensor that
+    ``mix`` maps to the weights applied to V (the identity, or a blend with a
+    prior). The additive ``mask`` [m, n] shuts out the keys a query must not
+    see. The result is [m, heads*d_k], head i in its own columns.
     """
-    *lead, m, width = q.shape
-    n = k.shape[-2]
+    m, width = q.shape
+    n = k.shape[0]
     d_k = width // heads
-    a = len(lead)
-    to_heads = (*range(a), a + 1, a, a + 2)  # [..., x, heads, d_k] <-> [..., heads, x, d_k]
-    q_h = T.transpose(T.reshape(q, (*lead, m, heads, d_k)), to_heads)
-    k_t = T.transpose(T.reshape(k, (*lead, n, heads, d_k)), (*range(a), a + 1, a + 2, a))
-    v_h = T.transpose(T.reshape(v, (*lead, n, heads, d_k)), to_heads)
-    scores = T.add(T.mul(T.matmul(q_h, k_t), Tensor(1.0 / math.sqrt(d_k))), key_mask)
-    out = T.matmul(mix(T.softmax(scores, axis=-1)), v_h)  # [..., heads, m, d_k]
-    return T.reshape(T.transpose(out, to_heads), (*lead, m, width))
-
-
-def _per_head(soft: Tensor) -> np.ndarray:
-    """Attention weights [..., heads, m, n] of one molecule as [heads, m, n]."""
-    return soft.data.reshape((-1,) + soft.shape[-2:]).copy()
+    q_h = T.transpose(T.reshape(q, (m, heads, d_k)), (1, 0, 2))  # [heads, m, d_k]
+    k_t = T.transpose(T.reshape(k, (n, heads, d_k)), (1, 2, 0))  # [heads, d_k, n]
+    v_h = T.transpose(T.reshape(v, (n, heads, d_k)), (1, 0, 2))  # [heads, n, d_k]
+    scores = T.add(T.mul(T.matmul(q_h, k_t), Tensor(1.0 / math.sqrt(d_k))), mask)
+    out = T.matmul(mix(T.softmax(scores, axis=-1)), v_h)  # [heads, m, d_k]
+    return T.reshape(T.transpose(out, (1, 0, 2)), (m, width))
 
 
 class FingerprintMlp:
@@ -179,8 +171,9 @@ class TransformerLayer:
     Per head: (w_attn * softmax(Q K^T / sqrt(d_k)) + w_adj * A) V, where A is
     the row-normalized adjacency; all heads run as one stacked op and
     concatenate through an output projection, then residual + norm,
-    position-wise FFN, residual + norm. Only the attention runs on padded
-    per-molecule slots; everything else runs on the flat atom rows.
+    position-wise FFN, residual + norm. Attention runs on the joined atom rows
+    of a batch under its block-diagonal mask, so each molecule attends only
+    over its own atoms.
     """
 
     def __init__(self, store, rng, prefix, dim, heads, norm_kind, adjacency_bias):
@@ -205,22 +198,19 @@ class TransformerLayer:
     def attend(self, h: Tensor, adjacency: Tensor, batch, trace=None) -> Tensor:
         """Mixed attention of all heads, [N, heads*head_dim], before the output projection.
 
-        ``h`` holds the flat atom rows of ``batch`` (a ``MoleculeBatch``) and
-        ``adjacency`` its padded [B, 1, n_max, n_max] adjacency; attention
-        runs on the padded slots under the batch's key mask.
+        ``h`` holds the joined atom rows of ``batch`` (a ``MoleculeBatch``)
+        and ``adjacency`` its block-diagonal [N, N] adjacency.
         """
 
         def mix(soft: Tensor) -> Tensor:
             if trace is not None:
-                trace.append(list(_per_head(soft)))
+                trace.append(list(soft.data.copy()))
             if not self.adjacency_bias:
                 return soft
             return T.add(T.mul(self.lambda_attn, soft), T.mul(self.lambda_adj, adjacency))
 
-        slots = batch.pad_atoms(h)
-        q, k, v = (T.matmul(slots, w) for w in (self.w_q, self.w_k, self.w_v))
-        out = multi_head_attention(q, k, v, self.heads, mix, batch.atoms.mask)
-        return batch.unpad_atoms(out)
+        q, k, v = (T.matmul(h, w) for w in (self.w_q, self.w_k, self.w_v))
+        return multi_head_attention(q, k, v, self.heads, mix, batch.atom_mask)
 
     def __call__(self, h, adjacency, batch, dropout_attn=0.0, dropout_ffn=0.0,
                  train=False, rng=None, trace=None):
@@ -242,7 +232,8 @@ class MixedInformation:
     to the shared width then GELU; the global stream is the transformer
     output under GELU. A sigmoid-parametrized scalar gate alpha in [0,1]
     weighs them: alpha * local + (1 - alpha) * global. ``gate_override``
-    forces an exact alpha (used by ablations and boundary tests).
+    forces an exact alpha (set by boundary tests); ablations that drop a
+    stream use alpha 1 or 0 without a gate.
     """
 
     def __init__(self, store, rng, prefix, gat_dim, dim, has_gat, has_gate):
@@ -322,19 +313,17 @@ class CrossAttention:
         self.w_v = _register_matrix(store, rng, f"{prefix}.w_v", dim, dim)
         self.out = Linear(store, rng, f"{prefix}.out", dim, dim)
 
-    def __call__(self, fp_embed, virtual, node_states, tokens, trace=None) -> Tensor:
-        """Each of the B fingerprint rows [B, fp_dim] attends over its molecule's
-        token slots in ``tokens`` (a ``batch.Padding`` over the rows [virtual;
-        node_states]); returns [B, dim]."""
-        b = fp_embed.shape[0]
+    def __call__(self, fp_embed, virtual, node_states, token_mask, trace=None) -> Tensor:
+        """Each of the B fingerprint rows [B, fp_dim] attends over the token rows
+        [virtual [B, dim]; node_states [N, dim]] under ``token_mask`` [B, B+N],
+        which keeps each row on its own molecule's tokens; returns [B, dim]."""
 
         def weights(soft: Tensor) -> Tensor:
             if trace is not None:
-                trace["cross_attention"] = [head[0] for head in _per_head(soft)]
+                trace["cross_attention"] = list(soft.data[:, 0].copy())
             return soft
 
-        slots = T.gather_rows(T.concat([virtual, node_states], axis=0), tokens.index)
-        q = T.reshape(T.matmul(fp_embed, self.w_q), (b, 1, -1))
-        k, v = T.matmul(slots, self.w_k), T.matmul(slots, self.w_v)
-        out = multi_head_attention(q, k, v, self.heads, weights, tokens.mask)
-        return self.out(T.reshape(out, (b, -1)))
+        tokens = T.concat([virtual, node_states], axis=0)
+        q = T.matmul(fp_embed, self.w_q)
+        k, v = T.matmul(tokens, self.w_k), T.matmul(tokens, self.w_v)
+        return self.out(multi_head_attention(q, k, v, self.heads, weights, token_mask))

@@ -159,7 +159,7 @@ class MlfgnnModel:
         molecule_vec = self.readout(mixed, batch.graph_ids, batch.size, trace)
 
         if c.has_fingerprint:
-            fused = self.cross_attention(fp_embed, molecule_vec, mixed, batch.tokens, trace)
+            fused = self.cross_attention(fp_embed, molecule_vec, mixed, batch.token_mask, trace)
             representation = T.concat([fused, molecule_vec, fp_embed], axis=1)
         else:
             representation = molecule_vec

@@ -67,12 +67,21 @@ def test_pack_layout(mols):
     assert batch.size == 3 and batch.n_atoms == sum(sizes)
     assert batch.graph_ids.tolist() == [0] + [1] * 3 + [2] * 7
     assert batch.src.tolist() == [*(mols[1].src + 1), *(mols[2].src + 4)]
-    assert np.array_equal(batch.atoms.index[1], [1, 2, 3, 1, 1, 1, 1])
-    assert np.array_equal(batch.atoms.mask.data[1, 0, 0] == 0.0, np.arange(7) < 3)
-    assert np.array_equal(batch.tokens.index[0], [0, 3, 3, 3, 3, 3, 3, 3])
-    assert np.array_equal(batch.adjacency[2, 0], mols[2].adjacency_normalized)
-    assert not batch.adjacency[0, 0, 1:].any() and not batch.adjacency[0, 0, :, 1:].any()
-    assert not MoleculeBatch(mols[1:2]).atoms.mask.data.any()  # nothing to pad
+    ids = batch.graph_ids
+    same = ids[:, None] == ids[None, :]
+    assert batch.atom_mask.shape == (11, 11)
+    assert np.array_equal(batch.atom_mask.data == 0.0, same)
+    assert (batch.atom_mask.data[~same] == -1e30).all()
+    # token rows: the 3 virtual nodes, then the 11 atom rows
+    token_ids = np.concatenate([np.arange(3), ids])
+    assert batch.token_mask.shape == (3, 14)
+    assert np.array_equal(batch.token_mask.data == 0.0, np.arange(3)[:, None] == token_ids)
+    assert batch.adjacency.shape == (11, 11)
+    assert not batch.adjacency[~same].any()
+    for b, mol in enumerate(mols[:3]):
+        rows = np.flatnonzero(ids == b)
+        assert np.array_equal(batch.adjacency[np.ix_(rows, rows)], mol.adjacency_normalized)
+    assert not MoleculeBatch(mols[1:2]).atom_mask.data.any()  # one molecule: nothing masked
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -116,7 +125,7 @@ def test_gradcheck_two_molecule_pack():
     )
     model = MlfgnnModel(config, seed=12)
     batch = MoleculeBatch([featurize(parse_smiles(s), small) for s in ("CC(=O)CN", "C1CC1")])
-    assert batch.atoms.mask is not None
+    assert (batch.atom_mask.data != 0.0).any()  # the pack masks cross-molecule pairs
 
     def f():
         out = model.forward(batch)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from molfusion.autodiff import load_checkpoint, save_checkpoint
+from molfusion.autodiff.checkpoint import config_digest
 from molfusion.cli import main, random_molecule_graph
 
 import corpus_util
@@ -245,6 +246,37 @@ class TestTrainCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("cell,message", [
+        ("nan", "row 2, column 'solubility': non-finite label 'nan'"),
+        ("inf", "row 2, column 'solubility': non-finite label 'inf'"),
+        ("-inf", "row 2, column 'solubility': non-finite label '-inf'"),
+        ("1e200", "non-finite loss at epoch 1"),  # finite, but its squared error is not
+    ])
+    def test_non_finite_label_exit_2(self, workdir, tmp_path, capsys, cell, message):
+        data = tmp_path / "labels.csv"
+        smiles = corpus_util.build_corpus(10)
+        data.write_text("smiles,solubility\n" + "".join(f"{s},{cell}\n" for s in smiles))
+        capsys.readouterr()
+        code = main(csv_command("train", data, workdir, None, tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    def test_checkpoint_config_records_every_train_field(self, workdir, tmp_path):
+        config = json.loads((workdir / "config.json").read_text())
+        config["train"]["target_train_rmse"] = 0.5
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(workdir / "reg.csv"), "--task", "reg",
+                     "--config", str(tmp_path / "config.json"), "--seeds", "1",
+                     "--epochs", "1", "--out", str(out)])
+        assert code == 0
+        saved, _arrays = load_checkpoint(out / "seed_0.ckpt")
+        assert saved["train"]["target_train_rmse"] == 0.5
+        assert saved["train"]["epochs"] == 1 and saved["train"]["seeds"] == [0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_digest"] == config_digest(saved)
+
 
 class TestPredictCommand:
     def test_roundtrip_reproduces_forward(self, workdir, trained):
@@ -435,7 +467,7 @@ class TestGradcheckCommand:
         args = ["gradcheck", "--config", str(workdir / "config.json"), "--atoms", str(atoms)]
         assert main(args) == 0
         assert [(b.size, b.n_atoms) for b in packs] == [(2, pack_atoms)]
-        assert (packs[0].atoms.mask.data != 0.0).any()  # a padding slot is masked
+        assert (packs[0].atom_mask.data != 0.0).any()  # cross-molecule pairs are masked
 
     def test_wrong_gradient_exit_3(self, workdir, monkeypatch, capsys):
         from molfusion.autodiff import tensor

@@ -11,7 +11,7 @@ from molfusion.autodiff.params import ParameterStore
 from molfusion.chem import parse_smiles
 from molfusion.featurize import FeaturizeConfig, featurize
 from molfusion.model import ConfigError, ModelConfig, MlfgnnModel
-from molfusion.model.batch import MoleculeBatch, Padding
+from molfusion.model.batch import MoleculeBatch
 from molfusion.model.config import LEAKY_SLOPE
 from molfusion.model.layers import (
     CrossAttention,
@@ -392,7 +392,7 @@ class TestMultiHeadAttention:
         k = Tensor(rng.standard_normal((n, width)), requires_grad=True)
         v = Tensor(rng.standard_normal((n, width)), requires_grad=True)
         prior = rng.uniform(size=(m, n))
-        no_mask = Tensor(np.zeros((1, 1, n)))
+        no_mask = Tensor(np.zeros((m, n)))
         plain = multi_head_attention(q, k, v, heads, lambda soft: soft, no_mask)
         assert plain.shape == (m, width)
         assert np.allclose(plain.data, self.oracle(q.data, k.data, v.data, heads, lambda w: w),
@@ -414,23 +414,26 @@ class TestMultiHeadAttention:
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_padded_batch_matches_each_molecule(self, heads):
-        """Molecules of 1, 4 and 2 rows padded to 4 slots under a key mask."""
+        """Molecules of 1, 4 and 2 rows joined into 7 rows under a block-diagonal mask."""
         rng = make_rng(heads)
         width, sizes = 3 * heads, [1, 4, 2]
-        q, k, v = (rng.standard_normal((len(sizes), 4, width)) for _ in range(3))
-        real = np.arange(4)[None, :] < np.array(sizes)[:, None]
-        mask = Tensor(np.where(real, 0.0, -1e30)[:, None, None, :])
-        prior = rng.uniform(size=(len(sizes), 1, 4, 4)) * real[:, None, None, :]
+        q, k, v = (rng.standard_normal((sum(sizes), width)) for _ in range(3))
+        graph_ids = np.repeat(np.arange(len(sizes)), sizes)
+        same = graph_ids[:, None] == graph_ids[None, :]
+        mask = Tensor(np.where(same, 0.0, -1e30))
+        prior = rng.uniform(size=same.shape) * same
 
         def blend(soft):
             return ad.add(ad.mul(Tensor(0.3), soft), Tensor(0.7 * prior))
 
         out = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), heads, blend, mask)
-        assert out.shape == (len(sizes), 4, width)
-        for b, n in enumerate(sizes):
-            expected = self.oracle(q[b], k[b, :n], v[b, :n], heads,
-                                   lambda w: 0.3 * w + 0.7 * prior[b, 0, :, :n])
-            assert np.allclose(out.data[b], expected, rtol=1e-12, atol=1e-14)
+        assert out.shape == (sum(sizes), width)
+        for b in range(len(sizes)):
+            rows = np.flatnonzero(graph_ids == b)
+            block = np.ix_(rows, rows)
+            expected = self.oracle(q[rows], k[rows], v[rows], heads,
+                                   lambda w: 0.3 * w + 0.7 * prior[block])
+            assert np.allclose(out.data[rows], expected, rtol=1e-12, atol=1e-14)
 
 
 class TestCrossAttention:
@@ -452,8 +455,7 @@ class TestCrossAttention:
         token = rng.standard_normal(8)
         virtual = Tensor(token[None, :])
         nodes = Tensor(np.tile(token, (3, 1)))
-        no_mask = Tensor(np.zeros((1, 1, 1, 4)))
-        out = attn(fp, virtual, nodes, Padding(np.arange(4)[None, :], no_mask))
+        out = attn(fp, virtual, nodes, Tensor(np.zeros((1, 4))))
         v = token[None, :] @ attn.w_v.data
         expected = v @ attn.out.w.data + attn.out.b.data
         assert np.allclose(out.data, expected, atol=1e-12)
