@@ -15,14 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-_FINITE_CHECK = False
 _GRAD_ENABLED = True
-
-
-def set_finite_check(enabled: bool) -> None:
-    """Abort any op producing NaN/Inf (off by default)."""
-    global _FINITE_CHECK
-    _FINITE_CHECK = bool(enabled)
 
 
 class ShapeMismatchError(ValueError):
@@ -31,10 +24,6 @@ class ShapeMismatchError(ValueError):
 
 
 class NotScalarError(ValueError):
-    pass
-
-
-class NonFiniteError(FloatingPointError):
     pass
 
 
@@ -132,8 +121,6 @@ def _as_tensor(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
-    if _FINITE_CHECK and not np.all(np.isfinite(data)):
-        raise NonFiniteError(f"non-finite values produced by {op}")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)

@@ -12,18 +12,13 @@ platforms.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 
 import numpy as np
 
-from ..chem.graph import MolecularGraph
+from ..chem.graph import MolecularGraph, _h64
 
 _ORDER_CODE = {"single": 1, "double": 2, "triple": 3, "aromatic": 4}
-
-
-def _h64(payload: bytes) -> int:
-    return struct.unpack("<Q", hashlib.blake2b(payload, digest_size=8).digest())[0]
 
 
 def initial_atom_code(graph: MolecularGraph, idx: int) -> int:

@@ -3,15 +3,14 @@
 from .batch import MAX_CHUNK_ATOMS, EmptyMoleculeError, MoleculeBatch, chunks
 from .config import ABLATIONS, NORMS, TASKS, ConfigError, ModelConfig
 from .layers import (
+    AttentiveGru,
     CrossAttention,
     DynamicTanh,
     FingerprintMlp,
-    GatLayer,
     GruCell,
     LayerNorm,
     Linear,
     MixedInformation,
-    SupernodeReadout,
     TransformerLayer,
     segment_softmax,
 )
@@ -20,12 +19,12 @@ from .network import MlfgnnModel
 __all__ = [
     "ABLATIONS",
     "MAX_CHUNK_ATOMS",
+    "AttentiveGru",
     "ConfigError",
     "CrossAttention",
     "DynamicTanh",
     "EmptyMoleculeError",
     "FingerprintMlp",
-    "GatLayer",
     "GruCell",
     "LayerNorm",
     "Linear",
@@ -34,7 +33,6 @@ __all__ = [
     "ModelConfig",
     "MoleculeBatch",
     "NORMS",
-    "SupernodeReadout",
     "TASKS",
     "TransformerLayer",
     "chunks",

@@ -12,23 +12,17 @@ from ..autodiff.tensor import Tensor
 from .config import FFN_MULT, LEAKY_SLOPE
 
 
-def _register_linear(store, rng, prefix, in_dim, out_dim, bias=True):
-    w = store.register(f"{prefix}.w", P.uniform_fan_in(rng, (in_dim, out_dim)), "uniform_fan_in")
-    b = store.register(f"{prefix}.b", np.zeros((1, out_dim)), "zeros") if bias else None
-    return w, b
-
-
 def _register_matrix(store, rng, prefix, in_dim, out_dim):
     return store.register(prefix, P.uniform_fan_in(rng, (in_dim, out_dim)), "uniform_fan_in")
 
 
 class Linear:
-    def __init__(self, store, rng, prefix, in_dim, out_dim, bias=True):
-        self.w, self.b = _register_linear(store, rng, prefix, in_dim, out_dim, bias)
+    def __init__(self, store, rng, prefix, in_dim, out_dim):
+        self.w = _register_matrix(store, rng, f"{prefix}.w", in_dim, out_dim)
+        self.b = store.register(f"{prefix}.b", np.zeros((1, out_dim)), "zeros")
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = T.matmul(x, self.w)
-        return T.add(out, self.b) if self.b is not None else out
+        return T.add(T.matmul(x, self.w), self.b)
 
 
 class GruCell:
@@ -86,8 +80,6 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
     The per-segment max is subtracted as a constant (softmax is shift
     invariant, so gradients are unaffected).
     """
-    if scores.shape[0] == 0:
-        return scores
     seg_max = np.full(num_segments, -np.inf)
     np.maximum.at(seg_max, segment_ids, scores.data[:, 0])
     shifted = T.sub(scores, Tensor(seg_max[segment_ids][:, None]))
@@ -127,19 +119,23 @@ class FingerprintMlp:
         self.dropout_rate = dropout_rate
 
     def __call__(self, u: Tensor, train=False, rng=None) -> Tensor:
-        h = T.relu(self.lin1(u))
-        h = T.dropout(h, self.dropout_rate, rng, train) if train else h
-        return self.lin2(h)
+        return self.lin2(T.dropout(T.relu(self.lin1(u)), self.dropout_rate, rng, train))
 
 
-class GatLayer:
-    """Neighbor attention + gated update over directed edges.
+class AttentiveGru:
+    """Attend-then-GRU update of center rows from their member rows
+    (AttentiveFP, Xiong et al. 2020).
 
-    Scores come from a shared vector over [h_v || rep_u] with LeakyReLU, are
-    softmax-normalized per center atom, optionally dropped out at train time,
-    and weight the transformed neighbor representations; a GRU folds the
-    aggregated context into the node state. Atoms without neighbors receive a
-    zero context.
+    Member row e belongs to center ``ids[e]``. Its score is LeakyReLU of a
+    shared vector over [center || member]; scores are softmax-normalized per
+    center, optionally dropped out at train time, and weight the transformed
+    members. A GRU folds the ELU of that context into the center state, so a
+    center without members gets the GRU of a zero context. Returns the new
+    centers and the [members, 1] attention before dropout.
+
+    The GAT layers pass atoms as centers and directed edges (keyed by
+    ``src``) as members; the supernode readout passes each molecule's
+    anchor (the sum of its node states) as center and its atoms as members.
     """
 
     def __init__(self, store, rng, prefix, dim):
@@ -147,22 +143,17 @@ class GatLayer:
         self.agg_w = _register_matrix(store, rng, f"{prefix}.agg_w", dim, dim)
         self.gru = GruCell(store, rng, f"{prefix}.gru", dim, dim)
 
-    def __call__(self, states, neighbor_reps, src, dst, n_atoms,
-                 dropout_rate=0.0, train=False, rng=None, trace=None):
-        h_src = T.gather_rows(states, src)
+    def __call__(self, centers: Tensor, members: Tensor, ids: np.ndarray,
+                 dropout_rate=0.0, train=False, rng=None) -> tuple[Tensor, Tensor]:
+        n = centers.shape[0]
         scores = T.leaky_relu(
-            T.matmul(T.concat([h_src, neighbor_reps], axis=1), self.attn_w), LEAKY_SLOPE
+            T.matmul(T.concat([T.gather_rows(centers, ids), members], axis=1), self.attn_w),
+            LEAKY_SLOPE,
         )
-        attn = segment_softmax(scores, src, n_atoms)
-        if trace is not None:
-            dense = np.zeros((n_atoms, n_atoms))
-            dense[src, dst] = attn.data[:, 0]
-            trace.append(dense)
-        if train and dropout_rate > 0.0:
-            attn = T.dropout(attn, dropout_rate, rng, True)
-        messages = T.matmul(neighbor_reps, self.agg_w)
-        context = T.elu(T.segment_sum(T.mul(attn, messages), src, n_atoms))
-        return self.gru(context, states)
+        attn = segment_softmax(scores, ids, n)
+        weights = T.dropout(attn, dropout_rate, rng, train)
+        context = T.elu(T.segment_sum(T.mul(weights, T.matmul(members, self.agg_w)), ids, n))
+        return self.gru(context, centers), attn
 
 
 class TransformerLayer:
@@ -215,13 +206,8 @@ class TransformerLayer:
     def __call__(self, h, adjacency, batch, dropout_attn=0.0, dropout_ffn=0.0,
                  train=False, rng=None, trace=None):
         attn = self.out(self.attend(h, adjacency, batch, trace))
-        if train and dropout_attn > 0.0:
-            attn = T.dropout(attn, dropout_attn, rng, True)
-        x = self.norm1(T.add(h, attn))
-        f = T.gelu(self.ffn1(x))
-        if train and dropout_ffn > 0.0:
-            f = T.dropout(f, dropout_ffn, rng, True)
-        f = self.ffn2(f)
+        x = self.norm1(T.add(h, T.dropout(attn, dropout_attn, rng, train)))
+        f = self.ffn2(T.dropout(T.gelu(self.ffn1(x)), dropout_ffn, rng, train))
         return self.norm2(T.add(x, f))
 
 
@@ -231,8 +217,7 @@ class MixedInformation:
     The local stream is the mean over all attention-layer outputs projected
     to the shared width then GELU; the global stream is the transformer
     output under GELU. A sigmoid-parametrized scalar gate alpha in [0,1]
-    weighs them: alpha * local + (1 - alpha) * global. ``gate_override``
-    forces an exact alpha (set by boundary tests); ablations that drop a
+    weighs them: alpha * local + (1 - alpha) * global; ablations that drop a
     stream use alpha 1 or 0 without a gate.
     """
 
@@ -241,7 +226,6 @@ class MixedInformation:
         self.gate = (
             store.register(f"{prefix}.gate", np.zeros((1, 1)), "zeros") if has_gate else None
         )
-        self.gate_override: float | None = None
 
     def local_stream(self, gat_outputs: list[Tensor]) -> Tensor:
         mean_h = gat_outputs[0]
@@ -261,46 +245,12 @@ class MixedInformation:
             alpha_value = 0.0
             mixed = f_global
         else:
-            if self.gate_override is not None:
-                alpha = Tensor(np.full((1, 1), float(self.gate_override)))
-            else:
-                alpha = T.sigmoid(self.gate)
+            alpha = T.sigmoid(self.gate)
             alpha_value = float(alpha.data[0, 0])
             mixed = T.add(T.mul(alpha, f_local), T.mul(T.sub(Tensor(1.0), alpha), f_global))
         if trace is not None:
             trace["gate_alpha"] = alpha_value
         return mixed
-
-
-class SupernodeReadout:
-    """Virtual-node pooling: sum-initialized anchor refined by attention + GRU.
-
-    Per molecule (rows grouped by ``graph_ids``): the anchor starts as the
-    sum of its node states; per-atom scores against the anchor are
-    softmax-normalized within the molecule, the weighted transformed states
-    form a context vector, and a GRU merges context into the anchor.
-    """
-
-    def __init__(self, store, rng, prefix, dim):
-        self.attn_w = _register_matrix(store, rng, f"{prefix}.attn_w", 2 * dim, 1)
-        self.agg_w = _register_matrix(store, rng, f"{prefix}.agg_w", dim, dim)
-        self.gru = GruCell(store, rng, f"{prefix}.gru", dim, dim)
-
-    def __call__(self, node_states: Tensor, graph_ids: np.ndarray, n_graphs: int,
-                 trace=None) -> Tensor:
-        """[n_graphs, dim] molecule vectors from the [N, dim] node states."""
-        anchor = T.segment_sum(node_states, graph_ids, n_graphs)
-        scores = T.leaky_relu(
-            T.matmul(T.concat([T.gather_rows(anchor, graph_ids), node_states], axis=1),
-                     self.attn_w),
-            LEAKY_SLOPE,
-        )
-        attn = segment_softmax(scores, graph_ids, n_graphs)
-        if trace is not None:
-            trace["readout_attention"] = attn.data[:, 0].copy()
-        messages = T.mul(attn, T.matmul(node_states, self.agg_w))
-        context = T.elu(T.segment_sum(messages, graph_ids, n_graphs))
-        return self.gru(context, anchor)
 
 
 class CrossAttention:

@@ -12,12 +12,11 @@ from ..featurize.features import FeaturizedMolecule
 from .batch import MoleculeBatch
 from .config import ModelConfig
 from .layers import (
+    AttentiveGru,
     CrossAttention,
     FingerprintMlp,
-    GatLayer,
     Linear,
     MixedInformation,
-    SupernodeReadout,
     TransformerLayer,
 )
 
@@ -51,7 +50,7 @@ class MlfgnnModel:
                 store, rng, "edge_init", ATOM_FEATURE_DIM + BOND_FEATURE_DIM, g
             )
             self.gat_stack = [
-                GatLayer(store, rng, f"gat.layer{i}", g) for i in range(c.gat_layers)
+                AttentiveGru(store, rng, f"gat.layer{i}", g) for i in range(c.gat_layers)
             ]
         else:
             self.edge_init = None
@@ -69,7 +68,7 @@ class MlfgnnModel:
             self.adapter = None
             self.transformer_stack = []
         self.mixture = MixedInformation(store, rng, "mixture", g, d, c.has_gat, c.has_gate)
-        self.readout = SupernodeReadout(store, rng, "readout", d)
+        self.readout = AttentiveGru(store, rng, "readout", d)
         if c.has_fingerprint:
             self.fingerprint_mlp = FingerprintMlp(
                 store, rng, "fingerprint_mlp", c.fingerprint_dim, c.fingerprint_embed_dim,
@@ -137,26 +136,28 @@ class MlfgnnModel:
             if trace is not None:
                 trace.setdefault("gat_attention", [])
             src, dst = batch.src, batch.dst
-            if len(src):
-                edge_in = T.concat(
-                    [T.gather_rows(atom_feats, dst), Tensor(batch.bond_features)], axis=1
-                )
-                edge_ctx = T.relu(self.edge_init(edge_in))  # [E, g]
-            else:
-                edge_ctx = Tensor(np.zeros((0, c.gat_out_dim)))
+            edge_in = T.concat(
+                [T.gather_rows(atom_feats, dst), Tensor(batch.bond_features)], axis=1
+            )
+            edge_ctx = T.relu(self.edge_init(edge_in))  # [E, g]
             states = h0
             gat_outputs = []
             for i, layer in enumerate(self.gat_stack):
-                neighbor_reps = edge_ctx if i == 0 else T.gather_rows(states, dst)
-                states = layer(
-                    states, neighbor_reps, src, dst, batch.n_atoms,
-                    c.dropout_gat, train, rng,
-                    trace["gat_attention"] if trace is not None else None,
-                )
+                members = edge_ctx if i == 0 else T.gather_rows(states, dst)
+                states, attn = layer(states, members, src, c.dropout_gat, train, rng)
+                if trace is not None:
+                    dense = np.zeros((batch.n_atoms, batch.n_atoms))
+                    dense[src, dst] = attn.data[:, 0]
+                    trace["gat_attention"].append(dense)
                 gat_outputs.append(states)
 
         mixed = self.mixture(gat_outputs, transformer_out, trace)
-        molecule_vec = self.readout(mixed, batch.graph_ids, batch.size, trace)
+        # Supernode readout: each molecule's anchor, the sum of its node
+        # states, attends over those states.
+        anchor = T.segment_sum(mixed, batch.graph_ids, batch.size)
+        molecule_vec, attn = self.readout(anchor, mixed, batch.graph_ids)
+        if trace is not None:
+            trace["readout_attention"] = attn.data[:, 0].copy()
 
         if c.has_fingerprint:
             fused = self.cross_attention(fp_embed, molecule_vec, mixed, batch.token_mask, trace)
@@ -164,9 +165,7 @@ class MlfgnnModel:
         else:
             representation = molecule_vec
         hidden = T.relu(self.out1(representation))
-        if train and c.dropout_ffn > 0.0:
-            hidden = T.dropout(hidden, c.dropout_ffn, rng, True)
-        out = self.out2(hidden)
+        out = self.out2(T.dropout(hidden, c.dropout_ffn, rng, train))
 
         if trace is not None:
             trace["lambda_attn"] = [

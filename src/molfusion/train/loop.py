@@ -168,7 +168,10 @@ def train(
                         MoleculeBatch([mols[i] for i in chunk]), train=True,
                         rng=streams["dropout"],
                     )
-                    loss = masked_loss(out, labels[chunk], mask[chunk], config.task_type)
+                    # A loss that overflows is reported below as a data error,
+                    # not as numpy's warning.
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        loss = masked_loss(out, labels[chunk], mask[chunk], config.task_type)
                     value = loss.item()
                     if not math.isfinite(value):
                         raise NonFiniteLossError(

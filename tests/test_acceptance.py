@@ -28,12 +28,12 @@ from molfusion.featurize import (
 )
 from molfusion.model import MlfgnnModel, ModelConfig
 from molfusion.model.batch import MoleculeBatch
-from molfusion.model.layers import GatLayer
+from molfusion.model.layers import AttentiveGru
 from molfusion.train import TrainConfig, prepare_inputs, train, roc_auc
 
 import corpus_util
 from test_featurize import _oracle_environment_key
-from test_model import _naive_gat
+from test_model import _naive_attentive_gru
 from test_train import brute_force_auc
 
 SMALL_FEATURIZE = FeaturizeConfig(morgan_bits=64, erg_max_path=5)
@@ -121,15 +121,16 @@ def test_criterion_2_boundary_identities():
         soft = e / e.sum(axis=1, keepdims=True)
         plain_ok &= np.allclose(out.data[:, cols], soft @ v[:, cols], atol=1e-14)
 
-    # forced mixture gate reproduces pure streams bitwise
+    # a saturated mixture gate (pre-activation +inf or -inf) reproduces pure streams bitwise
     gat_out = [Tensor(rng.standard_normal((4, config.gat_out_dim)))]
     trans_out = Tensor(rng.standard_normal((4, config.hidden_dim)))
     mix = model.mixture
-    mix.gate_override = 1.0
+    saved = mix.gate.data.copy()
+    mix.gate.data[...] = np.inf
     local_ok = np.array_equal(mix(gat_out, trans_out).data, mix.local_stream(gat_out).data)
-    mix.gate_override = 0.0
+    mix.gate.data[...] = -np.inf
     global_ok = np.array_equal(mix(gat_out, trans_out).data, ad.gelu(trans_out).data)
-    mix.gate_override = None
+    mix.gate.data[...] = saved
 
     # identity-parameter squashing equals tanh exactly
     dyt = model.transformer_stack[0].norm1
@@ -222,14 +223,13 @@ def test_criterion_5c_gat_layer_matches_naive_loop():
 
     store = ParameterStore()
     dim = 6
-    layer = GatLayer(store, make_rng(9), "gat", dim)
+    layer = AttentiveGru(store, make_rng(9), "gat", dim)
     rng = make_rng(10)
     src = np.array([0, 0, 0, 1, 2, 3])
-    dst = np.array([1, 2, 3, 0, 0, 0])
     states = rng.standard_normal((4, dim))
     reps = rng.standard_normal((6, dim))
-    out = layer(Tensor(states), Tensor(reps), src, dst, 4).data
-    naive = _naive_gat(layer, states, reps, src, dst, 4)
+    out = layer(Tensor(states), Tensor(reps), src)[0].data
+    naive = _naive_attentive_gru(layer, states, reps, src)
     delta = float(np.abs(out - naive).max())
     _verdict("5c", f"vectorized neighbor attention equals per-edge loop (max delta {delta:.2e})", delta < 1e-10)
 

@@ -264,14 +264,6 @@ class TestOpSemantics:
         with pytest.raises(ShapeMismatchError):  # a matrix times a stack is not defined
             ad.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))))
 
-    def test_finite_check(self):
-        ad.set_finite_check(True)
-        try:
-            with np.errstate(divide="ignore"), pytest.raises(ad.NonFiniteError):
-                ad.div(Tensor([[1.0]]), Tensor([[0.0]]))
-        finally:
-            ad.set_finite_check(False)
-
     def test_forward_determinism(self):
         rng1, rng2 = make_rng(42), make_rng(42)
         a = rng1.standard_normal((50, 50))

@@ -99,6 +99,24 @@ def test_packed_outputs_and_gradients_match_one_at_a_time(mols, variant):
         assert_close(grad, single_grads[name], name)
 
 
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_one_atom_chunk_matches_one_at_a_time(variant):
+    """A chunk of 1-atom molecules has no edge at all, so the GAT layers run
+    on an empty edge list and the edge embedding gets a zero gradient."""
+    tiny = [featurize(parse_smiles(s), FEATURIZE) for s in ("C", "O", "N")]
+    assert MoleculeBatch(tiny).src.size == 0
+    model = MlfgnnModel(dropout_free(**VARIANTS[variant]), seed=9)
+    weights = make_rng(3).standard_normal((len(tiny), 1))
+    single, single_grads = outputs_and_grads(model, [[m] for m in tiny], weights)
+    packed, packed_grads = outputs_and_grads(model, [tiny], weights)
+    assert_close(packed, single, "outputs")
+    assert set(packed_grads) == set(model.params.names())
+    for name, grad in packed_grads.items():
+        assert_close(grad, single_grads[name], name)
+    if model.config.has_gat:
+        assert not packed_grads["edge_init.w"].any()
+
+
 @pytest.mark.parametrize("variant", ["default", "gat_only", "transformer_only"])
 def test_permuting_a_chunk_permutes_the_outputs(mols, variant):
     model = MlfgnnModel(dropout_free(**VARIANTS[variant]), seed=6)
@@ -117,15 +135,15 @@ def test_eval_predictions_match_per_molecule(mols):
     assert_close(packed, np.stack([model.predict(m) for m in mols]), "predict")
 
 
-def test_gradcheck_two_molecule_pack():
+def gradcheck_small_pack(smiles, seed):
+    """Finite differences against the tape on a pack of ``smiles`` in a small model."""
     small = FeaturizeConfig(morgan_bits=64, erg_max_path=5)
     config = ModelConfig(
         transformer_layers=2, heads=2, head_dim=4, hidden_dim=8, gat_out_dim=6,
         fingerprint_embed_dim=8, fingerprint_dim=small.fingerprint_length,
     )
-    model = MlfgnnModel(config, seed=12)
-    batch = MoleculeBatch([featurize(parse_smiles(s), small) for s in ("CC(=O)CN", "C1CC1")])
-    assert (batch.atom_mask.data != 0.0).any()  # the pack masks cross-molecule pairs
+    model = MlfgnnModel(config, seed=seed)
+    batch = MoleculeBatch([featurize(parse_smiles(s), small) for s in smiles])
 
     def f():
         out = model.forward(batch)
@@ -136,6 +154,17 @@ def test_gradcheck_two_molecule_pack():
                         rng=make_rng(0))
     assert report.passed, report.summary()
     assert set(report.per_tensor) == set(model.params.names())
+    return batch
+
+
+def test_gradcheck_two_molecule_pack():
+    batch = gradcheck_small_pack(("CC(=O)CN", "C1CC1"), seed=12)
+    assert (batch.atom_mask.data != 0.0).any()  # the pack masks cross-molecule pairs
+
+
+def test_gradcheck_one_atom_pack():
+    batch = gradcheck_small_pack(("C", "O", "N"), seed=13)
+    assert batch.src.size == 0
 
 
 def test_trace_needs_a_batch_of_one(mols):

@@ -1,8 +1,11 @@
 """Command-line interface tests, exercised through main()."""
 
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,8 @@ from molfusion.autodiff.checkpoint import config_digest
 from molfusion.cli import main, random_molecule_graph
 
 import corpus_util
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY_CONFIG = {
     "model": {
@@ -261,6 +266,21 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    def test_overflowing_loss_is_one_stderr_line(self, workdir, tmp_path):
+        """Run as a process, so that numpy's own warnings would reach stderr too."""
+        data = tmp_path / "labels.csv"
+        smiles = corpus_util.build_corpus(10)
+        data.write_text("smiles,solubility\n" + "".join(f"{s},1e200\n" for s in smiles))
+        argv = csv_command("train", data, workdir, None, tmp_path)
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "molfusion.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error:"), proc.stderr
 
     def test_checkpoint_config_records_every_train_field(self, workdir, tmp_path):
         config = json.loads((workdir / "config.json").read_text())

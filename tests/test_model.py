@@ -14,9 +14,9 @@ from molfusion.model import ConfigError, ModelConfig, MlfgnnModel
 from molfusion.model.batch import MoleculeBatch
 from molfusion.model.config import LEAKY_SLOPE
 from molfusion.model.layers import (
+    AttentiveGru,
     CrossAttention,
     DynamicTanh,
-    GatLayer,
     GruCell,
     multi_head_attention,
     segment_softmax,
@@ -96,62 +96,69 @@ class TestSegmentSoftmax:
 
 
 class TestGatLayer:
+    """``AttentiveGru`` as a GAT layer: atoms are the centers, directed edges
+    (keyed by ``src``) the members."""
+
     def test_single_neighbor_attention_is_one(self):
         store = ParameterStore()
-        layer = GatLayer(store, make_rng(0), "gat", 4)
+        layer = AttentiveGru(store, make_rng(0), "gat", 4)
         states = Tensor(make_rng(1).standard_normal((2, 4)))
         reps = ad.gather_rows(states, np.array([1, 0]))
-        trace = []
-        layer(states, reps, np.array([0, 1]), np.array([1, 0]), 2, trace=trace)
-        dense = trace[0]
-        assert dense[0, 1] == pytest.approx(1.0)
-        assert dense[1, 0] == pytest.approx(1.0)
+        _, attn = layer(states, reps, np.array([0, 1]))
+        assert attn.data[:, 0].tolist() == pytest.approx([1.0, 1.0])
 
     def test_identical_neighbors_split_evenly(self):
         store = ParameterStore()
-        layer = GatLayer(store, make_rng(0), "gat", 4)
+        layer = AttentiveGru(store, make_rng(0), "gat", 4)
         base = make_rng(2).standard_normal(4)
         states = Tensor(np.stack([base * 0.3, base, base]))  # atoms 1,2 identical
         src = np.array([0, 0, 1, 2])
         dst = np.array([1, 2, 0, 0])
         reps = ad.gather_rows(states, dst)
-        trace = []
-        layer(states, reps, src, dst, 3, trace=trace)
-        dense = trace[0]
-        assert dense[0, 1] == pytest.approx(0.5)
-        assert dense[0, 2] == pytest.approx(0.5)
+        _, attn = layer(states, reps, src)
+        assert attn.data[:2, 0].tolist() == pytest.approx([0.5, 0.5])
 
     def test_matches_naive_edge_loop(self):
         """Vectorized layer equals a per-edge python reimplementation."""
         store = ParameterStore()
         dim = 5
-        layer = GatLayer(store, make_rng(7), "gat", dim)
+        layer = AttentiveGru(store, make_rng(7), "gat", dim)
         rng = make_rng(8)
         # 4-atom star: center 0 bonded to 1, 2, 3
-        n = 4
         src = np.array([0, 0, 0, 1, 2, 3])
-        dst = np.array([1, 2, 3, 0, 0, 0])
-        states_np = rng.standard_normal((n, dim))
+        states_np = rng.standard_normal((4, dim))
         reps_np = rng.standard_normal((len(src), dim))
-        out = layer(Tensor(states_np), Tensor(reps_np), src, dst, n).data
+        out, _ = layer(Tensor(states_np), Tensor(reps_np), src)
 
-        naive = _naive_gat(layer, states_np, reps_np, src, dst, n)
-        assert np.abs(out - naive).max() < 1e-10
+        naive = _naive_attentive_gru(layer, states_np, reps_np, src)
+        assert np.abs(out.data - naive).max() < 1e-10
 
     def test_isolated_node_keeps_gru_of_zero_context(self):
         store = ParameterStore()
-        layer = GatLayer(store, make_rng(0), "gat", 4)
+        layer = AttentiveGru(store, make_rng(0), "gat", 4)
         states_np = make_rng(1).standard_normal((3, 4))
         # node 2 isolated
         src, dst = np.array([0, 1]), np.array([1, 0])
         reps = ad.gather_rows(Tensor(states_np), dst)
-        out = layer(Tensor(states_np), reps, src, dst, 3).data
+        out, _ = layer(Tensor(states_np), reps, src)
         zero_ctx = ad.elu(Tensor(np.zeros((1, 4))))
         expected = layer.gru(zero_ctx, Tensor(states_np[2:3])).data
-        assert np.allclose(out[2], expected[0], atol=1e-12)
+        assert np.allclose(out.data[2], expected[0], atol=1e-12)
+
+    def test_dropout_acts_on_the_weights_not_the_returned_attention(self):
+        store = ParameterStore()
+        layer = AttentiveGru(store, make_rng(0), "gat", 4)
+        states = Tensor(make_rng(1).standard_normal((4, 4)))
+        src, dst = np.array([0, 0, 0, 1, 2, 3]), np.array([1, 2, 3, 0, 0, 0])
+        reps = ad.gather_rows(states, dst)
+        out, attn = layer(states, reps, src)
+        dropped, dropped_attn = layer(states, reps, src, 0.5, True, make_rng(2))
+        assert np.array_equal(dropped_attn.data, attn.data)
+        assert not np.array_equal(dropped.data, out.data)
 
 
-def _naive_gat(layer, states, reps, src, dst, n):
+def _naive_attentive_gru(layer, centers, members, ids):
+    """A per-member python loop over one ``AttentiveGru`` update."""
     attn_w = layer.attn_w.data
     agg_w = layer.agg_w.data
 
@@ -162,28 +169,28 @@ def _naive_gat(layer, states, reps, src, dst, n):
         return 1.0 / (1.0 + np.exp(-x))
 
     scores = [
-        leaky(float(np.concatenate([states[src[e]], reps[e]]) @ attn_w[:, 0]))
-        for e in range(len(src))
+        leaky(float(np.concatenate([centers[ids[e]], members[e]]) @ attn_w[:, 0]))
+        for e in range(len(ids))
     ]
-    new_states = np.zeros_like(states)
-    for v in range(n):
-        edges = [e for e in range(len(src)) if src[e] == v]
-        ctx = np.zeros(states.shape[1])
-        if edges:
-            mx = max(scores[e] for e in edges)
-            weights = np.array([math.exp(scores[e] - mx) for e in edges])
+    new_centers = np.zeros_like(centers)
+    for v in range(len(centers)):
+        rows = [e for e in range(len(ids)) if ids[e] == v]
+        ctx = np.zeros(centers.shape[1])
+        if rows:
+            mx = max(scores[e] for e in rows)
+            weights = np.array([math.exp(scores[e] - mx) for e in rows])
             weights /= weights.sum()
-            for w, e in zip(weights, edges):
-                ctx += w * (reps[e] @ agg_w)
+            for w, e in zip(weights, rows):
+                ctx += w * (members[e] @ agg_w)
         ctx = np.where(ctx > 0, ctx, np.expm1(np.minimum(ctx, 0)))
-        xh = np.concatenate([ctx, states[v]])
+        xh = np.concatenate([ctx, centers[v]])
         z = sigmoid(xh @ layer.gru.w_z.data[:, :] + layer.gru.b_z.data[0])
         r = sigmoid(xh @ layer.gru.w_r.data[:, :] + layer.gru.b_r.data[0])
         cand = np.tanh(
-            np.concatenate([ctx, r * states[v]]) @ layer.gru.w_n.data + layer.gru.b_n.data[0]
+            np.concatenate([ctx, r * centers[v]]) @ layer.gru.w_n.data + layer.gru.b_n.data[0]
         )
-        new_states[v] = (1 - z) * states[v] + z * cand
-    return new_states
+        new_centers[v] = (1 - z) * centers[v] + z * cand
+    return new_centers
 
 
 class TestTransformerBoundaries:
@@ -281,26 +288,27 @@ class TestDynamicTanh:
 
 
 class TestMixture:
-    def test_gate_override_boundaries_exact(self):
+    def test_gate_boundaries_exact(self):
+        """A gate pre-activation of +inf or -inf gives alpha exactly 1 or 0."""
         config = small_config()
         model = MlfgnnModel(config, seed=0)
         mol = featurized("CC(=O)O")
+        mix = model.mixture
+        saved = mix.gate.data.copy()
         trace = {}
-        model.mixture.gate_override = 1.0
+        mix.gate.data[...] = np.inf
         model.forward(mol, trace=trace)
         assert trace["gate_alpha"] == 1.0
 
-        # forced alpha reproduces pure streams bitwise
+        # a saturated gate reproduces the pure streams bitwise
         rng = make_rng(5)
         gat_out = [Tensor(rng.standard_normal((3, config.gat_out_dim))) for _ in range(2)]
         trans_out = Tensor(rng.standard_normal((3, config.hidden_dim)))
-        mix = model.mixture
-        mix.gate_override = 1.0
         pure_local = mix.local_stream(gat_out)
         assert np.array_equal(mix(gat_out, trans_out).data, pure_local.data)
-        mix.gate_override = 0.0
+        mix.gate.data[...] = -np.inf
         assert np.array_equal(mix(gat_out, trans_out).data, ad.gelu(trans_out).data)
-        mix.gate_override = None
+        mix.gate.data[...] = saved
 
     def test_identical_layer_outputs_mean_is_identity(self):
         config = small_config()
@@ -312,22 +320,30 @@ class TestMixture:
         assert np.allclose(single.data, doubled.data, atol=1e-15)
 
 
+def readout(model, states, graph_ids, n_graphs):
+    """The model's supernode readout of [N, dim] node states, as ``forward``
+    runs it: (molecule vectors, attention over the atoms)."""
+    anchor = ad.segment_sum(states, graph_ids, n_graphs)
+    return model.readout(anchor, states, graph_ids)
+
+
 class TestReadout:
+    """``AttentiveGru`` as the supernode readout: each molecule's anchor is
+    the center, its atoms the members."""
+
     def test_single_atom_weight_one(self):
         config = small_config()
         model = MlfgnnModel(config, seed=0)
-        trace = {}
         states = Tensor(make_rng(0).standard_normal((1, config.hidden_dim)))
-        model.readout(states, np.zeros(1, np.int64), 1, trace)
-        assert trace["readout_attention"][0] == pytest.approx(1.0)
+        _, attn = readout(model, states, np.zeros(1, np.int64), 1)
+        assert attn.data[0, 0] == pytest.approx(1.0)
 
     def test_identical_embeddings_split_evenly(self):
         config = small_config()
         model = MlfgnnModel(config, seed=0)
         row = make_rng(1).standard_normal(config.hidden_dim)
-        trace = {}
-        model.readout(Tensor(np.stack([row, row])), np.zeros(2, np.int64), 1, trace)
-        assert np.allclose(trace["readout_attention"], [0.5, 0.5])
+        _, attn = readout(model, Tensor(np.stack([row, row])), np.zeros(2, np.int64), 1)
+        assert np.allclose(attn.data[:, 0], [0.5, 0.5])
 
     def test_permutation_invariant(self):
         config = small_config()
@@ -336,18 +352,28 @@ class TestReadout:
         states = rng.standard_normal((5, config.hidden_dim))
         perm = rng.permutation(5)
         one_graph = np.zeros(5, np.int64)
-        out1 = model.readout(Tensor(states), one_graph, 1).data
-        out2 = model.readout(Tensor(states[perm]), one_graph, 1).data
-        assert np.allclose(out1, out2, atol=1e-12)
+        out1, _ = readout(model, Tensor(states), one_graph, 1)
+        out2, _ = readout(model, Tensor(states[perm]), one_graph, 1)
+        assert np.allclose(out1.data, out2.data, atol=1e-12)
 
     def test_attention_sums_to_one_tight(self):
         config = small_config()
         model = MlfgnnModel(config, seed=0)
         for seed in range(5):
             states = Tensor(make_rng(seed).standard_normal((7, config.hidden_dim)))
-            trace = {}
-            model.readout(states, np.zeros(7, np.int64), 1, trace)
-            assert abs(trace["readout_attention"].sum() - 1.0) <= 1e-12
+            _, attn = readout(model, states, np.zeros(7, np.int64), 1)
+            assert abs(attn.data.sum() - 1.0) <= 1e-12
+
+    def test_matches_naive_atom_loop(self):
+        """Two molecules of 3 and 2 atoms against the per-member loop."""
+        config = small_config()
+        model = MlfgnnModel(config, seed=0)
+        states = make_rng(3).standard_normal((5, config.hidden_dim))
+        graph_ids = np.array([0, 0, 0, 1, 1])
+        out, _ = readout(model, Tensor(states), graph_ids, 2)
+        anchor = np.stack([states[:3].sum(axis=0), states[3:].sum(axis=0)])
+        naive = _naive_attentive_gru(model.readout, anchor, states, graph_ids)
+        assert np.abs(out.data - naive).max() < 1e-10
 
 
 class TestInitialization:
@@ -632,6 +658,35 @@ class TestParameterCount:
         config = small_config(**overrides)
         model = MlfgnnModel(config, seed=0)
         assert config.parameter_count() == model.params.count_values()
+
+    def test_default_parameter_names_unchanged(self):
+        """Checkpoints store tensors by these names, in this order."""
+        gru = [f"gru.{k}" for k in ("w_z", "b_z", "w_r", "b_r", "w_n", "b_n")]
+        attentive_gru = ["attn_w", "agg_w", *gru]
+        linear = ["w", "b"]
+        norms = [f"{n}.{k}" for n in ("norm1", "norm2") for k in ("alpha", "gamma", "beta")]
+        transformer = ["w_q", "w_k", "w_v", "out.w", "out.b", "lambda_attn", "lambda_adj",
+                       *norms, "ffn1.w", "ffn1.b", "ffn2.w", "ffn2.b"]
+        two_linears = ["lin1.w", "lin1.b", "lin2.w", "lin2.b"]
+        expected = [
+            *(f"node_init.{k}" for k in linear),
+            *(f"edge_init.{k}" for k in linear),
+            *(f"gat.layer{i}.{k}" for i in range(2) for k in attentive_gru),
+            *(f"transformer.adapter.{k}" for k in linear),
+            *(f"transformer.layer{i}.{k}" for i in range(2) for k in transformer),
+            "mixture.local.w", "mixture.local.b", "mixture.gate",
+            *(f"readout.{k}" for k in attentive_gru),
+            *(f"fingerprint_mlp.{k}" for k in two_linears),
+            *(f"cross_attention.{k}" for k in ("w_q", "w_k", "w_v", "out.w", "out.b")),
+            *(f"output_mlp.{k}" for k in two_linears),
+        ]
+        model = MlfgnnModel(ModelConfig(), seed=0)
+        assert model.params.names() == expected
+        shapes = {"attn_w": (128, 1), "agg_w": (64, 64), **{k: (128, 64) for k in gru[::2]},
+                  **{k: (1, 64) for k in gru[1::2]}}
+        for prefix in ("gat.layer0", "gat.layer1", "readout"):
+            for k, shape in shapes.items():
+                assert model.params[f"{prefix}.{k}"].data.shape == shape, (prefix, k)
 
     def test_unique_parameter_paths(self):
         model = MlfgnnModel(small_config(), seed=0)
