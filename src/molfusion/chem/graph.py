@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class Chirality(Enum):
     NONE = "none"
@@ -106,13 +108,16 @@ class MolecularGraph:
     """Heavy-atom molecular graph with perceived annotations.
 
     Atoms are indexed 0..n-1; at most one bond per atom pair. ``rings`` holds
-    the smallest set of smallest rings as ordered atom-index cycles.
+    the smallest set of smallest rings as ordered atom-index cycles, and
+    ``distance_matrix()`` the all-pairs hop distances that the fingerprints
+    read. The bond topology is fixed once the graph is built.
     """
 
     def __init__(self, atoms: Sequence[Atom], bonds: Sequence[Bond]):
         self.atoms: list[Atom] = list(atoms)
         self.bonds: list[Bond] = list(bonds)
         self.rings: list[list[int]] = []
+        self._distances: np.ndarray | None = None
         for i, atom in enumerate(self.atoms):
             atom.index = i
         self._adjacency: list[list[Bond]] = [[] for _ in self.atoms]
@@ -159,20 +164,15 @@ class MolecularGraph:
             out.append(sorted(comp))
         return out
 
-    def shortest_path_lengths(self, start: int) -> list[int]:
-        """BFS hop distances from ``start`` (-1 for unreachable atoms)."""
-        dist = [-1] * self.n_atoms
-        dist[start] = 0
-        queue = [start]
-        while queue:
-            nxt = []
-            for a in queue:
-                for nbr in self.neighbors(a):
-                    if dist[nbr] < 0:
-                        dist[nbr] = dist[a] + 1
-                        nxt.append(nbr)
-            queue = nxt
-        return dist
+    def distance_matrix(self) -> np.ndarray:
+        """All-pairs hop distances, ``[n, n]`` int64, -1 where unreachable.
+
+        Computed on the first call and kept on the graph (read-only), so every
+        fingerprint of one molecule shares one matrix.
+        """
+        if self._distances is None:
+            self._distances = _hop_distances(self._adjacency)
+        return self._distances
 
     def relabel(self, perm: Sequence[int]) -> "MolecularGraph":
         """Return a copy with atom i moved to position perm[i].
@@ -229,6 +229,42 @@ class MolecularGraph:
 
 
 _ATOM_FIELDS = [f for f in Atom.__dataclass_fields__]  # noqa: C416 - insertion order
+
+
+def _hop_distances(adjacency: list[list[Bond]]) -> np.ndarray:
+    """Breadth-first search from every source at once, one level per round.
+
+    The frontier is a flat array of ``source * width + atom`` keys into the
+    distance matrix, which has a padding column ``n`` that counts as visited.
+    ``step[a]`` holds the key offsets from atom ``a`` to its neighbours, padded
+    with the offset to column ``n``. A level adds the offsets to every key,
+    keeps the unvisited keys and sorts them to drop repeats. Each (source,
+    atom) pair enters the frontier once, so the work is O(n * E), in one round
+    of numpy calls per level.
+    """
+    n = len(adjacency)
+    width = n + 1
+    step = np.full((n, max(map(len, adjacency), default=0)), n, dtype=np.int64)
+    for a, bonds in enumerate(adjacency):
+        step[a, : len(bonds)] = [b.other(a) for b in bonds]
+    step -= np.arange(n, dtype=np.int64)[:, None]
+    dist = np.full(n * width, -1, dtype=np.int64)
+    dist[n::width] = 0  # the padding column
+    keys = np.arange(n, dtype=np.int64) * (width + 1)  # (s, s) pairs
+    dist[keys] = 0
+    level = 0
+    while keys.size:
+        level += 1
+        reached = (keys[:, None] + step[keys % width]).ravel()
+        reached = reached[dist[reached] < 0]
+        reached.sort()
+        first = np.ones(reached.size, dtype=bool)
+        np.not_equal(reached[1:], reached[:-1], out=first[1:])
+        keys = reached[first]
+        dist[keys] = level
+    out = dist.reshape(n, width)[:, :n]
+    out.flags.writeable = False
+    return out
 
 
 def _h64(*chunks: bytes) -> int:

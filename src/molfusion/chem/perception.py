@@ -69,7 +69,8 @@ def perceive_rings(graph: MolecularGraph) -> list[list[int]]:
     """Smallest set of smallest rings as ordered atom cycles.
 
     Candidate cycles are the fundamental cycles of a spanning forest plus the
-    shortest cycle through every bond; a greedy pass keeps the smallest
+    shortest cycle through every bond that lies on one of them (any other
+    bond is a bridge and lies on no cycle); a greedy pass keeps the smallest
     candidates that are independent over GF(2) edge space, stopping at the
     circuit rank |E| - |V| + components.
     """
@@ -89,17 +90,19 @@ def perceive_rings(graph: MolecularGraph) -> list[list[int]]:
 
     candidates: dict[int, list[int]] = {}
 
-    def offer(cycle: list[int]) -> None:
+    def offer(cycle: list[int]) -> int:
         mask = edge_mask(cycle)
         if mask not in candidates or len(cycle) < len(candidates[mask]):
             candidates[mask] = cycle
+        return mask
 
+    # A bond on no fundamental cycle lies on no cycle at all (a bridge).
+    on_cycle = 0
     for cycle in _fundamental_cycles(graph):
-        offer(cycle)
-    for bond in graph.bonds:
-        cycle = _shortest_cycle_through(graph, bond)
-        if cycle is not None:
-            offer(cycle)
+        on_cycle |= offer(cycle)
+    for k, bond in enumerate(graph.bonds):
+        if on_cycle >> k & 1:
+            offer(_shortest_cycle_through(graph, bond))
 
     ordered = sorted(
         candidates.items(), key=lambda kv: (len(kv[1]), _canonical_cycle(kv[1]))

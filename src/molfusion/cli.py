@@ -137,24 +137,29 @@ def combined_config_dict(model_config, train_config, featurize_config) -> dict:
 def random_molecule_graph(n_atoms: int, seed: int = 0) -> MolecularGraph:
     """Random connected heavy-atom graph (tree plus an occasional ring bond).
 
-    Elements are drawn after the topology so degrees never exceed valence.
+    No atom takes more than four bonds: a parent that already has four is
+    drawn again, and a ring bond onto such an atom is not made. Elements are
+    drawn after the topology so degrees never exceed valence.
     """
     rng = make_rng(seed)
     bonds = []
+    degree = [0] * n_atoms
     for i in range(1, n_atoms):
         parent = int(rng.integers(0, i))
+        while degree[parent] >= 4:
+            parent = int(rng.integers(0, i))
         bonds.append(Bond(parent, i, BondOrder.SINGLE))
+        degree[parent] += 1
+        degree[i] += 1
     if n_atoms >= 4 and rng.random() < 0.7:
         existing = {b.key for b in bonds}
         for _ in range(4):
             u, v = sorted(rng.choice(n_atoms, size=2, replace=False).tolist())
-            if (u, v) not in existing:
+            if (u, v) not in existing and degree[u] < 4 and degree[v] < 4:
                 bonds.append(Bond(u, v, BondOrder.SINGLE))
+                degree[u] += 1
+                degree[v] += 1
                 break
-    degree = [0] * n_atoms
-    for b in bonds:
-        degree[b.u] += 1
-        degree[b.v] += 1
     atoms = []
     for i in range(n_atoms):
         if degree[i] >= 4:

@@ -2,9 +2,11 @@
 
 Atoms receive a set of pharmacophore labels; every labeled atom pair
 increments the (label pair, shortest-path distance) slot with +-1 distance
-smearing at weight 0.3. The "none" label exists only to fix the pair-table
-layout (21 unordered pairs over 6 labels); it is never assigned, so its
-slots stay zero.
+smearing at weight 0.3. The histogram is one weighted ``np.bincount`` over
+the smeared slots of all labeled pairs, with distances read from the
+graph's all-pairs distance matrix. The "none" label exists only to fix the
+pair-table layout (21 unordered pairs over 6 labels); it is never assigned,
+so its slots stay zero.
 """
 
 from __future__ import annotations
@@ -15,11 +17,18 @@ from ..chem.graph import MolecularGraph
 
 ERG_LABELS = ("donor", "acceptor", "positive", "negative", "aromatic", "none")
 SMEAR_WEIGHT = 0.3
+_SMEAR_OFFSETS = np.array([-1, 0, 1], dtype=np.int64)
+_SMEAR_WEIGHTS = np.array([SMEAR_WEIGHT, 1.0, SMEAR_WEIGHT])
 
 _PAIRS = [
     (i, j) for i in range(len(ERG_LABELS)) for j in range(i, len(ERG_LABELS))
 ]
-_PAIR_INDEX = {p: k for k, p in enumerate(_PAIRS)}
+# _PAIR_TABLE[i, j]: row of the unordered label pair (i, j) in the pair table
+_PAIR_TABLE = np.array(
+    [[_PAIRS.index((min(i, j), max(i, j))) for j in range(len(ERG_LABELS))]
+     for i in range(len(ERG_LABELS))],
+    dtype=np.int64,
+)
 
 N_LABEL_PAIRS = len(_PAIRS)  # 21
 
@@ -49,27 +58,26 @@ def atom_labels(graph: MolecularGraph, idx: int) -> list[int]:
 def erg_fingerprint(graph: MolecularGraph, max_path: int = 15) -> np.ndarray:
     if max_path < 1:
         raise ValueError("max_path must be >= 1")
-    out = np.zeros(N_LABEL_PAIRS * max_path, dtype=np.float64)
-    labeled = [(i, atom_labels(graph, i)) for i in range(graph.n_atoms)]
-    labeled = [(i, ls) for i, ls in labeled if ls]
-    if len(labeled) < 2:
-        return out
-    for ai in range(len(labeled)):
-        i, labels_i = labeled[ai]
-        dist = graph.shortest_path_lengths(i)
-        for bi in range(ai + 1, len(labeled)):
-            j, labels_j = labeled[bi]
-            d = dist[j]
-            if d < 1 or d > max_path:  # pairs beyond max_path are ignored
-                continue
-            for li in labels_i:
-                for lj in labels_j:
-                    pair = _PAIR_INDEX[(li, lj) if li <= lj else (lj, li)]
-                    base = pair * max_path
-                    for smear, weight in ((d - 1, SMEAR_WEIGHT), (d, 1.0), (d + 1, SMEAR_WEIGHT)):
-                        if 1 <= smear <= max_path:
-                            out[base + smear - 1] += weight
-    return out
+    atoms, labels = [], []  # one entry per (atom, label), by atom then label
+    for i in range(graph.n_atoms):
+        for label in atom_labels(graph, i):
+            atoms.append(i)
+            labels.append(label)
+    atoms = np.array(atoms, dtype=np.int64)
+    labels = np.array(labels, dtype=np.int64)
+    dist = graph.distance_matrix()[atoms[:, None], atoms]
+    # each atom pair once; pairs beyond max_path (or disconnected) are ignored
+    p, q = np.nonzero((atoms[:, None] < atoms) & (dist >= 1) & (dist <= max_path))
+    # weights accumulate in (atom, atom, label, label, smear) order, so the
+    # float sums are those of the pair-by-pair loop, bit for bit
+    order = np.lexsort((labels[q], labels[p], atoms[q], atoms[p]))
+    p, q = p[order], q[order]
+    smeared = dist[p, q][:, None] + _SMEAR_OFFSETS
+    slots = (_PAIR_TABLE[labels[p], labels[q]] * max_path - 1)[:, None] + smeared
+    weights = np.broadcast_to(_SMEAR_WEIGHTS, smeared.shape)
+    inside = (smeared >= 1) & (smeared <= max_path)
+    hist = np.bincount(slots[inside], weights[inside], minlength=N_LABEL_PAIRS * max_path)
+    return hist.astype(np.float64, copy=False)  # bincount of nothing is int64
 
 
 def erg_length(max_path: int = 15) -> int:

@@ -9,11 +9,16 @@ learn them from structure; classification labels threshold the same value.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
+import importlib.util
 import math
+import sys
 from pathlib import Path
 
 from molfusion.chem import parse_smiles
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 CURATED = [
     "C", "CC", "CCC", "CCCC", "CCCCC", "CCCCCC", "CC(C)C", "CC(C)(C)C",
@@ -160,3 +165,24 @@ def scaffold_family_corpus() -> list[str]:
                 continue
             out.append(s)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def frozen_corpus_graphs() -> tuple:
+    """(SMILES, parsed graph) for every line of ``benchmarks/corpus.smi``.
+
+    Parsed once per test session; callers must not modify the graphs.
+    """
+    return tuple((s, parse_smiles(s)) for s in (BENCHMARKS / "corpus.smi").read_text().split())
+
+
+@functools.lru_cache(maxsize=None)
+def screen_large_smiles(seed: int) -> tuple[str, ...]:
+    """The 240 molecules of 30-66 heavy atoms that the benchmark's
+    ``screen-large`` workload generates for ``seed``."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCHMARKS / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return tuple(
+        workloads.large_molecules(seed, workloads.SCREEN_LARGE_ROWS, workloads.corpus())
+    )

@@ -1,11 +1,13 @@
 """Feature tensor and fingerprint tests, with brute-force oracles."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from molfusion.chem import parse_smiles
+from molfusion.chem import Atom, Bond, BondOrder, MolecularGraph, parse_smiles
+from molfusion.cli import random_molecule_graph
 from molfusion.featurize import (
     ATOM_FEATURE_DIM,
     BOND_FEATURE_DIM,
@@ -21,6 +23,7 @@ from molfusion.featurize import (
     normalized_adjacency,
     substructure_key_fingerprint,
 )
+from molfusion.featurize.erg import N_LABEL_PAIRS, SMEAR_WEIGHT, atom_labels
 
 import corpus_util
 
@@ -136,6 +139,64 @@ class TestAdjacency:
             assert np.allclose(adj.sum(axis=1), 1.0, atol=1e-12)
 
 
+def _bfs_distances(g, root):
+    """Hop distances from ``root`` by a plain per-source BFS (-1 if unreachable)."""
+    dist = [-1] * g.n_atoms
+    dist[root] = 0
+    queue = [root]
+    while queue:
+        nxt = []
+        for a in queue:
+            for nbr in g.neighbors(a):
+                if dist[nbr] < 0:
+                    dist[nbr] = dist[a] + 1
+                    nxt.append(nbr)
+        queue = nxt
+    return dist
+
+
+class TestDistanceMatrix:
+    @staticmethod
+    def _check(g):
+        expected = [_bfs_distances(g, i) for i in range(g.n_atoms)]
+        got = g.distance_matrix()
+        assert got.dtype == np.int64 and got.shape == (g.n_atoms, g.n_atoms)
+        assert got.tolist() == expected
+
+    def test_frozen_corpus(self):
+        for _smiles, g in corpus_util.frozen_corpus_graphs():
+            self._check(g)
+
+    def test_random_graphs(self):
+        for n in range(1, 81):
+            self._check(random_molecule_graph(n, seed=n))
+
+    def test_two_components(self):
+        atoms = [Atom("C") for _ in range(5)]
+        g = MolecularGraph(atoms, [Bond(0, 1, BondOrder.SINGLE), Bond(1, 2, BondOrder.SINGLE),
+                                   Bond(3, 4, BondOrder.SINGLE)])
+        self._check(g)
+        assert g.distance_matrix().tolist() == [
+            [0, 1, 2, -1, -1],
+            [1, 0, 1, -1, -1],
+            [2, 1, 0, -1, -1],
+            [-1, -1, -1, 0, 1],
+            [-1, -1, -1, 1, 0],
+        ]
+
+    def test_long_alkane_closed_form(self):
+        g = parse_smiles("C" * 600)
+        i = np.arange(600)
+        assert np.array_equal(g.distance_matrix(), np.abs(i[:, None] - i))
+
+    def test_computed_once_and_read_only(self):
+        g = parse_smiles("c1ccccc1CCO")
+        d = g.distance_matrix()
+        assert g.distance_matrix() is d
+        with pytest.raises(ValueError):
+            d[0, 1] = 5
+
+
 def _oracle_environment_key(g, root, radius):
     """Canonical form of the radius-ball around root, by permutation search.
 
@@ -143,7 +204,7 @@ def _oracle_environment_key(g, root, radius):
     other orderings are tried and the lexicographically smallest encoding
     wins. Independent of the iterative-hashing implementation.
     """
-    dist = g.shortest_path_lengths(root)
+    dist = _bfs_distances(g, root)
     ball = [i for i in range(g.n_atoms) if 0 <= dist[i] <= radius]
     label = {
         i: (
@@ -299,7 +360,38 @@ class TestKeys:
         assert calls == [str(path)]
 
 
+def _erg_loop_oracle(g, max_path):
+    """The pair-by-pair ErG loop: per-atom BFS, +-1 smear added slot by slot."""
+    out = np.zeros(N_LABEL_PAIRS * max_path, dtype=np.float64)
+    pair_row = {p: k for k, p in enumerate((i, j) for i in range(6) for j in range(i, 6))}
+    labeled = [(i, atom_labels(g, i)) for i in range(g.n_atoms)]
+    labeled = [(i, ls) for i, ls in labeled if ls]
+    for ai, (i, labels_i) in enumerate(labeled):
+        dist = _bfs_distances(g, i)
+        for j, labels_j in labeled[ai + 1:]:
+            d = dist[j]
+            if d < 1 or d > max_path:
+                continue
+            for li in labels_i:
+                for lj in labels_j:
+                    base = pair_row[(min(li, lj), max(li, lj))] * max_path
+                    for smear, weight in ((d - 1, SMEAR_WEIGHT), (d, 1.0), (d + 1, SMEAR_WEIGHT)):
+                        if 1 <= smear <= max_path:
+                            out[base + smear - 1] += weight
+    return out
+
+
 class TestErg:
+    @pytest.mark.parametrize("max_path", [1, 5, 15])
+    def test_matches_loop_oracle(self, max_path):
+        """Same sums in the same order as the loop, so equal to the last bit."""
+        graphs = [g for _s, g in corpus_util.frozen_corpus_graphs()]
+        graphs += [parse_smiles(s) for s in corpus_util.screen_large_smiles(1)]
+        for g in graphs:
+            got = erg_fingerprint(g, max_path)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, _erg_loop_oracle(g, max_path))
+
     def test_no_labeled_atoms(self):
         # halogens carry no pharmacophore label; the carbon has non-C neighbors
         assert not erg_fingerprint(parse_smiles("ClC(Cl)Cl")).any()
@@ -332,6 +424,31 @@ class TestErg:
     def test_counts_nonnegative(self):
         for smiles in corpus_util.build_corpus(60):
             assert (erg_fingerprint(parse_smiles(smiles)) >= 0).all()
+
+
+# sha256 over the packed Morgan (radius 2, 2048 bits) and key bits of each
+# molecule in order, recorded before the fingerprints read the distance matrix.
+GOLDEN_BITS = {
+    "corpus": "c90ba2992459a3c6b2b9c8eee2a0fbbbe546b3d795ee1a7adc3430ed30470663",
+    1: "d83efba1ac118a44c53d6bba47696e1b2723b8611c1310a4a4ffde34514421c4",
+    2: "6e2fe402a25ad8d64bb084c78b59099a2a67e1e24d1562dec0e80c39b7859d37",
+    3: "8d4634c2072285a9af0dfe51b611d070742ef90c867273e6ec93ddc1a51e3946",
+    4: "0b9030d1a2ee47086bd32e25c703ccdb9d528f07444bf3ae886eda3fdc28dabc",
+    5: "d44b87c8e72a63fa8bc22606287deb44444fcb5fcf21bd791d4839032eacd81f",
+}
+
+
+@pytest.mark.parametrize("source", list(GOLDEN_BITS))
+def test_morgan_and_key_bits_golden(source):
+    if source == "corpus":
+        graphs = [g for _s, g in corpus_util.frozen_corpus_graphs()]
+    else:  # the screen-large benchmark molecules of this seed
+        graphs = [parse_smiles(s) for s in corpus_util.screen_large_smiles(source)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(np.packbits(morgan_fingerprint(g).astype(bool)).tobytes())
+        digest.update(np.packbits(substructure_key_fingerprint(g).astype(bool)).tobytes())
+    assert digest.hexdigest() == GOLDEN_BITS[source]
 
 
 class TestAssembly:

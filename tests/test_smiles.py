@@ -19,6 +19,8 @@ from molfusion.chem import (
     parse_smiles,
     scaffold_hash,
 )
+from molfusion.chem.perception import _fundamental_cycles, _shortest_cycle_through
+from molfusion.cli import random_molecule_graph
 
 import corpus_util
 
@@ -182,6 +184,25 @@ class TestRings:
     def test_ring_sizes_match_oracle(self, smiles):
         g = parse_smiles(smiles)
         assert sorted(len(r) for r in g.rings) == _oracle_min_cycle_basis_sizes(g)
+
+    def test_only_bonds_on_fundamental_cycles_have_a_cycle(self):
+        """perceive_rings looks for a cycle only through the bonds that lie on
+        a fundamental cycle; every other bond (a bridge) has none to find."""
+        graphs = [g for _s, g in corpus_util.frozen_corpus_graphs()]
+        graphs += [random_molecule_graph(n, seed=n) for n in range(1, 81)]
+        skipped = 0
+        for g in graphs:
+            on_cycle = {
+                frozenset(edge) for c in _fundamental_cycles(g) for edge in zip(c, c[1:] + c[:1])
+            }
+            for bond in g.bonds:
+                cycle = _shortest_cycle_through(g, bond)
+                if frozenset((bond.u, bond.v)) in on_cycle:
+                    assert cycle is not None
+                else:
+                    assert cycle is None
+                    skipped += 1
+        assert skipped > 0
 
     def test_ring_membership_consistency(self):
         g = parse_smiles("Cc1ccccc1")
