@@ -7,10 +7,16 @@ topological order and accumulates exact analytic gradients into the leaves
 until ``zero_grad``. ``backward`` consumes the graph it walks: each
 intermediate drops its gradient, closure and parents once propagated, so the
 tape's memory is freed as it goes. Inside ``no_grad()`` no op records a tape.
+
+At the sizes a molecule batch has (N <= 64 rows), the cost of a tape node
+outweighs its arithmetic, so the model's blocks are fused ops, each one node
+with a hand-written backward: ``linear``, ``dyt``, ``gru_cell``,
+``segment_softmax`` and ``attention``.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -90,27 +96,14 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_as_tensor(other), self)
 
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis, keepdims)
 
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
     def backward(self) -> None:
         backward(self)
@@ -136,9 +129,10 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    """Add ``g`` into ``t.grad``. The first gradient is kept as given and later
+    ones add out of place, so no gradient array is ever written to: ``add``
+    hands one array to both parents, and each keeps its own sum."""
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -234,23 +228,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), back, "mul")
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data / b.data
-
-    def back(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(data, (a, b), back, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    def back(g):
-        _accumulate(a, -g)
-
-    return _make(-a.data, (a,), back, "neg")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -274,21 +251,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), back, "matmul")
 
 
-def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    """Permute the axes (reverse them when ``axes`` is None); the result is contiguous."""
-    inverse = None if axes is None else tuple(np.argsort(axes))
-
-    def back(g):
-        _accumulate(a, np.transpose(g, inverse))
-
-    return _make(np.transpose(a.data, axes).copy(), (a,), back, "transpose")
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    def back(g):
-        _accumulate(a, g.reshape(a.shape))
-
-    return _make(a.data.reshape(shape), (a,), back, "reshape")
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -306,15 +268,21 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tuple(tensors), back, "concat")
 
 
+def _one_hot(ids: np.ndarray, n: int) -> np.ndarray:
+    """[n, len(ids)] with a 1 where row ``ids[j]`` meets column j: a matmul with
+    it scatter-adds rows into buckets, faster than ``np.add.at`` at these sizes."""
+    return (np.arange(n)[:, None] == ids).astype(np.float64)
+
+
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     """Rows a[indices], shaped ``indices.shape + a.shape[1:]`` (any index
     shape); backward scatter-adds into the source rows."""
     indices = np.asarray(indices, dtype=np.int64)
 
     def back(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, indices, g)
-        _accumulate(a, ga)
+        flat = indices.reshape(-1)
+        ga = _one_hot(flat, a.shape[0]) @ g.reshape(flat.size, math.prod(a.shape[1:]))
+        _accumulate(a, ga.reshape(a.shape))
 
     return _make(a.data[indices], (a,), back, "gather_rows")
 
@@ -324,8 +292,7 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     if a.data.ndim != 2 or len(segment_ids) != a.shape[0]:
         raise ShapeMismatchError("segment_sum", a.shape, (len(segment_ids),))
-    data = np.zeros((num_segments, a.shape[1]), dtype=a.data.dtype)
-    np.add.at(data, segment_ids, a.data)
+    data = _one_hot(segment_ids, num_segments) @ a.data
 
     def back(g):
         _accumulate(a, g[segment_ids])
@@ -402,14 +369,6 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), back, "gelu")
 
 
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-
-    def back(g):
-        _accumulate(a, g * (1.0 - t**2))
-
-    return _make(t, (a,), back, "tanh")
-
 
 def sigmoid(a: Tensor) -> Tensor:
     s = _sigmoid_np(a.data)
@@ -421,12 +380,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """1/(1+e^-x) without overflow: e^-|x| never exceeds 1."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -440,25 +396,6 @@ def softplus(a: Tensor) -> Tensor:
     return _make(data, (a,), back, "softplus")
 
 
-def exp(a: Tensor) -> Tensor:
-    e = np.exp(a.data)
-
-    def back(g):
-        _accumulate(a, g * e)
-
-    return _make(e, (a,), back, "exp")
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(a, y * (g - dot))
-
-    return _make(y, (a,), back, "softmax")
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
@@ -490,3 +427,155 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Te
         _accumulate(a, g * keep * scale)
 
     return _make(a.data * keep * scale, (a,), back, "dropout")
+
+
+# -- fused blocks --------------------------------------------------------------
+#
+# Each records one tape node. Forward values follow the composed expression
+# in its docstring step by step; backward is that expression's chain rule
+# written out.
+
+
+def _give(*pairs) -> None:
+    """Accumulate each (tensor, gradient) pair whose tensor takes gradients."""
+    for t, g in pairs:
+        if t.requires_grad:
+            _accumulate(t, g)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for rows x [n, in], w [in, out] and a bias row b [1, out]."""
+    data = x.data @ w.data
+    data += b.data
+
+    def back(g):
+        if x.requires_grad:  # not for an input layer, where it would be the widest product
+            _accumulate(x, g @ w.data.T)
+        _give((w, x.data.T @ g), (b, _unbroadcast(g, b.shape)))
+
+    return _make(data, (x, w, b), back, "linear")
+
+
+def dyt(x: Tensor, alpha: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Dynamic tanh, gamma * tanh(alpha * x) + beta (Zhu et al. 2025), with a
+    scalar alpha [1, 1] and per-column gamma, beta [1, d]."""
+    t = np.tanh(alpha.data * x.data)
+    data = gamma.data * t + beta.data
+
+    def back(g):
+        g_u = g * gamma.data * (1.0 - t**2)
+        _give(
+            (x, g_u * alpha.data),
+            (alpha, _unbroadcast(g_u * x.data, alpha.shape)),
+            (gamma, _unbroadcast(g * t, gamma.shape)),
+            (beta, _unbroadcast(g, beta.shape)),
+        )
+
+    return _make(data, (x, alpha, gamma, beta), back, "dyt")
+
+
+def gru_cell(x: Tensor, h: Tensor, w_z: Tensor, b_z: Tensor, w_r: Tensor, b_r: Tensor,
+             w_n: Tensor, b_n: Tensor) -> Tensor:
+    """Gated recurrent update of row states h [n, d] by inputs x [n, k]:
+
+    z = sigmoid([x || h] W_z + b_z);  r = sigmoid([x || h] W_r + b_r);
+    c = tanh([x || r*h] W_n + b_n);   h' = (1 - z) * h + z * c.
+
+    Both gates come from one product with [W_z W_r].
+    """
+    k, d = x.shape[1], h.shape[1]
+    xh = np.concatenate([x.data, h.data], axis=1)
+    w_zr = np.concatenate([w_z.data, w_r.data], axis=1)
+    zr = _sigmoid_np(xh @ w_zr + np.concatenate([b_z.data, b_r.data], axis=1))
+    z, r = zr[:, :d], zr[:, d:]
+    xrh = np.concatenate([x.data, r * h.data], axis=1)
+    c = np.tanh(xrh @ w_n.data + b_n.data)
+    data = (1.0 - z) * h.data + z * c
+
+    def back(g):
+        g_n = g * z * (1.0 - c**2)  # through c
+        g_w_n = xrh.T @ g_n
+        g_xrh = g_n @ w_n.data.T
+        g_rh = g_xrh[:, k:]
+        g_zr = np.concatenate([(g * c - g * h.data) * z * (1.0 - z),
+                               g_rh * h.data * r * (1.0 - r)], axis=1)
+        g_w_zr = xh.T @ g_zr
+        g_b_zr = _unbroadcast(g_zr, (1, 2 * d))
+        g_xh = g_zr @ w_zr.T
+        _give(
+            (x, g_xh[:, :k] + g_xrh[:, :k]),
+            (h, g * (1.0 - z) + g_rh * r + g_xh[:, k:]),
+            (w_z, g_w_zr[:, :d]), (b_z, g_b_zr[:, :d]),
+            (w_r, g_w_zr[:, d:]), (b_r, g_b_zr[:, d:]),
+            (w_n, g_w_n), (b_n, _unbroadcast(g_n, b_n.shape)),
+        )
+
+    return _make(data, (x, h, w_z, b_z, w_r, b_r, w_n, b_n), back, "gru_cell")
+
+
+def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
+    """Softmax of [E, 1] scores within each segment of ``segment_ids``.
+
+    Each segment's max is subtracted first, which leaves the result and its
+    gradient unchanged; an empty segment gets no row.
+    """
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    seg_max = np.full(num_segments, -np.inf)
+    np.maximum.at(seg_max, segment_ids, scores.data[:, 0])
+    e = np.exp(scores.data - seg_max[segment_ids][:, None])
+    denom = np.bincount(segment_ids, weights=e[:, 0], minlength=num_segments)
+    y = e / denom[segment_ids][:, None]
+
+    def back(g):
+        dot = np.bincount(segment_ids, weights=(g * y)[:, 0], minlength=num_segments)
+        _accumulate(scores, y * (g - dot[segment_ids][:, None]))
+
+    return _make(y, (scores,), back, "segment_softmax")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray,
+              lambda_attn: Tensor | None = None, lambda_adj: Tensor | None = None,
+              adjacency: np.ndarray | None = None, hook=None) -> Tensor:
+    """Scaled dot-product attention of queries [m, heads*d_k] over keys and
+    values [n, heads*d_k], all heads stacked.
+
+    Head i reads columns i*d_k:(i+1)*d_k. Its weights are
+    P_i = softmax(Q_i K_i^T / sqrt(d_k) + mask), where the additive ``mask``
+    [m, n] shuts out the keys a query must not see. With ``lambda_attn`` and
+    ``lambda_adj`` ([1, 1] each) the values are weighted by
+    lambda_attn * P_i + lambda_adj * adjacency instead. ``hook``, when given,
+    receives the [heads, m, n] probabilities P. The result is
+    [m, heads*d_k], head i in its own columns. Backward keeps P, since
+    recomputing it costs more than storing it at these sizes.
+    """
+    m, width = q.shape
+    n = k.shape[0]
+    d_k = width // heads
+    q_h = q.data.reshape(m, heads, d_k).transpose(1, 0, 2).copy()  # [heads, m, d_k]
+    k_t = k.data.reshape(n, heads, d_k).transpose(1, 2, 0).copy()  # [heads, d_k, n]
+    v_h = v.data.reshape(n, heads, d_k).transpose(1, 0, 2).copy()  # [heads, n, d_k]
+    scale = 1.0 / math.sqrt(d_k)
+    scores = (q_h @ k_t) * scale + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    if hook is not None:
+        hook(p)
+    blend = lambda_attn is not None
+    weights = lambda_attn.data * p + lambda_adj.data * adjacency if blend else p
+    data = (weights @ v_h).transpose(1, 0, 2).reshape(m, width)
+
+    def back(g):
+        g_h = np.ascontiguousarray(g.reshape(m, heads, d_k).transpose(1, 0, 2))
+        g_w = g_h @ v_h.transpose(0, 2, 1)  # [heads, m, n]
+        g_v = weights.transpose(0, 2, 1) @ g_h  # [heads, n, d_k]
+        if blend:
+            _give((lambda_attn, _unbroadcast(g_w * p, lambda_attn.shape)),
+                  (lambda_adj, _unbroadcast(g_w.sum(axis=0) * adjacency, lambda_adj.shape)))
+            g_w = g_w * lambda_attn.data
+        g_s = p * (g_w - (g_w * p).sum(axis=-1, keepdims=True)) * scale  # through the softmax
+        _give((q, (g_s @ k_t.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(m, width)),
+              (k, (q_h.transpose(0, 2, 1) @ g_s).transpose(2, 0, 1).reshape(n, width)),
+              (v, g_v.transpose(1, 0, 2).reshape(n, width)))
+
+    parents = (q, k, v, lambda_attn, lambda_adj) if blend else (q, k, v)
+    return _make(data, parents, back, "attention")

@@ -307,7 +307,7 @@ def cmd_predict(args) -> int:
             except SmilesError as exc:
                 yield smiles, None, exc
 
-    n_errors = 0
+    n_rows = n_errors = 0
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.smiles_col, *pred_cols])
@@ -316,11 +316,16 @@ def cmd_predict(args) -> int:
             mols = [mol for _smiles, mol, _error in chunk if mol is not None]
             preds = iter(model.predict_batch(MoleculeBatch(mols)) if mols else ())
             for smiles, mol, error in chunk:
+                n_rows += 1
                 if mol is None:
                     n_errors += 1
                     writer.writerow([smiles, *[f"ERROR:{error}" for _ in pred_cols]])
                 else:
                     writer.writerow([smiles, *[repr(float(p)) for p in next(preds)]])
+    if n_rows and n_errors == n_rows:
+        raise DataError(
+            f"{args.input}: every row failed to parse; their ERROR cells are in {args.out}"
+        )
     print(f"predictions written to {args.out} ({n_errors} error rows)")
     return EXIT_OK
 

@@ -12,7 +12,6 @@ from .layers import (
     Linear,
     MixedInformation,
     TransformerLayer,
-    segment_softmax,
 )
 from .network import MlfgnnModel
 
@@ -36,5 +35,4 @@ __all__ = [
     "TASKS",
     "TransformerLayer",
     "chunks",
-    "segment_softmax",
 ]

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from ..autodiff.tensor import ShapeMismatchError, Tensor
+from ..autodiff.tensor import ShapeMismatchError
 from ..featurize.features import FeaturizedMolecule
 
 # Atoms per packed forward pass. Attention scores all N^2 query/key pairs of
@@ -78,10 +78,10 @@ class MoleculeBatch:
         # Additive masks over the joined atom rows, and over the token rows
         # [virtual node of each molecule; atom rows] that the fingerprint
         # rows attend to: 0 within a molecule, _MASKED across molecules.
-        self.atom_mask = Tensor(np.where(same, 0.0, _MASKED))  # [N, N]
+        self.atom_mask = np.where(same, 0.0, _MASKED)  # [N, N]
         token_ids = np.concatenate([np.arange(self.size), self.graph_ids])
-        self.token_mask = Tensor(  # [B, B + N]
-            np.where(np.arange(self.size)[:, None] == token_ids[None, :], 0.0, _MASKED)
+        self.token_mask = np.where(  # [B, B + N]
+            np.arange(self.size)[:, None] == token_ids[None, :], 0.0, _MASKED
         )
         self.adjacency = np.zeros((self.n_atoms, self.n_atoms))  # block diagonal
         for m, s in zip(mols, starts):

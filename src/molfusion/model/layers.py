@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..autodiff import params as P
@@ -22,11 +20,11 @@ class Linear:
         self.b = store.register(f"{prefix}.b", np.zeros((1, out_dim)), "zeros")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.w), self.b)
+        return T.linear(x, self.w, self.b)
 
 
 class GruCell:
-    """Standard gated recurrent cell over row-stacked states.
+    """Standard gated recurrent cell over row-stacked states (``T.gru_cell``).
 
     z = sigmoid(W_z [x || h] + b_z); r = sigmoid(W_r [x || h] + b_r);
     cand = tanh(W_n [x || r*h] + b_n); h' = (1-z)*h + z*cand.
@@ -42,15 +40,11 @@ class GruCell:
         self.b_n = store.register(f"{prefix}.b_n", np.zeros((1, hidden_dim)), "zeros")
 
     def __call__(self, x: Tensor, h: Tensor) -> Tensor:
-        xh = T.concat([x, h], axis=1)
-        z = T.sigmoid(T.add(T.matmul(xh, self.w_z), self.b_z))
-        r = T.sigmoid(T.add(T.matmul(xh, self.w_r), self.b_r))
-        cand = T.tanh(T.add(T.matmul(T.concat([x, T.mul(r, h)], axis=1), self.w_n), self.b_n))
-        return T.add(T.mul(T.sub(Tensor(1.0), z), h), T.mul(z, cand))
+        return T.gru_cell(x, h, self.w_z, self.b_z, self.w_r, self.b_r, self.w_n, self.b_n)
 
 
 class DynamicTanh:
-    """Learnable squashing gamma * tanh(alpha * x) + beta."""
+    """Learnable squashing gamma * tanh(alpha * x) + beta (``T.dyt``)."""
 
     def __init__(self, store, rng, prefix, dim):
         self.alpha = store.register(f"{prefix}.alpha", np.full((1, 1), 0.5), "constant:0.5")
@@ -58,7 +52,7 @@ class DynamicTanh:
         self.beta = store.register(f"{prefix}.beta", np.zeros((1, dim)), "zeros")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.mul(self.gamma, T.tanh(T.mul(self.alpha, x))), self.beta)
+        return T.dyt(x, self.alpha, self.gamma, self.beta)
 
 
 class LayerNorm:
@@ -72,42 +66,6 @@ class LayerNorm:
 
 def make_norm(kind, store, rng, prefix, dim):
     return DynamicTanh(store, rng, prefix, dim) if kind == "dyt" else LayerNorm(store, rng, prefix, dim)
-
-
-def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Softmax of [E,1] scores within each segment.
-
-    The per-segment max is subtracted as a constant (softmax is shift
-    invariant, so gradients are unaffected).
-    """
-    seg_max = np.full(num_segments, -np.inf)
-    np.maximum.at(seg_max, segment_ids, scores.data[:, 0])
-    shifted = T.sub(scores, Tensor(seg_max[segment_ids][:, None]))
-    e = T.exp(shifted)
-    denom = T.segment_sum(e, segment_ids, num_segments)
-    return T.div(e, T.gather_rows(denom, segment_ids))
-
-
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mix,
-                         mask: Tensor) -> Tensor:
-    """Scaled dot-product attention of queries [m, heads*d_k] over keys and
-    values [n, heads*d_k], all heads in one stacked op.
-
-    Head i reads columns i*d_k:(i+1)*d_k. The per-head weights
-    softmax(Q_i K_i^T / sqrt(d_k) + mask) form one [heads, m, n] tensor that
-    ``mix`` maps to the weights applied to V (the identity, or a blend with a
-    prior). The additive ``mask`` [m, n] shuts out the keys a query must not
-    see. The result is [m, heads*d_k], head i in its own columns.
-    """
-    m, width = q.shape
-    n = k.shape[0]
-    d_k = width // heads
-    q_h = T.transpose(T.reshape(q, (m, heads, d_k)), (1, 0, 2))  # [heads, m, d_k]
-    k_t = T.transpose(T.reshape(k, (n, heads, d_k)), (1, 2, 0))  # [heads, d_k, n]
-    v_h = T.transpose(T.reshape(v, (n, heads, d_k)), (1, 0, 2))  # [heads, n, d_k]
-    scores = T.add(T.mul(T.matmul(q_h, k_t), Tensor(1.0 / math.sqrt(d_k))), mask)
-    out = T.matmul(mix(T.softmax(scores, axis=-1)), v_h)  # [heads, m, d_k]
-    return T.reshape(T.transpose(out, (1, 0, 2)), (m, width))
 
 
 class FingerprintMlp:
@@ -150,7 +108,7 @@ class AttentiveGru:
             T.matmul(T.concat([T.gather_rows(centers, ids), members], axis=1), self.attn_w),
             LEAKY_SLOPE,
         )
-        attn = segment_softmax(scores, ids, n)
+        attn = T.segment_softmax(scores, ids, n)
         weights = T.dropout(attn, dropout_rate, rng, train)
         context = T.elu(T.segment_sum(T.mul(weights, T.matmul(members, self.agg_w)), ids, n))
         return self.gru(context, centers), attn
@@ -160,7 +118,7 @@ class TransformerLayer:
     """Self-attention with an optional adjacency prior, post-block squashing.
 
     Per head: (w_attn * softmax(Q K^T / sqrt(d_k)) + w_adj * A) V, where A is
-    the row-normalized adjacency; all heads run as one stacked op and
+    the row-normalized adjacency; all heads run as one fused op and
     concatenate through an output projection, then residual + norm,
     position-wise FFN, residual + norm. Attention runs on the joined atom rows
     of a batch under its block-diagonal mask, so each molecule attends only
@@ -186,26 +144,21 @@ class TransformerLayer:
         self.ffn1 = Linear(store, rng, f"{prefix}.ffn1", dim, FFN_MULT * dim)
         self.ffn2 = Linear(store, rng, f"{prefix}.ffn2", FFN_MULT * dim, dim)
 
-    def attend(self, h: Tensor, adjacency: Tensor, batch, trace=None) -> Tensor:
+    def attend(self, h: Tensor, batch, trace=None) -> Tensor:
         """Mixed attention of all heads, [N, heads*head_dim], before the output projection.
 
-        ``h`` holds the joined atom rows of ``batch`` (a ``MoleculeBatch``)
-        and ``adjacency`` its block-diagonal [N, N] adjacency.
+        ``h`` holds the joined atom rows of ``batch`` (a ``MoleculeBatch``),
+        whose block-diagonal adjacency is the prior. ``trace``, when given,
+        gets the per-head softmax weights appended as one list.
         """
-
-        def mix(soft: Tensor) -> Tensor:
-            if trace is not None:
-                trace.append(list(soft.data.copy()))
-            if not self.adjacency_bias:
-                return soft
-            return T.add(T.mul(self.lambda_attn, soft), T.mul(self.lambda_adj, adjacency))
-
+        hook = None if trace is None else (lambda p: trace.append(list(p.copy())))
         q, k, v = (T.matmul(h, w) for w in (self.w_q, self.w_k, self.w_v))
-        return multi_head_attention(q, k, v, self.heads, mix, batch.atom_mask)
+        blend = (self.lambda_attn, self.lambda_adj, batch.adjacency) if self.adjacency_bias else ()
+        return T.attention(q, k, v, self.heads, batch.atom_mask, *blend, hook=hook)
 
-    def __call__(self, h, adjacency, batch, dropout_attn=0.0, dropout_ffn=0.0,
-                 train=False, rng=None, trace=None):
-        attn = self.out(self.attend(h, adjacency, batch, trace))
+    def __call__(self, h, batch, dropout_attn=0.0, dropout_ffn=0.0, train=False, rng=None,
+                 trace=None):
+        attn = self.out(self.attend(h, batch, trace))
         x = self.norm1(T.add(h, T.dropout(attn, dropout_attn, rng, train)))
         f = self.ffn2(T.dropout(T.gelu(self.ffn1(x)), dropout_ffn, rng, train))
         return self.norm2(T.add(x, f))
@@ -268,12 +221,10 @@ class CrossAttention:
         [virtual [B, dim]; node_states [N, dim]] under ``token_mask`` [B, B+N],
         which keeps each row on its own molecule's tokens; returns [B, dim]."""
 
-        def weights(soft: Tensor) -> Tensor:
-            if trace is not None:
-                trace["cross_attention"] = list(soft.data[:, 0].copy())
-            return soft
-
+        hook = None if trace is None else (
+            lambda p: trace.update(cross_attention=list(p[:, 0].copy()))
+        )
         tokens = T.concat([virtual, node_states], axis=0)
         q = T.matmul(fp_embed, self.w_q)
         k, v = T.matmul(tokens, self.w_k), T.matmul(tokens, self.w_v)
-        return self.out(multi_head_attention(q, k, v, self.heads, weights, token_mask))
+        return self.out(T.attention(q, k, v, self.heads, token_mask, hook=hook))

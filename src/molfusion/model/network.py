@@ -122,11 +122,10 @@ class MlfgnnModel:
         if c.has_transformer:
             if trace is not None:
                 trace.setdefault("transformer_attention", [])
-            adjacency = Tensor(batch.adjacency)
             x = self.adapter(h0)
             for layer in self.transformer_stack:
                 x = layer(
-                    x, adjacency, batch, c.dropout_attn, c.dropout_ffn, train, rng,
+                    x, batch, c.dropout_attn, c.dropout_ffn, train, rng,
                     trace["transformer_attention"] if trace is not None else None,
                 )
             transformer_out = x

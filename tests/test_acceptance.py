@@ -97,9 +97,8 @@ def test_criterion_2_boundary_identities():
     layer.lambda_adj.data[:] = 1.0
     h = Tensor(rng.standard_normal((mol.n_atoms, config.hidden_dim)))
     batch = MoleculeBatch([mol])
-    adjacency = Tensor(batch.adjacency)
     v = h.data @ layer.w_v.data
-    out = layer.attend(h, adjacency, batch)
+    out = layer.attend(h, batch)
     adj_ok = all(
         np.array_equal(
             out.data[:, i * 4 : (i + 1) * 4],
@@ -113,7 +112,7 @@ def test_criterion_2_boundary_identities():
     layer.lambda_adj.data[:] = 0.0
     q, k = h.data @ layer.w_q.data, h.data @ layer.w_k.data
     plain_ok = True
-    out = layer.attend(h, adjacency, batch)
+    out = layer.attend(h, batch)
     for i in range(2):
         cols = slice(i * 4, (i + 1) * 4)
         logits = q[:, cols] @ k[:, cols].T / 2.0

@@ -70,18 +70,18 @@ def test_pack_layout(mols):
     ids = batch.graph_ids
     same = ids[:, None] == ids[None, :]
     assert batch.atom_mask.shape == (11, 11)
-    assert np.array_equal(batch.atom_mask.data == 0.0, same)
-    assert (batch.atom_mask.data[~same] == -1e30).all()
+    assert np.array_equal(batch.atom_mask == 0.0, same)
+    assert (batch.atom_mask[~same] == -1e30).all()
     # token rows: the 3 virtual nodes, then the 11 atom rows
     token_ids = np.concatenate([np.arange(3), ids])
     assert batch.token_mask.shape == (3, 14)
-    assert np.array_equal(batch.token_mask.data == 0.0, np.arange(3)[:, None] == token_ids)
+    assert np.array_equal(batch.token_mask == 0.0, np.arange(3)[:, None] == token_ids)
     assert batch.adjacency.shape == (11, 11)
     assert not batch.adjacency[~same].any()
     for b, mol in enumerate(mols[:3]):
         rows = np.flatnonzero(ids == b)
         assert np.array_equal(batch.adjacency[np.ix_(rows, rows)], mol.adjacency_normalized)
-    assert not MoleculeBatch(mols[1:2]).atom_mask.data.any()  # one molecule: nothing masked
+    assert not MoleculeBatch(mols[1:2]).atom_mask.any()  # one molecule: nothing masked
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -159,7 +159,7 @@ def gradcheck_small_pack(smiles, seed):
 
 def test_gradcheck_two_molecule_pack():
     batch = gradcheck_small_pack(("CC(=O)CN", "C1CC1"), seed=12)
-    assert (batch.atom_mask.data != 0.0).any()  # the pack masks cross-molecule pairs
+    assert (batch.atom_mask != 0.0).any()  # the pack masks cross-molecule pairs
 
 
 def test_gradcheck_one_atom_pack():

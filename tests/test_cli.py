@@ -1,5 +1,6 @@
 """Command-line interface tests, exercised through main()."""
 
+import csv
 import json
 import os
 import re
@@ -60,6 +61,16 @@ def trained(workdir):
     )
     assert code == 0
     return out
+
+
+def run_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """``molfusion argv`` in a new Python process, so that stderr holds
+    everything the process prints, numpy's warnings included."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "molfusion.cli", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300,
+    )
 
 
 def csv_command(command: str, data: Path, workdir: Path, trained: Path, out: Path) -> list[str]:
@@ -272,12 +283,7 @@ class TestTrainCommand:
         data = tmp_path / "labels.csv"
         smiles = corpus_util.build_corpus(10)
         data.write_text("smiles,solubility\n" + "".join(f"{s},1e200\n" for s in smiles))
-        argv = csv_command("train", data, workdir, None, tmp_path)
-        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "molfusion.cli", *argv], capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300,
-        )
+        proc = run_process(csv_command("train", data, workdir, None, tmp_path))
         assert proc.returncode == 2
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("data error:"), proc.stderr
@@ -359,6 +365,29 @@ class TestPredictCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 4  # header + all three rows
         assert "ERROR:" in lines[2]
+
+    def test_every_row_failing_exit_2(self, trained, tmp_path):
+        bad = tmp_path / "all_bad.csv"
+        bad.write_text("smiles,y\nxx((bad,1\nC1CC,2\n")
+        out = tmp_path / "all_bad_preds.csv"
+        proc = run_process(["predict", "--checkpoint", str(trained / "seed_0.ckpt"),
+                            "--input", str(bad), "--out", str(out)])
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error:"), proc.stderr
+        assert "every row failed to parse" in lines[0]
+        rows = list(csv.reader(out.read_text().splitlines()))
+        assert [row[0] for row in rows] == ["smiles", "xx((bad", "C1CC"]
+        assert all(row[1].startswith("ERROR:") for row in rows[1:])
+
+    def test_header_only_input_exit_0(self, trained, tmp_path):
+        empty = tmp_path / "header_only.csv"
+        empty.write_text("smiles,y\n")
+        out = tmp_path / "header_only_preds.csv"
+        proc = run_process(["predict", "--checkpoint", str(trained / "seed_0.ckpt"),
+                            "--input", str(empty), "--out", str(out)])
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_text().splitlines() == ["smiles,prediction"]
 
     def test_digest_mismatch_rejected_without_force(self, workdir, trained, tmp_path):
         corrupted = tmp_path / "bad.ckpt"
@@ -487,17 +516,20 @@ class TestGradcheckCommand:
         args = ["gradcheck", "--config", str(workdir / "config.json"), "--atoms", str(atoms)]
         assert main(args) == 0
         assert [(b.size, b.n_atoms) for b in packs] == [(2, pack_atoms)]
-        assert (packs[0].atom_mask.data != 0.0).any()  # cross-molecule pairs are masked
+        assert (packs[0].atom_mask != 0.0).any()  # cross-molecule pairs are masked
 
     def test_wrong_gradient_exit_3(self, workdir, monkeypatch, capsys):
         from molfusion.autodiff import tensor
 
-        def tanh_with_doubled_gradient(a):
-            t = np.tanh(a.data)
-            return tensor._make(t, (a,), lambda g: tensor._accumulate(a, 2 * g * (1 - t * t)),
-                                "tanh")
+        gru_cell = tensor.gru_cell
 
-        monkeypatch.setattr(tensor, "tanh", tanh_with_doubled_gradient)
+        def gru_cell_with_doubled_gradient(*args):
+            out = gru_cell(*args)
+            back = out._backward
+            out._backward = lambda g: back(2 * g)
+            return out
+
+        monkeypatch.setattr(tensor, "gru_cell", gru_cell_with_doubled_gradient)
         assert main(["gradcheck", "--config", str(workdir / "config.json"), "--atoms", "5"]) == 3
         assert "FAIL" in capsys.readouterr().out
 

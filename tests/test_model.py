@@ -18,8 +18,6 @@ from molfusion.model.layers import (
     CrossAttention,
     DynamicTanh,
     GruCell,
-    multi_head_attention,
-    segment_softmax,
 )
 from molfusion.model import EmptyMoleculeError
 
@@ -83,14 +81,14 @@ class TestGruCell:
 class TestSegmentSoftmax:
     def test_singleton_is_one(self):
         scores = Tensor(np.array([[3.7]]))
-        out = segment_softmax(scores, np.array([0]), 1)
+        out = ad.segment_softmax(scores, np.array([0]), 1)
         assert out.data[0, 0] == pytest.approx(1.0)
 
     def test_rows_sum_to_one_per_segment(self):
         rng = make_rng(0)
         scores = Tensor(rng.standard_normal((7, 1)))
         seg = np.array([0, 0, 0, 1, 1, 2, 2])
-        out = segment_softmax(scores, seg, 3)
+        out = ad.segment_softmax(scores, seg, 3)
         for s in range(3):
             assert out.data[seg == s, 0].sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -208,7 +206,7 @@ class TestTransformerBoundaries:
             layer.lambda_adj.data[:] = 1.0
             h = Tensor(rng.standard_normal((mol.n_atoms, model.config.hidden_dim)))
             batch = MoleculeBatch([mol])
-            out = layer.attend(h, Tensor(batch.adjacency), batch)
+            out = layer.attend(h, batch)
             v = (h.data @ layer.w_v.data)
             d_k = model.config.head_dim
             for i in range(layer.heads):
@@ -224,7 +222,7 @@ class TestTransformerBoundaries:
             layer.lambda_adj.data[:] = 0.0
             h = Tensor(rng.standard_normal((mol.n_atoms, model.config.hidden_dim)))
             batch = MoleculeBatch([mol])
-            out = layer.attend(h, Tensor(batch.adjacency), batch)
+            out = layer.attend(h, batch)
             q, k, v = (h.data @ w.data for w in (layer.w_q, layer.w_k, layer.w_v))
             d_k = model.config.head_dim
             for i in range(layer.heads):
@@ -241,7 +239,7 @@ class TestTransformerBoundaries:
         h = Tensor(rng.standard_normal((1, model.config.hidden_dim)))
         trace = []
         batch = MoleculeBatch([mol])
-        out = layer.attend(h, Tensor(batch.adjacency), batch, trace)
+        out = layer.attend(h, batch, trace)
         lam_a = layer.lambda_attn.data[0, 0]
         lam_b = layer.lambda_adj.data[0, 0]
         v = h.data @ layer.w_v.data
@@ -396,7 +394,7 @@ class TestInitialization:
 
 
 class TestMultiHeadAttention:
-    """The stacked op against a plain per-head loop over column blocks."""
+    """The fused attention op against a plain per-head loop over column blocks."""
 
     @staticmethod
     def oracle(q, k, v, heads, weight_of):
@@ -418,25 +416,23 @@ class TestMultiHeadAttention:
         k = Tensor(rng.standard_normal((n, width)), requires_grad=True)
         v = Tensor(rng.standard_normal((n, width)), requires_grad=True)
         prior = rng.uniform(size=(m, n))
-        no_mask = Tensor(np.zeros((m, n)))
-        plain = multi_head_attention(q, k, v, heads, lambda soft: soft, no_mask)
+        no_mask = np.zeros((m, n))
+        plain = ad.attention(q, k, v, heads, no_mask)
         assert plain.shape == (m, width)
         assert np.allclose(plain.data, self.oracle(q.data, k.data, v.data, heads, lambda w: w),
                            rtol=1e-12, atol=1e-14)
 
-        def blend(soft):
-            return ad.add(ad.mul(Tensor(0.3), soft), Tensor(0.7 * prior))
-
-        mixed = multi_head_attention(q, k, v, heads, blend, no_mask)
+        lam_attn, lam_adj = Tensor([[0.3]]), Tensor([[0.7]])
+        mixed = ad.attention(q, k, v, heads, no_mask, lam_attn, lam_adj, prior)
         expected = self.oracle(q.data, k.data, v.data, heads, lambda w: 0.3 * w + 0.7 * prior)
         assert np.allclose(mixed.data, expected, rtol=1e-12, atol=1e-14)
         w = Tensor(rng.standard_normal((m, width)))
         report = grad_check(
-            lambda: ad.sum_(ad.mul(multi_head_attention(q, k, v, heads, blend, no_mask), w)),
+            lambda: ad.sum_(ad.mul(ad.attention(q, k, v, heads, no_mask, lam_attn, lam_adj,
+                                                prior), w)),
             [q, k, v], rtol=1e-5, atol=1e-8,
         )
         assert report.passed, report.summary()
-
 
     @pytest.mark.parametrize("heads", [1, 2])
     def test_padded_batch_matches_each_molecule(self, heads):
@@ -446,13 +442,11 @@ class TestMultiHeadAttention:
         q, k, v = (rng.standard_normal((sum(sizes), width)) for _ in range(3))
         graph_ids = np.repeat(np.arange(len(sizes)), sizes)
         same = graph_ids[:, None] == graph_ids[None, :]
-        mask = Tensor(np.where(same, 0.0, -1e30))
+        mask = np.where(same, 0.0, -1e30)
         prior = rng.uniform(size=same.shape) * same
 
-        def blend(soft):
-            return ad.add(ad.mul(Tensor(0.3), soft), Tensor(0.7 * prior))
-
-        out = multi_head_attention(Tensor(q), Tensor(k), Tensor(v), heads, blend, mask)
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), heads, mask, Tensor([[0.3]]),
+                           Tensor([[0.7]]), prior)
         assert out.shape == (sum(sizes), width)
         for b in range(len(sizes)):
             rows = np.flatnonzero(graph_ids == b)
@@ -481,7 +475,7 @@ class TestCrossAttention:
         token = rng.standard_normal(8)
         virtual = Tensor(token[None, :])
         nodes = Tensor(np.tile(token, (3, 1)))
-        out = attn(fp, virtual, nodes, Tensor(np.zeros((1, 4))))
+        out = attn(fp, virtual, nodes, np.zeros((1, 4)))
         v = token[None, :] @ attn.w_v.data
         expected = v @ attn.out.w.data + attn.out.b.data
         assert np.allclose(out.data, expected, atol=1e-12)
@@ -718,3 +712,37 @@ class TestFullModelGradient:
         )
         assert report.passed, report.summary()
         assert set(report.per_tensor) == set(model.params.names())
+
+
+class TestTapeOps:
+    """Tape nodes per training forward: the fused blocks keep the count down,
+    and every op records through ``autodiff.tensor._make``, where the
+    benchmark tracer counts tape ops."""
+
+    FUSED = ("linear", "dyt", "gru_cell", "segment_softmax", "attention")
+
+    def test_train_forward_of_a_corpus_chunk(self, monkeypatch):
+        from collections import Counter
+
+        from molfusion.autodiff import tensor
+        from molfusion.model.batch import chunks
+
+        config = FeaturizeConfig()
+        graphs = [g for _smiles, g in corpus_util.frozen_corpus_graphs()[:40]]
+        chunk = next(chunks([featurize(g, config) for g in graphs], lambda m: m.n_atoms))
+        assert (len(chunk), sum(m.n_atoms for m in chunk)) == (17, 63)
+        model = MlfgnnModel(ModelConfig(fingerprint_dim=config.fingerprint_length), seed=0)
+        ops = Counter()
+        make = tensor._make
+
+        def counted(data, parents, backward_fn, op):
+            ops[op] += 1
+            return make(data, parents, backward_fn, op)
+
+        monkeypatch.setattr(tensor, "_make", counted)
+        out = model.forward(MoleculeBatch(chunk), train=True, rng=make_rng(0))
+        assert out.op_name == "linear" and out.requires_grad
+        assert sum(ops.values()) == 94
+        assert {op: ops[op] for op in self.FUSED} == {
+            "linear": 15, "dyt": 4, "gru_cell": 3, "segment_softmax": 3, "attention": 3,
+        }
