@@ -231,26 +231,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of 2-D operands, of two stacks of matrices whose leading
-    axes match (``[s, n, k] @ [s, k, m]``, one product per slice), or of a
-    stack and one matrix (``[s, n, k] @ [k, m]``, the matrix shared)."""
-    shared = b.data.ndim == 2 and a.data.ndim > 2
-    if (a.data.ndim < 2 or a.shape[-1] != b.shape[-2]
-            or not shared and (a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2])):
+    """Product of two matrices, ``[n, k] @ [k, m]``."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     data = a.data @ b.data
 
     def back(g):
         if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad and shared:
-            _accumulate(b, a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-        elif b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _make(data, (a, b), back, "matmul")
-
-
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

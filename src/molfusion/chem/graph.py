@@ -81,11 +81,6 @@ class Atom:
     def total_hs(self) -> int:
         return self.explicit_hs + self.implicit_hs
 
-    @property
-    def implicit_valence(self) -> int:
-        # Implicit valence is the implicit hydrogen count (the usual proxy).
-        return self.implicit_hs
-
 
 @dataclass
 class Bond:
@@ -145,25 +140,6 @@ class MolecularGraph:
     def neighbors(self, idx: int) -> list[int]:
         return [b.other(idx) for b in self._adjacency[idx]]
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted atom-index lists."""
-        seen = [False] * self.n_atoms
-        out = []
-        for start in range(self.n_atoms):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                a = stack.pop()
-                comp.append(a)
-                for nbr in self.neighbors(a):
-                    if not seen[nbr]:
-                        seen[nbr] = True
-                        stack.append(nbr)
-            out.append(sorted(comp))
-        return out
-
     def distance_matrix(self) -> np.ndarray:
         """All-pairs hop distances, ``[n, n]`` int64, -1 where unreachable.
 
@@ -173,27 +149,6 @@ class MolecularGraph:
         if self._distances is None:
             self._distances = _hop_distances(self._adjacency)
         return self._distances
-
-    def relabel(self, perm: Sequence[int]) -> "MolecularGraph":
-        """Return a copy with atom i moved to position perm[i].
-
-        Derived annotations are carried over; rings are remapped. Used for
-        order-insensitivity checks.
-        """
-        if sorted(perm) != list(range(self.n_atoms)):
-            raise ValueError("perm must be a permutation of atom indices")
-        new_atoms: list[Atom] = [None] * self.n_atoms  # type: ignore[list-item]
-        for i, atom in enumerate(self.atoms):
-            moved = Atom(**{f: getattr(atom, f) for f in _ATOM_FIELDS})
-            moved.index = perm[i]
-            new_atoms[perm[i]] = moved
-        new_bonds = [
-            Bond(perm[b.u], perm[b.v], b.order, b.stereo, b.in_ring, b.is_conjugated)
-            for b in self.bonds
-        ]
-        out = MolecularGraph(new_atoms, new_bonds)
-        out.rings = [[perm[a] for a in ring] for ring in self.rings]
-        return out
 
     def graph_hash(self) -> str:
         """Canonical-by-refinement hash; equal for isomorphic parses.

@@ -1,13 +1,19 @@
 """Chemical perception: rings, valence, hybridization, conjugation, flags.
 
-Everything here is deterministic rule evaluation over the parsed graph; the
-donor/acceptor/acid/base rule parameters live in flag_rules.txt next to this
-module.
+Everything here is deterministic rule evaluation over the parsed graph. The
+pharmacophore site flags follow fixed rules:
+
+- acceptor: N or O with formal charge <= 0;
+- donor: N or O with at least one attached hydrogen;
+- acidic: an oxygen in a C/S/P-centred motif that pairs at least one
+  double-bonded O with at least one single-bonded O carrying an H or a
+  negative charge; every motif oxygen is flagged;
+- basic: a neutral, non-aromatic sp2 or sp3 N, not itself double-bonded to
+  O, with no neighbouring carbon double-bonded to O or S (amides and
+  nitro-like groups excluded).
 """
 
 from __future__ import annotations
-
-from importlib import resources
 
 from .elements import atomic_mass, default_valences, is_known_element, valence_electrons
 from .errors import ValenceViolationError
@@ -25,36 +31,15 @@ _STERIC_TO_HYB = {
 # (ammonium-style cations).
 _CATION_EXPANDABLE = frozenset({"N", "O", "P", "S", "As", "Se", "Te"})
 
-
-def _load_flag_rules() -> dict[str, object]:
-    rules: dict[str, object] = {}
-    text = resources.files("molfusion.chem").joinpath("flag_rules.txt").read_text("utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition(":")
-        value = value.strip()
-        if value in ("true", "false"):
-            rules[key.strip()] = value == "true"
-        else:
-            rules[key.strip()] = tuple(v.strip() for v in value.split(","))
-    return rules
-
-
-_RULES = _load_flag_rules()
-_ACCEPTOR_ELEMENTS = frozenset(_RULES["acceptor_elements"])
-_DONOR_ELEMENTS = frozenset(_RULES["donor_elements"])
-_ACID_CENTERS = frozenset(_RULES["acid_center_elements"])
-_BASIC_ELEMENT = _RULES["basic_element"][0]
-_BASIC_HYBRIDIZATIONS = frozenset(Hybridization(h) for h in _RULES["basic_hybridizations"])
-_BASIC_EXCLUDE_AROMATIC = bool(_RULES["basic_exclude_aromatic"])
+_ACCEPTOR_ELEMENTS = frozenset({"N", "O"})
+_DONOR_ELEMENTS = frozenset({"N", "O"})
+_ACID_CENTERS = frozenset({"C", "S", "P"})
+_BASIC_HYBRIDIZATIONS = frozenset({Hybridization.SP2, Hybridization.SP3})
 
 
 def annotate(graph: MolecularGraph) -> MolecularGraph:
     """Populate every derived annotation on atoms and bonds, in place."""
     graph.rings = perceive_rings(graph)
-    _demote_nonring_aromatic_bonds(graph)
     _mark_ring_membership(graph)
     _assign_valence(graph)
     _assign_hybridization(graph)
@@ -72,11 +57,12 @@ def perceive_rings(graph: MolecularGraph) -> list[list[int]]:
     shortest cycle through every bond that lies on one of them (any other
     bond is a bridge and lies on no cycle); a greedy pass keeps the smallest
     candidates that are independent over GF(2) edge space, stopping at the
-    circuit rank |E| - |V| + components.
+    circuit rank |E| - |V| + components, which is the number of fundamental
+    cycles.
     """
-    n_components = len(graph.components())
-    target = graph.n_bonds - graph.n_atoms + n_components
-    if target <= 0:
+    fundamental = _fundamental_cycles(graph)
+    target = len(fundamental)
+    if not target:
         return []
 
     bond_index = {b.key: i for i, b in enumerate(graph.bonds)}
@@ -98,7 +84,7 @@ def perceive_rings(graph: MolecularGraph) -> list[list[int]]:
 
     # A bond on no fundamental cycle lies on no cycle at all (a bridge).
     on_cycle = 0
-    for cycle in _fundamental_cycles(graph):
+    for cycle in fundamental:
         on_cycle |= offer(cycle)
     for k, bond in enumerate(graph.bonds):
         if on_cycle >> k & 1:
@@ -196,32 +182,31 @@ def _shortest_cycle_through(graph: MolecularGraph, bond: Bond) -> list[int] | No
     return path
 
 
-def _demote_nonring_aromatic_bonds(graph: MolecularGraph) -> None:
-    """Aromatic bonds survive only inside rings whose atoms are all aromatic."""
-    aromatic_ring_edges: set[tuple[int, int]] = set()
-    for ring in graph.rings:
-        if all(graph.atoms[a].is_aromatic for a in ring):
-            for i, a in enumerate(ring):
-                b = ring[(i + 1) % len(ring)]
-                aromatic_ring_edges.add((a, b) if a < b else (b, a))
-    for bond in graph.bonds:
-        if bond.order is BondOrder.AROMATIC and bond.key not in aromatic_ring_edges:
-            bond.order = BondOrder.SINGLE
-
-
 def _mark_ring_membership(graph: MolecularGraph) -> None:
+    """Ring flags and smallest ring sizes, from one pass over the ring edges.
+
+    Aromatic bonds survive only inside rings whose atoms are all aromatic;
+    any other aromatic bond becomes single.
+    """
     ring_edges: set[tuple[int, int]] = set()
+    aromatic_ring_edges: set[tuple[int, int]] = set()
     smallest: dict[int, int] = {}
     for ring in graph.rings:
+        aromatic = all(graph.atoms[a].is_aromatic for a in ring)
         for i, a in enumerate(ring):
             b = ring[(i + 1) % len(ring)]
-            ring_edges.add((a, b) if a < b else (b, a))
+            key = (a, b) if a < b else (b, a)
+            ring_edges.add(key)
+            if aromatic:
+                aromatic_ring_edges.add(key)
             smallest[a] = min(smallest.get(a, len(ring)), len(ring))
     for atom in graph.atoms:
         atom.in_ring = atom.index in smallest
         atom.min_ring_size = smallest.get(atom.index, 0)
     for bond in graph.bonds:
         bond.in_ring = bond.key in ring_edges
+        if bond.order is BondOrder.AROMATIC and bond.key not in aromatic_ring_edges:
+            bond.order = BondOrder.SINGLE
 
 
 def _assign_valence(graph: MolecularGraph) -> None:
@@ -355,8 +340,8 @@ def _assign_pharmacophore_flags(graph: MolecularGraph) -> None:
 
     for atom in graph.atoms:
         atom.is_basic = (
-            atom.element == _BASIC_ELEMENT
-            and not (atom.is_aromatic and _BASIC_EXCLUDE_AROMATIC)
+            atom.element == "N"
+            and not atom.is_aromatic
             and atom.hybridization in _BASIC_HYBRIDIZATIONS
             and atom.formal_charge == 0
             and not any(

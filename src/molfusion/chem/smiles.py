@@ -56,11 +56,11 @@ class _RawBond:
         self.direction = direction  # sign is relative to written u -> v order
 
 
-def parse_smiles(s: str, fragments: str = "largest") -> MolecularGraph:
+def parse_smiles(s: str) -> MolecularGraph:
     """Parse a SMILES string into a fully annotated MolecularGraph.
 
-    ``fragments`` controls dot-separated input: "largest" keeps the biggest
-    fragment by heavy-atom count (logging a warning), "error" rejects it.
+    Dot-separated input keeps the biggest fragment by heavy-atom count
+    (logging a warning).
     """
     if not s:
         raise EmptyInputError("empty SMILES input", 0, _ATOM_START)
@@ -73,8 +73,6 @@ def parse_smiles(s: str, fragments: str = "largest") -> MolecularGraph:
     if not atoms:
         raise SmilesError("molecule has no heavy atoms", 0)
     if saw_dot:
-        if fragments == "error":
-            raise SmilesError("multi-fragment SMILES rejected", s.index("."))
         atoms, raw_bonds = _keep_largest_fragment(atoms, raw_bonds, s)
     graph = _build_graph(atoms, raw_bonds)
     annotate(graph)

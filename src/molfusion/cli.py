@@ -114,7 +114,6 @@ def resolve_configs(
         model_kwargs["fingerprint_dim"] = featurize_config.fingerprint_length
         model_config = ModelConfig(**model_kwargs)
         train_kwargs = dict(file_config.get("train", {}))
-        train_kwargs["task_type"] = task
         if seeds is not None:
             train_kwargs["seeds"] = seeds
         if epochs is not None:
@@ -277,18 +276,26 @@ def cmd_train(args) -> int:
 def build_model_from_checkpoint(
     path: str, force: bool = False
 ) -> tuple[MlfgnnModel, FeaturizeConfig]:
-    """The checkpoint's model and featurize config, checked to agree on fingerprint width."""
+    """The checkpoint's model and featurize config, checked to agree on fingerprint width.
+
+    A config or tensor set that does not build the model raises ``CheckpointError``.
+    """
     config, arrays = load_checkpoint(path, force=force)
-    model_config = ModelConfig.from_dict(config["model"])
-    featurize_config = FeaturizeConfig.from_dict(config["featurize"])
-    width = featurize_config.fingerprint_length
+    try:
+        model_config = ModelConfig.from_dict(config["model"])
+        featurize_config = FeaturizeConfig.from_dict(config["featurize"])
+        width = featurize_config.fingerprint_length
+        model = MlfgnnModel(model_config, seed=0)
+        model.load_state_arrays(arrays)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise CheckpointError(
+            f"{path}: config or tensors do not build the model ({type(exc).__name__}: {exc})"
+        ) from exc
     if width != model_config.fingerprint_dim:
         raise DataError(
             f"{path}: featurize config gives {width}-wide fingerprints but the model "
             f"expects {model_config.fingerprint_dim}"
         )
-    model = MlfgnnModel(model_config, seed=0)
-    model.load_state_arrays(arrays)
     return model, featurize_config
 
 
@@ -344,7 +351,7 @@ def cmd_explain(args) -> int:
         "smiles": args.smiles,
         "n_atoms": mol.n_atoms,
         "prediction": prediction,
-        "gate_alpha": trace.get("gate_alpha"),
+        "gate_alpha": trace["gate_alpha"],
         "lambda_attn": trace.get("lambda_attn", []),
         "lambda_adj": trace.get("lambda_adj", []),
         "gat_attention": [m.tolist() for m in trace.get("gat_attention", [])],

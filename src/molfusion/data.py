@@ -85,18 +85,6 @@ class DatasetSplit:
             "checksum": checksum,
         }
 
-    @classmethod
-    def from_manifest(cls, manifest: dict) -> "DatasetSplit":
-        idx = manifest["indices"]
-        return cls(
-            train=list(idx["train"]),
-            valid=list(idx["valid"]),
-            test=list(idx["test"]),
-            method=manifest["method"],
-            seed=manifest["seed"],
-            fractions=tuple(manifest["fractions"]),
-        )
-
     def save(self, path: str | Path, checksum: str) -> None:
         Path(path).write_text(json.dumps(self.to_manifest(checksum), indent=1, sort_keys=True))
 

@@ -139,7 +139,7 @@ def featurize_atoms(graph: MolecularGraph) -> np.ndarray:
         if 3 <= a.min_ring_size <= 6:
             row[41 + a.min_ring_size - 3] = 1.0
         row[45] = a.mass / 100.0
-        row[46 + min(a.implicit_valence, 6)] = 1.0
+        row[46 + min(a.implicit_hs, 6)] = 1.0
         row[53] = 1.0 if a.is_h_acceptor else 0.0
         row[54] = 1.0 if a.is_h_donor else 0.0
         row[55] = 1.0 if a.is_acidic else 0.0
@@ -147,18 +147,21 @@ def featurize_atoms(graph: MolecularGraph) -> np.ndarray:
     return out
 
 
-def featurize_bonds(graph: MolecularGraph) -> dict[tuple[int, int], np.ndarray]:
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for b in graph.bonds:
-        vec = np.zeros(BOND_FEATURE_DIM, dtype=np.float64)
-        vec[0] = 1.0  # "exists"
-        vec[1 + _BOND_ORDERS.index(b.order)] = 1.0
-        vec[5] = 1.0 if b.is_conjugated else 0.0
-        vec[6] = 1.0 if b.in_ring else 0.0
-        vec[7 + b.stereo] = 1.0
-        out[(b.u, b.v)] = vec
-        out[(b.v, b.u)] = vec
-    return out
+def featurize_bonds(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Directed edges ``(src, dst, bond_features)``: each bond both ways, sorted
+    by (src, dst), the order that fixes the GAT's summation order."""
+    feats = np.zeros((graph.n_bonds, BOND_FEATURE_DIM), dtype=np.float64)
+    for row, b in zip(feats, graph.bonds):
+        row[0] = 1.0  # "exists"
+        row[1 + _BOND_ORDERS.index(b.order)] = 1.0
+        row[5] = 1.0 if b.is_conjugated else 0.0
+        row[6] = 1.0 if b.in_ring else 0.0
+        row[7 + b.stereo] = 1.0
+    u = np.array([b.u for b in graph.bonds], dtype=np.int64)
+    v = np.array([b.v for b in graph.bonds], dtype=np.int64)
+    src, dst = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((dst, src))
+    return src[order], dst[order], np.concatenate([feats, feats])[order]
 
 
 def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:
@@ -186,13 +189,12 @@ def compute_fingerprint(graph: MolecularGraph, config: FeaturizeConfig) -> np.nd
 
 def featurize(graph: MolecularGraph, config: FeaturizeConfig | None = None) -> FeaturizedMolecule:
     config = config or FeaturizeConfig()
-    bonds = featurize_bonds(graph)
-    edges = sorted(bonds)  # this order fixes the GAT's summation order
+    src, dst, bond_features = featurize_bonds(graph)
     return FeaturizedMolecule(
         atom_features=featurize_atoms(graph),
-        src=np.array([e[0] for e in edges], dtype=np.int64),
-        dst=np.array([e[1] for e in edges], dtype=np.int64),
-        bond_features=np.array([bonds[e] for e in edges]).reshape(len(edges), BOND_FEATURE_DIM),
+        src=src,
+        dst=dst,
+        bond_features=bond_features,
         adjacency_normalized=normalized_adjacency(graph),
         fingerprint=compute_fingerprint(graph, config),
         n_atoms=graph.n_atoms,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -18,8 +19,13 @@ _HALOGENS = ("F", "Cl", "Br", "I")
 
 
 class KeyTable:
+    """Key predicates with their arguments as written, ``(predicate, args,
+    description)``, checked when the table is built: an unknown predicate, a
+    wrong argument count or a non-integer count raises ``ValueError``."""
+
     def __init__(self, entries: list[tuple[str, tuple[str, ...], str]]):
         self.entries = entries
+        self._tests = [_compile(k, p, args) for k, (p, args, _desc) in enumerate(entries)]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -94,56 +100,58 @@ class _MoleculeStats:
         return self.bond_pairs.get((e1, order, e2), 0)
 
 
-def _evaluate(predicate: str, args: tuple[str, ...], st: _MoleculeStats) -> bool:
-    if predicate == "element_ge":
-        return st.element_counts.get(args[0], 0) >= int(args[1])
-    if predicate == "halogen_ge":
-        return st.halogens >= int(args[0])
-    if predicate == "hetero_ge":
-        return st.hetero >= int(args[0])
-    if predicate == "heavy_ge":
-        return st.n_heavy >= int(args[0])
-    if predicate == "degree_count_ge":
-        d, k = int(args[0]), int(args[1])
-        return sum(1 for deg in st.degrees if deg >= d) >= k
-    if predicate == "charge_pos_ge":
-        return st.pos >= int(args[0])
-    if predicate == "charge_neg_ge":
-        return st.neg >= int(args[0])
-    if predicate == "charged_ge":
-        return st.pos + st.neg >= int(args[0])
-    if predicate == "ring_ge":
-        return len(st.rings) >= int(args[0])
-    if predicate == "ring_size_ge":
-        s, k = int(args[0]), int(args[1])
-        return sum(1 for size in st.ring_sizes if size == s) >= k
-    if predicate == "aromatic_ring_ge":
-        return len(st.aromatic_rings) >= int(args[0])
-    if predicate == "aromatic_ring_size_ge":
-        s, k = int(args[0]), int(args[1])
-        return sum(1 for r in st.aromatic_rings if len(r) == s) >= k
-    if predicate == "nonaromatic_ring_ge":
-        return len(st.rings) - len(st.aromatic_rings) >= int(args[0])
-    if predicate == "hetero_ring_ge":
-        sym, k = args[0], int(args[1])
-        return sum(1 for els in st.ring_elements if sym in els) >= k
-    if predicate == "aromatic_atoms_ge":
-        return st.aromatic_atoms >= int(args[0])
-    if predicate == "donor_ge":
-        return st.donors >= int(args[0])
-    if predicate == "acceptor_ge":
-        return st.acceptors >= int(args[0])
-    if predicate == "acidic_ge":
-        return st.acidic >= int(args[0])
-    if predicate == "basic_ge":
-        return st.basic >= int(args[0])
-    if predicate == "bond_pair":
-        return st.pair_count(args[0], args[1], args[2]) >= 1
-    if predicate == "bond_pair_ge":
-        return st.pair_count(args[0], args[1], args[2]) >= int(args[3])
-    if predicate == "double_bonds_ge":
-        return st.double_bonds >= int(args[0])
-    raise ValueError(f"unknown key predicate {predicate!r}")
+# Predicate -> (argument kinds, test on the molecule's stats). Kind "s" is a
+# symbol or bond order passed as written, "i" an integer count or size.
+_PREDICATES: dict[str, tuple[str, Callable[..., bool]]] = {
+    "element_ge": ("si", lambda st, sym, k: st.element_counts.get(sym, 0) >= k),
+    "halogen_ge": ("i", lambda st, k: st.halogens >= k),
+    "hetero_ge": ("i", lambda st, k: st.hetero >= k),
+    "heavy_ge": ("i", lambda st, k: st.n_heavy >= k),
+    "degree_count_ge": ("ii", lambda st, d, k: sum(1 for deg in st.degrees if deg >= d) >= k),
+    "charge_pos_ge": ("i", lambda st, k: st.pos >= k),
+    "charge_neg_ge": ("i", lambda st, k: st.neg >= k),
+    "charged_ge": ("i", lambda st, k: st.pos + st.neg >= k),
+    "ring_ge": ("i", lambda st, k: len(st.rings) >= k),
+    "ring_size_ge": ("ii", lambda st, s, k: sum(1 for size in st.ring_sizes if size == s) >= k),
+    "aromatic_ring_ge": ("i", lambda st, k: len(st.aromatic_rings) >= k),
+    "aromatic_ring_size_ge": (
+        "ii", lambda st, s, k: sum(1 for r in st.aromatic_rings if len(r) == s) >= k
+    ),
+    "nonaromatic_ring_ge": ("i", lambda st, k: len(st.rings) - len(st.aromatic_rings) >= k),
+    "hetero_ring_ge": (
+        "si", lambda st, sym, k: sum(1 for els in st.ring_elements if sym in els) >= k
+    ),
+    "aromatic_atoms_ge": ("i", lambda st, k: st.aromatic_atoms >= k),
+    "donor_ge": ("i", lambda st, k: st.donors >= k),
+    "acceptor_ge": ("i", lambda st, k: st.acceptors >= k),
+    "acidic_ge": ("i", lambda st, k: st.acidic >= k),
+    "basic_ge": ("i", lambda st, k: st.basic >= k),
+    "bond_pair": ("sss", lambda st, s1, order, s2: st.pair_count(s1, order, s2) >= 1),
+    "bond_pair_ge": ("sssi", lambda st, s1, order, s2, k: st.pair_count(s1, order, s2) >= k),
+    "double_bonds_ge": ("i", lambda st, k: st.double_bonds >= k),
+}
+
+
+def _compile(index: int, predicate: str, args: tuple[str, ...]):
+    """Key ``index``'s test and its parsed arguments."""
+    if predicate not in _PREDICATES:
+        raise ValueError(f"key {index}: unknown key predicate {predicate!r}")
+    kinds, test = _PREDICATES[predicate]
+    if len(args) != len(kinds):
+        raise ValueError(
+            f"key {index}: {predicate} takes {len(kinds)} argument(s), got {len(args)}: {args}"
+        )
+    parsed = []
+    for kind, arg in zip(kinds, args):
+        if kind == "i":
+            try:
+                arg = int(arg)
+            except ValueError:
+                raise ValueError(
+                    f"key {index}: {predicate} argument {arg!r} is not an integer"
+                ) from None
+        parsed.append(arg)
+    return test, tuple(parsed)
 
 
 def substructure_key_fingerprint(
@@ -153,7 +161,7 @@ def substructure_key_fingerprint(
     table = table or default_key_table()
     stats = _MoleculeStats(graph)
     out = np.zeros(len(table), dtype=np.float64)
-    for k, (predicate, args, _desc) in enumerate(table.entries):
-        if _evaluate(predicate, args, stats):
+    for k, (test, args) in enumerate(table._tests):
+        if test(stats, *args):
             out[k] = 1.0
     return out

@@ -175,8 +175,6 @@ class MlfgnnModel:
                 float(l.lambda_adj.data[0, 0]) for l in self.transformer_stack
                 if c.adjacency_bias
             ]
-            if "gate_alpha" not in trace:
-                trace["gate_alpha"] = 1.0 if c.ablation == "gat_only" else 0.0
         return out
 
     def predict_batch(self, batch: MoleculeBatch) -> np.ndarray:

@@ -36,7 +36,6 @@ class TrainConfig:
     batch_size: int = 32  # molecules per optimizer step
     seeds: tuple[int, ...] = (0,)
     patience: int = 30
-    task_type: str = "regression"
     target_train_rmse: float | None = None  # optional overfit-sanity early exit
 
     def __post_init__(self):
@@ -99,8 +98,9 @@ def prepare_inputs(
     return mols, labels, mask
 
 
-def evaluate_metric(model, mols, labels, mask, indices, task_type) -> float | None:
-    """Validation/test metric: mean ROC-AUC or pooled RMSE over ``indices``.
+def evaluate_metric(model, mols, labels, mask, indices) -> float | None:
+    """Validation/test metric over ``indices``: mean ROC-AUC for a
+    classification model, pooled RMSE for a regression one.
 
     Returns None for an empty fold or a classification fold without both
     classes in any task (the metric is undefined there).
@@ -113,7 +113,7 @@ def evaluate_metric(model, mols, labels, mask, indices, task_type) -> float | No
             for chunk in chunks(indices, lambda i: mols[i].n_atoms)
         ])
     sub_labels, sub_mask = labels[indices], mask[indices]
-    if task_type == "classification":
+    if model.config.task == "classification":
         try:
             return roc_auc_multi(preds, sub_labels, sub_mask)
         except SingleClassError:
@@ -148,6 +148,7 @@ def train(
     non-improving epochs. The returned state is the best-validation snapshot (last epoch when the
     validation set is empty), already restored into the model.
     """
+    task = model.config.task
     streams = split_streams(seed, ("shuffle", "dropout"))
     optimizer = Adam(model.params, lr=config.lr)
     best_metric: float | None = None
@@ -171,7 +172,7 @@ def train(
                     # A loss that overflows is reported below as a data error,
                     # not as numpy's warning.
                     with np.errstate(over="ignore", invalid="ignore"):
-                        loss = masked_loss(out, labels[chunk], mask[chunk], config.task_type)
+                        loss = masked_loss(out, labels[chunk], mask[chunk], task)
                     value = loss.item()
                     if not math.isfinite(value):
                         raise NonFiniteLossError(
@@ -181,9 +182,7 @@ def train(
                     backward(loss * (len(chunk) / len(batch)))
                 optimizer.step()
             train_loss = loss_sum / len(order) if order else float("nan")
-            valid_metric = evaluate_metric(
-                model, mols, labels, mask, split.valid, config.task_type
-            )
+            valid_metric = evaluate_metric(model, mols, labels, mask, split.valid)
             lambda_attn, lambda_adj = model.lambda_values()
             entry = {
                 "epoch": epoch,
@@ -199,7 +198,7 @@ def train(
             if valid_metric is None:
                 best_epoch = epoch
                 best_state = model.state_arrays()
-            elif _improved(valid_metric, best_metric, config.task_type):
+            elif _improved(valid_metric, best_metric, task):
                 best_metric = valid_metric
                 best_epoch = epoch
                 best_state = model.state_arrays()
@@ -211,7 +210,7 @@ def train(
                     break
             if (
                 config.target_train_rmse is not None
-                and config.task_type == "regression"
+                and task == "regression"
                 and math.sqrt(train_loss) < config.target_train_rmse
             ):
                 log.info("seed %d: train RMSE target reached at epoch %d", seed, epoch)
@@ -220,7 +219,7 @@ def train(
         if log_fh:
             log_fh.close()
     model.load_state_arrays(best_state)
-    test_metric = evaluate_metric(model, mols, labels, mask, split.test, config.task_type)
+    test_metric = evaluate_metric(model, mols, labels, mask, split.test)
     return TrainResult(
         seed=seed,
         best_epoch=best_epoch,
@@ -253,7 +252,7 @@ def multi_seed(
         if split_method == "scaffold"
         else None
     )
-    metric_name = "roc_auc" if config.task_type == "classification" else "rmse"
+    metric_name = "roc_auc" if dataset.task_type == "classification" else "rmse"
     results: dict[int, TrainResult] = {}
     splits: dict[int, DatasetSplit] = {}
     per_seed: dict[int, float] = {}

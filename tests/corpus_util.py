@@ -9,14 +9,16 @@ learn them from structure; classification labels threshold the same value.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import hashlib
 import importlib.util
 import math
 import sys
 from pathlib import Path
+from typing import Sequence
 
-from molfusion.chem import parse_smiles
+from molfusion.chem import MolecularGraph, parse_smiles
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -186,3 +188,26 @@ def screen_large_smiles(seed: int) -> tuple[str, ...]:
     return tuple(
         workloads.large_molecules(seed, workloads.SCREEN_LARGE_ROWS, workloads.corpus())
     )
+
+
+def relabel(graph: MolecularGraph, perm: Sequence[int]) -> MolecularGraph:
+    """Copy of ``graph`` with atom i moved to position perm[i].
+
+    Derived annotations are carried over; rings are remapped. Used for
+    order-insensitivity checks.
+    """
+    if sorted(perm) != list(range(graph.n_atoms)):
+        raise ValueError("perm must be a permutation of atom indices")
+    atoms = [None] * graph.n_atoms
+    for i, atom in enumerate(graph.atoms):
+        atoms[perm[i]] = dataclasses.replace(atom)
+    bonds = [dataclasses.replace(b, u=perm[b.u], v=perm[b.v]) for b in graph.bonds]
+    out = MolecularGraph(atoms, bonds)
+    out.rings = [[perm[a] for a in ring] for ring in graph.rings]
+    return out
+
+
+def n_components(graph: MolecularGraph) -> int:
+    """Connected components, counted from ``distance_matrix()`` as the distinct
+    sets of mutually reachable atoms (independent of ring perception's forest)."""
+    return len({row.tobytes() for row in graph.distance_matrix() >= 0})

@@ -158,7 +158,7 @@ def test_criterion_3_permutation_invariance_100_molecules():
         graph = parse_smiles(smiles)
         mol = featurize(graph, SMALL_FEATURIZE)
         perm = rng.permutation(graph.n_atoms).tolist()
-        permuted = featurize(graph.relabel(perm), SMALL_FEATURIZE)
+        permuted = featurize(corpus_util.relabel(graph, perm), SMALL_FEATURIZE)
         delta = float(np.abs(model.forward(mol).data - model.forward(permuted).data).max())
         worst = max(worst, delta)
     _verdict(3, f"permutation invariance over 100 molecules (max delta {worst:.2e})", worst < 1e-9)
@@ -171,7 +171,7 @@ def test_criterion_4_feature_widths_500_molecules():
         graph = parse_smiles(smiles)
         atoms = featurize_atoms(graph)
         ok &= atoms.shape == (graph.n_atoms, 57)
-        for vec in featurize_bonds(graph).values():
+        for vec in featurize_bonds(graph)[2]:
             ok &= vec.shape == (13,)
     _verdict(4, f"57-wide atom rows / 13-wide bond vectors across {len(corpus)} molecules", ok)
 
@@ -256,7 +256,7 @@ def test_criterion_6_overfit_sanity_10_seeds():
         model = MlfgnnModel(OVERFIT_CONFIG, seed=seed)
         config = TrainConfig(
             epochs=300, lr=5e-3, batch_size=32, patience=400,
-            task_type="regression", target_train_rmse=0.1,
+            target_train_rmse=0.1,
         )
         result = train(model, mols, labels, mask, split, config, seed=seed)
         losses = [h["train_loss"] for h in result.history]
@@ -283,7 +283,7 @@ def test_criterion_7_desk_scale_learning_signal():
     baseline = float(np.sqrt(np.mean((test_labels - train_mean) ** 2)))
 
     model = MlfgnnModel(ModelConfig(), seed=0)  # default configuration
-    config = TrainConfig(epochs=120, lr=1e-3, batch_size=32, patience=12, task_type="regression")
+    config = TrainConfig(epochs=120, lr=1e-3, batch_size=32, patience=12)
     result = train(model, mols, labels, mask, split, config, seed=0)
     improvement = 1.0 - result.test_metric / baseline
 
@@ -294,7 +294,7 @@ def test_criterion_7_desk_scale_learning_signal():
         ab_model = MlfgnnModel(ab_config, seed=0)
         ab_result = train(
             ab_model, mols, labels, mask, split,
-            TrainConfig(epochs=6, lr=1e-3, patience=10, task_type="regression"), seed=0,
+            TrainConfig(epochs=6, lr=1e-3, patience=10), seed=0,
         )
         ablation_ok &= (
             ab_result.test_metric is not None and math.isfinite(ab_result.test_metric)

@@ -87,25 +87,6 @@ class TestPrimitiveGradients:
         report = grad_check(lambda: ad.sum_(ad.mul(a @ b, a @ b)), [a, b], rtol=1e-5, atol=1e-8)
         assert report.passed
 
-    @given(seed=st.integers(0, 29))
-    @settings(max_examples=30, deadline=None)
-    def test_stacked_matmul(self, seed):
-        rng = make_rng(seed + 2500)
-        s, n, k, m = (int(rng.integers(1, 5)) for _ in range(4))
-        a, b = _rand(rng, s, n, k), _rand(rng, s, k, m)
-        report = grad_check(lambda: ad.sum_(ad.mul(a @ b, a @ b)), [a, b], rtol=1e-5, atol=1e-8)
-        assert report.passed
-
-    @given(seed=st.integers(0, 29))
-    @settings(max_examples=30, deadline=None)
-    def test_stack_times_shared_matrix(self, seed):
-        rng = make_rng(seed + 2600)
-        s, n, k, m = (int(rng.integers(1, 5)) for _ in range(4))
-        a, b = _rand(rng, s, n, k), _rand(rng, k, m)
-        assert np.allclose((a @ b).data, np.einsum("snk,km->snm", a.data, b.data))
-        report = grad_check(lambda: ad.sum_(ad.mul(a @ b, a @ b)), [a, b], rtol=1e-5, atol=1e-8)
-        assert report.passed
-
     def test_three_chained_matmuls_meet_finite_differences(self):
         rng = make_rng(44)
         x = Tensor(rng.standard_normal((2, 3)))
@@ -239,10 +220,9 @@ class TestOpSemantics:
         with pytest.raises(ShapeMismatchError) as err:
             ad.matmul(a, b)
         assert "(2, 3)" in str(err.value)
-        with pytest.raises(ShapeMismatchError):  # stacks must share their leading axes
-            ad.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
-        with pytest.raises(ShapeMismatchError):  # a matrix times a stack is not defined
-            ad.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4, 5))))
+        for a_shape, b_shape in [((2, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5))]:
+            with pytest.raises(ShapeMismatchError):  # matrices only
+                ad.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
     def test_forward_determinism(self):
         rng1, rng2 = make_rng(42), make_rng(42)

@@ -163,6 +163,24 @@ class TestFeaturizeCommand:
 
 
 class TestTrainCommand:
+    @pytest.mark.parametrize(
+        "line", ["1|bogus_pred|1|x", "1|element_ge|C,c|x", "1|element_ge|C|x"],
+        ids=["unknown-predicate", "non-integer-argument", "wrong-argument-count"],
+    )
+    def test_bad_key_table_line_exit_1(self, workdir, tmp_path, capsys, line):
+        keys = tmp_path / "keys.txt"
+        keys.write_text(f"0|element_ge|C,1|carbon\n{line}\n")
+        featurize_section = {**TINY_CONFIG["featurize"], "key_table_path": str(keys)}
+        config = dict(TINY_CONFIG, featurize=featurize_section)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(workdir / "reg.csv"), "--task", "reg",
+                     "--epochs", "1", "--config", str(tmp_path / "config.json"),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: key 1:")
+        assert not out.exists()
+
     def test_outputs_exist(self, trained):
         assert (trained / "report.json").exists()
         assert (trained / "seed_0.ckpt").exists()
@@ -439,6 +457,23 @@ CHECKPOINT_CORRUPTIONS = {
 }
 
 
+# Edits of a loaded checkpoint that leave a valid file whose config or
+# tensors do not build the model.
+UNBUILDABLE_CHECKPOINTS = {
+    "unknown-model-key": lambda config, arrays: config["model"].update(bogus=1),
+    "non-integer-heads": lambda config, arrays: config["model"].update(heads="x"),
+    "morgan-bits-below-minimum": lambda config, arrays: config["featurize"].update(morgan_bits=10),
+    "missing-tensor": lambda config, arrays: arrays.pop("node_init.w"),
+    "model-section-a-string": lambda config, arrays: config.update(model="regression"),
+}
+
+
+def _checkpoint_argv(command, workdir, out):
+    if command == "predict":
+        return ["predict", "--input", str(workdir / "reg.csv"), "--out", str(out)]
+    return ["explain", "--smiles", "CCO", "--out", str(out)]
+
+
 @pytest.mark.parametrize("command", ["predict", "explain"])
 @pytest.mark.parametrize("corruption", sorted(CHECKPOINT_CORRUPTIONS))
 def test_corrupt_checkpoint_exit_2(workdir, trained, tmp_path, capsys, command, corruption):
@@ -447,10 +482,7 @@ def test_corrupt_checkpoint_exit_2(workdir, trained, tmp_path, capsys, command, 
     bad.write_bytes(CHECKPOINT_CORRUPTIONS[corruption](raw))
     assert bad.read_bytes() != raw
     out = tmp_path / "out"
-    if command == "predict":
-        argv = ["predict", "--input", str(workdir / "reg.csv"), "--out", str(out)]
-    else:
-        argv = ["explain", "--smiles", "CCO", "--out", str(out)]
+    argv = _checkpoint_argv(command, workdir, out)
     assert main([*argv, "--checkpoint", str(bad)]) == 2
     assert "data error:" in capsys.readouterr().err
     assert not out.exists()
@@ -458,6 +490,20 @@ def test_corrupt_checkpoint_exit_2(workdir, trained, tmp_path, capsys, command, 
         assert main([*argv, "--checkpoint", str(bad), "--force"]) == 2
         assert "payload checksum" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "explain"])
+@pytest.mark.parametrize("fault", sorted(UNBUILDABLE_CHECKPOINTS))
+def test_unbuildable_checkpoint_exit_2(workdir, trained, tmp_path, capsys, command, fault):
+    config, arrays = load_checkpoint(trained / "seed_0.ckpt")
+    UNBUILDABLE_CHECKPOINTS[fault](config, arrays)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, config, arrays)
+    out = tmp_path / "out"
+    assert main([*_checkpoint_argv(command, workdir, out), "--checkpoint", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(bad) in err
+    assert not out.exists()
 
 
 class TestExplainCommand:
@@ -549,7 +595,7 @@ class TestGradcheckCommand:
         for seed in range(5):
             g = random_molecule_graph(6, seed=seed)
             assert g.n_atoms == 6
-            assert len(g.components()) == 1
+            assert corpus_util.n_components(g) == 1
 
 
 class TestUsage:

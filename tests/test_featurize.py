@@ -87,35 +87,38 @@ class TestAtomFeatures:
             g = parse_smiles(smiles)
             perm = rng.permutation(g.n_atoms).tolist()
             feats = featurize_atoms(g)
-            feats_perm = featurize_atoms(g.relabel(perm))
+            feats_perm = featurize_atoms(corpus_util.relabel(g, perm))
             for i in range(g.n_atoms):
                 assert np.array_equal(feats[i], feats_perm[perm[i]])
 
 
+def _bond_rows(g):
+    src, dst, feats = featurize_bonds(g)
+    return {(int(u), int(v)): vec for u, v, vec in zip(src, dst, feats)}
+
+
 class TestBondFeatures:
     def test_width_and_exists(self):
-        g = parse_smiles("CC=O")
-        feats = featurize_bonds(g)
-        for vec in feats.values():
-            assert vec.shape == (BOND_FEATURE_DIM,)
-            assert vec[0] == 1.0
+        g = parse_smiles("CC(=O)OC1CC1")
+        src, dst, feats = featurize_bonds(g)
+        assert feats.shape == (2 * g.n_bonds, BOND_FEATURE_DIM)
+        assert (feats[:, 0] == 1.0).all()
+        edges = list(zip(src.tolist(), dst.tolist()))
+        assert edges == sorted({(b.u, b.v) for b in g.bonds} | {(b.v, b.u) for b in g.bonds})
 
     def test_symmetry(self):
-        g = parse_smiles("CC(=O)O")
-        feats = featurize_bonds(g)
+        feats = _bond_rows(parse_smiles("CC(=O)O"))
         for (u, v), vec in feats.items():
             assert np.array_equal(vec, feats[(v, u)])
 
     def test_benzene_bond(self):
-        g = parse_smiles("c1ccccc1")
-        vec = featurize_bonds(g)[(0, 1)]
+        vec = _bond_rows(parse_smiles("c1ccccc1"))[(0, 1)]
         assert vec[4] == 1.0  # aromatic slot
         assert vec[6] == 1.0  # ring slot
         assert vec[5] == 1.0  # conjugated
 
     def test_ethanol_bond(self):
-        g = parse_smiles("CCO")
-        vec = featurize_bonds(g)[(1, 2)]
+        vec = _bond_rows(parse_smiles("CCO"))[(1, 2)]
         assert vec[1] == 1.0  # single
         assert vec[5] == 0.0  # not conjugated
         assert vec[7] == 1.0  # stereo code 0
@@ -257,7 +260,7 @@ class TestMorgan:
             g = parse_smiles(smiles)
             perm = rng.permutation(g.n_atoms).tolist()
             assert np.array_equal(
-                morgan_fingerprint(g), morgan_fingerprint(g.relabel(perm))
+                morgan_fingerprint(g), morgan_fingerprint(corpus_util.relabel(g, perm))
             )
 
     def test_parameter_validation(self):

@@ -50,7 +50,7 @@ def _featurize_and_predict(graphs):
 def test_random_graphs_featurize_and_predict(specs):
     graphs = [random_molecule_graph(n, seed) for n, seed in specs]
     for (n, _seed), g in zip(specs, graphs):
-        assert g.n_atoms == n and len(g.components()) == 1
+        assert g.n_atoms == n and corpus_util.n_components(g) == 1
     _featurize_and_predict(graphs)
 
 

@@ -572,7 +572,7 @@ class TestForwardContract:
             graph = parse_smiles(smiles)
             mol = featurize(graph, SMALL_FEATURIZE)
             perm = rng.permutation(graph.n_atoms).tolist()
-            mol_perm = featurize(graph.relabel(perm), SMALL_FEATURIZE)
+            mol_perm = featurize(corpus_util.relabel(graph, perm), SMALL_FEATURIZE)
             delta = np.abs(model.forward(mol).data - model.forward(mol_perm).data).max()
             assert delta < 1e-9, f"{smiles}: {delta}"
 

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molfusion.chem import (
+    Atom,
+    Bond,
     BondOrder,
     Chirality,
     EmptyInputError,
@@ -15,6 +17,7 @@ from molfusion.chem import (
     UnclosedRingError,
     UnknownElementError,
     ValenceViolationError,
+    annotate,
     murcko_scaffold,
     parse_smiles,
     scaffold_hash,
@@ -99,10 +102,6 @@ class TestBasicParsing:
         assert g.n_atoms == 4
         assert not atoms_of(g, "Na")
 
-    def test_multi_fragment_error_mode(self):
-        with pytest.raises(SmilesError):
-            parse_smiles("CC.O", fragments="error")
-
     def test_explicit_hydrogen_folding(self):
         g = parse_smiles("[H]OC([H])([H])O[H]")
         assert g.n_atoms == 3
@@ -162,6 +161,17 @@ class TestRings:
 
     def test_acyclic(self):
         assert parse_smiles("CCO").rings == []
+
+    def test_rank_of_a_disconnected_graph(self):
+        # Two triangles, a square and a lone atom: four components, three rings.
+        ring_bonds = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                      (6, 7), (7, 8), (8, 9), (9, 6)]
+        g = MolecularGraph([Atom("C") for _ in range(11)],
+                           [Bond(u, v, BondOrder.SINGLE) for u, v in ring_bonds])
+        annotate(g)
+        assert corpus_util.n_components(g) == 4
+        assert len(g.rings) == g.n_bonds - g.n_atoms + corpus_util.n_components(g) == 3
+        assert sorted(len(r) for r in g.rings) == [3, 3, 4]
 
     def test_fused_pair_matches_bruteforce_oracle(self):
         # Oracle: enumerate all simple cycles, pick the smallest independent
@@ -251,7 +261,7 @@ def _oracle_min_cycle_basis_sizes(g: MolecularGraph) -> list[int]:
             a, b = c[i], c[(i + 1) % len(c)]
             mask |= 1 << bond_idx[(a, b) if a < b else (b, a)]
         unique.setdefault(mask, c)
-    target = g.n_bonds - n + len(g.components())
+    target = g.n_bonds - n + corpus_util.n_components(g)
     basis, chosen = [], []
     for mask, c in sorted(unique.items(), key=lambda kv: (len(kv[1]), sorted(kv[1]))):
         reduced = mask
@@ -303,7 +313,7 @@ class TestInvariants:
     def test_corpus_invariants(self):
         for smiles in corpus_util.build_corpus(200):
             g = parse_smiles(smiles)
-            assert len(g.rings) == g.n_bonds - g.n_atoms + len(g.components())
+            assert len(g.rings) == g.n_bonds - g.n_atoms + corpus_util.n_components(g)
             for a in g.atoms:
                 assert a.implicit_hs >= 0
                 assert -4 <= a.formal_charge <= 4
@@ -315,7 +325,7 @@ class TestInvariants:
     def test_degree_matches_bonds_after_relabel(self):
         g = parse_smiles("CC(=O)Nc1ccccc1")
         perm = list(reversed(range(g.n_atoms)))
-        h = g.relabel(perm)
+        h = corpus_util.relabel(g, perm)
         assert h.graph_hash() == g.graph_hash()
 
     @given(st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126), min_size=1, max_size=12))

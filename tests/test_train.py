@@ -167,7 +167,7 @@ class TestTrainLoop:
         mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
         split = random_split(tiny_dataset, 0)
         model = MlfgnnModel(small_config(), seed=0)
-        config = TrainConfig(epochs=50, lr=1e-30, patience=5, task_type="regression")
+        config = TrainConfig(epochs=50, lr=1e-30, patience=5)
         result = train(model, mols, labels, mask, split, config, seed=0)
         # epoch 1 sets the best; metrics never improve with a frozen model
         assert len(result.history) == 6
@@ -175,7 +175,7 @@ class TestTrainLoop:
     def test_same_seed_identical_trajectories(self, tiny_dataset):
         mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
         split = random_split(tiny_dataset, 0)
-        config = TrainConfig(epochs=4, lr=1e-3, patience=10, task_type="regression")
+        config = TrainConfig(epochs=4, lr=1e-3, patience=10)
         histories = []
         for _ in range(2):
             model = MlfgnnModel(small_config(), seed=1)
@@ -188,7 +188,7 @@ class TestTrainLoop:
         mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
         split = random_split(tiny_dataset, 0)
         model = MlfgnnModel(small_config(), seed=2)
-        config = TrainConfig(epochs=8, lr=5e-3, patience=50, task_type="regression")
+        config = TrainConfig(epochs=8, lr=5e-3, patience=50)
         result = train(model, mols, labels, mask, split, config, seed=2)
         best = min(
             (h for h in result.history if h["valid_metric"] is not None),
@@ -199,7 +199,7 @@ class TestTrainLoop:
         # restored model state must reproduce the recorded test metric
         from molfusion.train import evaluate_metric
 
-        re_eval = evaluate_metric(model, mols, labels, mask, split.test, "regression")
+        re_eval = evaluate_metric(model, mols, labels, mask, split.test)
         assert re_eval == pytest.approx(result.test_metric)
 
     def test_log_lines_carry_gate_and_lambdas(self, tiny_dataset, tmp_path):
@@ -208,7 +208,7 @@ class TestTrainLoop:
         mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
         split = random_split(tiny_dataset, 0)
         model = MlfgnnModel(small_config(), seed=0)
-        config = TrainConfig(epochs=2, patience=5, task_type="regression")
+        config = TrainConfig(epochs=2, patience=5)
         log_path = tmp_path / "log.jsonl"
         train(model, mols, labels, mask, split, config, seed=0, log_path=log_path)
         lines = [json.loads(l) for l in log_path.read_text().splitlines()]
@@ -224,7 +224,7 @@ class TestTrainLoop:
         wins = 0
         for seed in range(3):
             model = MlfgnnModel(small_config(), seed=seed)
-            config = TrainConfig(epochs=10, lr=3e-3, patience=50, task_type="regression")
+            config = TrainConfig(epochs=10, lr=3e-3, patience=50)
             result = train(model, mols, labels, mask, split, config, seed=seed)
             losses = [h["train_loss"] for h in result.history]
             if losses[-1] < losses[0]:
@@ -266,7 +266,7 @@ class TestMultiSeed:
                     cells[0] = str(base)
                 writer.writerow([s, *cells])
         ds = load_csv(path, "smiles", ["t0", "t1", "t2"], "classification")
-        config = TrainConfig(epochs=2, patience=5, task_type="classification", seeds=(0,))
+        config = TrainConfig(epochs=2, patience=5, seeds=(0,))
         report, results, _splits = multi_seed(
             lambda seed: MlfgnnModel(
                 small_config(n_tasks=3, task="classification"), seed=seed
@@ -278,7 +278,7 @@ class TestMultiSeed:
         assert results[0].history  # trained without AllMasked errors
 
     def test_multi_seed_runs(self, tiny_dataset):
-        config = TrainConfig(epochs=2, patience=5, task_type="regression", seeds=(0, 1))
+        config = TrainConfig(epochs=2, patience=5, seeds=(0, 1))
         report, results, splits = multi_seed(
             lambda seed: MlfgnnModel(small_config(), seed=seed),
             tiny_dataset,
