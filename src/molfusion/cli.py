@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -224,12 +224,13 @@ def cmd_train(args) -> int:
     task = {"cls": "classification", "reg": "regression"}[args.task]
     file_config = load_config_file(args.config)
     label_cols = [c.strip() for c in args.label_cols.split(",")] if args.label_cols else None
-    dataset = load_csv(args.data, args.smiles_col, label_cols, task)
     seeds = tuple(range(args.seeds)) if args.seeds is not None else None
+    # The config is checked before any row is read; n_tasks comes from the data.
     model_config, train_config, featurize_config = resolve_configs(
-        file_config, task, dataset.n_tasks, ablation=args.ablate, seeds=seeds,
-        epochs=args.epochs,
+        file_config, task, 1, ablation=args.ablate, seeds=seeds, epochs=args.epochs,
     )
+    dataset = load_csv(args.data, args.smiles_col, label_cols, task)
+    model_config = replace(model_config, n_tasks=dataset.n_tasks)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     full_config = combined_config_dict(model_config, train_config, featurize_config)
@@ -373,6 +374,10 @@ def cmd_explain(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.atoms < 1:
         raise ConfigError(f"--atoms must be at least 1, got {args.atoms}")
+    if args.coords_per_group < 1:
+        raise ConfigError(
+            f"--coords-per-group must be at least 1, got {args.coords_per_group}"
+        )
     file_config = load_config_file(args.config)
     model_config, _train_config, featurize_config = resolve_configs(
         file_config, "regression", 1, ablation=args.ablate

@@ -5,13 +5,15 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from ..autodiff import backward, no_grad
+from ..autodiff import no_grad
 from ..autodiff.optim import Adam
 from ..autodiff.rng import split_streams
 from ..chem import parse_smiles
@@ -19,7 +21,7 @@ from ..data import Dataset, DatasetSplit, random_split, scaffold_split
 from ..featurize import FeaturizeConfig, FeaturizedMolecule, featurize
 from ..model.batch import MoleculeBatch, chunks
 from ..model.network import MlfgnnModel
-from .losses import masked_loss
+from .lanes import Lanes
 from .metrics import SingleClassError, masked_rmse, roc_auc_multi
 
 log = logging.getLogger(__name__)
@@ -43,7 +45,23 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
+        if not _number(self.batch_size, numbers.Integral) or self.batch_size < 1:
+            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         self.seeds = tuple(self.seeds)
+        if not self.seeds:
+            raise ValueError("need at least one seed")
+        target = self.target_train_rmse
+        if target is not None and not (
+            _number(target, numbers.Real) and math.isfinite(target) and target > 0
+        ):
+            raise ValueError(
+                f"target_train_rmse must be null or a finite number > 0, got {target!r}"
+            )
+
+
+def _number(value, kind) -> bool:
+    """``value`` is an instance of the ``numbers`` class ``kind``, and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -142,7 +160,9 @@ def train(
 
     Each epoch shuffles the training indices (seeded) and takes one optimizer
     step per ``batch_size`` molecules. A batch runs as a few packed chunks
-    (``model.batch.chunks``), each with one forward and one backward; the
+    (``model.batch.chunks``), each with one forward and one backward and its
+    own dropout seed, drawn in chunk order from the seed's dropout stream;
+    ``lanes.Lanes`` splits them between this process and a helper, and the
     gradients add up to that of the mean per-molecule loss. Then the epoch
     scores the validation set. Training stops after ``patience``
     non-improving epochs. The returned state is the best-validation snapshot (last epoch when the
@@ -156,30 +176,22 @@ def train(
     best_state = model.state_arrays()
     non_improving = 0
     history: list[dict] = []
-    log_fh = open(log_path, "w") if log_path else None
-    try:
+    with Lanes(model, mols, labels, mask) as lanes, \
+            (open(log_path, "w") if log_path else nullcontext()) as log_fh:
         for epoch in range(1, config.epochs + 1):
             order = streams["shuffle"].permutation(split.train).tolist()
             loss_sum = 0.0
             for start in range(0, len(order), config.batch_size):
                 batch = order[start : start + config.batch_size]
-                optimizer.zero_grad()
-                for chunk in chunks(batch, lambda i: mols[i].n_atoms):
-                    out = model.forward(
-                        MoleculeBatch([mols[i] for i in chunk]), train=True,
-                        rng=streams["dropout"],
-                    )
-                    # A loss that overflows is reported below as a data error,
-                    # not as numpy's warning.
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        loss = masked_loss(out, labels[chunk], mask[chunk], task)
-                    value = loss.item()
+                chunk_lists = list(chunks(batch, lambda i: mols[i].n_atoms))
+                seeds = streams["dropout"].integers(2**63, size=len(chunk_lists)).tolist()
+                losses = lanes.step(chunk_lists, seeds, len(batch))
+                for chunk, value in zip(chunk_lists, losses):
                     if not math.isfinite(value):
                         raise NonFiniteLossError(
                             f"non-finite loss at epoch {epoch}, records {chunk}: {value}"
                         )
                     loss_sum += value * len(chunk)
-                    backward(loss * (len(chunk) / len(batch)))
                 optimizer.step()
             train_loss = loss_sum / len(order) if order else float("nan")
             valid_metric = evaluate_metric(model, mols, labels, mask, split.valid)
@@ -215,9 +227,7 @@ def train(
             ):
                 log.info("seed %d: train RMSE target reached at epoch %d", seed, epoch)
                 break
-    finally:
-        if log_fh:
-            log_fh.close()
+    # The helper has stopped; the parameters get private copies again.
     model.load_state_arrays(best_state)
     test_metric = evaluate_metric(model, mols, labels, mask, split.test)
     return TrainResult(
@@ -244,8 +254,6 @@ def multi_seed(
     Random splits are reseeded per seed; a scaffold split is computed once
     and shared (initialization and shuffling still vary by seed).
     """
-    if not config.seeds:
-        raise ValueError("need at least one seed")
     mols, labels, mask = prepare_inputs(dataset, featurize_config)
     fixed_split = (
         scaffold_split(dataset, seed=0, fractions=fractions)

@@ -181,6 +181,36 @@ class TestTrainCommand:
         assert capsys.readouterr().err.startswith("config error: key 1:")
         assert not out.exists()
 
+    def test_config_checked_before_the_data_is_read(self, workdir, tmp_path, capsys):
+        keys = tmp_path / "keys.txt"
+        keys.write_text("0|element_ge|C,1|carbon\n1|bogus_pred|1|x\n")
+        config = {"featurize": {"key_table_path": str(keys)}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        code = main(["train", "--data", str(tmp_path / "missing.csv"), "--task", "reg",
+                     "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: key 1:")
+
+    @pytest.mark.parametrize("train_section,flags", [
+        ({"batch_size": 0}, []),
+        ({"batch_size": 2.5}, []),
+        ({"batch_size": -3}, []),
+        ({"target_train_rmse": "x"}, []),
+        ({}, ["--seeds", "0"]),
+    ], ids=["batch-0", "batch-2.5", "batch-negative", "target-string", "no-seeds"])
+    def test_bad_train_value_is_a_config_error(self, workdir, tmp_path, train_section, flags):
+        """Run as a process, so that a traceback would reach stderr."""
+        data = tmp_path / "reg.csv"
+        corpus_util.write_regression_csv(data, corpus_util.build_corpus(30))
+        config = dict(TINY_CONFIG, train={**TINY_CONFIG["train"], **train_section})
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        proc = run_process(["train", "--data", str(data), "--task", "reg", "--config",
+                            str(tmp_path / "config.json"), "--epochs", "1", *flags,
+                            "--out", str(tmp_path / "run")])
+        assert proc.returncode == 1
+        assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "run").exists()
+
     def test_outputs_exist(self, trained):
         assert (trained / "report.json").exists()
         assert (trained / "seed_0.ckpt").exists()
@@ -583,6 +613,11 @@ class TestGradcheckCommand:
     def test_no_atoms_exit_1(self, atoms, capsys):
         assert main(["gradcheck", "--atoms", atoms]) == 1
         assert "--atoms must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coords", ["0", "-2"])
+    def test_no_coords_per_group_exit_1(self, coords, capsys):
+        assert main(["gradcheck", "--coords-per-group", coords]) == 1
+        assert "--coords-per-group must be at least 1" in capsys.readouterr().err
 
     def test_no_fingerprint_path_differentiable(self, workdir):
         code = main(

@@ -1,17 +1,28 @@
 """Loss, metric and training-protocol tests."""
 
+import contextlib
+import io
+import json
 import math
+import multiprocessing
+import os
+import re
+import time
 
 import numpy as np
 import pytest
 
 import molfusion.autodiff as ad
-from molfusion.autodiff import Tensor, backward, make_rng
+from molfusion import cli
+from molfusion.autodiff import Tensor, backward, load_checkpoint, make_rng
+from molfusion.autodiff import tensor as T
+from molfusion.autodiff.rng import split_streams
 from molfusion.data import load_csv, random_split
 from molfusion.featurize import FeaturizeConfig
-from molfusion.model import MlfgnnModel, ModelConfig
+from molfusion.model import MlfgnnModel, ModelConfig, MoleculeBatch, chunks
 from molfusion.train import (
     AllMaskedError,
+    NonFiniteLossError,
     SingleClassError,
     TrainConfig,
     aggregate,
@@ -24,6 +35,7 @@ from molfusion.train import (
 )
 
 import corpus_util
+from molfusion.train import lanes
 
 SMALL_FEATURIZE = FeaturizeConfig(morgan_bits=64, erg_max_path=5)
 
@@ -288,3 +300,135 @@ class TestMultiSeed:
         assert set(report.per_seed) == {0, 1}
         assert splits[0] != splits[1]  # random split reseeded per seed
         assert report.metric_name == "rmse"
+
+
+needs_helper = pytest.mark.skipif(not lanes.FORK_HELPER, reason="the helper is forked on Linux")
+
+
+class TestLanes:
+    @needs_helper
+    @pytest.mark.parametrize("loss", ["masked", "output"])
+    def test_a_chunk_computes_the_same_bits_in_either_lane(self, tiny_dataset, monkeypatch,
+                                                             loss):
+        """One-molecule chunks run twice with their lanes swapped, under
+        dropout. With the loss replaced by the chunk's output, each loss is
+        the forward output itself."""
+        if loss == "output":
+            monkeypatch.setattr(lanes, "masked_loss", lambda out, *_: T.sum_(out))
+        mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        model = MlfgnnModel(
+            small_config(dropout_gat=0.3, dropout_ffn=0.3, dropout_attn=0.3), seed=0
+        )
+        chunk_lists, seeds = [[0], [1], [2], [3]], [11, 12, 13, 14]
+        swap = [1, 0, 3, 2]  # lane 0 gets the chunks lane 1 had
+        with lanes.Lanes(model, mols, labels, mask) as pair:
+            assert pair.helper.is_alive()
+            first = pair.step(chunk_lists, seeds, 4)
+            first_grads = [t.grad.copy() for t in pair.tensors]
+            second = pair.step([chunk_lists[k] for k in swap], [seeds[k] for k in swap], 4)
+            second_grads = [t.grad for t in pair.tensors]
+        assert second == [first[k] for k in swap]
+        assert all(np.array_equal(a, b) for a, b in zip(first_grads, second_grads))
+        for (i,), seed, value in zip(chunk_lists, seeds, first):
+            out = model.forward(MoleculeBatch([mols[i]]), train=True, rng=make_rng(seed))
+            assert lanes.masked_loss(out, labels[[i]], mask[[i]], "regression").item() == value
+        assert len(set(first)) == 4
+
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
+    def test_step_gradient_matches_a_serial_chunk_sum(self, tiny_dataset, monkeypatch, helper):
+        monkeypatch.setattr(lanes, "FORK_HELPER", helper and lanes.FORK_HELPER)
+        mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        model = MlfgnnModel(small_config(), seed=0)  # dropout 0
+        batch = list(range(len(mols)))
+        chunk_lists = list(chunks(batch, lambda i: mols[i].n_atoms))
+        assert len(chunk_lists) >= 3
+        model.params.zero_grad()
+        for chunk in chunk_lists:
+            out = model.forward(MoleculeBatch([mols[i] for i in chunk]), train=True,
+                                rng=make_rng(0))
+            backward(masked_loss(out, labels[chunk], mask[chunk], "regression")
+                     * (len(chunk) / len(batch)))
+        serial = [np.zeros_like(p.data) if p.grad is None else p.grad for p in model.params]
+        with lanes.Lanes(model, mols, labels, mask) as pair:
+            pair.step(chunk_lists, list(range(len(chunk_lists))), len(batch))
+        for p, want in zip(model.params, serial):
+            assert np.abs(p.grad - want).max() <= 1e-14 * np.abs(want).max(), p.name
+
+    def _run_train(self, tiny_dataset, labels=None, epochs=1):
+        mols, all_labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        split = random_split(tiny_dataset, 0)
+        config = TrainConfig(epochs=epochs, patience=5)
+        labels = all_labels if labels is None else labels
+        return train(MlfgnnModel(small_config(), seed=0), mols, labels, mask, split, config,
+                     seed=0)
+
+    def test_no_helper_outlives_train(self, tiny_dataset):
+        self._run_train(tiny_dataset, epochs=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
+    def test_non_finite_loss_in_lane_1_names_its_records(self, tiny_dataset, monkeypatch,
+                                                         helper):
+        """The records named are those of the first non-finite chunk in chunk
+        order, as when the chunks ran one after another."""
+        monkeypatch.setattr(lanes, "FORK_HELPER", helper and lanes.FORK_HELPER)
+        mols, labels, _mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        split = random_split(tiny_dataset, 0)
+        order = split_streams(0, ("shuffle", "dropout"))["shuffle"].permutation(split.train)
+        batch = order.tolist()[: TrainConfig().batch_size]
+        bad_chunk = list(chunks(batch, lambda i: mols[i].n_atoms))[1]  # lane 1's first
+        labels = labels.copy()
+        labels[bad_chunk[-1]] = 1e200
+        message = f"non-finite loss at epoch 1, records {bad_chunk}: inf"
+        with pytest.raises(NonFiniteLossError, match=re.escape(message)):
+            self._run_train(tiny_dataset, labels)
+        assert multiprocessing.active_children() == []
+
+    @needs_helper
+    def test_helper_exception_is_raised_and_the_helper_stopped(self, tiny_dataset,
+                                                                 monkeypatch):
+        training_pid = os.getpid()
+
+        def loss_failing_in_the_helper(*args):
+            if os.getpid() != training_pid:
+                raise RuntimeError("loss failed in the helper")
+            return masked_loss(*args)
+
+        monkeypatch.setattr(lanes, "masked_loss", loss_failing_in_the_helper)
+        with pytest.raises(RuntimeError, match="loss failed in the helper"):
+            self._run_train(tiny_dataset)
+        assert multiprocessing.active_children() == []
+
+    @needs_helper
+    def test_a_busy_helper_is_terminated_when_lane_0_fails(self, tiny_dataset, monkeypatch):
+        training_pid = os.getpid()
+
+        def loss_failing_in_lane_0(*args):
+            if os.getpid() == training_pid:
+                raise RuntimeError("loss failed in lane 0")
+            time.sleep(60)
+
+        monkeypatch.setattr(lanes, "masked_loss", loss_failing_in_lane_0)
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="loss failed in lane 0"):
+            self._run_train(tiny_dataset)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_helper_and_inline_paths_write_identical_runs(self, tmp_path, monkeypatch):
+        """Equivalence gate: 2 epochs on 300 molecules, each path run twice."""
+        data = tmp_path / "reg.csv"
+        corpus_util.write_regression_csv(data, corpus_util.build_corpus(300))
+        runs = {}
+        for name, helper in [("h1", True), ("h2", True), ("i1", False), ("i2", False)]:
+            monkeypatch.setattr(lanes, "FORK_HELPER", helper and lanes.FORK_HELPER)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["train", "--data", str(data), "--task", "reg", "--seeds", "1",
+                                 "--epochs", "2", "--out", str(tmp_path / name)]) == 0
+            out = tmp_path / name
+            files = ["report.json", "seed_0_log.jsonl", "seed_0_split.json"]
+            config, arrays = load_checkpoint(out / "seed_0.ckpt")
+            runs[name] = ([(out / f).read_bytes() for f in files], json.dumps(config),
+                          {k: v.tobytes() for k, v in arrays.items()})
+        assert runs["h1"][0][1].count(b"\n") == 2  # one log line per epoch
+        assert runs["h1"] == runs["h2"] == runs["i1"] == runs["i2"]
