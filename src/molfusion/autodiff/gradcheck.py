@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,14 +37,15 @@ class GradCheckReport:
 
 def grad_check(
     f: Callable[[], Tensor],
-    tensors: Sequence[Tensor] | dict[str, Tensor],
+    tensors: dict[str, Tensor],
     rtol: float = 1e-5,
     atol: float = 1e-8,
     h: float = 1e-5,
     max_coords_per_tensor: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GradCheckReport:
-    """Compare tape gradients of scalar ``f()`` against central differences.
+    """Compare tape gradients of scalar ``f()`` with respect to each named
+    tensor of ``tensors`` against central differences.
 
     ``f`` must be deterministic (dropout disabled) and recompute from the
     current tensor values. When ``max_coords_per_tensor`` is set, coordinates
@@ -52,23 +53,18 @@ def grad_check(
     touched at least once. A coordinate passes when
     |analytic - numeric| <= atol + rtol * max(|analytic|, |numeric|).
     """
-    named = (
-        list(tensors.items())
-        if isinstance(tensors, dict)
-        else [(f"tensor{i}", t) for i, t in enumerate(tensors)]
-    )
-    for _, t in named:
+    for t in tensors.values():
         t.zero_grad()
     loss = f()
     backward(loss)
     analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-                for name, t in named}
+                for name, t in tensors.items()}
 
     max_rel = 0.0
     n_checked = 0
     failures = []
     per_tensor: dict[str, float] = {}
-    for name, t in named:
+    for name, t in tensors.items():
         flat = t.data.reshape(-1)
         coords = np.arange(flat.size)
         if max_coords_per_tensor is not None and flat.size > max_coords_per_tensor:

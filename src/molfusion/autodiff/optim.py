@@ -23,21 +23,18 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in store}
-        self.v = {p.name: np.zeros_like(p.data) for p in store}
+        self.m = {name: np.zeros_like(t.data) for name, t in store.tensors.items()}
+        self.v = {name: np.zeros_like(t.data) for name, t in store.tensors.items()}
 
     def step(self) -> None:
         self.t += 1
         m_scale = 1.0 - self.beta1**self.t
         v_scale = 1.0 - self.beta2**self.t
-        for p in self.store:
-            g = p.grad if p.grad is not None else 0.0
-            m, v = self.m[p.name], self.v[p.name]
+        for name, t in self.store.tensors.items():
+            g = t.grad if t.grad is not None else 0.0
+            m, v = self.m[name], self.v[name]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            p.tensor.data -= self.lr * (m / m_scale) / (np.sqrt(v / v_scale) + self.eps)
-
-    def zero_grad(self) -> None:
-        self.store.zero_grad()
+            t.data -= self.lr * (m / m_scale) / (np.sqrt(v / v_scale) + self.eps)

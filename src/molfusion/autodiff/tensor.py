@@ -77,41 +77,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op_name}, requires_grad={self.requires_grad})"
 
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis, keepdims)
-
-    def backward(self) -> None:
-        backward(self)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
@@ -267,14 +232,11 @@ def _one_hot(ids: np.ndarray, n: int) -> np.ndarray:
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Rows a[indices], shaped ``indices.shape + a.shape[1:]`` (any index
-    shape); backward scatter-adds into the source rows."""
+    """Rows a[indices] for a 1-D index; backward scatter-adds into the source rows."""
     indices = np.asarray(indices, dtype=np.int64)
 
     def back(g):
-        flat = indices.reshape(-1)
-        ga = _one_hot(flat, a.shape[0]) @ g.reshape(flat.size, math.prod(a.shape[1:]))
-        _accumulate(a, ga.reshape(a.shape))
+        _accumulate(a, _one_hot(indices, a.shape[0]) @ g)
 
     return _make(a.data[indices], (a,), back, "gather_rows")
 
@@ -292,22 +254,13 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     return _make(data, (a,), back, "segment_sum")
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def sum_(a: Tensor) -> Tensor:
+    """The sum of every entry, a 0-d tensor."""
 
     def back(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         _accumulate(a, np.broadcast_to(g, a.shape).copy())
 
-    return _make(np.asarray(data), (a,), back, "sum")
-
-
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.size if axis is None else a.shape[axis]
-    out = sum_(a, axis, keepdims)
-    return mul(out, Tensor(1.0 / count))
+    return _make(np.asarray(a.data.sum()), (a,), back, "sum")
 
 
 # -- nonlinearities ----------------------------------------------------------

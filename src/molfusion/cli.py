@@ -1,7 +1,8 @@
 """Command-line interface: featurize, train, predict, explain, gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 data error (a non-finite training
-loss included), 3 verification failure.
+Exit codes: 0 success, 1 usage or config error, 2 data error (a file that
+cannot be read or written and a non-finite training loss included), 3
+verification failure.
 Config files are JSON with optional "model", "train" and "featurize"
 sections; every key mirrors the corresponding dataclass field. The env var
 MOLFUSION_LOG sets log verbosity (DEBUG/INFO/WARNING/ERROR).
@@ -79,9 +80,15 @@ def load_config_file(path: str | None) -> dict:
         config = json.loads(Path(path).read_text("utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: the top level is {json.dumps(config)[:40]}, not an object")
     unknown = set(config) - {"model", "train", "featurize"}
     if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown config sections: {sorted(unknown)}")
+    for name, section in config.items():
+        if not isinstance(section, dict):
+            text = json.dumps(section)[:40]
+            raise ConfigError(f"{path}: section {name!r} is {text}, not an object")
     return config
 
 
@@ -346,15 +353,16 @@ def cmd_explain(args) -> int:
     mol = featurize(parse_smiles(args.smiles), featurize_config)
     trace: dict = {}
     with no_grad():
-        out = model.forward(mol, trace=trace)
+        out = model.forward(MoleculeBatch([mol]), trace=trace)
     prediction = out.data[0].tolist()
+    lambda_attn, lambda_adj = model.lambda_values()
     bundle = {
         "smiles": args.smiles,
         "n_atoms": mol.n_atoms,
         "prediction": prediction,
         "gate_alpha": trace["gate_alpha"],
-        "lambda_attn": trace.get("lambda_attn", []),
-        "lambda_adj": trace.get("lambda_adj", []),
+        "lambda_attn": lambda_attn,
+        "lambda_adj": lambda_adj,
         "gat_attention": [m.tolist() for m in trace.get("gat_attention", [])],
         "transformer_attention": [
             [head.tolist() for head in layer] for layer in trace.get("transformer_attention", [])
@@ -395,10 +403,9 @@ def cmd_gradcheck(args) -> int:
         out = model.forward(batch)
         return T.sum_(T.mul(out, out))
 
-    tensors = {p.name: p.tensor for p in model.params}
     report = grad_check(
         f,
-        tensors,
+        model.params.tensors,
         rtol=1e-3,
         atol=1e-6,
         max_coords_per_tensor=args.coords_per_group,
@@ -474,15 +481,19 @@ _ABLATION_FLAG = {"gat-only": "gat_only", "transformer-only": "transformer_only"
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MOLFUSION_LOG", "WARNING").upper())
+    try:
+        logging.basicConfig(level=os.environ.get("MOLFUSION_LOG", "WARNING").upper())
+    except ValueError as exc:
+        print(f"config error: MOLFUSION_LOG: {exc}; use DEBUG, INFO, WARNING or ERROR",
+              file=sys.stderr)
+        return EXIT_USAGE
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "ablate", None):
         args.ablate = _ABLATION_FLAG[args.ablate]
     try:
         return args.func(args)
-    except (DataError, SmilesError, CheckpointError, FileNotFoundError,
-            NonFiniteLossError) as exc:
+    except (DataError, SmilesError, CheckpointError, OSError, NonFiniteLossError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as exc:

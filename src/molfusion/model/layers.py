@@ -11,13 +11,13 @@ from .config import FFN_MULT, LEAKY_SLOPE
 
 
 def _register_matrix(store, rng, prefix, in_dim, out_dim):
-    return store.register(prefix, P.uniform_fan_in(rng, (in_dim, out_dim)), "uniform_fan_in")
+    return store.register(prefix, P.uniform_fan_in(rng, (in_dim, out_dim)))
 
 
 class Linear:
     def __init__(self, store, rng, prefix, in_dim, out_dim):
         self.w = _register_matrix(store, rng, f"{prefix}.w", in_dim, out_dim)
-        self.b = store.register(f"{prefix}.b", np.zeros((1, out_dim)), "zeros")
+        self.b = store.register(f"{prefix}.b", np.zeros((1, out_dim)))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.w, self.b)
@@ -31,13 +31,13 @@ class GruCell:
     """
 
     def __init__(self, store, rng, prefix, in_dim, hidden_dim):
-        shape = (in_dim + hidden_dim, hidden_dim)
-        self.w_z = store.register(f"{prefix}.w_z", P.uniform_fan_in(rng, shape), "uniform_fan_in")
-        self.b_z = store.register(f"{prefix}.b_z", np.zeros((1, hidden_dim)), "zeros")
-        self.w_r = store.register(f"{prefix}.w_r", P.uniform_fan_in(rng, shape), "uniform_fan_in")
-        self.b_r = store.register(f"{prefix}.b_r", np.zeros((1, hidden_dim)), "zeros")
-        self.w_n = store.register(f"{prefix}.w_n", P.uniform_fan_in(rng, shape), "uniform_fan_in")
-        self.b_n = store.register(f"{prefix}.b_n", np.zeros((1, hidden_dim)), "zeros")
+        rows = in_dim + hidden_dim  # [x || h]
+        self.w_z = _register_matrix(store, rng, f"{prefix}.w_z", rows, hidden_dim)
+        self.b_z = store.register(f"{prefix}.b_z", np.zeros((1, hidden_dim)))
+        self.w_r = _register_matrix(store, rng, f"{prefix}.w_r", rows, hidden_dim)
+        self.b_r = store.register(f"{prefix}.b_r", np.zeros((1, hidden_dim)))
+        self.w_n = _register_matrix(store, rng, f"{prefix}.w_n", rows, hidden_dim)
+        self.b_n = store.register(f"{prefix}.b_n", np.zeros((1, hidden_dim)))
 
     def __call__(self, x: Tensor, h: Tensor) -> Tensor:
         return T.gru_cell(x, h, self.w_z, self.b_z, self.w_r, self.b_r, self.w_n, self.b_n)
@@ -47,9 +47,9 @@ class DynamicTanh:
     """Learnable squashing gamma * tanh(alpha * x) + beta (``T.dyt``)."""
 
     def __init__(self, store, rng, prefix, dim):
-        self.alpha = store.register(f"{prefix}.alpha", np.full((1, 1), 0.5), "constant:0.5")
-        self.gamma = store.register(f"{prefix}.gamma", np.ones((1, dim)), "ones")
-        self.beta = store.register(f"{prefix}.beta", np.zeros((1, dim)), "zeros")
+        self.alpha = store.register(f"{prefix}.alpha", np.full((1, 1), 0.5))
+        self.gamma = store.register(f"{prefix}.gamma", np.ones((1, dim)))
+        self.beta = store.register(f"{prefix}.beta", np.zeros((1, dim)))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.dyt(x, self.alpha, self.gamma, self.beta)
@@ -57,8 +57,8 @@ class DynamicTanh:
 
 class LayerNorm:
     def __init__(self, store, rng, prefix, dim):
-        self.gamma = store.register(f"{prefix}.gamma", np.ones((1, dim)), "ones")
-        self.beta = store.register(f"{prefix}.beta", np.zeros((1, dim)), "zeros")
+        self.gamma = store.register(f"{prefix}.gamma", np.ones((1, dim)))
+        self.beta = store.register(f"{prefix}.beta", np.zeros((1, dim)))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.add(T.mul(self.gamma, T.layer_norm(x)), self.beta)
@@ -133,12 +133,8 @@ class TransformerLayer:
         self.w_v = _register_matrix(store, rng, f"{prefix}.w_v", dim, dim)
         self.out = Linear(store, rng, f"{prefix}.out", dim, dim)
         if adjacency_bias:
-            self.lambda_attn = store.register(
-                f"{prefix}.lambda_attn", np.full((1, 1), 0.5), "constant:0.5"
-            )
-            self.lambda_adj = store.register(
-                f"{prefix}.lambda_adj", np.full((1, 1), 0.5), "constant:0.5"
-            )
+            self.lambda_attn = store.register(f"{prefix}.lambda_attn", np.full((1, 1), 0.5))
+            self.lambda_adj = store.register(f"{prefix}.lambda_adj", np.full((1, 1), 0.5))
         self.norm1 = make_norm(norm_kind, store, rng, f"{prefix}.norm1", dim)
         self.norm2 = make_norm(norm_kind, store, rng, f"{prefix}.norm2", dim)
         self.ffn1 = Linear(store, rng, f"{prefix}.ffn1", dim, FFN_MULT * dim)
@@ -176,9 +172,7 @@ class MixedInformation:
 
     def __init__(self, store, rng, prefix, gat_dim, dim, has_gat, has_gate):
         self.local_proj = Linear(store, rng, f"{prefix}.local", gat_dim, dim) if has_gat else None
-        self.gate = (
-            store.register(f"{prefix}.gate", np.zeros((1, 1)), "zeros") if has_gate else None
-        )
+        self.gate = store.register(f"{prefix}.gate", np.zeros((1, 1))) if has_gate else None
 
     def local_stream(self, gat_outputs: list[Tensor]) -> Tensor:
         mean_h = gat_outputs[0]

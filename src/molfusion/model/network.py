@@ -8,7 +8,7 @@ from ..autodiff import tensor as T
 from ..autodiff.params import ParameterStore
 from ..autodiff.rng import make_rng
 from ..autodiff.tensor import Tensor
-from ..featurize.features import FeaturizedMolecule
+from ..featurize.features import ATOM_FEATURE_DIM, BOND_FEATURE_DIM
 from .batch import MoleculeBatch
 from .config import ModelConfig
 from .layers import (
@@ -41,9 +41,6 @@ class MlfgnnModel:
         store = self.params
         c = config
         d, g = c.hidden_dim, c.gat_out_dim
-
-        from ..featurize.features import ATOM_FEATURE_DIM, BOND_FEATURE_DIM
-
         self.node_init = Linear(store, rng, "node_init", ATOM_FEATURE_DIM, g)
         if c.has_gat:
             self.edge_init = Linear(
@@ -92,7 +89,7 @@ class MlfgnnModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, batch: MoleculeBatch | FeaturizedMolecule, train: bool = False,
+    def forward(self, batch: MoleculeBatch, train: bool = False,
                 rng: np.random.Generator | None = None, trace: dict | None = None) -> Tensor:
         """Predict [B, n_tasks] for a packed batch (one molecule is a batch of
         one); raw logits for classification tasks.
@@ -102,8 +99,6 @@ class MlfgnnModel:
         a batch of one.
         """
         c = self.config
-        if isinstance(batch, FeaturizedMolecule):
-            batch = MoleculeBatch([batch])
         if train and rng is None:
             raise ValueError("training forward needs an rng for dropout")
         if trace is not None and batch.size != 1:
@@ -164,18 +159,7 @@ class MlfgnnModel:
         else:
             representation = molecule_vec
         hidden = T.relu(self.out1(representation))
-        out = self.out2(T.dropout(hidden, c.dropout_ffn, rng, train))
-
-        if trace is not None:
-            trace["lambda_attn"] = [
-                float(l.lambda_attn.data[0, 0]) for l in self.transformer_stack
-                if c.adjacency_bias
-            ]
-            trace["lambda_adj"] = [
-                float(l.lambda_adj.data[0, 0]) for l in self.transformer_stack
-                if c.adjacency_bias
-            ]
-        return out
+        return self.out2(T.dropout(hidden, c.dropout_ffn, rng, train))
 
     def predict_batch(self, batch: MoleculeBatch) -> np.ndarray:
         """Eval-mode predictions [B, n_tasks], no tape; sigmoid applied for classification."""
@@ -185,8 +169,8 @@ class MlfgnnModel:
             return 1.0 / (1.0 + np.exp(-out))
         return out
 
-    def predict(self, mol: FeaturizedMolecule) -> np.ndarray:
-        """Eval-mode prediction [n_tasks] for one molecule."""
+    def predict(self, mol) -> np.ndarray:
+        """Eval-mode prediction [n_tasks] for one featurized molecule."""
         return self.predict_batch(MoleculeBatch([mol]))[0]
 
     # -- introspection helpers ----------------------------------------------

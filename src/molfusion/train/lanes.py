@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from ..autodiff import backward
+from ..autodiff import tensor as T
 from ..autodiff.rng import make_rng
 from ..model.batch import MoleculeBatch
 from .losses import masked_loss
@@ -68,7 +68,7 @@ class Lanes:
 
     def __init__(self, model, mols, labels: np.ndarray, mask: np.ndarray):
         self.model, self.mols, self.labels, self.mask = model, mols, labels, mask
-        self.tensors = [p.tensor for p in model.params]
+        self.tensors = list(model.params.tensors.values())
         self.helper = None
         self.conn = None
 
@@ -147,7 +147,7 @@ class Lanes:
                 loss = masked_loss(out, self.labels[chunk], self.mask[chunk], model.config.task)
             losses.append(loss.item())
             if math.isfinite(losses[-1]):
-                backward(loss * (len(chunk) / n))
+                T.backward(T.mul(loss, T.Tensor(len(chunk) / n)))
         return losses
 
     def _run_lane1(self, chunk_lists, seeds, n) -> list[float]:

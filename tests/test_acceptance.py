@@ -63,15 +63,14 @@ def test_criterion_1_full_model_gradient_check():
     mol = featurize(graph, SMALL_FEATURIZE)
 
     def f():
-        out = model.forward(mol)
+        out = model.forward(MoleculeBatch([mol]))
         return ad.sum_(ad.mul(out, out))
 
-    tensors = {p.name: p.tensor for p in model.params}
     report = grad_check(
-        f, tensors, rtol=1e-3, atol=1e-6, max_coords_per_tensor=4, rng=make_rng(3)
+        f, model.params.tensors, rtol=1e-3, atol=1e-6, max_coords_per_tensor=4, rng=make_rng(3)
     )
     elapsed = time.time() - start
-    covered = set(report.per_tensor) == set(model.params.names())
+    covered = set(report.per_tensor) == set(model.params.tensors)
     _verdict(
         1,
         f"full-model gradient check ({report.n_checked} coords over "
@@ -159,7 +158,8 @@ def test_criterion_3_permutation_invariance_100_molecules():
         mol = featurize(graph, SMALL_FEATURIZE)
         perm = rng.permutation(graph.n_atoms).tolist()
         permuted = featurize(corpus_util.relabel(graph, perm), SMALL_FEATURIZE)
-        delta = float(np.abs(model.forward(mol).data - model.forward(permuted).data).max())
+        delta = float(np.abs(model.forward(MoleculeBatch([mol])).data
+                             - model.forward(MoleculeBatch([permuted])).data).max())
         worst = max(worst, delta)
     _verdict(3, f"permutation invariance over 100 molecules (max delta {worst:.2e})", worst < 1e-9)
 

@@ -44,7 +44,7 @@ def outputs_and_grads(model, packs, weights):
         backward(ad.sum_(ad.mul(out, w)))
         outs.append(out.data)
         row += len(pack)
-    grads = {p.name: p.grad.copy() for p in model.params}
+    grads = {name: t.grad.copy() for name, t in model.params.tensors.items()}
     return np.concatenate(outs), grads
 
 
@@ -93,7 +93,7 @@ def test_packed_outputs_and_gradients_match_one_at_a_time(mols, variant):
                                                       lambda i: mols[i].n_atoms)]
     packed, packed_grads = outputs_and_grads(model, packs, weights)
     assert_close(packed, single, "outputs")
-    assert set(packed_grads) == set(model.params.names())
+    assert set(packed_grads) == set(model.params.tensors)
     for name, grad in packed_grads.items():
         assert np.abs(single_grads[name]).max() > 0, name
         assert_close(grad, single_grads[name], name)
@@ -110,7 +110,7 @@ def test_one_atom_chunk_matches_one_at_a_time(variant):
     single, single_grads = outputs_and_grads(model, [[m] for m in tiny], weights)
     packed, packed_grads = outputs_and_grads(model, [tiny], weights)
     assert_close(packed, single, "outputs")
-    assert set(packed_grads) == set(model.params.names())
+    assert set(packed_grads) == set(model.params.tensors)
     for name, grad in packed_grads.items():
         assert_close(grad, single_grads[name], name)
     if model.config.has_gat:
@@ -149,11 +149,10 @@ def gradcheck_small_pack(smiles, seed):
         out = model.forward(batch)
         return ad.sum_(ad.mul(out, out))
 
-    tensors = {p.name: p.tensor for p in model.params}
-    report = grad_check(f, tensors, rtol=1e-3, atol=1e-6, max_coords_per_tensor=3,
+    report = grad_check(f, model.params.tensors, rtol=1e-3, atol=1e-6, max_coords_per_tensor=3,
                         rng=make_rng(0))
     assert report.passed, report.summary()
-    assert set(report.per_tensor) == set(model.params.names())
+    assert set(report.per_tensor) == set(model.params.tensors)
     return batch
 
 
@@ -189,7 +188,7 @@ def test_train_step_gradient_is_the_mean_per_molecule_gradient(mols, monkeypatch
 
     class Recording(Adam):
         def step(self):
-            steps.append({p.name: p.grad.copy() for p in self.store})
+            steps.append({name: t.grad.copy() for name, t in self.store.tensors.items()})
             super().step()
 
     monkeypatch.setattr(loop, "Adam", Recording)
@@ -200,10 +199,11 @@ def test_train_step_gradient_is_the_mean_per_molecule_gradient(mols, monkeypatch
     reference = MlfgnnModel(config, seed=8)
     losses = []
     for i, mol in enumerate(mols):
-        loss = masked_loss(reference.forward(mol), labels[i], mask[i], "regression")
+        out = reference.forward(MoleculeBatch([mol]))
+        loss = masked_loss(out, labels[i], mask[i], "regression")
         losses.append(loss.item())
-        backward(loss * (1.0 / len(mols)))
+        backward(ad.mul(loss, Tensor(1.0 / len(mols))))
     assert len(steps) == 1
-    for p in reference.params:
-        assert_close(steps[0][p.name], p.grad, p.name)
+    for name, t in reference.params.tensors.items():
+        assert_close(steps[0][name], t.grad, name)
     assert result.history[0]["train_loss"] == pytest.approx(np.mean(losses), rel=1e-12)

@@ -63,13 +63,14 @@ def trained(workdir):
     return out
 
 
-def run_process(argv: list[str]) -> subprocess.CompletedProcess:
+def run_process(argv: list[str], env: dict | None = None) -> subprocess.CompletedProcess:
     """``molfusion argv`` in a new Python process, so that stderr holds
-    everything the process prints, numpy's warnings included."""
+    everything the process prints, numpy's warnings included. ``env`` adds to
+    the current environment."""
     pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "molfusion.cli", *argv], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300,
+        env={**os.environ, **(env or {}), "PYTHONPATH": pythonpath}, timeout=300,
     )
 
 
@@ -209,6 +210,21 @@ class TestTrainCommand:
                             "--out", str(tmp_path / "run")])
         assert proc.returncode == 1
         assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("text", [
+        "5", "null", "[]", '"abc"', '{"model": 5}', '{"train": null}', '{"model": []}',
+    ])
+    def test_config_without_json_objects_is_a_config_error(self, workdir, tmp_path, text):
+        """The top level and each section must be JSON objects. Run as a
+        process, so that a traceback would reach stderr."""
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        proc = run_process(["train", "--data", str(workdir / "reg.csv"), "--task", "reg",
+                            "--config", str(config), "--out", str(tmp_path / "run")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"config error: {config}: "), proc.stderr
+        assert "object" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "run").exists()
 
     def test_outputs_exist(self, trained):
@@ -504,6 +520,34 @@ def _checkpoint_argv(command, workdir, out):
     return ["explain", "--smiles", "CCO", "--out", str(out)]
 
 
+FILE_SYSTEM_ERRORS = {
+    # case: (argv, the path the error names), given workdir, the trained run and
+    # tmp_path, which holds a file named "taken"
+    "featurize-out-a-directory": lambda w, run, tmp: (
+        ["featurize", "--input", str(w / "reg.csv"), "--out", str(tmp)], tmp),
+    "featurize-input-a-directory": lambda w, run, tmp: (
+        ["featurize", "--input", str(tmp), "--out", str(tmp / "f.jsonl")], tmp),
+    "train-out-an-existing-file": lambda w, run, tmp: (
+        ["train", "--data", str(w / "reg.csv"), "--task", "reg", "--config",
+         str(w / "config.json"), "--out", str(tmp / "taken")], tmp / "taken"),
+    "predict-checkpoint-a-directory": lambda w, run, tmp: (
+        ["predict", "--checkpoint", str(tmp), "--input", str(w / "reg.csv"),
+         "--out", str(tmp / "p.csv")], tmp),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_SYSTEM_ERRORS))
+def test_file_system_error_exit_2(workdir, trained, tmp_path, case):
+    """A path that cannot be read or written is a data error, not a
+    traceback. Run as a process, so that a traceback would reach stderr."""
+    (tmp_path / "taken").write_text("a file")
+    argv, path = FILE_SYSTEM_ERRORS[case](workdir, trained, tmp_path)
+    proc = run_process(argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error:") and str(path) in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["predict", "explain"])
 @pytest.mark.parametrize("corruption", sorted(CHECKPOINT_CORRUPTIONS))
 def test_corrupt_checkpoint_exit_2(workdir, trained, tmp_path, capsys, command, corruption):
@@ -638,6 +682,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["train", "--bogus"])
         assert exc.value.code == 1
+
+    def test_unknown_log_level_is_a_config_error(self):
+        proc = run_process(["--version"], env={"MOLFUSION_LOG": "bogus"})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error: MOLFUSION_LOG"), proc.stderr
+        assert all(level in proc.stderr for level in ("DEBUG", "INFO", "WARNING", "ERROR"))
+        assert "Traceback" not in proc.stderr
+        proc = run_process(["--version"], env={"MOLFUSION_LOG": "info"})
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

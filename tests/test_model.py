@@ -52,8 +52,8 @@ class TestGruCell:
     def test_zero_weights_halve_state(self):
         store = ParameterStore()
         gru = GruCell(store, make_rng(0), "gru", 3, 3)
-        for p in store:
-            p.tensor.data[:] = 0.0
+        for t in store.tensors.values():
+            t.data[:] = 0.0
         h = Tensor(np.array([[1.0, -2.0, 4.0]]))
         c = Tensor(np.array([[5.0, 5.0, 5.0]]))
         out = gru(c, h)
@@ -62,7 +62,7 @@ class TestGruCell:
     def test_saturated_update_gate_keeps_state(self):
         store = ParameterStore()
         gru = GruCell(store, make_rng(1), "gru", 3, 3)
-        store["gru.b_z"].tensor.data[:] = -50.0  # z -> 0 keeps previous state
+        store.tensors["gru.b_z"].data[:] = -50.0  # z -> 0 keeps previous state
         h = Tensor(np.array([[0.3, -0.7, 1.1]]))
         out = gru(h, h)
         assert np.allclose(out.data, h.data, atol=1e-12)
@@ -73,7 +73,7 @@ class TestGruCell:
         rng = make_rng(3)
         c = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         h = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        tensors = {"c": c, "h": h, **{p.name: p.tensor for p in store}}
+        tensors = {"c": c, "h": h, **store.tensors}
         report = grad_check(lambda: ad.sum_(ad.mul(gru(c, h), gru(c, h))), tensors)
         assert report.passed, report.summary()
 
@@ -251,7 +251,7 @@ class TestTransformerBoundaries:
     def test_attention_rows_sum_to_one(self):
         model, mol = self._setup("CC(=O)Nc1ccccc1")
         trace = {}
-        model.forward(mol, trace=trace)
+        model.forward(MoleculeBatch([mol]), trace=trace)
         for layer_heads in trace["transformer_attention"]:
             for head in layer_heads:
                 assert np.allclose(head.sum(axis=1), 1.0, atol=1e-12)
@@ -261,7 +261,7 @@ class TestDynamicTanh:
     def test_identity_parameters_equal_tanh(self):
         store = ParameterStore()
         dyt = DynamicTanh(store, make_rng(0), "dyt", 4)
-        store["dyt.alpha"].tensor.data[:] = 1.0
+        store.tensors["dyt.alpha"].data[:] = 1.0
         x = Tensor(make_rng(1).standard_normal((3, 4)))
         assert np.array_equal(dyt(x).data, np.tanh(x.data))
 
@@ -273,15 +273,15 @@ class TestDynamicTanh:
     def test_saturation(self):
         store = ParameterStore()
         dyt = DynamicTanh(store, make_rng(0), "dyt", 2)
-        store["dyt.gamma"].tensor.data[:] = np.array([[2.0, 3.0]])
-        store["dyt.beta"].tensor.data[:] = np.array([[0.5, -0.5]])
+        store.tensors["dyt.gamma"].data[:] = np.array([[2.0, 3.0]])
+        store.tensors["dyt.beta"].data[:] = np.array([[0.5, -0.5]])
         out = dyt(Tensor(np.full((1, 2), 1e9)))
         assert np.allclose(out.data, [[2.5, 2.5]])
 
     def test_reference_value(self):
         store = ParameterStore()
         dyt = DynamicTanh(store, make_rng(0), "dyt", 1)
-        store["dyt.alpha"].tensor.data[:] = 1.0
+        store.tensors["dyt.alpha"].data[:] = 1.0
         assert dyt(Tensor([[1.0]])).data[0, 0] == pytest.approx(0.7615941559557649)
 
 
@@ -295,7 +295,7 @@ class TestMixture:
         saved = mix.gate.data.copy()
         trace = {}
         mix.gate.data[...] = np.inf
-        model.forward(mol, trace=trace)
+        model.forward(MoleculeBatch([mol]), trace=trace)
         assert trace["gate_alpha"] == 1.0
 
         # a saturated gate reproduces the pure streams bitwise
@@ -384,13 +384,12 @@ class TestInitialization:
             assert layer.norm1.alpha.data[0, 0] == 0.5
             assert np.all(layer.norm1.gamma.data == 1.0)
             assert np.all(layer.norm1.beta.data == 0.0)
-        for p in model.params:
-            if p.name.endswith(".b") or ".b_" in p.name:
-                assert not p.tensor.data.any(), p.name
-            if p.init_spec == "uniform_fan_in":
-                fan_in = p.tensor.data.shape[0]
-                bound = 1.0 / np.sqrt(fan_in)
-                assert np.abs(p.tensor.data).max() <= bound
+        for name, t in model.params.tensors.items():
+            last = name.rsplit(".", 1)[1]
+            if last == "b" or last.startswith("b_"):
+                assert not t.data.any(), name
+            if last == "w" or last.startswith("w_") or last.endswith("_w"):  # uniform_fan_in
+                assert np.abs(t.data).max() <= 1.0 / np.sqrt(t.shape[0]), name
 
 
 class TestMultiHeadAttention:
@@ -430,7 +429,7 @@ class TestMultiHeadAttention:
         report = grad_check(
             lambda: ad.sum_(ad.mul(ad.attention(q, k, v, heads, no_mask, lam_attn, lam_adj,
                                                 prior), w)),
-            [q, k, v], rtol=1e-5, atol=1e-8,
+            {"q": q, "k": k, "v": v}, rtol=1e-5, atol=1e-8,
         )
         assert report.passed, report.summary()
 
@@ -462,7 +461,7 @@ class TestCrossAttention:
         model = MlfgnnModel(config, seed=0)
         mol = featurized("C")
         trace = {}
-        model.forward(mol, trace=trace)
+        model.forward(MoleculeBatch([mol]), trace=trace)
         for head in trace["cross_attention"]:
             assert len(head) == 2  # virtual node + 1 atom
             assert head.sum() == pytest.approx(1.0, abs=1e-12)
@@ -484,10 +483,10 @@ class TestCrossAttention:
         config = small_config()
         model = MlfgnnModel(config, seed=0)
         mol = featurized("CCO")
-        out = model.forward(mol)
+        out = model.forward(MoleculeBatch([mol]))
         backward(ad.sum_(ad.mul(out, out)))
-        fp_grad = model.params["fingerprint_mlp.lin1.w"].grad
-        graph_grad = model.params["node_init.w"].grad
+        fp_grad = model.params.tensors["fingerprint_mlp.lin1.w"].grad
+        graph_grad = model.params.tensors["node_init.w"].grad
         assert fp_grad is not None and np.abs(fp_grad).max() > 0
         assert graph_grad is not None and np.abs(graph_grad).max() > 0
 
@@ -498,11 +497,11 @@ class TestNodeAndEdgeInit:
         mol = featurized("C")
         src, dst, feats = mol.src, mol.dst, mol.bond_features
         assert len(src) == 0 and feats.shape == (0, 13)
-        assert model.forward(mol).shape == (1, 1)
+        assert model.forward(MoleculeBatch([mol])).shape == (1, 1)
 
     def test_zero_weights_give_zero_states(self):
         model = MlfgnnModel(small_config(), seed=0)
-        model.params["node_init.w"].tensor.data[:] = 0.0
+        model.params.tensors["node_init.w"].data[:] = 0.0
         mol = featurized("CCO")
         h0 = ad.relu(model.node_init(Tensor(mol.atom_features)))
         assert not h0.data.any()
@@ -539,14 +538,14 @@ class TestForwardContract:
         for n_tasks in (1, 3):
             config = small_config(n_tasks=n_tasks, task="classification")
             model = MlfgnnModel(config, seed=0)
-            out = model.forward(featurized("CCN"))
+            out = model.forward(MoleculeBatch([featurized("CCN")]))
             assert out.shape == (1, n_tasks)
 
     def test_eval_forward_bit_identical(self):
         model = MlfgnnModel(small_config(), seed=0)
         mol = featurized("Cc1ccccc1O")
-        a = model.forward(mol).data
-        b = model.forward(mol).data
+        a = model.forward(MoleculeBatch([mol])).data
+        b = model.forward(MoleculeBatch([mol])).data
         assert np.array_equal(a, b)
 
     def test_empty_molecule_rejected(self):
@@ -563,7 +562,7 @@ class TestForwardContract:
         )
         model = MlfgnnModel(small_config(), seed=0)
         with pytest.raises(EmptyMoleculeError):
-            model.forward(empty)
+            model.forward(MoleculeBatch([empty]))
 
     def test_permutation_invariance(self):
         model = MlfgnnModel(small_config(), seed=3)
@@ -573,26 +572,27 @@ class TestForwardContract:
             mol = featurize(graph, SMALL_FEATURIZE)
             perm = rng.permutation(graph.n_atoms).tolist()
             mol_perm = featurize(corpus_util.relabel(graph, perm), SMALL_FEATURIZE)
-            delta = np.abs(model.forward(mol).data - model.forward(mol_perm).data).max()
+            delta = np.abs(model.forward(MoleculeBatch([mol])).data
+                           - model.forward(MoleculeBatch([mol_perm])).data).max()
             assert delta < 1e-9, f"{smiles}: {delta}"
 
     def test_dropout_train_mode_changes_output(self):
         model = MlfgnnModel(small_config(), seed=0)
         mol = featurized("CCO")
-        eval_out = model.forward(mol).data
-        train_out = model.forward(mol, train=True, rng=make_rng(9)).data
+        eval_out = model.forward(MoleculeBatch([mol])).data
+        train_out = model.forward(MoleculeBatch([mol]), train=True, rng=make_rng(9)).data
         assert not np.array_equal(eval_out, train_out)
 
     def test_train_mode_needs_rng(self):
         model = MlfgnnModel(small_config(), seed=0)
         with pytest.raises(ValueError):
-            model.forward(featurized("CC"), train=True)
+            model.forward(MoleculeBatch([featurized("CC")]), train=True)
 
     def test_fingerprint_width_checked(self):
         model = MlfgnnModel(small_config(), seed=0)
         bad = featurize(parse_smiles("CC"), FeaturizeConfig(morgan_bits=128, erg_max_path=5))
         with pytest.raises(ad.ShapeMismatchError):
-            model.forward(bad)
+            model.forward(MoleculeBatch([bad]))
 
 
 class TestAblations:
@@ -601,21 +601,21 @@ class TestAblations:
         config = small_config(ablation=ablation)
         model = MlfgnnModel(config, seed=0)
         assert config.parameter_count() == model.params.count_values()
-        out = model.forward(featurized("CC(=O)Nc1ccccc1"))
+        out = model.forward(MoleculeBatch([featurized("CC(=O)Nc1ccccc1")]))
         assert out.shape == (1, 1)
 
     def test_gat_only_has_no_transformer_parameters(self):
         model = MlfgnnModel(small_config(ablation="gat_only"), seed=0)
-        assert not any(name.startswith("transformer.") for name in model.params.names())
+        assert not any(name.startswith("transformer.") for name in list(model.params.tensors))
 
     def test_transformer_only_has_no_gat_parameters(self):
         model = MlfgnnModel(small_config(ablation="transformer_only"), seed=0)
-        assert not any(name.startswith("gat.") for name in model.params.names())
-        assert not any(name.startswith("edge_init") for name in model.params.names())
+        assert not any(name.startswith("gat.") for name in list(model.params.tensors))
+        assert not any(name.startswith("edge_init") for name in list(model.params.tensors))
 
     def test_no_fingerprint_drops_cross_attention(self):
         model = MlfgnnModel(small_config(ablation="no_fingerprint"), seed=0)
-        names = model.params.names()
+        names = list(model.params.tensors)
         assert not any(name.startswith("fingerprint_mlp") for name in names)
         assert not any(name.startswith("cross_attention") for name in names)
 
@@ -623,14 +623,14 @@ class TestAblations:
         config = small_config(norm="layernorm")
         model = MlfgnnModel(config, seed=0)
         assert config.parameter_count() == model.params.count_values()
-        assert model.forward(featurized("c1ccccc1O")).shape == (1, 1)
+        assert model.forward(MoleculeBatch([featurized("c1ccccc1O")])).shape == (1, 1)
 
     def test_adjacency_bias_off(self):
         config = small_config(adjacency_bias=False)
         model = MlfgnnModel(config, seed=0)
         assert config.parameter_count() == model.params.count_values()
-        assert not any("lambda" in name for name in model.params.names())
-        model.forward(featurized("CCO"))
+        assert not any("lambda" in name for name in list(model.params.tensors))
+        model.forward(MoleculeBatch([featurized("CCO")]))
 
 
 class TestParameterCount:
@@ -675,16 +675,16 @@ class TestParameterCount:
             *(f"output_mlp.{k}" for k in two_linears),
         ]
         model = MlfgnnModel(ModelConfig(), seed=0)
-        assert model.params.names() == expected
+        assert list(model.params.tensors) == expected
         shapes = {"attn_w": (128, 1), "agg_w": (64, 64), **{k: (128, 64) for k in gru[::2]},
                   **{k: (1, 64) for k in gru[1::2]}}
         for prefix in ("gat.layer0", "gat.layer1", "readout"):
             for k, shape in shapes.items():
-                assert model.params[f"{prefix}.{k}"].data.shape == shape, (prefix, k)
+                assert model.params.tensors[f"{prefix}.{k}"].shape == shape, (prefix, k)
 
     def test_unique_parameter_paths(self):
         model = MlfgnnModel(small_config(), seed=0)
-        names = model.params.names()
+        names = list(model.params.tensors)
         assert len(names) == len(set(names))
 
     def test_config_validation_reports_all_problems(self):
@@ -703,15 +703,14 @@ class TestFullModelGradient:
         mol = featurize(graph, SMALL_FEATURIZE)
 
         def f():
-            out = model.forward(mol)
+            out = model.forward(MoleculeBatch([mol]))
             return ad.sum_(ad.mul(out, out))
 
-        tensors = {p.name: p.tensor for p in model.params}
         report = grad_check(
-            f, tensors, rtol=1e-3, atol=1e-6, max_coords_per_tensor=3, rng=make_rng(0)
+            f, model.params.tensors, rtol=1e-3, atol=1e-6, max_coords_per_tensor=3, rng=make_rng(0)
         )
         assert report.passed, report.summary()
-        assert set(report.per_tensor) == set(model.params.names())
+        assert set(report.per_tensor) == set(list(model.params.tensors))
 
 
 class TestTapeOps:

@@ -346,13 +346,15 @@ class TestLanes:
         for chunk in chunk_lists:
             out = model.forward(MoleculeBatch([mols[i] for i in chunk]), train=True,
                                 rng=make_rng(0))
-            backward(masked_loss(out, labels[chunk], mask[chunk], "regression")
-                     * (len(chunk) / len(batch)))
-        serial = [np.zeros_like(p.data) if p.grad is None else p.grad for p in model.params]
+            loss = masked_loss(out, labels[chunk], mask[chunk], "regression")
+            backward(T.mul(loss, Tensor(len(chunk) / len(batch))))
+        serial = {name: np.zeros_like(t.data) if t.grad is None else t.grad
+                  for name, t in model.params.tensors.items()}
         with lanes.Lanes(model, mols, labels, mask) as pair:
             pair.step(chunk_lists, list(range(len(chunk_lists))), len(batch))
-        for p, want in zip(model.params, serial):
-            assert np.abs(p.grad - want).max() <= 1e-14 * np.abs(want).max(), p.name
+        for name, t in model.params.tensors.items():
+            want = serial[name]
+            assert np.abs(t.grad - want).max() <= 1e-14 * np.abs(want).max(), name
 
     def _run_train(self, tiny_dataset, labels=None, epochs=1):
         mols, all_labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
