@@ -5,4 +5,14 @@ engine, a fused local/global graph network with fingerprint cross-attention,
 training and evaluation utilities, and a command-line interface.
 """
 
+import os
+
+# One BLAS thread per process unless the caller chose otherwise. ``train``
+# and ``predict`` run two lanes, one per core; a BLAS pool in each lane
+# would oversubscribe the cores, and at these matrix sizes one thread loses
+# nothing. Set before any submodule imports numpy.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 __version__ = "0.1.0"

@@ -225,10 +225,18 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return _make(data, tuple(tensors), back, "concat")
 
 
-def _one_hot(ids: np.ndarray, n: int) -> np.ndarray:
-    """[n, len(ids)] with a 1 where row ``ids[j]`` meets column j: a matmul with
-    it scatter-adds rows into buckets, faster than ``np.add.at`` at these sizes."""
-    return (np.arange(n)[:, None] == ids).astype(np.float64)
+def _scatter_add(ids: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
+    """``rows`` summed into ``n`` buckets by ``ids``.
+
+    A matmul with the [n, len(ids)] one-hot matrix is faster than
+    ``np.add.at`` at these sizes, but it would spread a non-finite row into
+    every bucket (0 * inf is nan), so such input takes ``np.add.at``.
+    """
+    if np.isfinite(rows).all():
+        return (np.arange(n)[:, None] == ids).astype(np.float64) @ rows
+    out = np.zeros((n, *rows.shape[1:]))
+    np.add.at(out, ids, rows)
+    return out
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
@@ -236,7 +244,7 @@ def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
     indices = np.asarray(indices, dtype=np.int64)
 
     def back(g):
-        _accumulate(a, _one_hot(indices, a.shape[0]) @ g)
+        _accumulate(a, _scatter_add(indices, a.shape[0], g))
 
     return _make(a.data[indices], (a,), back, "gather_rows")
 
@@ -246,7 +254,7 @@ def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     if a.data.ndim != 2 or len(segment_ids) != a.shape[0]:
         raise ShapeMismatchError("segment_sum", a.shape, (len(segment_ids),))
-    data = _one_hot(segment_ids, num_segments) @ a.data
+    data = _scatter_add(segment_ids, num_segments, a.data)
 
     def back(g):
         _accumulate(a, g[segment_ids])

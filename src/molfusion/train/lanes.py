@@ -1,9 +1,10 @@
 """Two-lane data parallelism over the chunks of one optimizer batch.
 
 Chunk k of a batch goes to lane k mod 2. Lane 0 runs in the training
-process. Lane 1 runs in one helper process, forked once per ``train`` call
-on Linux; elsewhere it runs inline after lane 0, with the same arithmetic.
-The batch gradient is lane 0's sum plus lane 1's sum, added in that order.
+process. Lane 1 runs in one ``helper.Helper``, forked once per ``train``
+call on Linux; elsewhere it runs inline after lane 0, with the same
+arithmetic. The batch gradient is lane 0's sum plus lane 1's sum, added in
+that order.
 
 The parameters live in one shared anonymous ``mmap``: Adam updates them in
 place in the training process, and the helper reads the new values at the
@@ -22,22 +23,14 @@ from __future__ import annotations
 
 import math
 import mmap
-import pickle
-import signal
-import sys
 
 import numpy as np
 
 from ..autodiff import tensor as T
 from ..autodiff.rng import make_rng
+from ..helper import Helper
 from ..model.batch import MoleculeBatch
 from .losses import masked_loss
-
-# The helper is forked so that it shares the featurized molecules
-# copy-on-write and the parameter mapping without pickling anything. Linux
-# is where the fork start method is both available and safe under numpy.
-FORK_HELPER = sys.platform.startswith("linux")
-JOIN_TIMEOUT_S = 1.0  # a helper still busy after this is terminated
 
 
 def _shared_like(arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -46,15 +39,6 @@ def _shared_like(arrays: list[np.ndarray]) -> list[np.ndarray]:
     flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
     ends = np.cumsum(sizes)
     return [flat[end - size : end].reshape(a.shape) for a, size, end in zip(arrays, sizes, ends)]
-
-
-def _sendable(exc: Exception) -> Exception:
-    """``exc`` if it survives the pipe, else a RuntimeError that names it."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(f"lane-1 helper raised {type(exc).__name__}: {exc}")
 
 
 class Lanes:
@@ -69,37 +53,18 @@ class Lanes:
     def __init__(self, model, mols, labels: np.ndarray, mask: np.ndarray):
         self.model, self.mols, self.labels, self.mask = model, mols, labels, mask
         self.tensors = list(model.params.tensors.values())
-        self.helper = None
-        self.conn = None
+        self.helper = Helper(lambda work: self._run_lane1(*work))
 
     def __enter__(self) -> "Lanes":
         for t, view in zip(self.tensors, _shared_like([t.data for t in self.tensors])):
             view[...] = t.data
             t.data = view  # the private array is freed here
         self.lane1_grads = _shared_like([t.data for t in self.tensors])
-        if FORK_HELPER:
-            import multiprocessing  # here, so that commands that never train do not load it
-
-            ctx = multiprocessing.get_context("fork")
-            self.conn, child_conn = ctx.Pipe()
-            self.helper = ctx.Process(target=self._serve, args=(child_conn,), daemon=True)
-            self.helper.start()
-            child_conn.close()
+        self.helper.__enter__()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self.helper is None:
-            return
-        try:
-            self.conn.send(None)
-        except OSError:  # the helper is gone already
-            pass
-        self.conn.close()
-        self.helper.join(JOIN_TIMEOUT_S)
-        if self.helper.is_alive():
-            self.helper.terminate()
-            self.helper.join()
-        self.helper = None
+        self.helper.__exit__(*exc_info)
 
     def step(self, chunk_lists: list[list[int]], seeds: list[int], n: int) -> list[float]:
         """Forward and backward of every chunk of a batch of ``n`` molecules.
@@ -109,21 +74,15 @@ class Lanes:
         returns the chunk losses in chunk order; a chunk whose loss is not
         finite gets no backward.
         """
-        lane1 = (chunk_lists[1::2], seeds[1::2], n)
-        if self.helper is not None:
-            self.conn.send(lane1)
+        self.helper.send((chunk_lists[1::2], seeds[1::2], n))
         losses = [0.0] * len(chunk_lists)
         losses[0::2] = self._run(chunk_lists[0::2], seeds[0::2], n)
-        if self.helper is not None:
-            reply = self.conn.recv()
-            if isinstance(reply, Exception):
-                raise reply
-        else:
-            lane0_grads = [t.grad for t in self.tensors]
-            reply = self._run_lane1(*lane1)
-            for t, g in zip(self.tensors, lane0_grads):
-                t.grad = g
-        losses[1::2] = reply
+        # Inline, lane 1 runs here and leaves its own ``grad``s; lane 0's are
+        # put back. Forked, the helper's ``grad``s stay in the helper.
+        lane0_grads = [t.grad for t in self.tensors]
+        losses[1::2] = self.helper.reply()
+        for t, g in zip(self.tensors, lane0_grads):
+            t.grad = g
         # Lane 0's sum plus lane 1's, summed in place in the shared buffer;
         # the helper writes it again only after the next step's message.
         for t, g in zip(self.tensors, self.lane1_grads):
@@ -156,18 +115,3 @@ class Lanes:
         for t, g in zip(self.tensors, self.lane1_grads):
             g[...] = 0.0 if t.grad is None else t.grad
         return losses
-
-    def _serve(self, conn) -> None:
-        """The helper: run lane-1 work until a stop message or end of file."""
-        # Ctrl-C reaches the whole process group; the training process stops us.
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        self.conn.close()  # the training process's end; its exit must read as EOF here
-        try:
-            while (work := conn.recv()) is not None:
-                try:
-                    reply = self._run_lane1(*work)
-                except Exception as exc:
-                    reply = _sendable(exc)
-                conn.send(reply)
-        except (EOFError, OSError):  # the training process has gone
-            pass

@@ -669,3 +669,14 @@ class TestGradientPrimitives:
         source = _rand(rng, n, a.shape[1])
         backward(ad.sum_(ad.mul(ad.gather_rows(source, ids), a)))  # scatters a into source
         assert np.abs(source.grad - want).max(initial=0.0) <= bound
+
+    def test_a_non_finite_row_stays_in_its_segment(self):
+        """Under ``filterwarnings = error``, a numpy warning would fail this too."""
+        pooled = ad.segment_sum(Tensor([[np.inf], [1.0]]), np.array([0, 1]), 2)
+        assert np.array_equal(pooled.data, [[np.inf], [1.0]])
+
+    def test_a_non_finite_gradient_row_stays_in_its_source_row(self):
+        source = Tensor([[1.0], [2.0]], requires_grad=True)
+        backward(ad.sum_(ad.mul(ad.gather_rows(source, np.array([0, 1])),
+                                Tensor([[np.inf], [1.0]]))))
+        assert np.array_equal(source.grad, [[np.inf], [1.0]])

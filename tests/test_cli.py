@@ -486,6 +486,107 @@ class TestPredictCommand:
         assert not (tmp_path / "p.csv").exists()
 
 
+class TestPredictLanes:
+    """Chunk k of each window runs on lane k mod 2; lane 1 in a forked helper."""
+
+    WINDOW = 3  # chunks per window here, so a small input spans several windows
+
+    @pytest.fixture
+    def edge_input(self, tmp_path):
+        """Corpus rows with malformed rows at the start, at window edges and
+        at chunk edges (a row of no atoms joins the chunk before it)."""
+        from molfusion.chem import parse_smiles
+        from molfusion.model import chunks
+
+        smiles = corpus_util.build_corpus(200)
+        starts, k = [], 0
+        for chunk in chunks(smiles, lambda s: parse_smiles(s).n_atoms):
+            starts.append(k)
+            k += len(chunk)
+        assert len(starts) >= 4 * self.WINDOW
+        bad_before = {0, starts[self.WINDOW], starts[self.WINDOW + 1], starts[2 * self.WINDOW]}
+        rows = []
+        for i, s in enumerate(smiles):
+            if i in bad_before:
+                rows.append("xx((bad")
+            rows.append(s)
+        rows.append("C1CC")
+        path = tmp_path / "edges.csv"
+        path.write_text("smiles\n" + "".join(r + "\n" for r in rows))
+        return path, smiles, starts
+
+    def _predict(self, trained, data, out, monkeypatch, fork):
+        from molfusion import cli, helper
+
+        monkeypatch.setattr(cli, "PREDICT_WINDOW_CHUNKS", self.WINDOW)
+        monkeypatch.setattr(helper, "FORK_HELPER", fork and helper.FORK_HELPER)
+        return main(["predict", "--checkpoint", str(trained / "seed_0.ckpt"),
+                     "--input", str(data), "--out", str(out)])
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forked on Linux")
+    def test_forked_and_inline_paths_write_identical_csvs(self, trained, tmp_path,
+                                                            monkeypatch, edge_input):
+        data, _smiles, starts = edge_input
+        n_chunks = len(starts)
+        real_fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        written = {}
+        for name, fork in [("f1", True), ("f2", True), ("i1", False), ("i2", False)]:
+            out = tmp_path / f"{name}.csv"
+            assert self._predict(trained, data, out, monkeypatch, fork) == 0
+            written[name] = out.read_bytes()
+        windows = -(-n_chunks // self.WINDOW)
+        assert len(forks) == 2 * (windows - (n_chunks % self.WINDOW == 1))
+        assert written["f1"] == written["f2"] == written["i1"] == written["i2"]
+        rows = list(csv.reader(written["f1"].decode().splitlines()))[1:]
+        assert [r[0] for r in rows if r[1].startswith("ERROR:")] == ["xx((bad"] * 4 + ["C1CC"]
+
+    def test_lane_1_failure_matches_the_inline_path(self, trained, tmp_path, monkeypatch,
+                                                      capsys, edge_input):
+        """A non-SmilesError for a row of chunk 1 ends both paths alike."""
+        from molfusion import cli
+        from molfusion.data import DataError
+
+        data, smiles, starts = edge_input
+        target = smiles[starts[1] + 1]  # a row of chunk 1, which lane 1 runs
+        parse, featurize, doomed = cli.parse_smiles, cli.featurize, set()
+
+        def parse_marking(smiles):
+            graph = parse(smiles)
+            if smiles == target:
+                doomed.add(id(graph))
+            return graph
+
+        def featurize_failing(graph, config):
+            if id(graph) in doomed:
+                raise DataError(f"cannot featurize {target}")
+            return featurize(graph, config)
+
+        monkeypatch.setattr(cli, "parse_smiles", parse_marking)
+        monkeypatch.setattr(cli, "featurize", featurize_failing)
+        results = []
+        for fork in (True, False):
+            code = self._predict(trained, data, tmp_path / "out.csv", monkeypatch, fork)
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1] == (2, f"data error: cannot featurize {target}\n")
+
+    def test_one_chunk_starts_no_process(self, trained, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("a one-chunk input forked a helper")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        data = tmp_path / "one.csv"
+        data.write_text("smiles\nCCO\nxx((bad\nc1ccccc1\n")
+        assert main(["predict", "--checkpoint", str(trained / "seed_0.ckpt"),
+                     "--input", str(data), "--out", str(tmp_path / "one_preds.csv")]) == 0
+        assert len((tmp_path / "one_preds.csv").read_text().splitlines()) == 4
+
+
 def _set_header_length(raw: bytes, length: int) -> bytes:
     return raw[:8] + struct.pack("<I", length) + raw[12:]
 
@@ -653,6 +754,33 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--config", str(workdir / "config.json"), "--atoms", "5"]) == 3
         assert "FAIL" in capsys.readouterr().out
 
+    def test_default_config_passes_in_a_real_process(self):
+        proc = run_process(["gradcheck", "--atoms", "5"])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("PASS")
+
+    def test_wrong_backward_fails_in_a_real_process(self):
+        doubled = (
+            "import sys\n"
+            "from molfusion import cli\n"
+            "from molfusion.autodiff import tensor\n"
+            "gru_cell = tensor.gru_cell\n"
+            "def doubled(*args):\n"
+            "    out = gru_cell(*args)\n"
+            "    back = out._backward\n"
+            "    out._backward = lambda g: back(2 * g)\n"
+            "    return out\n"
+            "tensor.gru_cell = doubled\n"
+            "sys.exit(cli.main())\n"
+        )
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", doubled, "gradcheck", "--atoms", "5"], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=300,
+        )
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("FAIL")
+
     @pytest.mark.parametrize("atoms", ["0", "-2"])
     def test_no_atoms_exit_1(self, atoms, capsys):
         assert main(["gradcheck", "--atoms", atoms]) == 1
@@ -691,6 +819,18 @@ class TestUsage:
         assert "Traceback" not in proc.stderr
         proc = run_process(["--version"], env={"MOLFUSION_LOG": "info"})
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+    def test_blas_threads_default_to_one_and_a_set_value_is_kept(self):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        show = f"import os, molfusion; print(*(os.environ[n] for n in {names!r}))"
+        pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        env["PYTHONPATH"] = pythonpath
+        cases = [({}, ["1", "1", "1"]), ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"])]
+        for extra, want in cases:
+            proc = subprocess.run([sys.executable, "-c", show], capture_output=True, text=True,
+                                  env={**env, **extra}, timeout=60)
+            assert proc.stdout.split() == want, proc.stderr
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

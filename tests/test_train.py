@@ -14,6 +14,7 @@ import pytest
 
 import molfusion.autodiff as ad
 from molfusion import cli
+from molfusion import helper as helper_module
 from molfusion.autodiff import Tensor, backward, load_checkpoint, make_rng
 from molfusion.autodiff import tensor as T
 from molfusion.autodiff.rng import split_streams
@@ -302,7 +303,8 @@ class TestMultiSeed:
         assert report.metric_name == "rmse"
 
 
-needs_helper = pytest.mark.skipif(not lanes.FORK_HELPER, reason="the helper is forked on Linux")
+needs_helper = pytest.mark.skipif(not helper_module.FORK_HELPER,
+                                  reason="the helper is forked on Linux")
 
 
 class TestLanes:
@@ -322,7 +324,7 @@ class TestLanes:
         chunk_lists, seeds = [[0], [1], [2], [3]], [11, 12, 13, 14]
         swap = [1, 0, 3, 2]  # lane 0 gets the chunks lane 1 had
         with lanes.Lanes(model, mols, labels, mask) as pair:
-            assert pair.helper.is_alive()
+            assert pair.helper.process.is_alive()
             first = pair.step(chunk_lists, seeds, 4)
             first_grads = [t.grad.copy() for t in pair.tensors]
             second = pair.step([chunk_lists[k] for k in swap], [seeds[k] for k in swap], 4)
@@ -336,7 +338,7 @@ class TestLanes:
 
     @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
     def test_step_gradient_matches_a_serial_chunk_sum(self, tiny_dataset, monkeypatch, helper):
-        monkeypatch.setattr(lanes, "FORK_HELPER", helper and lanes.FORK_HELPER)
+        monkeypatch.setattr(helper_module, "FORK_HELPER", helper and helper_module.FORK_HELPER)
         mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
         model = MlfgnnModel(small_config(), seed=0)  # dropout 0
         batch = list(range(len(mols)))
@@ -373,7 +375,7 @@ class TestLanes:
                                                          helper):
         """The records named are those of the first non-finite chunk in chunk
         order, as when the chunks ran one after another."""
-        monkeypatch.setattr(lanes, "FORK_HELPER", helper and lanes.FORK_HELPER)
+        monkeypatch.setattr(helper_module, "FORK_HELPER", helper and helper_module.FORK_HELPER)
         mols, labels, _mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
         split = random_split(tiny_dataset, 0)
         order = split_streams(0, ("shuffle", "dropout"))["shuffle"].permutation(split.train)
@@ -423,7 +425,7 @@ class TestLanes:
         corpus_util.write_regression_csv(data, corpus_util.build_corpus(300))
         runs = {}
         for name, helper in [("h1", True), ("h2", True), ("i1", False), ("i2", False)]:
-            monkeypatch.setattr(lanes, "FORK_HELPER", helper and lanes.FORK_HELPER)
+            monkeypatch.setattr(helper_module, "FORK_HELPER", helper and helper_module.FORK_HELPER)
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["train", "--data", str(data), "--task", "reg", "--seeds", "1",
                                  "--epochs", "2", "--out", str(tmp_path / name)]) == 0
