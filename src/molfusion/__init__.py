@@ -5,6 +5,7 @@ engine, a fused local/global graph network with fingerprint cross-attention,
 training and evaluation utilities, and a command-line interface.
 """
 
+import numbers
 import os
 
 # One BLAS thread per process unless the caller chose otherwise. ``train``
@@ -16,3 +17,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _var
 
 __version__ = "0.1.0"
+
+
+def is_number(value, kind=numbers.Integral) -> bool:
+    """``value`` is a ``kind`` (an integer by default) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .autodiff.rng import make_rng
 from .chem import SmilesError, parse_smiles, scaffold_hash
 
@@ -43,23 +45,24 @@ class LabelError(DataError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    records: tuple[tuple[str, tuple[float | None, ...]], ...]
+    """The rows that parse and carry a label. ``labels`` (float) and ``mask``
+    are read-only [m, n_tasks] arrays; a blank cell has mask False, label 0.0."""
+
+    smiles: tuple[str, ...]
+    labels: np.ndarray
+    mask: np.ndarray
     task_names: tuple[str, ...]
     task_type: str  # "regression" | "classification"
-    source_path: str
     checksum: str
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.smiles)
 
     @property
     def n_tasks(self) -> int:
         return len(self.task_names)
-
-    def smiles(self) -> list[str]:
-        return [r[0] for r in self.records]
 
 
 @dataclass
@@ -89,10 +92,11 @@ class DatasetSplit:
         Path(path).write_text(json.dumps(self.to_manifest(checksum), indent=1, sort_keys=True))
 
 
-def _parse_label(cell: str, task_type: str, row_num: int, column: str) -> float | None:
+def _parse_label(cell: str, task_type: str, row_num: int, column: str) -> float:
+    """The cell's label, or nan for a blank cell."""
     cell = cell.strip()
     if cell == "":
-        return None
+        return math.nan
     try:
         value = float(cell)
     except ValueError as exc:
@@ -151,15 +155,13 @@ def load_csv(
     header, rows, checksum = read_csv(path, [smiles_column, *(task_columns or [])])
     if task_columns is None:
         task_columns = [c for c in header if c != smiles_column]
-    records = []
+    kept_smiles, values = [], []
     bad_smiles = 0
     no_labels = 0
     for row_num, row in enumerate(rows, start=2):
         smiles = (row[smiles_column] or "").strip()
-        labels = tuple(
-            _parse_label(row[c] or "", task_type, row_num, c) for c in task_columns
-        )
-        if all(l is None for l in labels):
+        row_values = [_parse_label(row[c] or "", task_type, row_num, c) for c in task_columns]
+        if all(math.isnan(v) for v in row_values):
             no_labels += 1
             continue
         try:
@@ -167,20 +169,19 @@ def load_csv(
         except SmilesError:
             bad_smiles += 1
             continue
-        records.append((smiles, labels))
+        kept_smiles.append(smiles)
+        values.append(row_values)
     if bad_smiles:
         log.warning("%s: dropped %d rows with unparseable SMILES", path, bad_smiles)
     if no_labels:
         log.warning("%s: dropped %d rows with no labels", path, no_labels)
-    if not records:
+    if not kept_smiles:
         raise EmptyDatasetError(f"{path}: no usable rows")
-    return Dataset(
-        records=tuple(records),
-        task_names=tuple(task_columns),
-        task_type=task_type,
-        source_path=str(path),
-        checksum=checksum,
-    )
+    values = np.array(values, dtype=np.float64)
+    mask = ~np.isnan(values)
+    labels = np.where(mask, values, 0.0)
+    mask.flags.writeable = labels.flags.writeable = False
+    return Dataset(tuple(kept_smiles), labels, mask, tuple(task_columns), task_type, checksum)
 
 
 def _check_fractions(fractions) -> tuple[float, float, float]:
@@ -232,12 +233,8 @@ def scaffold_split(
     if n < 10:
         raise TooSmallError(f"need at least 10 records to split, got {n}")
     groups: dict[str, list[int]] = {}
-    for i, (smiles, _labels) in enumerate(dataset.records):
-        try:
-            key = scaffold_hash(parse_smiles(smiles))
-        except SmilesError:
-            key = "unparseable"
-        groups.setdefault(key, []).append(i)
+    for i, smiles in enumerate(dataset.smiles):
+        groups.setdefault(scaffold_hash(parse_smiles(smiles)), []).append(i)
     ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     targets = [f * n for f in fractions]
     parts: list[list[int]] = [[], [], []]

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import is_number
 from ..chem.graph import BondOrder, Chirality, Hybridization, MolecularGraph
 from .erg import erg_fingerprint, erg_length
 from .keys import KeyTable, default_key_table, substructure_key_fingerprint
@@ -68,12 +69,10 @@ class FeaturizeConfig:
             if c not in FINGERPRINT_COMPONENTS:
                 raise ValueError(f"unknown fingerprint component {c!r}")
         self.components = tuple(self.components)
-        if self.morgan_radius < 0:
-            raise ValueError("morgan_radius must be >= 0")
-        if self.morgan_bits < 64:
-            raise ValueError("morgan_bits must be >= 64")
-        if self.erg_max_path < 1:
-            raise ValueError("erg_max_path must be >= 1")
+        for name, minimum in (("morgan_radius", 0), ("morgan_bits", 64), ("erg_max_path", 1)):
+            value = getattr(self, name)
+            if not is_number(value) or value < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
     def key_table(self) -> KeyTable:
         """The key table, read from ``key_table_path`` on first use only."""
@@ -111,9 +110,11 @@ class FeaturizedMolecule:
     src: np.ndarray  # [E] int64
     dst: np.ndarray  # [E] int64
     bond_features: np.ndarray  # [E, 13], row k for edge (src[k], dst[k])
-    adjacency_normalized: np.ndarray  # [n_atoms, n_atoms], rows sum to 1
     fingerprint: np.ndarray
-    n_atoms: int
+
+    @property
+    def n_atoms(self) -> int:
+        return len(self.atom_features)
 
 
 def featurize_atoms(graph: MolecularGraph) -> np.ndarray:
@@ -164,13 +165,11 @@ def featurize_bonds(graph: MolecularGraph) -> tuple[np.ndarray, np.ndarray, np.n
     return src[order], dst[order], np.concatenate([feats, feats])[order]
 
 
-def normalized_adjacency(graph: MolecularGraph) -> np.ndarray:
-    """Row-normalized adjacency with self-loops: D^-1 (Adj + I)."""
-    n = graph.n_atoms
-    adj = np.eye(n, dtype=np.float64)
-    for b in graph.bonds:
-        adj[b.u, b.v] = 1.0
-        adj[b.v, b.u] = 1.0
+def normalized_adjacency(n_atoms: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Row-normalized adjacency with self-loops, D^-1 (Adj + I), of the graph
+    whose directed edges are ``(src[k], dst[k])``, each bond listed both ways."""
+    adj = np.eye(n_atoms)
+    adj[src, dst] = 1.0
     return adj / adj.sum(axis=1, keepdims=True)
 
 
@@ -195,7 +194,5 @@ def featurize(graph: MolecularGraph, config: FeaturizeConfig | None = None) -> F
         src=src,
         dst=dst,
         bond_features=bond_features,
-        adjacency_normalized=normalized_adjacency(graph),
         fingerprint=compute_fingerprint(graph, config),
-        n_atoms=graph.n_atoms,
     )

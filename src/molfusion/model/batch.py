@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from ..autodiff.tensor import ShapeMismatchError
-from ..featurize.features import FeaturizedMolecule
+from ..featurize.features import FeaturizedMolecule, normalized_adjacency
 
 # Atoms per packed forward pass. Attention scores all N^2 query/key pairs of
 # the joined rows, masked ones included, and a batch's tape holds every
@@ -83,6 +83,5 @@ class MoleculeBatch:
         self.token_mask = np.where(  # [B, B + N]
             np.arange(self.size)[:, None] == token_ids[None, :], 0.0, _MASKED
         )
-        self.adjacency = np.zeros((self.n_atoms, self.n_atoms))  # block diagonal
-        for m, s in zip(mols, starts):
-            self.adjacency[s : s + m.n_atoms, s : s + m.n_atoms] = m.adjacency_normalized
+        # Block diagonal: the joined edge list never links two molecules.
+        self.adjacency = normalized_adjacency(self.n_atoms, self.src, self.dst)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import is_number
 from ..featurize.features import ATOM_FEATURE_DIM, BOND_FEATURE_DIM
 
 TASKS = ("regression", "classification")
@@ -59,15 +60,19 @@ class ModelConfig:
             "fingerprint_embed_dim",
             "n_tasks",
         ):
-            if int(getattr(self, name)) < 1:
-                problems.append(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.fingerprint_dim < 1 and self.ablation != "no_fingerprint":
+            value = getattr(self, name)
+            if not is_number(value) or value < 1:
+                problems.append(f"{name} must be an integer >= 1, got {value!r}")
+        if not is_number(self.fingerprint_dim):
+            problems.append(f"fingerprint_dim must be an integer, got {self.fingerprint_dim!r}")
+        elif self.fingerprint_dim < 1 and self.ablation != "no_fingerprint":
             problems.append("fingerprint_dim must be >= 1 unless fingerprints are ablated")
+        integers = not problems  # the width check below multiplies them
         for name in ("dropout_gat", "dropout_ffn", "dropout_attn"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 problems.append(f"{name} must be in [0, 1), got {rate}")
-        if self.hidden_dim != self.heads * self.head_dim:
+        if integers and self.hidden_dim != self.heads * self.head_dim:
             problems.append(
                 f"hidden_dim ({self.hidden_dim}) must equal heads*head_dim "
                 f"({self.heads}*{self.head_dim}={self.heads * self.head_dim})"

@@ -166,7 +166,7 @@ class MlfgnnModel:
         with T.no_grad():
             out = self.forward(batch).data
         if self.config.task == "classification":
-            return 1.0 / (1.0 + np.exp(-out))
+            return T._sigmoid_np(out)
         return out
 
     def predict(self, mol) -> np.ndarray:
@@ -178,7 +178,7 @@ class MlfgnnModel:
     def gate_alpha(self) -> float | None:
         if self.mixture.gate is None:
             return None
-        return float(1.0 / (1.0 + np.exp(-self.mixture.gate.data[0, 0])))
+        return float(T._sigmoid_np(self.mixture.gate.data)[0, 0])  # the forward's alpha
 
     def lambda_values(self) -> tuple[list[float], list[float]]:
         if not (self.config.has_transformer and self.config.adjacency_bias):

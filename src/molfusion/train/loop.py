@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .. import is_number
 from ..autodiff import no_grad
 from ..autodiff.optim import Adam
 from ..autodiff.rng import split_streams
@@ -41,27 +42,24 @@ class TrainConfig:
     target_train_rmse: float | None = None  # optional overfit-sanity early exit
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not is_number(self.epochs) or self.epochs < 1:
+            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        if not _number(self.batch_size, numbers.Integral) or self.batch_size < 1:
+        if not is_number(self.batch_size) or self.batch_size < 1:
             raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        if not is_number(self.patience):
+            raise ValueError(f"patience must be an integer, got {self.patience!r}")
         self.seeds = tuple(self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
         target = self.target_train_rmse
         if target is not None and not (
-            _number(target, numbers.Real) and math.isfinite(target) and target > 0
+            is_number(target, numbers.Real) and math.isfinite(target) and target > 0
         ):
             raise ValueError(
                 f"target_train_rmse must be null or a finite number > 0, got {target!r}"
             )
-
-
-def _number(value, kind) -> bool:
-    """``value`` is an instance of the ``numbers`` class ``kind``, and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 @dataclass
@@ -101,19 +99,10 @@ def aggregate(metric_name: str, per_seed: dict[int, float | None]) -> EvalReport
 
 def prepare_inputs(
     dataset: Dataset, featurize_config: FeaturizeConfig | None = None
-) -> tuple[list[FeaturizedMolecule], np.ndarray, np.ndarray]:
-    """Featurize every record once; returns (molecules, labels, mask)."""
+) -> list[FeaturizedMolecule]:
+    """Every record featurized once, in dataset order."""
     featurize_config = featurize_config or FeaturizeConfig()
-    mols = [featurize(parse_smiles(smiles), featurize_config) for smiles in dataset.smiles()]
-    m, t = len(dataset), dataset.n_tasks
-    labels = np.zeros((m, t))
-    mask = np.zeros((m, t), dtype=bool)
-    for i, (_smiles, row) in enumerate(dataset.records):
-        for j, value in enumerate(row):
-            if value is not None:
-                labels[i, j] = value
-                mask[i, j] = True
-    return mols, labels, mask
+    return [featurize(parse_smiles(smiles), featurize_config) for smiles in dataset.smiles]
 
 
 def evaluate_metric(model, mols, labels, mask, indices) -> float | None:
@@ -254,7 +243,7 @@ def multi_seed(
     Random splits are reseeded per seed; a scaffold split is computed once
     and shared (initialization and shuffling still vary by seed).
     """
-    mols, labels, mask = prepare_inputs(dataset, featurize_config)
+    mols = prepare_inputs(dataset, featurize_config)
     fixed_split = (
         scaffold_split(dataset, seed=0, fractions=fractions)
         if split_method == "scaffold"
@@ -269,7 +258,7 @@ def multi_seed(
         splits[seed] = split
         model = model_factory(seed)
         log_path = Path(log_dir) / f"seed_{seed}_log.jsonl" if log_dir else None
-        result = train(model, mols, labels, mask, split, config, seed, log_path)
+        result = train(model, mols, dataset.labels, dataset.mask, split, config, seed, log_path)
         results[seed] = result
         per_seed[seed] = result.test_metric
     report = aggregate(metric_name, per_seed)

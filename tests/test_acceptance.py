@@ -45,8 +45,9 @@ def _verdict(number, description, passed):
 
 
 def _memory_dataset(smiles_list):
-    records = tuple((s, (corpus_util.synthetic_property(s),)) for s in smiles_list)
-    return Dataset(records, ("y",), "regression", "memory", "na")
+    labels = np.array([[corpus_util.synthetic_property(s)] for s in smiles_list])
+    mask = np.ones(labels.shape, dtype=bool)
+    return Dataset(tuple(smiles_list), labels, mask, ("y",), "regression", "na")
 
 
 def test_criterion_1_full_model_gradient_check():
@@ -101,7 +102,7 @@ def test_criterion_2_boundary_identities():
     adj_ok = all(
         np.array_equal(
             out.data[:, i * 4 : (i + 1) * 4],
-            mol.adjacency_normalized @ v[:, i * 4 : (i + 1) * 4],
+            batch.adjacency @ v[:, i * 4 : (i + 1) * 4],
         )
         for i in range(2)
     )
@@ -245,7 +246,8 @@ def test_criterion_6_overfit_sanity_10_seeds():
     start = time.time()
     fcfg = FeaturizeConfig(morgan_bits=256, erg_max_path=8)
     dataset = _memory_dataset(corpus_util.build_corpus(32))
-    mols, labels, mask = prepare_inputs(dataset, fcfg)
+    mols = prepare_inputs(dataset, fcfg)
+    labels, mask = dataset.labels, dataset.mask
     split = DatasetSplit(
         train=list(range(32)), valid=[], test=[], method="random", seed=0,
         fractions=(1.0, 0.0, 0.0),
@@ -276,7 +278,8 @@ def test_criterion_6_overfit_sanity_10_seeds():
 def test_criterion_7_desk_scale_learning_signal():
     dataset = _memory_dataset(corpus_util.build_corpus(300))
     fcfg = FeaturizeConfig()
-    mols, labels, mask = prepare_inputs(dataset, fcfg)
+    mols = prepare_inputs(dataset, fcfg)
+    labels, mask = dataset.labels, dataset.mask
     split = random_split(dataset, seed=0)
     train_mean = labels[split.train].mean()
     test_labels = labels[split.test][:, 0]
@@ -319,7 +322,7 @@ def test_criterion_8_split_protocol(tmp_path):
         owner = {}
         for part, indices in (("train", split.train), ("valid", split.valid), ("test", split.test)):
             for i in indices:
-                key = scaffold_hash(parse_smiles(dataset.records[i][0]))
+                key = scaffold_hash(parse_smiles(dataset.smiles[i]))
                 if owner.setdefault(key, part) != part:
                     disjoint = False
     ten = _memory_dataset(corpus_util.build_corpus(10))

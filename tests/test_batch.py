@@ -9,6 +9,8 @@ from molfusion.chem import parse_smiles
 from molfusion.featurize import FeaturizeConfig, featurize
 from molfusion.model import MAX_CHUNK_ATOMS, ModelConfig, MlfgnnModel, MoleculeBatch, chunks
 
+import corpus_util
+
 FEATURIZE = FeaturizeConfig()
 # A 1-atom molecule with no bonds, two small rings, a chain, and a 70-atom
 # molecule that is over the chunk cap and so forms a chunk of its own.
@@ -80,8 +82,31 @@ def test_pack_layout(mols):
     assert not batch.adjacency[~same].any()
     for b, mol in enumerate(mols[:3]):
         rows = np.flatnonzero(ids == b)
-        assert np.array_equal(batch.adjacency[np.ix_(rows, rows)], mol.adjacency_normalized)
+        assert np.array_equal(batch.adjacency[np.ix_(rows, rows)],
+                              MoleculeBatch([mol]).adjacency)
     assert not MoleculeBatch(mols[1:2]).atom_mask.any()  # one molecule: nothing masked
+
+
+def _oracle_adjacency(graph):
+    """D^-1 (A + I) by a loop over the bonds."""
+    adj = np.eye(graph.n_atoms)
+    for b in graph.bonds:
+        adj[b.u, b.v] = 1.0
+        adj[b.v, b.u] = 1.0
+    return adj / adj.sum(axis=1, keepdims=True)
+
+
+def test_adjacency_equals_the_per_bond_oracle_on_every_corpus_chunk():
+    """Built once from the joined edge list, the batch prior is byte for byte
+    the block diagonal of the per-molecule oracles."""
+    graphs = [g for _s, g in corpus_util.frozen_corpus_graphs()]
+    mols = [featurize(g, FeaturizeConfig(components=())) for g in graphs]
+    for run in chunks(range(len(mols)), lambda i: mols[i].n_atoms):
+        sizes = [graphs[i].n_atoms for i in run]
+        want = np.zeros((sum(sizes), sum(sizes)))
+        for i, start, size in zip(run, np.cumsum(sizes) - sizes, sizes):
+            want[start : start + size, start : start + size] = _oracle_adjacency(graphs[i])
+        assert MoleculeBatch([mols[i] for i in run]).adjacency.tobytes() == want.tobytes(), run
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))

@@ -212,6 +212,34 @@ class TestTrainCommand:
         assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    @pytest.mark.parametrize("config", [
+        {"model": {"transformer_layers": 1.5}},
+        {"model": {"heads": 4.0, "head_dim": 16.0}},
+        {"model": {"gat_layers": True}},
+        {"featurize": {"morgan_bits": 100.5}},
+        {"featurize": {"morgan_radius": 1.5}},
+        {"featurize": {"erg_max_path": 2.5}},
+        {"train": {"epochs": 1.5}},
+        {"train": {"epochs": 3, "patience": "x", "lr": 0.5}},
+    ], ids=["layers-1.5", "heads-4.0", "gat-layers-true", "morgan-bits-100.5",
+            "morgan-radius-1.5", "erg-path-2.5", "epochs-1.5", "patience-string"])
+    def test_non_integer_count_is_a_config_error(self, tmp_path, command, config):
+        """A count field takes an integer, not a float or a bool. ``train``
+        names a data file that does not exist, so exit 1 shows the config was
+        checked before any row was read. Run as a process, so that a traceback
+        would reach stderr."""
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = [command, "--config", str(tmp_path / "config.json")]
+        if command == "train":
+            argv += ["--data", str(tmp_path / "missing.csv"), "--task", "reg",
+                     "--out", str(tmp_path / "run")]
+        proc = run_process(argv)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("config error: "), proc.stderr
+        assert "integer" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("text", [
         "5", "null", "[]", '"abc"', '{"model": 5}', '{"train": null}', '{"model": []}',
     ])
@@ -281,7 +309,7 @@ class TestTrainCommand:
         owner = {}
         for part, indices in manifest["indices"].items():
             for i in indices:
-                key = scaffold_hash(parse_smiles(ds.records[i][0]))
+                key = scaffold_hash(parse_smiles(ds.smiles[i]))
                 assert owner.setdefault(key, part) == part
 
     def test_gat_only_checkpoint_lacks_transformer(self, workdir):

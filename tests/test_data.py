@@ -69,7 +69,7 @@ class TestLoadCsv:
         ds = load_csv(regression_csv, "smiles", ["solubility"])
         assert len(ds) == 60
         assert ds.task_names == ("solubility",)
-        assert all(r[1][0] is not None for r in ds.records)
+        assert ds.mask.all() and ds.labels.shape == (60, 1)
 
     def test_bad_smiles_dropped_with_count(self, tmp_path, caplog):
         path = tmp_path / "d.csv"
@@ -83,11 +83,25 @@ class TestLoadCsv:
         path = tmp_path / "d.csv"
         path.write_text("a,smiles,b\n1,CCO,\n,CCC,0\n1,CCN,1\n")
         ds = load_csv(path, "smiles", ["a", "b"], task_type="classification")
-        assert ds.records[0][1] == (1.0, None)
-        assert ds.records[1][1] == (None, 0.0)
+        assert ds.smiles == ("CCO", "CCC", "CCN")
+        assert ds.mask.tolist() == [[True, False], [False, True], [True, True]]
+        assert ds.labels.tolist() == [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
         default = load_csv(path, "smiles", task_type="classification")
         assert default.task_names == ("a", "b")
-        assert default.records == ds.records
+        assert default.smiles == ds.smiles
+        assert np.array_equal(default.labels, ds.labels)
+        assert np.array_equal(default.mask, ds.mask)
+
+    def test_blank_cell_is_masked_and_the_arrays_are_read_only(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("smiles,a,b\nCCO,2.5, \nCCC,,-1\n")
+        ds = load_csv(path, "smiles", ["a", "b"])
+        assert ds.labels.dtype == np.float64 and ds.mask.dtype == bool
+        assert ds.mask.tolist() == [[True, False], [False, True]]
+        assert ds.labels.tolist() == [[2.5, 0.0], [0.0, -1.0]]
+        for array in (ds.labels, ds.mask):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
 
     def test_twelve_task_sparse_file(self, tmp_path):
         # toxicity-benchmark shape: many tasks, mostly blank cells
@@ -108,10 +122,9 @@ class TestLoadCsv:
         path.write_text("smiles," + ",".join(tasks) + "\n" + "\n".join(rows) + "\n")
         ds = load_csv(path, "smiles", tasks, task_type="classification")
         assert ds.n_tasks == 12
-        missing = sum(1 for _s, labels in ds.records for l in labels if l is None)
-        present = sum(1 for _s, labels in ds.records for l in labels if l is not None)
-        assert missing > 0 and present > 0
-        assert all(l in (0.0, 1.0) for _s, labels in ds.records for l in labels if l is not None)
+        assert (~ds.mask).any() and ds.mask.any()
+        assert set(ds.labels[ds.mask].tolist()) <= {0.0, 1.0}
+        assert not ds.labels[~ds.mask].any()
 
     def test_all_missing_rows_dropped(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -196,7 +209,7 @@ class TestScaffoldSplit:
         seen = {}
         for part_name, indices in (("train", split.train), ("valid", split.valid), ("test", split.test)):
             for i in indices:
-                key = scaffold_hash(parse_smiles(ds.records[i][0]))
+                key = scaffold_hash(parse_smiles(ds.smiles[i]))
                 assert seen.setdefault(key, part_name) == part_name
         assert split.valid and split.test
 

@@ -211,7 +211,7 @@ class TestTransformerBoundaries:
             d_k = model.config.head_dim
             for i in range(layer.heads):
                 cols = slice(i * d_k, (i + 1) * d_k)
-                expected = mol.adjacency_normalized @ v[:, cols]
+                expected = batch.adjacency @ v[:, cols]
                 assert np.array_equal(out.data[:, cols], expected)
 
     def test_no_adjacency_reduces_to_plain_attention(self):
@@ -308,6 +308,15 @@ class TestMixture:
         assert np.array_equal(mix(gat_out, trans_out).data, ad.gelu(trans_out).data)
         mix.gate.data[...] = saved
 
+    def test_logged_alpha_is_the_forward_alpha(self):
+        """``gate_alpha()``, which the training log records, is bitwise the
+        alpha that the forward pass mixed with."""
+        model = MlfgnnModel(small_config(), seed=0)
+        model.mixture.gate.data[...] = -3.0
+        trace = {}
+        model.forward(MoleculeBatch([featurized("CC(=O)O")]), trace=trace)
+        assert model.gate_alpha() == trace["gate_alpha"] == 0.04742587317756679
+
     def test_identical_layer_outputs_mean_is_identity(self):
         config = small_config()
         model = MlfgnnModel(config, seed=1)
@@ -372,6 +381,22 @@ class TestReadout:
         anchor = np.stack([states[:3].sum(axis=0), states[3:].sum(axis=0)])
         naive = _naive_attentive_gru(model.readout, anchor, states, graph_ids)
         assert np.abs(out.data - naive).max() < 1e-10
+
+
+class TestPredict:
+    def test_large_negative_logit_gives_zero_without_a_warning(self):
+        """Probabilities come from the forward's overflow-free sigmoid; under
+        the suite's ``filterwarnings = ["error"]`` an overflow would raise."""
+        model = MlfgnnModel(small_config(task="classification"), seed=0)
+        model.out2.w.data[...] = 0.0
+        model.out2.b.data[...] = -1000.0
+        probs = model.predict_batch(MoleculeBatch([featurized("CCO"), featurized("CN")]))
+        assert probs.tolist() == [[0.0], [0.0]]
+
+    def test_regression_outputs_are_the_forward_outputs(self):
+        model = MlfgnnModel(small_config(), seed=0)
+        batch = MoleculeBatch([featurized("CCO"), featurized("c1ccccc1")])
+        assert np.array_equal(model.predict_batch(batch), model.forward(batch).data)
 
 
 class TestInitialization:
@@ -556,9 +581,7 @@ class TestForwardContract:
             src=np.zeros(0, dtype=np.int64),
             dst=np.zeros(0, dtype=np.int64),
             bond_features=np.zeros((0, 13)),
-            adjacency_normalized=np.zeros((0, 0)),
             fingerprint=np.zeros(SMALL_FEATURIZE.fingerprint_length),
-            n_atoms=0,
         )
         model = MlfgnnModel(small_config(), seed=0)
         with pytest.raises(EmptyMoleculeError):

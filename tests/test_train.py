@@ -177,7 +177,8 @@ def tiny_dataset(tmp_path_factory):
 
 class TestTrainLoop:
     def test_patience_stops_after_exact_epochs(self, tiny_dataset):
-        mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels, mask = tiny_dataset.labels, tiny_dataset.mask
         split = random_split(tiny_dataset, 0)
         model = MlfgnnModel(small_config(), seed=0)
         config = TrainConfig(epochs=50, lr=1e-30, patience=5)
@@ -186,7 +187,8 @@ class TestTrainLoop:
         assert len(result.history) == 6
 
     def test_same_seed_identical_trajectories(self, tiny_dataset):
-        mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels, mask = tiny_dataset.labels, tiny_dataset.mask
         split = random_split(tiny_dataset, 0)
         config = TrainConfig(epochs=4, lr=1e-3, patience=10)
         histories = []
@@ -198,7 +200,8 @@ class TestTrainLoop:
 
     def test_best_checkpoint_not_last_is_reported(self, tiny_dataset):
         """The test metric comes from the best-validation state, not the last."""
-        mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels, mask = tiny_dataset.labels, tiny_dataset.mask
         split = random_split(tiny_dataset, 0)
         model = MlfgnnModel(small_config(), seed=2)
         config = TrainConfig(epochs=8, lr=5e-3, patience=50)
@@ -218,7 +221,8 @@ class TestTrainLoop:
     def test_log_lines_carry_gate_and_lambdas(self, tiny_dataset, tmp_path):
         import json
 
-        mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels, mask = tiny_dataset.labels, tiny_dataset.mask
         split = random_split(tiny_dataset, 0)
         model = MlfgnnModel(small_config(), seed=0)
         config = TrainConfig(epochs=2, patience=5)
@@ -232,7 +236,8 @@ class TestTrainLoop:
             assert len(line["lambda_adj"]) == 1
 
     def test_loss_decreases_on_overfit_subset(self, tiny_dataset):
-        mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels, mask = tiny_dataset.labels, tiny_dataset.mask
         split = random_split(tiny_dataset, 3)
         wins = 0
         for seed in range(3):
@@ -317,7 +322,8 @@ class TestLanes:
         the forward output itself."""
         if loss == "output":
             monkeypatch.setattr(lanes, "masked_loss", lambda out, *_: T.sum_(out))
-        mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels, mask = tiny_dataset.labels, tiny_dataset.mask
         model = MlfgnnModel(
             small_config(dropout_gat=0.3, dropout_ffn=0.3, dropout_attn=0.3), seed=0
         )
@@ -339,7 +345,8 @@ class TestLanes:
     @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
     def test_step_gradient_matches_a_serial_chunk_sum(self, tiny_dataset, monkeypatch, helper):
         monkeypatch.setattr(helper_module, "FORK_HELPER", helper and helper_module.FORK_HELPER)
-        mols, labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels, mask = tiny_dataset.labels, tiny_dataset.mask
         model = MlfgnnModel(small_config(), seed=0)  # dropout 0
         batch = list(range(len(mols)))
         chunk_lists = list(chunks(batch, lambda i: mols[i].n_atoms))
@@ -359,7 +366,8 @@ class TestLanes:
             assert np.abs(t.grad - want).max() <= 1e-14 * np.abs(want).max(), name
 
     def _run_train(self, tiny_dataset, labels=None, epochs=1):
-        mols, all_labels, mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        all_labels, mask = tiny_dataset.labels, tiny_dataset.mask
         split = random_split(tiny_dataset, 0)
         config = TrainConfig(epochs=epochs, patience=5)
         labels = all_labels if labels is None else labels
@@ -376,7 +384,8 @@ class TestLanes:
         """The records named are those of the first non-finite chunk in chunk
         order, as when the chunks ran one after another."""
         monkeypatch.setattr(helper_module, "FORK_HELPER", helper and helper_module.FORK_HELPER)
-        mols, labels, _mask = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels = tiny_dataset.labels
         split = random_split(tiny_dataset, 0)
         order = split_streams(0, ("shuffle", "dropout"))["shuffle"].permutation(split.train)
         batch = order.tolist()[: TrainConfig().batch_size]
