@@ -18,7 +18,7 @@ import logging
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .chem.graph import Atom, Bond, BondOrder, MolecularGraph
 from .chem.perception import annotate
 from .data import DataError, load_csv, read_csv
 from .featurize import FeaturizeConfig, featurize
-from .helper import Helper
+from .helper import Counter, Helper, sendable
 from .model import ConfigError, ModelConfig, MoleculeBatch, chunks
 from .model.network import MlfgnnModel
 from .train import NonFiniteLossError, TrainConfig, multi_seed
@@ -309,10 +309,13 @@ def build_model_from_checkpoint(
     return model, featurize_config
 
 
-# Chunks per ``predict`` window. Its rows are parsed in this process, and
-# then lane 1 runs its odd chunks in a helper forked for the window, which
-# reads the parsed graphs copy-on-write. At most 64 atoms a chunk and about
-# 0.5 KB per parsed atom, a window's graphs stay near 1 MB.
+# Chunks per ``predict`` window. The two lanes claim a window's chunks from
+# one shared counter, not by a fixed deal, so the split follows what each
+# chunk really costs. This process runs chunk 0, parses the next window while
+# lane 1 (a helper forked for the window, which reads the parsed graphs
+# copy-on-write) works, then claims chunks too. At most 64 atoms a chunk and
+# about 0.5 KB per parsed atom, the two windows of parsed graphs alive at
+# once come to about 2 MB.
 PREDICT_WINDOW_CHUNKS = 32
 
 
@@ -331,32 +334,48 @@ def cmd_predict(args) -> int:
             except SmilesError as exc:
                 yield smiles, None, exc
 
-    def predict_chunks(lane_chunks):
-        """Per chunk, the predictions of its parsed rows (empty if it has none)."""
-        preds = []
-        for chunk in lane_chunks:
-            mols = [featurize(g, featurize_config) for _s, g, _e in chunk if g is not None]
-            preds.append(model.predict_batch(MoleculeBatch(mols)) if mols else ())
-        return preds
+    def run_lane(window, ks):
+        """Predicts ``window[k]`` for each k of ``ks`` until one raises:
+        ({k: predictions}, None), or ({k: predictions}, (k, the exception))."""
+        preds = {}
+        for k in ks:
+            try:
+                mols = [featurize(g, featurize_config) for _s, g, _e in window[k] if g is not None]
+                preds[k] = model.predict_batch(MoleculeBatch(mols)) if mols else ()
+            except Exception as exc:
+                return preds, (k, sendable(exc))
+        return preds, None
 
     # Rows run in packed chunks; an error row rides in its chunk with no atoms.
-    # Chunk k of a window runs on lane k mod 2; a one-chunk window forks nothing.
     packed = chunks(parsed(), lambda row: 0 if row[1] is None else row[1].n_atoms)
     n_rows = n_errors = 0
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.smiles_col, *pred_cols])
-        while window := list(itertools.islice(packed, PREDICT_WINDOW_CHUNKS)):
-            if len(window) == 1:
-                preds = predict_chunks(window)
-            else:
-                preds = [None] * len(window)
-                with Helper(lambda lane: predict_chunks(window[lane::2])) as lane1:
-                    lane1.send(1)
-                    preds[0::2] = predict_chunks(window[0::2])
-                    preds[1::2] = lane1.reply()
-            for chunk, chunk_preds in zip(window, preds):
-                chunk_preds = iter(chunk_preds)
+        window = list(itertools.islice(packed, PREDICT_WINDOW_CHUNKS))
+        while window:
+            claims = Counter(1)  # chunk 0 is this process's own
+            lane1 = Helper(lambda n: run_lane(window, claims.claims(n)))
+            # A one-chunk window leaves lane 1 nothing to claim: its helper is
+            # not entered, so nothing is forked and its reply runs inline.
+            with lane1 if len(window) > 1 else nullcontext():
+                lane1.send(len(window))
+                preds, failure = run_lane(window, [0])
+                ahead = []
+                if failure is None:  # a lane that fails claims no more
+                    ahead = list(itertools.islice(packed, PREDICT_WINDOW_CHUNKS))
+                    more, failure = run_lane(window, claims.claims(len(window)))
+                    preds.update(more)
+                more, lane1_failure = lane1.reply()
+                preds.update(more)
+            # Chunks are claimed in increasing order, so every chunk below the
+            # lowest-numbered failure has run: that failure is the one raised,
+            # whichever lane ran it.
+            failures = [f for f in (failure, lane1_failure) if f is not None]
+            if failures:
+                raise min(failures, key=lambda f: f[0])[1]
+            for k, chunk in enumerate(window):
+                chunk_preds = iter(preds[k])
                 for smiles, graph, error in chunk:
                     n_rows += 1
                     if graph is None:
@@ -364,7 +383,7 @@ def cmd_predict(args) -> int:
                         writer.writerow([smiles, *[f"ERROR:{error}" for _ in pred_cols]])
                     else:
                         writer.writerow([smiles, *[repr(float(p)) for p in next(chunk_preds)]])
-            del window, preds  # this window's graphs go before the next is parsed
+            window = ahead
     if n_rows and n_errors == n_rows:
         raise DataError(
             f"{args.input}: every row failed to parse; their ERROR cells are in {args.out}"

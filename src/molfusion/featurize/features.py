@@ -97,7 +97,10 @@ class FeaturizeConfig:
     def from_dict(cls, d: dict) -> "FeaturizeConfig":
         d = dict(d)
         if "components" in d:
-            d["components"] = tuple(d["components"])
+            names = d["components"]
+            if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
+                raise ValueError(f"components must be a list of names, got {names!r}")
+            d["components"] = tuple(names)
         return cls(**d)
 
 

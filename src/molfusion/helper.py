@@ -4,16 +4,22 @@ A ``Helper`` runs ``work(message)`` for each message it is sent. On Linux
 it is a process forked when the ``with`` block is entered, so it sees the
 caller's memory as it was then, copy-on-write, and nothing has to be
 pickled on the way in; only the messages and the replies cross the pipe.
-Elsewhere ``work`` runs inline when its reply is asked for, with the same
-arithmetic, so results never depend on whether the helper ran.
+Elsewhere, or when the helper is never entered, ``work`` runs inline when
+its reply is asked for, with the same arithmetic, so results never depend
+on whether the helper ran.
 
 An exception raised by ``work`` is raised again by ``reply``, with the same
 type and message. The helper ignores Ctrl-C (the caller stops it) and has
 stopped by the time the ``with`` block is left, however it is left.
+
+A ``Counter`` made before the helper is forked hands out each of its values
+once, to whichever process claims it first.
 """
 
 from __future__ import annotations
 
+import contextlib
+import mmap
 import pickle
 import signal
 import sys
@@ -25,13 +31,39 @@ FORK_HELPER = sys.platform.startswith("linux")
 JOIN_TIMEOUT_S = 1.0  # a helper still busy after this is terminated
 
 
-def _sendable(exc: Exception) -> Exception:
+def sendable(exc: Exception) -> Exception:
     """``exc`` if it survives the pipe, else a RuntimeError that names it."""
     try:
         pickle.loads(pickle.dumps(exc))
         return exc
     except Exception:
-        return RuntimeError(f"lane-1 helper raised {type(exc).__name__}: {exc}")
+        return RuntimeError(f"{type(exc).__name__} (not picklable): {exc}")
+
+
+class Counter:
+    """Hands out ``start``, ``start + 1``, ... each once, across this process
+    and the helpers forked after the counter was made: an int64 in a shared
+    anonymous mmap, under a fork-context lock (no lock inline)."""
+
+    def __init__(self, start: int):
+        self._next = memoryview(mmap.mmap(-1, 8)).cast("q")
+        self._next[0] = start
+        if FORK_HELPER:
+            import multiprocessing
+
+            self._lock = multiprocessing.get_context("fork").Lock()
+        else:
+            self._lock = contextlib.nullcontext()
+
+    def claims(self, stop: int):
+        """The values this process claims, in increasing order, until they reach ``stop``."""
+        while True:
+            with self._lock:
+                value = self._next[0]
+                if value >= stop:
+                    return
+                self._next[0] = value + 1
+            yield value
 
 
 class Helper:
@@ -96,7 +128,7 @@ class Helper:
                 try:
                     reply = self.work(message)
                 except Exception as exc:
-                    reply = _sendable(exc)
+                    reply = sendable(exc)
                 conn.send(reply)
         except (EOFError, OSError):  # the caller has gone
             pass

@@ -44,8 +44,8 @@ class TrainConfig:
     def __post_init__(self):
         if not is_number(self.epochs) or self.epochs < 1:
             raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
+        if not (is_number(self.lr, numbers.Real) and math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
         if not is_number(self.batch_size) or self.batch_size < 1:
             raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
         if not is_number(self.patience):
@@ -53,6 +53,9 @@ class TrainConfig:
         self.seeds = tuple(self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        for seed in self.seeds:
+            if not is_number(seed) or seed < 0:
+                raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
         target = self.target_train_rmse
         if target is not None and not (
             is_number(target, numbers.Real) and math.isfinite(target) and target > 0

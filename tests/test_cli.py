@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,28 @@ class TestTrainCommand:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("config error: "), proc.stderr
         assert "integer" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("config,message", [
+        ({"train": {"lr": True}}, "lr must be a finite number > 0, got True"),
+        ({"train": {"lr": float("nan")}}, "lr must be a finite number > 0, got nan"),
+        ({"train": {"lr": "x"}}, "lr must be a finite number > 0, got 'x'"),
+        ({"train": {"seeds": [1.5]}}, "seeds must be integers >= 0, got 1.5"),
+        ({"train": {"seeds": ["a"]}}, "seeds must be integers >= 0, got 'a'"),
+        ({"train": {"seeds": [0, -1]}}, "seeds must be integers >= 0, got -1"),
+        ({"featurize": {"components": "morgan"}},
+         "components must be a list of names, got 'morgan'"),
+    ], ids=["lr-true", "lr-nan", "lr-string", "seed-1.5", "seed-string", "seed-negative",
+            "components-a-string"])
+    def test_bad_value_is_a_config_error_naming_its_field(self, tmp_path, config, message):
+        """``train`` names a data file that does not exist, so exit 1 shows the
+        config was checked before any row was read. Run as a process, so that a
+        traceback would reach stderr."""
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        proc = run_process(["train", "--config", str(tmp_path / "config.json"),
+                            "--data", str(tmp_path / "missing.csv"), "--task", "reg",
+                            "--out", str(tmp_path / "run")])
+        assert (proc.returncode, proc.stderr) == (1, f"config error: {message}\n")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("text", [
@@ -574,34 +597,112 @@ class TestPredictLanes:
         rows = list(csv.reader(written["f1"].decode().splitlines()))[1:]
         assert [r[0] for r in rows if r[1].startswith("ERROR:")] == ["xx((bad"] * 4 + ["C1CC"]
 
-    def test_lane_1_failure_matches_the_inline_path(self, trained, tmp_path, monkeypatch,
-                                                      capsys, edge_input):
-        """A non-SmilesError for a row of chunk 1 ends both paths alike."""
+    def _fail_rows(self, monkeypatch, failures):
+        """Featurizing the SMILES ``s`` waits ``failures[s][1]`` seconds,
+        then raises ``DataError(failures[s][0])``."""
         from molfusion import cli
         from molfusion.data import DataError
 
-        data, smiles, starts = edge_input
-        target = smiles[starts[1] + 1]  # a row of chunk 1, which lane 1 runs
-        parse, featurize, doomed = cli.parse_smiles, cli.featurize, set()
+        parse, featurize, doomed = cli.parse_smiles, cli.featurize, {}
 
         def parse_marking(smiles):
             graph = parse(smiles)
-            if smiles == target:
-                doomed.add(id(graph))
+            if smiles in failures:
+                doomed[id(graph)] = failures[smiles]
             return graph
 
         def featurize_failing(graph, config):
             if id(graph) in doomed:
-                raise DataError(f"cannot featurize {target}")
+                message, delay = doomed[id(graph)]
+                time.sleep(delay)
+                raise DataError(message)
             return featurize(graph, config)
 
         monkeypatch.setattr(cli, "parse_smiles", parse_marking)
         monkeypatch.setattr(cli, "featurize", featurize_failing)
+
+    def test_lane_1_failure_matches_the_inline_path(self, trained, tmp_path, monkeypatch,
+                                                      capsys, edge_input):
+        """A non-SmilesError for a row of chunk 1, which either lane may
+        claim, ends both paths alike."""
+        data, smiles, starts = edge_input
+        target = smiles[starts[1] + 1]
+        self._fail_rows(monkeypatch, {target: (f"cannot featurize {target}", 0.0)})
         results = []
         for fork in (True, False):
             code = self._predict(trained, data, tmp_path / "out.csv", monkeypatch, fork)
             results.append((code, capsys.readouterr().err))
         assert results[0] == results[1] == (2, f"data error: cannot featurize {target}\n")
+
+    @pytest.mark.parametrize("failing", [(1, 2), (0,), (0, 2)],
+                             ids=["chunks-1-2", "chunk-0", "chunks-0-2"])
+    def test_lowest_failing_chunk_is_raised_on_both_paths(self, trained, tmp_path, monkeypatch,
+                                                           capsys, edge_input, failing):
+        """With several chunks of a window failing, both paths raise the
+        lowest-numbered one's error, whichever lane ran it and whichever
+        failed first: chunk 1's row fails slowly, so chunk 2 usually fails
+        first when forked. Chunk 0 is always this process's own."""
+        data, smiles, starts = edge_input
+        self._fail_rows(monkeypatch, {
+            smiles[starts[k] + 1]: (f"chunk {k} failed", 0.2 if k == 1 else 0.0)
+            for k in failing
+        })
+        results = []
+        for fork in (True, False, True):
+            code = self._predict(trained, data, tmp_path / "out.csv", monkeypatch, fork)
+            results.append((code, capsys.readouterr().err))
+        assert results == [(2, f"data error: chunk {min(failing)} failed\n")] * 3
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forked on Linux")
+    @pytest.mark.parametrize("slow_lane", ["cli", "helper"])
+    def test_skewed_lanes_keep_every_row_once_in_order(self, trained, tmp_path, monkeypatch,
+                                                        edge_input, slow_lane):
+        """One lane featurizes slowly, so the other claims most chunks. The
+        CSV still matches the inline path's byte for byte, each row once in
+        input order; one helper is forked per multi-chunk window, and this
+        process still runs chunk 0 of each such window."""
+        from molfusion import cli
+
+        data, smiles, starts = edge_input
+        parent = os.getpid()
+        parse, featurize = cli.parse_smiles, cli.featurize
+        parsed_smiles, featurized_here = {}, set()
+
+        def parse_marking(s):
+            graph = parse(s)
+            parsed_smiles[id(graph)] = s
+            return graph
+
+        def featurize_skewed(graph, config):
+            here = os.getpid() == parent
+            if here:
+                featurized_here.add(parsed_smiles[id(graph)])
+            if here == (slow_lane == "cli"):
+                time.sleep(0.003)
+            return featurize(graph, config)
+
+        real_fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(cli, "parse_smiles", parse_marking)
+        monkeypatch.setattr(cli, "featurize", featurize_skewed)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        forked, inline = tmp_path / "forked.csv", tmp_path / "inline.csv"
+        assert self._predict(trained, data, forked, monkeypatch, True) == 0
+        monkeypatch.undo()
+        assert self._predict(trained, data, inline, monkeypatch, False) == 0
+        assert forked.read_bytes() == inline.read_bytes()
+        rows = [r[0] for r in csv.reader(forked.read_text().splitlines()[1:])]
+        assert rows == data.read_text().splitlines()[1:]
+        n_chunks = len(starts)
+        ends = [*starts[1:], len(smiles)]
+        multi = [w for w in range(0, n_chunks, self.WINDOW) if w + 1 < n_chunks]
+        assert len(forks) == len(multi)
+        for w in multi:
+            assert set(smiles[starts[w]:ends[w]]) <= featurized_here
 
     def test_one_chunk_starts_no_process(self, trained, tmp_path, monkeypatch):
         def no_fork():
