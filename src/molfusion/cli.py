@@ -18,13 +18,13 @@ import logging
 import os
 import sys
 import time
-from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, fields, replace
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import ConfigError, Kind, __version__, check_config
 from .autodiff.checkpoint import CheckpointError, config_digest, load_checkpoint, save_checkpoint
 from .autodiff.gradcheck import grad_check
 from .autodiff.rng import make_rng
@@ -35,7 +35,7 @@ from .chem.perception import annotate
 from .data import DataError, load_csv, read_csv
 from .featurize import FeaturizeConfig, featurize
 from .helper import Counter, Helper, sendable
-from .model import ConfigError, ModelConfig, MoleculeBatch, chunks
+from .model import ModelConfig, MoleculeBatch, chunks
 from .model.network import MlfgnnModel
 from .train import NonFiniteLossError, TrainConfig, multi_seed
 
@@ -80,7 +80,7 @@ def load_config_file(path: str | None) -> dict:
         return {}
     try:
         config = json.loads(Path(path).read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: the top level is {json.dumps(config)[:40]}, not an object")
@@ -94,15 +94,13 @@ def load_config_file(path: str | None) -> dict:
     return config
 
 
-@contextmanager
-def config_errors():
-    """Report bad keys or values in a config section as ``ConfigError``."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+# Model keys that a command works out; a config file may not set them, but a
+# checkpoint's model section records them.
+DERIVED_MODEL_KEYS = {
+    key: Kind("derived", f"left out: it comes from {source}", lambda value: False)
+    for key, source in (("task", "train --task"), ("n_tasks", "the label columns"),
+                        ("fingerprint_dim", "the featurize section"))
+}
 
 
 def resolve_configs(
@@ -113,22 +111,22 @@ def resolve_configs(
     seeds: tuple[int, ...] | None = None,
     epochs: int | None = None,
 ) -> tuple[ModelConfig, TrainConfig, FeaturizeConfig]:
-    with config_errors():
-        featurize_config = FeaturizeConfig.from_dict(file_config.get("featurize", {}))
-        model_kwargs = dict(file_config.get("model", {}))
-        model_kwargs["task"] = task
-        model_kwargs["n_tasks"] = n_tasks
-        if ablation is not None:
-            model_kwargs["ablation"] = ablation
-        model_kwargs["fingerprint_dim"] = featurize_config.fingerprint_length
-        model_config = ModelConfig(**model_kwargs)
-        train_kwargs = dict(file_config.get("train", {}))
-        if seeds is not None:
-            train_kwargs["seeds"] = seeds
-        if epochs is not None:
-            train_kwargs["epochs"] = epochs
-        train_config = TrainConfig(**train_kwargs)
-    return model_config, train_config, featurize_config
+    model_section = file_config.get("model", {})
+    check_config({**ModelConfig.field_table(), **DERIVED_MODEL_KEYS}, model_section)
+    featurize_config = FeaturizeConfig.from_dict(file_config.get("featurize", {}))
+    model_config = ModelConfig(**{
+        **model_section,
+        "task": task,
+        "n_tasks": n_tasks,
+        "fingerprint_dim": featurize_config.fingerprint_length,
+        **({} if ablation is None else {"ablation": ablation}),
+    })
+    train_section = dict(file_config.get("train", {}))
+    if seeds is not None:
+        train_section["seeds"] = seeds
+    if epochs is not None:
+        train_section["epochs"] = epochs
+    return model_config, TrainConfig.from_dict(train_section), featurize_config
 
 
 def combined_config_dict(model_config, train_config, featurize_config) -> dict:
@@ -136,9 +134,7 @@ def combined_config_dict(model_config, train_config, featurize_config) -> dict:
     return {
         "model": asdict(model_config),
         "train": asdict(train_config),
-        "featurize": {
-            f.name: getattr(featurize_config, f.name) for f in fields(featurize_config) if f.init
-        },
+        "featurize": asdict(featurize_config),
     }
 
 
@@ -188,9 +184,8 @@ def random_molecule_graph(n_atoms: int, seed: int = 0) -> MolecularGraph:
 def cmd_featurize(args) -> int:
     file_config = load_config_file(args.config)
     overrides = {"components": args.fingerprints.split(",")} if args.fingerprints else {}
-    with config_errors():
-        featurize_config = FeaturizeConfig.from_dict({**file_config.get("featurize", {}), **overrides})
-        featurize_config.fingerprint_length  # reads the key table file, as resolve_configs does
+    featurize_config = FeaturizeConfig.from_dict({**file_config.get("featurize", {}), **overrides})
+    featurize_config.fingerprint_length  # reads the key table file, as resolve_configs does
     _header, rows, _checksum = read_csv(args.input, [args.smiles_col])
     records = []
     n_errors = 0

@@ -19,11 +19,12 @@ Atom rows are 57-wide, bond vectors 13-wide. Layout (offsets inclusive):
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .. import is_number
+from .. import PATH, Config, distinct_choices, integer, setting
 from ..chem.graph import BondOrder, Chirality, Hybridization, MolecularGraph
 from .erg import erg_fingerprint, erg_length
 from .keys import KeyTable, default_key_table, substructure_key_fingerprint
@@ -56,31 +57,21 @@ FINGERPRINT_COMPONENTS = ("morgan", "keys", "erg")
 
 
 @dataclass
-class FeaturizeConfig:
-    morgan_radius: int = 2
-    morgan_bits: int = 2048
-    erg_max_path: int = 15
-    components: tuple[str, ...] = FINGERPRINT_COMPONENTS
-    key_table_path: str | None = None
-    _key_table: KeyTable | None = field(default=None, init=False, repr=False, compare=False)
+class FeaturizeConfig(Config):
+    morgan_radius: int = setting(2, integer(0))
+    morgan_bits: int = setting(2048, integer(64))
+    erg_max_path: int = setting(15, integer(1))
+    components: tuple[str, ...] = setting(
+        FINGERPRINT_COMPONENTS, distinct_choices(FINGERPRINT_COMPONENTS)
+    )
+    key_table_path: str | None = setting(None, PATH)
 
-    def __post_init__(self):
-        for c in self.components:
-            if c not in FINGERPRINT_COMPONENTS:
-                raise ValueError(f"unknown fingerprint component {c!r}")
-        self.components = tuple(self.components)
-        for name, minimum in (("morgan_radius", 0), ("morgan_bits", 64), ("erg_max_path", 1)):
-            value = getattr(self, name)
-            if not is_number(value) or value < minimum:
-                raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
+    @cached_property
     def key_table(self) -> KeyTable:
         """The key table, read from ``key_table_path`` on first use only."""
         if self.key_table_path is None:
             return default_key_table()
-        if self._key_table is None:
-            self._key_table = KeyTable.load(self.key_table_path)
-        return self._key_table
+        return KeyTable.load(self.key_table_path)
 
     @property
     def fingerprint_length(self) -> int:
@@ -88,20 +79,10 @@ class FeaturizeConfig:
         if "morgan" in self.components:
             total += self.morgan_bits
         if "keys" in self.components:
-            total += len(self.key_table())
+            total += len(self.key_table)
         if "erg" in self.components:
             total += erg_length(self.erg_max_path)
         return total
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeaturizeConfig":
-        d = dict(d)
-        if "components" in d:
-            names = d["components"]
-            if not isinstance(names, list) or not all(isinstance(c, str) for c in names):
-                raise ValueError(f"components must be a list of names, got {names!r}")
-            d["components"] = tuple(names)
-        return cls(**d)
 
 
 @dataclass
@@ -181,7 +162,7 @@ def compute_fingerprint(graph: MolecularGraph, config: FeaturizeConfig) -> np.nd
     if "morgan" in config.components:
         parts.append(morgan_fingerprint(graph, config.morgan_radius, config.morgan_bits))
     if "keys" in config.components:
-        parts.append(substructure_key_fingerprint(graph, config.key_table()))
+        parts.append(substructure_key_fingerprint(graph, config.key_table))
     if "erg" in config.components:
         parts.append(erg_fingerprint(graph, config.erg_max_path))
     if not parts:

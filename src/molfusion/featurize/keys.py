@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .. import ConfigError
 from ..chem.graph import BondOrder, MolecularGraph
 
 _HALOGENS = ("F", "Cl", "Br", "I")
@@ -21,7 +22,7 @@ _HALOGENS = ("F", "Cl", "Br", "I")
 class KeyTable:
     """Key predicates with their arguments as written, ``(predicate, args,
     description)``, checked when the table is built: an unknown predicate, a
-    wrong argument count or a non-integer count raises ``ValueError``."""
+    wrong argument count or a non-integer count raises ``ConfigError``."""
 
     def __init__(self, entries: list[tuple[str, tuple[str, ...], str]]):
         self.entries = entries
@@ -37,15 +38,20 @@ class KeyTable:
                 "utf-8"
             )
         else:
-            text = Path(path).read_text("utf-8")
+            try:
+                text = Path(path).read_text("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"key table {path}: {exc}") from exc
         entries = []
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            idx, predicate, args, description = line.split("|", 3)
-            if int(idx) != len(entries):
-                raise ValueError(f"key table indices out of order at {idx}")
+            parts = line.split("|", 3)
+            if len(parts) < 4 or parts[0].strip() != str(len(entries)):
+                raise ConfigError(f"key table line {line!r} is not key {len(entries)} "
+                                  "in the form index|predicate|args|description")
+            _idx, predicate, args, description = parts
             entries.append((predicate, tuple(args.split(",")), description))
         return cls(entries)
 
@@ -135,10 +141,10 @@ _PREDICATES: dict[str, tuple[str, Callable[..., bool]]] = {
 def _compile(index: int, predicate: str, args: tuple[str, ...]):
     """Key ``index``'s test and its parsed arguments."""
     if predicate not in _PREDICATES:
-        raise ValueError(f"key {index}: unknown key predicate {predicate!r}")
+        raise ConfigError(f"key {index}: unknown key predicate {predicate!r}")
     kinds, test = _PREDICATES[predicate]
     if len(args) != len(kinds):
-        raise ValueError(
+        raise ConfigError(
             f"key {index}: {predicate} takes {len(kinds)} argument(s), got {len(args)}: {args}"
         )
     parsed = []
@@ -147,7 +153,7 @@ def _compile(index: int, predicate: str, args: tuple[str, ...]):
             try:
                 arg = int(arg)
             except ValueError:
-                raise ValueError(
+                raise ConfigError(
                     f"key {index}: {predicate} argument {arg!r} is not an integer"
                 ) from None
         parsed.append(arg)

@@ -1,7 +1,8 @@
 """Model architecture."""
 
+from .. import ConfigError
 from .batch import MAX_CHUNK_ATOMS, EmptyMoleculeError, MoleculeBatch, chunks
-from .config import ABLATIONS, NORMS, TASKS, ConfigError, ModelConfig
+from .config import ABLATIONS, NORMS, TASKS, ModelConfig
 from .layers import (
     AttentiveGru,
     CrossAttention,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import is_number
+from .. import BOOL, Config, choice, integer, real, setting
 from ..featurize.features import ATOM_FEATURE_DIM, BOND_FEATURE_DIM
 
 TASKS = ("regression", "classification")
@@ -13,14 +13,11 @@ NORMS = ("dyt", "layernorm")
 
 FFN_MULT = 4  # transformer feed-forward width multiplier
 LEAKY_SLOPE = 0.2  # attention-score activations
-
-
-class ConfigError(ValueError):
-    pass
+RATE = real("in [0, 1)", lambda rate: 0 <= rate < 1)  # a dropout rate
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(Config):
     """Architecture knobs.
 
     ``hidden_dim`` must equal ``heads * head_dim`` (the shared width of the
@@ -28,63 +25,37 @@ class ModelConfig:
     input fingerprint length produced by the featurizer.
     """
 
-    transformer_layers: int = 2
-    heads: int = 4
-    head_dim: int = 16
-    gat_out_dim: int = 64
-    gat_layers: int = 2
-    hidden_dim: int = 64
-    fingerprint_embed_dim: int = 64
-    fingerprint_dim: int = 2523
-    dropout_gat: float = 0.1
-    dropout_ffn: float = 0.1
-    dropout_attn: float = 0.1
-    task: str = "regression"
-    n_tasks: int = 1
-    ablation: str = "none"
-    norm: str = "dyt"
-    adjacency_bias: bool = True
+    transformer_layers: int = setting(2, integer(1))
+    heads: int = setting(4, integer(1))
+    head_dim: int = setting(16, integer(1))
+    gat_out_dim: int = setting(64, integer(1))
+    gat_layers: int = setting(2, integer(1))
+    hidden_dim: int = setting(64, integer(1))
+    fingerprint_embed_dim: int = setting(64, integer(1))
+    fingerprint_dim: int = setting(2523, integer(0))
+    dropout_gat: float = setting(0.1, RATE)
+    dropout_ffn: float = setting(0.1, RATE)
+    dropout_attn: float = setting(0.1, RATE)
+    task: str = setting("regression", choice(TASKS))
+    n_tasks: int = setting(1, integer(1))
+    ablation: str = setting("none", choice(ABLATIONS))
+    norm: str = setting("dyt", choice(NORMS))
+    adjacency_bias: bool = setting(True, BOOL)
 
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
+    def cross_field_problems(self, bad: set[str]) -> list[str]:
+        """The rules across fields, each checked once the fields it reads fit."""
         problems = []
-        for name in (
-            "transformer_layers",
-            "heads",
-            "head_dim",
-            "gat_out_dim",
-            "gat_layers",
-            "hidden_dim",
-            "fingerprint_embed_dim",
-            "n_tasks",
-        ):
-            value = getattr(self, name)
-            if not is_number(value) or value < 1:
-                problems.append(f"{name} must be an integer >= 1, got {value!r}")
-        if not is_number(self.fingerprint_dim):
-            problems.append(f"fingerprint_dim must be an integer, got {self.fingerprint_dim!r}")
-        elif self.fingerprint_dim < 1 and self.ablation != "no_fingerprint":
-            problems.append("fingerprint_dim must be >= 1 unless fingerprints are ablated")
-        integers = not problems  # the width check below multiplies them
-        for name in ("dropout_gat", "dropout_ffn", "dropout_attn"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate < 1.0:
-                problems.append(f"{name} must be in [0, 1), got {rate}")
-        if integers and self.hidden_dim != self.heads * self.head_dim:
+        if (not bad & {"hidden_dim", "heads", "head_dim"}
+                and self.hidden_dim != self.heads * self.head_dim):
             problems.append(
                 f"hidden_dim ({self.hidden_dim}) must equal heads*head_dim "
                 f"({self.heads}*{self.head_dim}={self.heads * self.head_dim})"
             )
-        if self.task not in TASKS:
-            problems.append(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.ablation not in ABLATIONS:
-            problems.append(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
-        if self.norm not in NORMS:
-            problems.append(f"norm must be one of {NORMS}, got {self.norm!r}")
-        if problems:
-            raise ConfigError("; ".join(problems))
+        if (not bad & {"fingerprint_dim", "ablation"}
+                and self.fingerprint_dim < 1 and self.has_fingerprint):
+            problems.append("fingerprint_dim must be >= 1 (components must not be empty) "
+                            "unless fingerprints are ablated")
+        return problems
 
     @property
     def has_transformer(self) -> bool:
@@ -144,7 +115,3 @@ class ModelConfig:
             mlp_in = d
         total += linear(mlp_in, d) + linear(d, self.n_tasks)  # output MLP
         return total
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)

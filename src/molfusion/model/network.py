@@ -34,7 +34,6 @@ class MlfgnnModel:
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        config.validate()
         self.config = config
         self.params = ParameterStore()
         rng = make_rng(seed)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -13,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .. import is_number
+from .. import Config, distinct_integers, integer, optional, real, setting
 from ..autodiff import no_grad
 from ..autodiff.optim import Adam
 from ..autodiff.rng import split_streams
@@ -27,42 +26,21 @@ from .metrics import SingleClassError, masked_rmse, roc_auc_multi
 
 log = logging.getLogger(__name__)
 
+POSITIVE = real("> 0", lambda value: value > 0)
+
 
 class NonFiniteLossError(FloatingPointError):
     pass
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 300
-    lr: float = 1e-3
-    batch_size: int = 32  # molecules per optimizer step
-    seeds: tuple[int, ...] = (0,)
-    patience: int = 30
-    target_train_rmse: float | None = None  # optional overfit-sanity early exit
-
-    def __post_init__(self):
-        if not is_number(self.epochs) or self.epochs < 1:
-            raise ValueError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if not (is_number(self.lr, numbers.Real) and math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
-        if not is_number(self.batch_size) or self.batch_size < 1:
-            raise ValueError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if not is_number(self.patience):
-            raise ValueError(f"patience must be an integer, got {self.patience!r}")
-        self.seeds = tuple(self.seeds)
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        for seed in self.seeds:
-            if not is_number(seed) or seed < 0:
-                raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
-        target = self.target_train_rmse
-        if target is not None and not (
-            is_number(target, numbers.Real) and math.isfinite(target) and target > 0
-        ):
-            raise ValueError(
-                f"target_train_rmse must be null or a finite number > 0, got {target!r}"
-            )
+class TrainConfig(Config):
+    epochs: int = setting(300, integer(1))
+    lr: float = setting(1e-3, POSITIVE)
+    batch_size: int = setting(32, integer(1))  # molecules per optimizer step
+    seeds: tuple[int, ...] = setting((0,), distinct_integers(0))
+    patience: int = setting(30, integer(1))
+    target_train_rmse: float | None = setting(None, optional(POSITIVE))  # overfit-sanity early exit
 
 
 @dataclass

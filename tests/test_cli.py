@@ -1,6 +1,7 @@
 """Command-line interface tests, exercised through main()."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -15,11 +16,15 @@ import pytest
 
 from molfusion.autodiff import load_checkpoint, save_checkpoint
 from molfusion.autodiff.checkpoint import config_digest
-from molfusion.cli import main, random_molecule_graph
+from molfusion.cli import DERIVED_MODEL_KEYS, main, random_molecule_graph
+from molfusion.featurize import FeaturizeConfig
+from molfusion.model import ModelConfig
+from molfusion.train import TrainConfig
 
 import corpus_util
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY_CONFIG = {
     "model": {
@@ -164,6 +169,36 @@ class TestFeaturizeCommand:
         assert not out.exists()
 
 
+def test_readme_config_block_and_table_follow_the_field_tables():
+    """README's "Config file" JSON block holds the default of every field a
+    config file may set, and its table gives every field's kind, what it must
+    be and its default, as the dataclasses and their field tables do."""
+    text = README.read_text("utf-8")
+    text = text[text.index("## Config file"):]
+    block = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| (.+?) \| (.+?) \| (.+?) \|$", text, re.M)
+    sections = {"model": ModelConfig, "train": TrainConfig, "featurize": FeaturizeConfig}
+    defaults = {
+        name: {f.name: json.loads(json.dumps(f.default)) for f in dataclasses.fields(cls) if f.init}
+        for name, cls in sections.items()
+    }
+    settable = {
+        name: {key: value for key, value in fields.items()
+               if name != "model" or key not in DERIVED_MODEL_KEYS}
+        for name, fields in defaults.items()
+    }
+    assert block == settable
+    assert [row[:4] for row in rows] == [
+        (name, key, kind.name, kind.text)
+        for name, cls in sections.items() for key, kind in cls.field_table().items()
+    ]
+    for name, key, _kind, _text, default in rows:
+        if key in settable[name]:
+            assert json.loads(default.strip("`")) == settable[name][key], (name, key)
+        else:
+            assert default.startswith("from "), (name, key)
+
+
 class TestTrainCommand:
     @pytest.mark.parametrize(
         "line", ["1|bogus_pred|1|x", "1|element_ge|C,c|x", "1|element_ge|C|x"],
@@ -250,8 +285,30 @@ class TestTrainCommand:
         ({"train": {"seeds": [0, -1]}}, "seeds must be integers >= 0, got -1"),
         ({"featurize": {"components": "morgan"}},
          "components must be a list of names, got 'morgan'"),
+        ({"model": {"adjacency_bias": "no"}}, "adjacency_bias must be true or false, got 'no'"),
+        ({"model": {"adjacency_bias": 0}}, "adjacency_bias must be true or false, got 0"),
+        ({"model": {"dropout_gat": False}},
+         "dropout_gat must be a finite number in [0, 1), got False"),
+        ({"model": {"dropout_gat": "x"}}, "dropout_gat must be a finite number in [0, 1), got 'x'"),
+        ({"train": {"patience": -3}}, "patience must be an integer >= 1, got -3"),
+        ({"train": {"patience": 0}}, "patience must be an integer >= 1, got 0"),
+        ({"train": {"seeds": 5}}, "seeds must be a non-empty list of integers >= 0, got 5"),
+        ({"featurize": {"key_table_path": 5}},
+         "key_table_path must be null or a non-empty path string without NUL, got 5"),
+        ({"featurize": {"components": ["morgan", "morgan"]}},
+         "components must not repeat an entry, got ['morgan', 'morgan']"),
+        ({"train": {"seeds": [0, 0]}}, "seeds must not repeat an entry, got [0, 0]"),
+        ({"model": {"task": "classification"}},
+         "task must be left out: it comes from train --task, got 'classification'"),
+        ({"model": {"n_tasks": 2}},
+         "n_tasks must be left out: it comes from the label columns, got 2"),
+        ({"model": {"fingerprint_dim": 7}},
+         "fingerprint_dim must be left out: it comes from the featurize section, got 7"),
     ], ids=["lr-true", "lr-nan", "lr-string", "seed-1.5", "seed-string", "seed-negative",
-            "components-a-string"])
+            "components-a-string", "adjacency-bias-no", "adjacency-bias-0", "dropout-false",
+            "dropout-string", "patience-negative", "patience-0", "seeds-an-integer",
+            "key-table-path-an-integer", "components-repeated", "seeds-repeated", "task", "n-tasks",
+            "fingerprint-dim"])
     def test_bad_value_is_a_config_error_naming_its_field(self, tmp_path, config, message):
         """``train`` names a data file that does not exist, so exit 1 shows the
         config was checked before any row was read. Run as a process, so that a
@@ -599,21 +656,23 @@ class TestPredictLanes:
 
     def _fail_rows(self, monkeypatch, failures):
         """Featurizing the SMILES ``s`` waits ``failures[s][1]`` seconds,
-        then raises ``DataError(failures[s][0])``."""
+        then raises ``DataError(failures[s][0])``. The parsed graph itself
+        carries the mark: a map keyed by ``id(graph)`` would mark a healthy
+        graph that reuses the id of a freed, doomed one."""
         from molfusion import cli
         from molfusion.data import DataError
 
-        parse, featurize, doomed = cli.parse_smiles, cli.featurize, {}
+        parse, featurize = cli.parse_smiles, cli.featurize
 
         def parse_marking(smiles):
             graph = parse(smiles)
             if smiles in failures:
-                doomed[id(graph)] = failures[smiles]
+                graph.doomed = failures[smiles]
             return graph
 
         def featurize_failing(graph, config):
-            if id(graph) in doomed:
-                message, delay = doomed[id(graph)]
+            if hasattr(graph, "doomed"):
+                message, delay = graph.doomed
                 time.sleep(delay)
                 raise DataError(message)
             return featurize(graph, config)
@@ -807,6 +866,36 @@ def test_unbuildable_checkpoint_exit_2(workdir, trained, tmp_path, capsys, comma
     assert main([*_checkpoint_argv(command, workdir, out), "--checkpoint", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error:") and str(bad) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "gat_layers", 0),
+    ("model", "dropout_ffn", "x"),
+    ("model", "adjacency_bias", "no"),
+    ("model", "norm", "batchnorm"),
+    ("featurize", "components", ["erg", "erg"]),
+    ("featurize", "key_table_path", 5),
+], ids=["integer", "real", "bool", "choice", "list-of-distinct-choices", "optional-path"])
+def test_bad_checkpoint_config_value_exit_2(workdir, trained, tmp_path, section, key, value):
+    """A bad value of each kind of field that ``predict`` reads, edited into a
+    real checkpoint's config: loading it with ``--force``, which skips only
+    the digest, still exits 2 naming the field. Run as a process, so that a
+    traceback would reach stderr."""
+    raw = (trained / "seed_0.ckpt").read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + length])
+    header["config"][section][key] = value
+    edited = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(edited)) + edited + raw[12 + length :])
+    out = tmp_path / "p.csv"
+    proc = run_process(["predict", "--force", "--checkpoint", str(bad),
+                        "--input", str(workdir / "reg.csv"), "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"data error: {bad}: "), proc.stderr
+    assert f"{key} must " in lines[0]
     assert not out.exists()
 
 

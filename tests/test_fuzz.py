@@ -1,17 +1,27 @@
-"""Fuzzing parse -> featurize -> predict with generated graphs and mutated SMILES.
+"""Fuzzing parse -> featurize -> predict with generated graphs and mutated
+SMILES, and the config check with generated config values.
 
 Only ``SmilesError`` may come out of the parser, nothing at all out of
-featurize or the model, and every fingerprint and prediction is finite.
+featurize or the model, and every fingerprint and prediction is finite. A
+config value ends in a config error naming its field, or passes.
 """
 
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molfusion.chem import SmilesError, parse_smiles
-from molfusion.cli import random_molecule_graph
+from molfusion.cli import main, random_molecule_graph
 from molfusion.featurize import FeaturizeConfig, featurize
 from molfusion.model import ModelConfig, MlfgnnModel, MoleculeBatch
+from molfusion.train import TrainConfig
 
 import corpus_util
 
@@ -72,3 +82,53 @@ def test_mutated_corpus_smiles(index, edits):
     except SmilesError:
         return
     _featurize_and_predict([graph])
+
+
+SECTIONS = {"model": ModelConfig, "train": TrainConfig, "featurize": FeaturizeConfig}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70) | st.integers(-(10**400), 10**400)
+    | st.floats() | st.text(max_size=12)
+    | st.sampled_from(["none", "no_fingerprint", "layernorm", "classification", "morgan", "erg"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+KEYS = st.sampled_from(
+    [(name, key) for name, cls in SECTIONS.items() for key in cls.field_table()]
+) | st.tuples(st.sampled_from(list(SECTIONS)), st.text(max_size=8))
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@given(KEYS, JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_train_config_value_is_a_config_error_or_reaches_the_data(config_dir, section_key, value):
+    """``train`` with one generated value in its config file, naming a data
+    file that does not exist: a value that passes stops at the data read, so
+    nothing is trained. It runs in a directory with nothing else in it, so a
+    ``key_table_path`` string names no readable file: a data error naming it."""
+    section, key = section_key
+    config, data, out = config_dir / "config.json", config_dir / "missing.csv", config_dir / "run"
+    config.write_text(json.dumps({section: {key: value}}))
+    stderr, cwd = io.StringIO(), os.getcwd()
+    os.chdir(config_dir)
+    try:
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--config", str(config), "--data", str(data), "--task", "reg",
+                         "--out", str(out)])
+    finally:
+        os.chdir(cwd)
+    err = stderr.getvalue()
+    assert err.count("\n") == 1, err
+    if code == 1:
+        assert err.startswith("config error: ") and (key in err or repr(key) in err), err
+    elif key == "key_table_path" and isinstance(value, str):
+        assert code == 2 and err.startswith("data error: "), err
+        assert str(data) in err or repr(str(Path(value))) in err, err
+    else:
+        missing = f"data error: [Errno 2] No such file or directory: {str(data)!r}\n"
+        assert (code, err) == (2, missing)
+    assert not out.exists()
