@@ -38,13 +38,15 @@ class Kind:
     fits: Callable[[object], bool]
 
 
-def integer(low: int) -> Kind:
-    return Kind("integer", f"an integer >= {low}",
-                lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low)
+def integer(low: int, high: int) -> Kind:
+    return Kind("integer", f"an integer in [{low}, {high}]", lambda v: (
+        isinstance(v, numbers.Integral) and not isinstance(v, bool) and low <= v <= high
+    ))
 
 
-def distinct_integers(low: int) -> Kind:
-    return Kind("list of distinct integers", f"integers >= {low}", integer(low).fits)
+def distinct_integers(low: int, high: int) -> Kind:
+    return Kind("list of distinct integers", f"integers in [{low}, {high}]",
+                integer(low, high).fits)
 
 
 def real(bounds: str, within: Callable[[float], bool]) -> Kind:
@@ -65,11 +67,6 @@ def choice(options: tuple[str, ...]) -> Kind:
 
 def distinct_choices(options: tuple[str, ...]) -> Kind:
     return Kind("list of distinct choices", f"names from {options}", choice(options).fits)
-
-
-BOOL = Kind("bool", "true or false", lambda v: isinstance(v, bool))
-PATH = optional(Kind("path", "a non-empty path string without NUL",
-                     lambda v: isinstance(v, str) and v != "" and "\0" not in v))
 
 
 def _problem(name: str, kind: Kind, value) -> str | None:

@@ -349,24 +349,6 @@ def softplus(a: Tensor) -> Tensor:
     return _make(data, (a,), back, "softplus")
 
 
-
-
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance."""
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-
-    def back(g):
-        d = a.shape[-1]
-        gx = (inv / d) * (d * g - g.sum(axis=-1, keepdims=True) - xhat * (g * xhat).sum(axis=-1, keepdims=True))
-        _accumulate(a, gx)
-
-    return _make(xhat, (a,), back, "layer_norm")
-
-
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
     """Inverted dropout: scales kept entries by 1/(1-rate); identity in eval."""
     if not 0.0 <= rate < 1.0:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ConfigError, Kind, __version__, check_config
+from . import ConfigError, Kind, __version__, check_config, integer
 from .autodiff.checkpoint import CheckpointError, config_digest, load_checkpoint, save_checkpoint
 from .autodiff.gradcheck import grad_check
 from .autodiff.rng import make_rng
@@ -35,9 +35,9 @@ from .chem.perception import annotate
 from .data import DataError, load_csv, read_csv
 from .featurize import FeaturizeConfig, featurize
 from .helper import Counter, Helper, sendable
-from .model import ModelConfig, MoleculeBatch, chunks
+from .model import MAX_CHUNK_ATOMS, ModelConfig, MoleculeBatch, chunks
 from .model.network import MlfgnnModel
-from .train import NonFiniteLossError, TrainConfig, multi_seed
+from .train import SEED_MAX, NonFiniteLossError, TrainConfig, multi_seed
 
 log = logging.getLogger(__name__)
 
@@ -185,7 +185,6 @@ def cmd_featurize(args) -> int:
     file_config = load_config_file(args.config)
     overrides = {"components": args.fingerprints.split(",")} if args.fingerprints else {}
     featurize_config = FeaturizeConfig.from_dict({**file_config.get("featurize", {}), **overrides})
-    featurize_config.fingerprint_length  # reads the key table file, as resolve_configs does
     _header, rows, _checksum = read_csv(args.input, [args.smiles_col])
     records = []
     n_errors = 0
@@ -228,7 +227,10 @@ def cmd_train(args) -> int:
     task = {"cls": "classification", "reg": "regression"}[args.task]
     file_config = load_config_file(args.config)
     label_cols = [c.strip() for c in args.label_cols.split(",")] if args.label_cols else None
-    seeds = tuple(range(args.seeds)) if args.seeds is not None else None
+    seeds = None
+    if args.seeds is not None:  # seeds 0..k-1, checked before the tuple is built
+        check_config({"--seeds": integer(1, SEED_MAX + 1)}, {"--seeds": args.seeds})
+        seeds = tuple(range(args.seeds))
     # The config is checked before any row is read; n_tasks comes from the data.
     model_config, train_config, featurize_config = resolve_configs(
         file_config, task, 1, ablation=args.ablate, seeds=seeds, epochs=args.epochs,
@@ -278,6 +280,27 @@ def cmd_train(args) -> int:
 # -- predict -------------------------------------------------------------------
 
 
+# Keys that earlier versions wrote to every checkpoint, each with the one value
+# this version builds: a DyT transformer with the adjacency prior, and the
+# shipped key table.
+RETIRED_KEYS = {
+    "model": {"norm": "dyt", "adjacency_bias": True},
+    "featurize": {"key_table_path": None},
+}
+
+
+def _without_retired_keys(section: dict, name: str) -> dict:
+    """Checkpoint section ``name`` without its retired keys; one that holds any
+    other value raises ``ConfigError``, since this version cannot build it."""
+    section = dict(section)
+    for key, value in RETIRED_KEYS[name].items():
+        if key in section and json.dumps(section[key]) != json.dumps(value):
+            raise ConfigError(f"{key} must be {json.dumps(value)}, the only value this "
+                              f"version builds, got {section[key]!r}")
+        section.pop(key, None)
+    return section
+
+
 def build_model_from_checkpoint(
     path: str, force: bool = False
 ) -> tuple[MlfgnnModel, FeaturizeConfig]:
@@ -287,8 +310,10 @@ def build_model_from_checkpoint(
     """
     config, arrays = load_checkpoint(path, force=force)
     try:
-        model_config = ModelConfig.from_dict(config["model"])
-        featurize_config = FeaturizeConfig.from_dict(config["featurize"])
+        model_config = ModelConfig.from_dict(_without_retired_keys(config["model"], "model"))
+        featurize_config = FeaturizeConfig.from_dict(
+            _without_retired_keys(config["featurize"], "featurize")
+        )
         width = featurize_config.fingerprint_length
         model = MlfgnnModel(model_config, seed=0)
         model.load_state_arrays(arrays)
@@ -422,12 +447,11 @@ def cmd_explain(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.atoms < 1:
-        raise ConfigError(f"--atoms must be at least 1, got {args.atoms}")
-    if args.coords_per_group < 1:
-        raise ConfigError(
-            f"--coords-per-group must be at least 1, got {args.coords_per_group}"
-        )
+    check_config(
+        {"--atoms": integer(1, MAX_CHUNK_ATOMS), "--seed": integer(0, SEED_MAX),
+         "--coords-per-group": integer(1, 2**20)},
+        {"--atoms": args.atoms, "--seed": args.seed, "--coords-per-group": args.coords_per_group},
+    )
     file_config = load_config_file(args.config)
     model_config, _train_config, featurize_config = resolve_configs(
         file_config, "regression", 1, ablation=args.ablate

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .. import PATH, Config, distinct_choices, integer, setting
+from .. import Config, distinct_choices, integer, setting
 from ..chem.graph import BondOrder, Chirality, Hybridization, MolecularGraph
 from .erg import erg_fingerprint, erg_length
-from .keys import KeyTable, default_key_table, substructure_key_fingerprint
+from .keys import default_key_table, substructure_key_fingerprint
 from .morgan import morgan_fingerprint
 
 log = logging.getLogger(__name__)
@@ -58,20 +57,12 @@ FINGERPRINT_COMPONENTS = ("morgan", "keys", "erg")
 
 @dataclass
 class FeaturizeConfig(Config):
-    morgan_radius: int = setting(2, integer(0))
-    morgan_bits: int = setting(2048, integer(64))
-    erg_max_path: int = setting(15, integer(1))
+    morgan_radius: int = setting(2, integer(0, 16))
+    morgan_bits: int = setting(2048, integer(64, 2**16))
+    erg_max_path: int = setting(15, integer(1, 64))
     components: tuple[str, ...] = setting(
         FINGERPRINT_COMPONENTS, distinct_choices(FINGERPRINT_COMPONENTS)
     )
-    key_table_path: str | None = setting(None, PATH)
-
-    @cached_property
-    def key_table(self) -> KeyTable:
-        """The key table, read from ``key_table_path`` on first use only."""
-        if self.key_table_path is None:
-            return default_key_table()
-        return KeyTable.load(self.key_table_path)
 
     @property
     def fingerprint_length(self) -> int:
@@ -79,7 +70,7 @@ class FeaturizeConfig(Config):
         if "morgan" in self.components:
             total += self.morgan_bits
         if "keys" in self.components:
-            total += len(self.key_table)
+            total += len(default_key_table())
         if "erg" in self.components:
             total += erg_length(self.erg_max_path)
         return total
@@ -162,7 +153,7 @@ def compute_fingerprint(graph: MolecularGraph, config: FeaturizeConfig) -> np.nd
     if "morgan" in config.components:
         parts.append(morgan_fingerprint(graph, config.morgan_radius, config.morgan_bits))
     if "keys" in config.components:
-        parts.append(substructure_key_fingerprint(graph, config.key_table))
+        parts.append(substructure_key_fingerprint(graph))
     if "erg" in config.components:
         parts.append(erg_fingerprint(graph, config.erg_max_path))
     if not parts:

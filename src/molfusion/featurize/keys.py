@@ -1,69 +1,41 @@
 """Substructure key fingerprint from a fixed predicate table.
 
 The key table ships as a versioned text file (keys_table.txt); bit k is set
-when predicate k holds on the molecule. The table length is configurable by
-pointing at a different file, so a richer key set can be dropped in.
+when predicate k holds on the molecule.
 """
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .. import ConfigError
 from ..chem.graph import BondOrder, MolecularGraph
 
 _HALOGENS = ("F", "Cl", "Br", "I")
 
 
 class KeyTable:
-    """Key predicates with their arguments as written, ``(predicate, args,
-    description)``, checked when the table is built: an unknown predicate, a
-    wrong argument count or a non-integer count raises ``ConfigError``."""
+    """The shipped key predicates, read from ``keys_table.txt`` in index order:
+    ``entries`` holds each key's ``(predicate, args, description)`` as written."""
 
-    def __init__(self, entries: list[tuple[str, tuple[str, ...], str]]):
-        self.entries = entries
-        self._tests = [_compile(k, p, args) for k, (p, args, _desc) in enumerate(entries)]
+    def __init__(self):
+        text = resources.files(__package__).joinpath("keys_table.txt").read_text("utf-8")
+        rows = [line.split("|", 3) for line in map(str.strip, text.splitlines())
+                if line and not line.startswith("#")]
+        self.entries = [(predicate, tuple(args.split(",")), description)
+                        for _index, predicate, args, description in rows]
+        self._tests = [_compile(predicate, args) for predicate, args, _desc in self.entries]
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def load(cls, path: str | Path | None = None) -> "KeyTable":
-        if path is None:
-            text = resources.files("molfusion.featurize").joinpath("keys_table.txt").read_text(
-                "utf-8"
-            )
-        else:
-            try:
-                text = Path(path).read_text("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"key table {path}: {exc}") from exc
-        entries = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("|", 3)
-            if len(parts) < 4 or parts[0].strip() != str(len(entries)):
-                raise ConfigError(f"key table line {line!r} is not key {len(entries)} "
-                                  "in the form index|predicate|args|description")
-            _idx, predicate, args, description = parts
-            entries.append((predicate, tuple(args.split(",")), description))
-        return cls(entries)
 
-
-_DEFAULT_TABLE: KeyTable | None = None
-
-
+@functools.cache
 def default_key_table() -> KeyTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = KeyTable.load()
-    return _DEFAULT_TABLE
+    return KeyTable()
 
 
 class _MoleculeStats:
@@ -138,33 +110,16 @@ _PREDICATES: dict[str, tuple[str, Callable[..., bool]]] = {
 }
 
 
-def _compile(index: int, predicate: str, args: tuple[str, ...]):
-    """Key ``index``'s test and its parsed arguments."""
-    if predicate not in _PREDICATES:
-        raise ConfigError(f"key {index}: unknown key predicate {predicate!r}")
+def _compile(predicate: str, args: tuple[str, ...]):
+    """The predicate's test and its arguments, each count as an integer."""
     kinds, test = _PREDICATES[predicate]
-    if len(args) != len(kinds):
-        raise ConfigError(
-            f"key {index}: {predicate} takes {len(kinds)} argument(s), got {len(args)}: {args}"
-        )
-    parsed = []
-    for kind, arg in zip(kinds, args):
-        if kind == "i":
-            try:
-                arg = int(arg)
-            except ValueError:
-                raise ConfigError(
-                    f"key {index}: {predicate} argument {arg!r} is not an integer"
-                ) from None
-        parsed.append(arg)
-    return test, tuple(parsed)
+    return test, tuple(int(arg) if kind == "i" else arg
+                       for kind, arg in zip(kinds, args, strict=True))
 
 
-def substructure_key_fingerprint(
-    graph: MolecularGraph, table: KeyTable | None = None
-) -> np.ndarray:
+def substructure_key_fingerprint(graph: MolecularGraph) -> np.ndarray:
     """Evaluate the key table; returns a {0,1} float vector of len(table)."""
-    table = table or default_key_table()
+    table = default_key_table()
     stats = _MoleculeStats(graph)
     out = np.zeros(len(table), dtype=np.float64)
     for k, (test, args) in enumerate(table._tests):

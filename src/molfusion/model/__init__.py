@@ -2,14 +2,13 @@
 
 from .. import ConfigError
 from .batch import MAX_CHUNK_ATOMS, EmptyMoleculeError, MoleculeBatch, chunks
-from .config import ABLATIONS, NORMS, TASKS, ModelConfig
+from .config import ABLATIONS, TASKS, ModelConfig
 from .layers import (
     AttentiveGru,
     CrossAttention,
     DynamicTanh,
     FingerprintMlp,
     GruCell,
-    LayerNorm,
     Linear,
     MixedInformation,
     TransformerLayer,
@@ -26,13 +25,11 @@ __all__ = [
     "EmptyMoleculeError",
     "FingerprintMlp",
     "GruCell",
-    "LayerNorm",
     "Linear",
     "MixedInformation",
     "MlfgnnModel",
     "ModelConfig",
     "MoleculeBatch",
-    "NORMS",
     "TASKS",
     "TransformerLayer",
     "chunks",

@@ -4,16 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .. import BOOL, Config, choice, integer, real, setting
+from .. import Config, choice, integer, real, setting
 from ..featurize.features import ATOM_FEATURE_DIM, BOND_FEATURE_DIM
 
 TASKS = ("regression", "classification")
 ABLATIONS = ("none", "gat_only", "transformer_only", "no_fingerprint")
-NORMS = ("dyt", "layernorm")
 
 FFN_MULT = 4  # transformer feed-forward width multiplier
 LEAKY_SLOPE = 0.2  # attention-score activations
 RATE = real("in [0, 1)", lambda rate: 0 <= rate < 1)  # a dropout rate
+WIDTH = integer(1, 1024)  # a layer's width or head count
+DEPTH = integer(1, 32)  # a layer count
 
 
 @dataclass
@@ -25,22 +26,21 @@ class ModelConfig(Config):
     input fingerprint length produced by the featurizer.
     """
 
-    transformer_layers: int = setting(2, integer(1))
-    heads: int = setting(4, integer(1))
-    head_dim: int = setting(16, integer(1))
-    gat_out_dim: int = setting(64, integer(1))
-    gat_layers: int = setting(2, integer(1))
-    hidden_dim: int = setting(64, integer(1))
-    fingerprint_embed_dim: int = setting(64, integer(1))
-    fingerprint_dim: int = setting(2523, integer(0))
+    transformer_layers: int = setting(2, DEPTH)
+    heads: int = setting(4, WIDTH)
+    head_dim: int = setting(16, WIDTH)
+    gat_out_dim: int = setting(64, WIDTH)
+    gat_layers: int = setting(2, DEPTH)
+    hidden_dim: int = setting(64, WIDTH)
+    fingerprint_embed_dim: int = setting(64, WIDTH)
+    # 2**17 is above the widest fingerprint the featurize bounds allow (67040)
+    fingerprint_dim: int = setting(2523, integer(0, 2**17))
     dropout_gat: float = setting(0.1, RATE)
     dropout_ffn: float = setting(0.1, RATE)
     dropout_attn: float = setting(0.1, RATE)
     task: str = setting("regression", choice(TASKS))
-    n_tasks: int = setting(1, integer(1))
+    n_tasks: int = setting(1, WIDTH)
     ablation: str = setting("none", choice(ABLATIONS))
-    norm: str = setting("dyt", choice(NORMS))
-    adjacency_bias: bool = setting(True, BOOL)
 
     def cross_field_problems(self, bad: set[str]) -> list[str]:
         """The rules across fields, each checked once the fields it reads fit."""
@@ -87,10 +87,6 @@ class ModelConfig(Config):
         def gru(i, h):
             return 3 * ((i + h) * h + h)
 
-        def norm_params():
-            # DyT: scalar alpha + per-channel gamma/beta; LN: gamma/beta only.
-            return (1 if self.norm == "dyt" else 0) + 2 * d
-
         total = linear(ATOM_FEATURE_DIM, g)  # node init
         if self.has_gat:
             total += linear(ATOM_FEATURE_DIM + BOND_FEATURE_DIM, g)  # edge init
@@ -99,9 +95,8 @@ class ModelConfig(Config):
         if self.has_transformer:
             total += linear(g, d)  # transformer input adapter
             per_layer = 3 * matrix(d, d) + linear(d, d)  # q/k/v + output proj
-            if self.adjacency_bias:
-                per_layer += 2  # attention/adjacency balance scalars
-            per_layer += 2 * norm_params()
+            per_layer += 2  # attention/adjacency balance scalars
+            per_layer += 2 * (1 + 2 * d)  # two DyT: scalar alpha, per-channel gamma/beta
             per_layer += linear(d, FFN_MULT * d) + linear(FFN_MULT * d, d)
             total += self.transformer_layers * per_layer
         if self.has_gate:

@@ -55,19 +55,6 @@ class DynamicTanh:
         return T.dyt(x, self.alpha, self.gamma, self.beta)
 
 
-class LayerNorm:
-    def __init__(self, store, rng, prefix, dim):
-        self.gamma = store.register(f"{prefix}.gamma", np.ones((1, dim)))
-        self.beta = store.register(f"{prefix}.beta", np.zeros((1, dim)))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.mul(self.gamma, T.layer_norm(x)), self.beta)
-
-
-def make_norm(kind, store, rng, prefix, dim):
-    return DynamicTanh(store, rng, prefix, dim) if kind == "dyt" else LayerNorm(store, rng, prefix, dim)
-
-
 class FingerprintMlp:
     """Two-layer embedding of the concatenated fingerprint vector."""
 
@@ -115,28 +102,26 @@ class AttentiveGru:
 
 
 class TransformerLayer:
-    """Self-attention with an optional adjacency prior, post-block squashing.
+    """Self-attention with an adjacency prior, post-block squashing.
 
     Per head: (w_attn * softmax(Q K^T / sqrt(d_k)) + w_adj * A) V, where A is
     the row-normalized adjacency; all heads run as one fused op and
-    concatenate through an output projection, then residual + norm,
-    position-wise FFN, residual + norm. Attention runs on the joined atom rows
+    concatenate through an output projection, then residual + DyT,
+    position-wise FFN, residual + DyT. Attention runs on the joined atom rows
     of a batch under its block-diagonal mask, so each molecule attends only
     over its own atoms.
     """
 
-    def __init__(self, store, rng, prefix, dim, heads, norm_kind, adjacency_bias):
+    def __init__(self, store, rng, prefix, dim, heads):
         self.heads = heads
-        self.adjacency_bias = adjacency_bias
         self.w_q = _register_matrix(store, rng, f"{prefix}.w_q", dim, dim)
         self.w_k = _register_matrix(store, rng, f"{prefix}.w_k", dim, dim)
         self.w_v = _register_matrix(store, rng, f"{prefix}.w_v", dim, dim)
         self.out = Linear(store, rng, f"{prefix}.out", dim, dim)
-        if adjacency_bias:
-            self.lambda_attn = store.register(f"{prefix}.lambda_attn", np.full((1, 1), 0.5))
-            self.lambda_adj = store.register(f"{prefix}.lambda_adj", np.full((1, 1), 0.5))
-        self.norm1 = make_norm(norm_kind, store, rng, f"{prefix}.norm1", dim)
-        self.norm2 = make_norm(norm_kind, store, rng, f"{prefix}.norm2", dim)
+        self.lambda_attn = store.register(f"{prefix}.lambda_attn", np.full((1, 1), 0.5))
+        self.lambda_adj = store.register(f"{prefix}.lambda_adj", np.full((1, 1), 0.5))
+        self.norm1 = DynamicTanh(store, rng, f"{prefix}.norm1", dim)
+        self.norm2 = DynamicTanh(store, rng, f"{prefix}.norm2", dim)
         self.ffn1 = Linear(store, rng, f"{prefix}.ffn1", dim, FFN_MULT * dim)
         self.ffn2 = Linear(store, rng, f"{prefix}.ffn2", FFN_MULT * dim, dim)
 
@@ -149,8 +134,8 @@ class TransformerLayer:
         """
         hook = None if trace is None else (lambda p: trace.append(list(p.copy())))
         q, k, v = (T.matmul(h, w) for w in (self.w_q, self.w_k, self.w_v))
-        blend = (self.lambda_attn, self.lambda_adj, batch.adjacency) if self.adjacency_bias else ()
-        return T.attention(q, k, v, self.heads, batch.atom_mask, *blend, hook=hook)
+        return T.attention(q, k, v, self.heads, batch.atom_mask, self.lambda_attn,
+                           self.lambda_adj, batch.adjacency, hook=hook)
 
     def __call__(self, h, batch, dropout_attn=0.0, dropout_ffn=0.0, train=False, rng=None,
                  trace=None):

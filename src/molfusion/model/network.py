@@ -54,10 +54,7 @@ class MlfgnnModel:
         if c.has_transformer:
             self.adapter = Linear(store, rng, "transformer.adapter", g, d)
             self.transformer_stack = [
-                TransformerLayer(
-                    store, rng, f"transformer.layer{i}", d, c.heads, c.norm,
-                    c.adjacency_bias,
-                )
+                TransformerLayer(store, rng, f"transformer.layer{i}", d, c.heads)
                 for i in range(c.transformer_layers)
             ]
         else:
@@ -180,8 +177,6 @@ class MlfgnnModel:
         return float(T._sigmoid_np(self.mixture.gate.data)[0, 0])  # the forward's alpha
 
     def lambda_values(self) -> tuple[list[float], list[float]]:
-        if not (self.config.has_transformer and self.config.adjacency_bias):
-            return [], []
         attn = [float(l.lambda_attn.data[0, 0]) for l in self.transformer_stack]
         adj = [float(l.lambda_adj.data[0, 0]) for l in self.transformer_stack]
         return attn, adj

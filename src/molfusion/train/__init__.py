@@ -1,6 +1,7 @@
 """Losses, metrics and the training protocol."""
 
 from .loop import (
+    SEED_MAX,
     EvalReport,
     NonFiniteLossError,
     TrainConfig,
@@ -19,6 +20,7 @@ __all__ = [
     "EmptyError",
     "EvalReport",
     "NonFiniteLossError",
+    "SEED_MAX",
     "SingleClassError",
     "TrainConfig",
     "TrainResult",

@@ -27,6 +27,8 @@ from .metrics import SingleClassError, masked_rmse, roc_auc_multi
 log = logging.getLogger(__name__)
 
 POSITIVE = real("> 0", lambda value: value > 0)
+COUNT = integer(1, 10**5)  # epochs, molecules per step, epochs without progress
+SEED_MAX = 2**16 - 1  # a seed is an integer in [0, SEED_MAX]
 
 
 class NonFiniteLossError(FloatingPointError):
@@ -35,11 +37,11 @@ class NonFiniteLossError(FloatingPointError):
 
 @dataclass
 class TrainConfig(Config):
-    epochs: int = setting(300, integer(1))
+    epochs: int = setting(300, COUNT)
     lr: float = setting(1e-3, POSITIVE)
-    batch_size: int = setting(32, integer(1))  # molecules per optimizer step
-    seeds: tuple[int, ...] = setting((0,), distinct_integers(0))
-    patience: int = setting(30, integer(1))
+    batch_size: int = setting(32, COUNT)  # molecules per optimizer step
+    seeds: tuple[int, ...] = setting((0,), distinct_integers(0, SEED_MAX))
+    patience: int = setting(30, COUNT)
     target_train_rmse: float | None = setting(None, optional(POSITIVE))  # overfit-sanity early exit
 
 

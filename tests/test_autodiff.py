@@ -37,7 +37,6 @@ UNARY_OPS = {
     "gelu": lambda x: ad.gelu(x),
     "sigmoid": lambda x: ad.sigmoid(x),
     "softplus": lambda x: ad.softplus(x),
-    "layer_norm": lambda x: ad.layer_norm(x),
     "sum_all": lambda x: x,
 }
 

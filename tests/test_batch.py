@@ -20,8 +20,6 @@ VARIANTS = {
     "gat_only": {"ablation": "gat_only"},
     "transformer_only": {"ablation": "transformer_only"},
     "no_fingerprint": {"ablation": "no_fingerprint"},
-    "no_adjacency_bias": {"adjacency_bias": False},
-    "layernorm": {"norm": "layernorm"},
 }
 
 

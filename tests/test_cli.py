@@ -151,14 +151,10 @@ class TestFeaturizeCommand:
 
     @pytest.mark.parametrize(
         "flags,section",
-        [(["--fingerprints", "maccs"], {}), ([], {"morgan_bits": 8}), ([], {"bits": 64}),
-         ([], {"key_table_path": "keys.txt"})],
-        ids=["unknown-component", "bad-value", "unknown-key", "malformed-key-table"],
+        [(["--fingerprints", "maccs"], {}), ([], {"morgan_bits": 8}), ([], {"bits": 64})],
+        ids=["unknown-component", "bad-value", "unknown-key"],
     )
     def test_config_error_exit_1(self, workdir, tmp_path, capsys, flags, section):
-        (tmp_path / "keys.txt").write_text("0|element_ge|C,1|carbon\n5|element_ge|N,1|gap\n")
-        if "key_table_path" in section:
-            section = {"key_table_path": str(tmp_path / section["key_table_path"])}
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"featurize": section}))
         out = tmp_path / "f.jsonl"
@@ -199,34 +195,26 @@ def test_readme_config_block_and_table_follow_the_field_tables():
             assert default.startswith("from "), (name, key)
 
 
-class TestTrainCommand:
-    @pytest.mark.parametrize(
-        "line", ["1|bogus_pred|1|x", "1|element_ge|C,c|x", "1|element_ge|C|x"],
-        ids=["unknown-predicate", "non-integer-argument", "wrong-argument-count"],
-    )
-    def test_bad_key_table_line_exit_1(self, workdir, tmp_path, capsys, line):
-        keys = tmp_path / "keys.txt"
-        keys.write_text(f"0|element_ge|C,1|carbon\n{line}\n")
-        featurize_section = {**TINY_CONFIG["featurize"], "key_table_path": str(keys)}
-        config = dict(TINY_CONFIG, featurize=featurize_section)
-        (tmp_path / "config.json").write_text(json.dumps(config))
-        out = tmp_path / "run"
-        code = main(["train", "--data", str(workdir / "reg.csv"), "--task", "reg",
-                     "--epochs", "1", "--config", str(tmp_path / "config.json"),
-                     "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("config error: key 1:")
-        assert not out.exists()
+MODEL_KEYS = sorted({**ModelConfig.field_table(), **DERIVED_MODEL_KEYS})
+# (section, key, upper bound) of each integer field a config file may set,
+# the bound read from what the field must be.
+INTEGER_FIELDS = [
+    (name, key, int(re.search(r", (\d+)\]$", kind.text).group(1)))
+    for name, cls in {"model": ModelConfig, "train": TrainConfig,
+                      "featurize": FeaturizeConfig}.items()
+    for key, kind in cls.field_table().items()
+    if "integer" in kind.name and not (name == "model" and key in DERIVED_MODEL_KEYS)
+]
 
+
+class TestTrainCommand:
     def test_config_checked_before_the_data_is_read(self, workdir, tmp_path, capsys):
-        keys = tmp_path / "keys.txt"
-        keys.write_text("0|element_ge|C,1|carbon\n1|bogus_pred|1|x\n")
-        config = {"featurize": {"key_table_path": str(keys)}}
+        config = {"model": {"hidden_dim": 7, "heads": 2, "head_dim": 4}}
         (tmp_path / "config.json").write_text(json.dumps(config))
         code = main(["train", "--data", str(tmp_path / "missing.csv"), "--task", "reg",
                      "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "run")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("config error: key 1:")
+        assert capsys.readouterr().err.startswith("config error: hidden_dim (7) must equal")
 
     @pytest.mark.parametrize("train_section,flags", [
         ({"batch_size": 0}, []),
@@ -280,21 +268,27 @@ class TestTrainCommand:
         ({"train": {"lr": True}}, "lr must be a finite number > 0, got True"),
         ({"train": {"lr": float("nan")}}, "lr must be a finite number > 0, got nan"),
         ({"train": {"lr": "x"}}, "lr must be a finite number > 0, got 'x'"),
-        ({"train": {"seeds": [1.5]}}, "seeds must be integers >= 0, got 1.5"),
-        ({"train": {"seeds": ["a"]}}, "seeds must be integers >= 0, got 'a'"),
-        ({"train": {"seeds": [0, -1]}}, "seeds must be integers >= 0, got -1"),
+        ({"train": {"seeds": [1.5]}}, "seeds must be integers in [0, 65535], got 1.5"),
+        ({"train": {"seeds": ["a"]}}, "seeds must be integers in [0, 65535], got 'a'"),
+        ({"train": {"seeds": [0, -1]}}, "seeds must be integers in [0, 65535], got -1"),
         ({"featurize": {"components": "morgan"}},
          "components must be a list of names, got 'morgan'"),
-        ({"model": {"adjacency_bias": "no"}}, "adjacency_bias must be true or false, got 'no'"),
-        ({"model": {"adjacency_bias": 0}}, "adjacency_bias must be true or false, got 0"),
+        ({"model": {"adjacency_bias": "no"}},
+         f"unknown keys ['adjacency_bias']; the keys are {MODEL_KEYS}"),
+        ({"model": {"adjacency_bias": 0}},
+         f"unknown keys ['adjacency_bias']; the keys are {MODEL_KEYS}"),
+        ({"model": {"norm": "dyt"}}, f"unknown keys ['norm']; the keys are {MODEL_KEYS}"),
         ({"model": {"dropout_gat": False}},
          "dropout_gat must be a finite number in [0, 1), got False"),
         ({"model": {"dropout_gat": "x"}}, "dropout_gat must be a finite number in [0, 1), got 'x'"),
-        ({"train": {"patience": -3}}, "patience must be an integer >= 1, got -3"),
-        ({"train": {"patience": 0}}, "patience must be an integer >= 1, got 0"),
-        ({"train": {"seeds": 5}}, "seeds must be a non-empty list of integers >= 0, got 5"),
+        ({"train": {"patience": -3}}, "patience must be an integer in [1, 100000], got -3"),
+        ({"train": {"patience": 0}}, "patience must be an integer in [1, 100000], got 0"),
+        ({"train": {"seeds": 5}},
+         "seeds must be a non-empty list of integers in [0, 65535], got 5"),
         ({"featurize": {"key_table_path": 5}},
-         "key_table_path must be null or a non-empty path string without NUL, got 5"),
+         f"unknown keys ['key_table_path']; the keys are {sorted(FeaturizeConfig.field_table())}"),
+        ({"featurize": {"key_table_path": None}},
+         f"unknown keys ['key_table_path']; the keys are {sorted(FeaturizeConfig.field_table())}"),
         ({"featurize": {"components": ["morgan", "morgan"]}},
          "components must not repeat an entry, got ['morgan', 'morgan']"),
         ({"train": {"seeds": [0, 0]}}, "seeds must not repeat an entry, got [0, 0]"),
@@ -305,20 +299,48 @@ class TestTrainCommand:
         ({"model": {"fingerprint_dim": 7}},
          "fingerprint_dim must be left out: it comes from the featurize section, got 7"),
     ], ids=["lr-true", "lr-nan", "lr-string", "seed-1.5", "seed-string", "seed-negative",
-            "components-a-string", "adjacency-bias-no", "adjacency-bias-0", "dropout-false",
-            "dropout-string", "patience-negative", "patience-0", "seeds-an-integer",
-            "key-table-path-an-integer", "components-repeated", "seeds-repeated", "task", "n-tasks",
-            "fingerprint-dim"])
+            "components-a-string", "adjacency-bias-no", "adjacency-bias-0", "norm-dyt",
+            "dropout-false", "dropout-string", "patience-negative", "patience-0",
+            "seeds-an-integer", "key-table-path-an-integer", "key-table-path-null",
+            "components-repeated", "seeds-repeated", "task", "n-tasks", "fingerprint-dim"])
     def test_bad_value_is_a_config_error_naming_its_field(self, tmp_path, config, message):
         """``train`` names a data file that does not exist, so exit 1 shows the
-        config was checked before any row was read. Run as a process, so that a
-        traceback would reach stderr."""
+        config was checked before any row was read. ``norm``,
+        ``adjacency_bias`` and ``key_table_path`` are retired settings, so any
+        value of theirs, even the one the program builds, is an unknown key.
+        Run as a process, so that a traceback would reach stderr."""
         (tmp_path / "config.json").write_text(json.dumps(config))
         proc = run_process(["train", "--config", str(tmp_path / "config.json"),
                             "--data", str(tmp_path / "missing.csv"), "--task", "reg",
                             "--out", str(tmp_path / "run")])
         assert (proc.returncode, proc.stderr) == (1, f"config error: {message}\n")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("section,key,high", INTEGER_FIELDS,
+                             ids=[f"{section}.{key}" for section, key, _ in INTEGER_FIELDS])
+    def test_integer_over_its_bound_is_a_config_error(self, tmp_path, section, key, high):
+        """One more than the upper bound of each integer field a config file
+        may set. Run as a process, so that a traceback would reach stderr."""
+        value = [high + 1] if key == "seeds" else high + 1
+        (tmp_path / "config.json").write_text(json.dumps({section: {key: value}}))
+        proc = run_process(["train", "--config", str(tmp_path / "config.json"),
+                            "--data", str(tmp_path / "missing.csv"), "--task", "reg",
+                            "--out", str(tmp_path / "run")])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith(f"config error: {key} must be "), proc.stderr
+        assert proc.stderr.endswith(f"{high}], got {high + 1}\n"), proc.stderr
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--seeds", "65537"], "--seeds must be an integer in [1, 65536], got 65537"),
+        (["--seeds", "0"], "--seeds must be an integer in [1, 65536], got 0"),
+        (["--epochs", "100001"], "epochs must be an integer in [1, 100000], got 100001"),
+    ], ids=["seeds-65537", "seeds-0", "epochs-100001"])
+    def test_count_flag_out_of_range_is_a_config_error(self, tmp_path, flags, message):
+        """``--seeds k`` (seeds 0..k-1) is checked before the seeds are listed.
+        Run as a process, so that a traceback would reach stderr."""
+        proc = run_process(["train", "--data", str(tmp_path / "missing.csv"), "--task", "reg",
+                            *flags, "--out", str(tmp_path / "run")])
+        assert (proc.returncode, proc.stderr) == (1, f"config error: {message}\n")
 
     @pytest.mark.parametrize("text", [
         "5", "null", "[]", '"abc"', '{"model": 5}', '{"train": null}', '{"model": []}',
@@ -873,14 +895,16 @@ def test_unbuildable_checkpoint_exit_2(workdir, trained, tmp_path, capsys, comma
     ("model", "gat_layers", 0),
     ("model", "dropout_ffn", "x"),
     ("model", "adjacency_bias", "no"),
-    ("model", "norm", "batchnorm"),
+    ("model", "ablation", "batchnorm"),
     ("featurize", "components", ["erg", "erg"]),
     ("featurize", "key_table_path", 5),
 ], ids=["integer", "real", "bool", "choice", "list-of-distinct-choices", "optional-path"])
 def test_bad_checkpoint_config_value_exit_2(workdir, trained, tmp_path, section, key, value):
     """A bad value of each kind of field that ``predict`` reads, edited into a
     real checkpoint's config: loading it with ``--force``, which skips only
-    the digest, still exits 2 naming the field. Run as a process, so that a
+    the digest, still exits 2 naming the field. The bool and optional-path
+    cases are retired keys (``adjacency_bias``, ``key_table_path``), which an
+    earlier version's checkpoint carries. Run as a process, so that a
     traceback would reach stderr."""
     raw = (trained / "seed_0.ckpt").read_bytes()
     (length,) = struct.unpack("<I", raw[8:12])
@@ -897,6 +921,42 @@ def test_bad_checkpoint_config_value_exit_2(workdir, trained, tmp_path, section,
     assert len(lines) == 1 and lines[0].startswith(f"data error: {bad}: "), proc.stderr
     assert f"{key} must " in lines[0]
     assert not out.exists()
+
+
+class TestRetiredKeys:
+    """``norm``, ``adjacency_bias`` and ``key_table_path`` are no longer
+    settings; checkpoints written before they were retired record them."""
+
+    def _old_checkpoint(self, trained, path, **changed):
+        """The trained checkpoint with the retired keys in its header, as an
+        earlier version wrote them, ``changed`` in place of the values this
+        version builds."""
+        config, arrays = load_checkpoint(trained / "seed_0.ckpt")
+        retired = {"norm": "dyt", "adjacency_bias": True, "key_table_path": None, **changed}
+        config["model"].update(norm=retired["norm"], adjacency_bias=retired["adjacency_bias"])
+        config["featurize"]["key_table_path"] = retired["key_table_path"]
+        save_checkpoint(path, config, arrays)
+        return path
+
+    def test_the_values_this_version_builds_load(self, workdir, trained, tmp_path):
+        old = self._old_checkpoint(trained, tmp_path / "old.ckpt")
+        for ckpt, out in ((trained / "seed_0.ckpt", "new.csv"), (old, "old.csv")):
+            assert main(["predict", "--checkpoint", str(ckpt), "--input", str(workdir / "reg.csv"),
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+    @pytest.mark.parametrize("key,value", [
+        ("norm", "layernorm"), ("adjacency_bias", False), ("key_table_path", "keys.txt"),
+    ])
+    def test_any_other_value_exit_2_naming_the_key(self, workdir, trained, tmp_path, capsys,
+                                                   key, value):
+        old = self._old_checkpoint(trained, tmp_path / "old.ckpt", **{key: value})
+        out = tmp_path / "p.csv"
+        assert main(["predict", "--checkpoint", str(old), "--input", str(workdir / "reg.csv"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {old}: ") and f"{key} must be " in err, err
+        assert not out.exists()
 
 
 class TestExplainCommand:
@@ -999,15 +1059,22 @@ class TestGradcheckCommand:
         assert proc.returncode == 3, proc.stdout + proc.stderr
         assert proc.stdout.startswith("FAIL")
 
-    @pytest.mark.parametrize("atoms", ["0", "-2"])
-    def test_no_atoms_exit_1(self, atoms, capsys):
-        assert main(["gradcheck", "--atoms", atoms]) == 1
-        assert "--atoms must be at least 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag,value,bounds", [
+        ("--atoms", "0", "[1, 64]"), ("--atoms", "-2", "[1, 64]"),
+        ("--atoms", "100000000", "[1, 64]"), ("--seed", "-1", "[0, 65535]"),
+    ], ids=["0", "-2", "atoms-100000000", "seed--1"])
+    def test_no_atoms_exit_1(self, flag, value, bounds, capsys):
+        """``--atoms`` and ``--seed`` out of range are config errors, raised
+        before any molecule is built."""
+        assert main(["gradcheck", flag, value]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {flag} must be an integer in {bounds}, got {value}\n"
+        )
 
     @pytest.mark.parametrize("coords", ["0", "-2"])
     def test_no_coords_per_group_exit_1(self, coords, capsys):
         assert main(["gradcheck", "--coords-per-group", coords]) == 1
-        assert "--coords-per-group must be at least 1" in capsys.readouterr().err
+        assert "--coords-per-group must be an integer in [1, " in capsys.readouterr().err
 
     def test_no_fingerprint_path_differentiable(self, workdir):
         code = main(

@@ -642,18 +642,6 @@ class TestAblations:
         assert not any(name.startswith("fingerprint_mlp") for name in names)
         assert not any(name.startswith("cross_attention") for name in names)
 
-    def test_layernorm_variant(self):
-        config = small_config(norm="layernorm")
-        model = MlfgnnModel(config, seed=0)
-        assert config.parameter_count() == model.params.count_values()
-        assert model.forward(MoleculeBatch([featurized("c1ccccc1O")])).shape == (1, 1)
-
-    def test_adjacency_bias_off(self):
-        config = small_config(adjacency_bias=False)
-        model = MlfgnnModel(config, seed=0)
-        assert config.parameter_count() == model.params.count_values()
-        assert not any("lambda" in name for name in list(model.params.tensors))
-        model.forward(MoleculeBatch([featurized("CCO")]))
 
 
 class TestParameterCount:
@@ -663,8 +651,8 @@ class TestParameterCount:
             {},
             {"transformer_layers": 3, "gat_layers": 1},
             {"heads": 4, "head_dim": 2},
-            {"norm": "layernorm"},
-            {"adjacency_bias": False},
+            {"transformer_layers": 1},
+            {"gat_out_dim": 10, "fingerprint_embed_dim": 5},
             {"n_tasks": 12, "task": "classification"},
             {"ablation": "gat_only"},
             {"ablation": "transformer_only"},
