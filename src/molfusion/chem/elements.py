@@ -53,12 +53,6 @@ _ELEMENT_TABLE = {
     "Li": (6.94, (), 1),
 }
 
-SUPPORTED_ELEMENTS = frozenset(_ELEMENT_TABLE)
-
-# Atom-symbol one-hot labels, in feature order. The trailing "other" bucket
-# catches every supported element not named here.
-SYMBOL_ONE_HOT = ("C", "N", "O", "F", "Si", "Cl", "As", "Se", "Br", "Te", "I", "At")
-
 
 def is_known_element(symbol: str) -> bool:
     return symbol in _ELEMENT_TABLE

@@ -66,7 +66,6 @@ class Atom:
     # Derived annotations, populated by perception.annotate().
     degree: int = 0
     implicit_hs: int = 0
-    radical_electrons: int = 0
     bond_order_sum: int = 0
     hybridization: Hybridization = Hybridization.OTHER
     in_ring: bool = False

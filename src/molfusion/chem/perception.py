@@ -224,7 +224,6 @@ def _assign_valence(graph: MolecularGraph) -> None:
         bonds = graph.bonds_of(atom.index)
         bond_sum = round(sum(b.order.valence for b in bonds))
         valences = default_valences(atom.element)
-        atom.radical_electrons = 0
         if not valences:
             atom.implicit_hs = 0
             atom.bond_order_sum = bond_sum

@@ -375,10 +375,7 @@ def _build_graph(atoms, raw_bonds) -> MolecularGraph:
         elif order is BondOrder.AROMATIC:
             if not (atoms[rb.u].is_aromatic and atoms[rb.v].is_aromatic):
                 raise SmilesError("':' bond requires two aromatic atoms")
-        try:
-            bonds.append(Bond(rb.u, rb.v, order))
-        except ValueError as exc:
-            raise SmilesError(str(exc)) from exc
+        bonds.append(Bond(rb.u, rb.v, order))
     try:
         return MolecularGraph(atoms, bonds)
     except ValueError as exc:  # a ring closure repeating a bond, as in C1C1

@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage or config error, 2 data error (a file that
 cannot be read or written and a non-finite training loss included), 3
 verification failure.
+featurize and predict share one row loop, which works on two lanes a window
+of chunks at a time and writes each window's lines in row order; when every
+row fails to parse, every line is written, then the command exits 2.
 Config files are JSON with optional "model", "train" and "featurize"
 sections; every key mirrors the corresponding dataclass field. The env var
 MOLFUSION_LOG sets log verbosity (DEBUG/INFO/WARNING/ERROR).
@@ -178,7 +181,82 @@ def random_molecule_graph(n_atoms: int, seed: int = 0) -> MolecularGraph:
     return graph
 
 
-# -- featurize ---------------------------------------------------------------
+# -- featurize, and the row loop it shares with predict ------------------------
+
+
+# Chunks per ``each_row`` window. The two lanes claim a window's chunks from
+# one shared counter, not by a fixed deal, so the split follows what each
+# chunk really costs. This process runs chunk 0, parses the next window while
+# lane 1 (a helper forked for the window, which reads the parsed graphs
+# copy-on-write) works, then claims chunks too. A window holds at most 2048
+# atoms. At about 0.5 KB per parsed atom, the two windows of parsed graphs
+# alive at once come to about 2 MB; at most two windows' results are alive
+# too (a featurized molecule is about 25 KB with the default fingerprints).
+WINDOW_CHUNKS = 32
+
+
+def each_row(args, rows, work):
+    """``(smiles, parse error or None, result)`` per CSV row, in row order.
+    Rows are parsed here and packed into chunks (an error row rides in its
+    chunk with no atoms); ``work(graphs)``, one result per parsed graph of a
+    chunk, runs on two lanes. The lowest-numbered failing chunk's exception
+    is raised once its window is done. After the last row, a summary is
+    printed, or a ``DataError`` raised if every row failed to parse."""
+
+    def parsed():
+        for row in rows:
+            smiles = (row[args.smiles_col] or "").strip()
+            try:
+                yield smiles, parse_smiles(smiles), None
+            except SmilesError as exc:
+                yield smiles, None, exc
+
+    def run_lane(window, ks):
+        """Runs ``work`` on ``window[k]`` for each k of ``ks`` until one raises:
+        ({k: results}, None), or ({k: results}, (k, the exception))."""
+        results = {}
+        for k in ks:
+            try:
+                graphs = [g for _s, g, _e in window[k] if g is not None]
+                results[k] = work(graphs) if graphs else ()
+            except Exception as exc:
+                return results, (k, sendable(exc))
+        return results, None
+
+    packed = chunks(parsed(), lambda row: 0 if row[1] is None else row[1].n_atoms)
+    n_rows = n_errors = 0
+    window = list(itertools.islice(packed, WINDOW_CHUNKS))
+    while window:
+        claims = Counter(1)  # chunk 0 is this process's own
+        lane1 = Helper(lambda n: run_lane(window, claims.claims(n)))
+        # A one-chunk window leaves lane 1 nothing to claim: its helper is
+        # not entered, so nothing is forked and its reply runs inline.
+        with lane1 if len(window) > 1 else nullcontext():
+            lane1.send(len(window))
+            results, failure = run_lane(window, [0])
+            ahead = []
+            if failure is None:  # a lane that fails claims no more
+                ahead = list(itertools.islice(packed, WINDOW_CHUNKS))
+                more, failure = run_lane(window, claims.claims(len(window)))
+                results.update(more)
+            more, lane1_failure = lane1.reply()
+            results.update(more)
+        # Chunks are claimed in increasing order, so every chunk below the
+        # lowest-numbered failure has run: that failure is the one raised,
+        # whichever lane ran it.
+        failures = [f for f in (failure, lane1_failure) if f is not None]
+        if failures:
+            raise min(failures, key=lambda f: f[0])[1]
+        for k, chunk in enumerate(window):
+            chunk_results = iter(results[k])
+            for smiles, graph, error in chunk:
+                n_rows += 1
+                n_errors += graph is None
+                yield smiles, error, None if graph is None else next(chunk_results)
+        window = ahead
+    if n_rows and n_errors == n_rows:
+        raise DataError(f"{args.input}: every row failed to parse; their errors are in {args.out}")
+    print(f"wrote {n_rows} rows ({n_errors} errors) to {args.out}")
 
 
 def cmd_featurize(args) -> int:
@@ -186,37 +264,20 @@ def cmd_featurize(args) -> int:
     overrides = {"components": args.fingerprints.split(",")} if args.fingerprints else {}
     featurize_config = FeaturizeConfig.from_dict({**file_config.get("featurize", {}), **overrides})
     _header, rows, _checksum = read_csv(args.input, [args.smiles_col])
-    records = []
-    n_errors = 0
-    for row_num, row in enumerate(rows, start=2):
-        smiles = (row[args.smiles_col] or "").strip()
-        try:
-            mol = featurize(parse_smiles(smiles), featurize_config)
-        except SmilesError as exc:
-            records.append({"row": row_num, "smiles": smiles, "error": str(exc)})
-            n_errors += 1
-            continue
-        bonds = [
-            {"u": int(u), "v": int(v), "features": feats.tolist()}
-            for u, v, feats in zip(mol.src, mol.dst, mol.bond_features)
-            if u < v
-        ]
-        records.append(
-            {
-                "row": row_num,
-                "smiles": smiles,
-                "n_atoms": mol.n_atoms,
-                "atom_features": mol.atom_features.tolist(),
-                "bonds": bonds,
-                "fingerprint": mol.fingerprint.tolist(),
-            }
-        )
-    if records and n_errors == len(records):
-        raise DataError(f"{args.input}: every row failed to parse")
+    featurized = each_row(args, rows,
+                          lambda graphs: [featurize(g, featurize_config) for g in graphs])
     with open(args.out, "w") as fh:
-        for record in records:
+        for row_num, (smiles, error, mol) in enumerate(featurized, start=2):
+            record = {"row": row_num, "smiles": smiles}
+            if error is not None:
+                record["error"] = str(error)
+            else:
+                bonds = zip(mol.src, mol.dst, mol.bond_features)
+                record.update(n_atoms=mol.n_atoms, atom_features=mol.atom_features.tolist(),
+                              bonds=[{"u": int(u), "v": int(v), "features": feats.tolist()}
+                                     for u, v, feats in bonds if u < v],
+                              fingerprint=mol.fingerprint.tolist())
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    print(f"wrote {len(records)} records ({n_errors} errors) to {args.out}")
     return EXIT_OK
 
 
@@ -227,6 +288,8 @@ def cmd_train(args) -> int:
     task = {"cls": "classification", "reg": "regression"}[args.task]
     file_config = load_config_file(args.config)
     label_cols = [c.strip() for c in args.label_cols.split(",")] if args.label_cols else None
+    if label_cols and len(set(label_cols)) < len(label_cols):
+        raise ConfigError(f"--label-cols must not repeat a column, got {args.label_cols!r}")
     seeds = None
     if args.seeds is not None:  # seeds 0..k-1, checked before the tuple is built
         check_config({"--seeds": integer(1, SEED_MAX + 1)}, {"--seeds": args.seeds})
@@ -329,86 +392,20 @@ def build_model_from_checkpoint(
     return model, featurize_config
 
 
-# Chunks per ``predict`` window. The two lanes claim a window's chunks from
-# one shared counter, not by a fixed deal, so the split follows what each
-# chunk really costs. This process runs chunk 0, parses the next window while
-# lane 1 (a helper forked for the window, which reads the parsed graphs
-# copy-on-write) works, then claims chunks too. At most 64 atoms a chunk and
-# about 0.5 KB per parsed atom, the two windows of parsed graphs alive at
-# once come to about 2 MB.
-PREDICT_WINDOW_CHUNKS = 32
-
-
 def cmd_predict(args) -> int:
     model, featurize_config = build_model_from_checkpoint(args.checkpoint, force=args.force)
     _header, rows, _checksum = read_csv(args.input, [args.smiles_col])
     n_tasks = model.config.n_tasks
     pred_cols = [f"prediction_{i}" for i in range(n_tasks)] if n_tasks > 1 else ["prediction"]
-
-    def parsed():
-        """(smiles, graph, None) per row, or (smiles, None, parse error)."""
-        for row in rows:
-            smiles = (row[args.smiles_col] or "").strip()
-            try:
-                yield smiles, parse_smiles(smiles), None
-            except SmilesError as exc:
-                yield smiles, None, exc
-
-    def run_lane(window, ks):
-        """Predicts ``window[k]`` for each k of ``ks`` until one raises:
-        ({k: predictions}, None), or ({k: predictions}, (k, the exception))."""
-        preds = {}
-        for k in ks:
-            try:
-                mols = [featurize(g, featurize_config) for _s, g, _e in window[k] if g is not None]
-                preds[k] = model.predict_batch(MoleculeBatch(mols)) if mols else ()
-            except Exception as exc:
-                return preds, (k, sendable(exc))
-        return preds, None
-
-    # Rows run in packed chunks; an error row rides in its chunk with no atoms.
-    packed = chunks(parsed(), lambda row: 0 if row[1] is None else row[1].n_atoms)
-    n_rows = n_errors = 0
+    predicted = each_row(args, rows, lambda graphs: model.predict_batch(
+        MoleculeBatch([featurize(g, featurize_config) for g in graphs])))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.smiles_col, *pred_cols])
-        window = list(itertools.islice(packed, PREDICT_WINDOW_CHUNKS))
-        while window:
-            claims = Counter(1)  # chunk 0 is this process's own
-            lane1 = Helper(lambda n: run_lane(window, claims.claims(n)))
-            # A one-chunk window leaves lane 1 nothing to claim: its helper is
-            # not entered, so nothing is forked and its reply runs inline.
-            with lane1 if len(window) > 1 else nullcontext():
-                lane1.send(len(window))
-                preds, failure = run_lane(window, [0])
-                ahead = []
-                if failure is None:  # a lane that fails claims no more
-                    ahead = list(itertools.islice(packed, PREDICT_WINDOW_CHUNKS))
-                    more, failure = run_lane(window, claims.claims(len(window)))
-                    preds.update(more)
-                more, lane1_failure = lane1.reply()
-                preds.update(more)
-            # Chunks are claimed in increasing order, so every chunk below the
-            # lowest-numbered failure has run: that failure is the one raised,
-            # whichever lane ran it.
-            failures = [f for f in (failure, lane1_failure) if f is not None]
-            if failures:
-                raise min(failures, key=lambda f: f[0])[1]
-            for k, chunk in enumerate(window):
-                chunk_preds = iter(preds[k])
-                for smiles, graph, error in chunk:
-                    n_rows += 1
-                    if graph is None:
-                        n_errors += 1
-                        writer.writerow([smiles, *[f"ERROR:{error}" for _ in pred_cols]])
-                    else:
-                        writer.writerow([smiles, *[repr(float(p)) for p in next(chunk_preds)]])
-            window = ahead
-    if n_rows and n_errors == n_rows:
-        raise DataError(
-            f"{args.input}: every row failed to parse; their ERROR cells are in {args.out}"
-        )
-    print(f"predictions written to {args.out} ({n_errors} error rows)")
+        for smiles, error, preds in predicted:
+            cells = ([repr(float(p)) for p in preds] if error is None
+                     else [f"ERROR:{error}"] * n_tasks)
+            writer.writerow([smiles, *cells])
     return EXIT_OK
 
 

@@ -117,8 +117,8 @@ def read_csv(
 
     The bytes are UTF-8, optionally BOM-prefixed. Records split per RFC-4180,
     so a quoted newline or a U+2028 inside a cell stays in its record. Every
-    name in ``columns`` must be in the header; a short row reads None for
-    its missing cells.
+    name in ``columns`` must be in the header, and no name may repeat; a short
+    row reads None for its missing cells.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -134,6 +134,9 @@ def read_csv(
         raise DataError(f"{path}: malformed CSV at line {reader.line_num}: {exc}") from exc
     if not header:
         raise EmptyDatasetError(f"{path}: empty file, no header row")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:  # a row would keep only the last cell of each
+        raise DataError(f"{path}: header repeats the column names {repeated}")
     missing = [c for c in columns if c not in header]
     if missing:
         raise MissingColumnError(f"{path}: columns {missing} not in header {header}")

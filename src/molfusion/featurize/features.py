@@ -4,12 +4,13 @@ Atom rows are 57-wide, bond vectors 13-wide. Layout (offsets inclusive):
 
     atom: symbol one-hot [0..15] (12 named labels + "other" at 12; 13..15
           reserved zero) | degree one-hot [16..21] (0..5, overflow clipped) |
-          formal charge [22] | radical electrons [23] | hybridization one-hot
-          [24..29] | aromatic [30] | hydrogen count one-hot [31..35] (0..4+) |
-          chirality one-hot [36..39] | ring flag [40] | smallest-ring-size
-          one-hot [41..44] (sizes 3-6; >=7 leaves all zero) | atomic mass/100
-          [45] | implicit valence one-hot [46..52] (0..6+) | H-acceptor [53] |
-          H-donor [54] | acidic [55] | basic [56]
+          formal charge [22] | always 0 [23] (radical electrons are not
+          perceived) | hybridization one-hot [24..29] | aromatic [30] |
+          hydrogen count one-hot [31..35] (0..4+) | chirality one-hot
+          [36..39] | ring flag [40] | smallest-ring-size one-hot [41..44]
+          (sizes 3-6; >=7 leaves all zero) | atomic mass/100 [45] | implicit
+          valence one-hot [46..52] (0..6+) | H-acceptor [53] | H-donor [54] |
+          acidic [55] | basic [56]
 
     bond: type one-hot [0..4] ("exists" always set, then single/double/
           triple/aromatic) | conjugated [5] | in ring [6] | stereo one-hot
@@ -106,7 +107,6 @@ def featurize_atoms(graph: MolecularGraph) -> np.ndarray:
             degree = 5
         row[16 + degree] = 1.0
         row[22] = float(a.formal_charge)
-        row[23] = float(a.radical_electrons)
         row[24 + _HYBRIDIZATIONS.index(a.hybridization)] = 1.0
         row[30] = 1.0 if a.is_aromatic else 0.0
         row[31 + min(a.total_hs, 4)] = 1.0

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -69,15 +70,18 @@ def trained(workdir):
     return out
 
 
+def process_env(env: dict | None = None) -> dict:
+    """The current environment plus ``env``, with this tree's ``src`` on the path."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **(env or {}), "PYTHONPATH": pythonpath}
+
+
 def run_process(argv: list[str], env: dict | None = None) -> subprocess.CompletedProcess:
     """``molfusion argv`` in a new Python process, so that stderr holds
     everything the process prints, numpy's warnings included. ``env`` adds to
     the current environment."""
-    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "molfusion.cli", *argv], capture_output=True, text=True,
-        env={**os.environ, **(env or {}), "PYTHONPATH": pythonpath}, timeout=300,
-    )
+    return subprocess.run([sys.executable, "-m", "molfusion.cli", *argv], capture_output=True,
+                          text=True, env=process_env(env), timeout=300)
 
 
 def csv_command(command: str, data: Path, workdir: Path, trained: Path, out: Path) -> list[str]:
@@ -114,6 +118,23 @@ class TestInputCsv:
         assert main(csv_command(command, data, workdir, trained, tmp_path)) == 2
         assert cause in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["featurize", "train", "predict"])
+    @pytest.mark.parametrize("header, row, name", [("smiles,y,y", "{},1.5,2.5", "y"),
+                                                    ("smiles,smiles", "{},{}", "smiles")],
+                             ids=["label", "smiles"])
+    def test_repeated_header_name_exit_2(self, workdir, trained, tmp_path, command, header,
+                                         row, name):
+        """A row would keep only the last cell of a repeated name, so the
+        header is refused before anything is written. Run as a process, so
+        that a traceback would reach stderr."""
+        data = tmp_path / "repeated.csv"
+        smiles = corpus_util.build_corpus(30)
+        data.write_text(header + "\n" + "".join(row.format(s, s) + "\n" for s in smiles))
+        proc = run_process(csv_command(command, data, workdir, trained, tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr == f"data error: {data}: header repeats the column names ['{name}']\n"
+        assert sorted(tmp_path.iterdir()) == [data]
+
 
 class TestFeaturizeCommand:
     def test_widths_and_determinism(self, workdir):
@@ -148,6 +169,49 @@ class TestFeaturizeCommand:
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert "error" in lines[1]
         assert lines[1]["row"] == 3
+
+    def test_every_row_failing_exit_2(self, tmp_path):
+        """Every row's error record is written, then the command exits 2."""
+        bad = tmp_path / "all_bad.csv"
+        bad.write_text("smiles,y\nxx((bad,1\nC1CC,2\n")
+        out = tmp_path / "all_bad.jsonl"
+        proc = run_process(["featurize", "--input", str(bad), "--out", str(out)])
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("data error:"), proc.stderr
+        assert "every row failed to parse" in lines[0]
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["row"], r["smiles"]) for r in records] == [(2, "xx((bad"), (3, "C1CC")]
+        assert all(sorted(r) == ["error", "row", "smiles"] for r in records)
+
+    def test_memory_is_bounded_by_the_window(self, tmp_path, monkeypatch):
+        """Records are written as their window comes back, so 4x the rows
+        peaks close to 1x under tracemalloc (inline, windows of 3 chunks; 60
+        corpus rows make 4 chunks). Building every record before writing
+        would peak about 4x as high."""
+        import tracemalloc
+
+        from molfusion import cli, helper
+
+        monkeypatch.setattr(cli, "WINDOW_CHUNKS", 3)
+        monkeypatch.setattr(helper, "FORK_HELPER", False)
+        smiles = corpus_util.build_corpus(60)
+        out = tmp_path / "f.jsonl"
+        peaks = {}
+        for copies in (1, 4):
+            data = tmp_path / f"rows_{copies}.csv"
+            data.write_text("smiles\n" + "".join(s + "\n" for s in smiles * copies))
+            argv = ["featurize", "--input", str(data), "--out", str(out)]
+            if not peaks:  # an untraced run first, so caches (the key table) are warm
+                assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(out.read_text().splitlines()) == 60 * copies
+        assert peaks[4] < 1.5 * peaks[1], peaks
 
     @pytest.mark.parametrize(
         "flags,section",
@@ -215,6 +279,18 @@ class TestTrainCommand:
                      "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "run")])
         assert code == 1
         assert capsys.readouterr().err.startswith("config error: hidden_dim (7) must equal")
+
+    @pytest.mark.parametrize("data", ["reg.csv", "missing.csv"])
+    def test_repeated_label_col_is_a_config_error(self, workdir, tmp_path, data):
+        """Two copies of one column would train as two tasks. The flag is
+        checked before any row is read: a missing data file still gives exit 1.
+        Run as a process, so that a traceback would reach stderr."""
+        proc = run_process(["train", "--data", str(workdir / data), "--task", "reg",
+                            "--label-cols", "y, y", "--config", str(workdir / "config.json"),
+                            "--out", str(tmp_path / "run")])
+        assert proc.returncode == 1
+        assert proc.stderr == "config error: --label-cols must not repeat a column, got 'y, y'\n"
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("train_section,flags", [
         ({"batch_size": 0}, []),
@@ -648,7 +724,7 @@ class TestPredictLanes:
     def _predict(self, trained, data, out, monkeypatch, fork):
         from molfusion import cli, helper
 
-        monkeypatch.setattr(cli, "PREDICT_WINDOW_CHUNKS", self.WINDOW)
+        monkeypatch.setattr(cli, "WINDOW_CHUNKS", self.WINDOW)
         monkeypatch.setattr(helper, "FORK_HELPER", fork and helper.FORK_HELPER)
         return main(["predict", "--checkpoint", str(trained / "seed_0.ckpt"),
                      "--input", str(data), "--out", str(out)])
@@ -675,6 +751,39 @@ class TestPredictLanes:
         assert written["f1"] == written["f2"] == written["i1"] == written["i2"]
         rows = list(csv.reader(written["f1"].decode().splitlines()))[1:]
         assert [r[0] for r in rows if r[1].startswith("ERROR:")] == ["xx((bad"] * 4 + ["C1CC"]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forked on Linux")
+    def test_featurize_forked_and_inline_paths_write_identical_jsonl(self, tmp_path, monkeypatch,
+                                                                     edge_input):
+        """``featurize`` runs on the same windows and lanes: over several
+        windows, forked and inline, it writes the bytes of a one-window run,
+        every row once, in input order, error records in place."""
+        from molfusion import cli, helper
+
+        data, _smiles, starts = edge_input
+        real_fork, forks = os.fork, []
+
+        def counted_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        runs = [("one-window", False, len(starts)), ("f1", True, self.WINDOW),
+                ("f2", True, self.WINDOW), ("i1", False, self.WINDOW)]
+        fork_helper, written = helper.FORK_HELPER, {}
+        for name, fork, window in runs:
+            monkeypatch.setattr(cli, "WINDOW_CHUNKS", window)
+            monkeypatch.setattr(helper, "FORK_HELPER", fork and fork_helper)
+            out = tmp_path / f"{name}.jsonl"
+            assert main(["featurize", "--input", str(data), "--out", str(out)]) == 0
+            written[name] = out.read_bytes()
+        windows = -(-len(starts) // self.WINDOW)
+        assert len(forks) == 2 * (windows - (len(starts) % self.WINDOW == 1))
+        assert written["one-window"] == written["f1"] == written["f2"] == written["i1"]
+        records = [json.loads(line) for line in written["f1"].decode().splitlines()]
+        rows = data.read_text().splitlines()[1:]
+        assert [(r["row"], r["smiles"]) for r in records] == list(enumerate(rows, start=2))
+        assert [r["smiles"] for r in records if "error" in r] == ["xx((bad"] * 4 + ["C1CC"]
 
     def _fail_rows(self, monkeypatch, failures):
         """Featurizing the SMILES ``s`` waits ``failures[s][1]`` seconds,
@@ -795,6 +904,42 @@ class TestPredictLanes:
         assert main(["predict", "--checkpoint", str(trained / "seed_0.ckpt"),
                      "--input", str(data), "--out", str(tmp_path / "one_preds.csv")]) == 0
         assert len((tmp_path / "one_preds.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="process groups, fork on Linux")
+@pytest.mark.parametrize("delay", [0.5, 1.0])
+@pytest.mark.parametrize("command", ["featurize", "predict"])
+def test_ctrl_c_leaves_no_process_behind(tmp_path, command, delay):
+    """Ctrl-C reaches the whole process group, lane-1 helper included. The
+    command ends with a non-zero status, and no process of its group is
+    left: the helper ignores the signal and is stopped by the command."""
+    from molfusion.autodiff.checkpoint import save_checkpoint
+    from molfusion.cli import combined_config_dict, resolve_configs
+    from molfusion.model.network import MlfgnnModel
+
+    data = tmp_path / "rows.csv"  # 3572 rows: several seconds of work either way
+    data.write_text("smiles\n" + "".join(s + "\n" for s in corpus_util.build_corpus(1786) * 2))
+    configs = resolve_configs({}, "regression", 1)
+    save_checkpoint(tmp_path / "model.ckpt", combined_config_dict(*configs),
+                    MlfgnnModel(configs[0], seed=0).state_arrays())
+    argv = ["--input", str(data), "--out", str(tmp_path / "out")]
+    if command == "predict":
+        argv += ["--checkpoint", str(tmp_path / "model.ckpt")]
+    proc = subprocess.Popen([sys.executable, "-m", "molfusion.cli", command, *argv],
+                            env=process_env(), start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        time.sleep(delay)
+        os.killpg(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=60) != 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)  # no process of the group is left
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=60)
 
 
 def _set_header_length(raw: bytes, length: int) -> bytes:
