@@ -10,8 +10,8 @@ tape's memory is freed as it goes. Inside ``no_grad()`` no op records a tape.
 
 At the sizes a molecule batch has (N <= 64 rows), the cost of a tape node
 outweighs its arithmetic, so the model's blocks are fused ops, each one node
-with a hand-written backward: ``linear``, ``dyt``, ``gru_cell``,
-``segment_softmax`` and ``attention``.
+with a hand-written backward: ``linear``, ``sparse_linear``, ``dyt``,
+``gru_cell``, ``segment_softmax`` and ``attention``.
 """
 
 from __future__ import annotations
@@ -389,6 +389,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _give((w, x.data.T @ g), (b, _unbroadcast(g, b.shape)))
 
     return _make(data, (x, w, b), back, "linear")
+
+
+def sparse_linear(block: np.ndarray, cols: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for input rows x [n, in] that are zero outside the sorted,
+    distinct columns ``cols``, given as their values ``block`` [n, len(cols)]:
+    block @ w[cols] + b. Backward writes w's gradient rows ``cols`` only; the
+    input takes no gradient."""
+    if block.ndim != 2 or block.shape[1] != len(cols):
+        raise ShapeMismatchError("sparse_linear", block.shape, cols.shape)
+    data = block @ w.data[cols]
+    data += b.data
+
+    def back(g):
+        g_w = np.zeros_like(w.data)
+        g_w[cols] = block.T @ g
+        _give((w, g_w), (b, _unbroadcast(g, b.shape)))
+
+    return _make(data, (w, b), back, "sparse_linear")
 
 
 def dyt(x: Tensor, alpha: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

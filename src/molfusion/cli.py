@@ -191,7 +191,7 @@ def random_molecule_graph(n_atoms: int, seed: int = 0) -> MolecularGraph:
 # copy-on-write) works, then claims chunks too. A window holds at most 2048
 # atoms. At about 0.5 KB per parsed atom, the two windows of parsed graphs
 # alive at once come to about 2 MB; at most two windows' results are alive
-# too (a featurized molecule is about 25 KB with the default fingerprints).
+# too (a featurized molecule is about 6 KB, its fingerprint kept sparse).
 WINDOW_CHUNKS = 32
 
 
@@ -273,10 +273,12 @@ def cmd_featurize(args) -> int:
                 record["error"] = str(error)
             else:
                 bonds = zip(mol.src, mol.dst, mol.bond_features)
+                fingerprint = np.zeros(mol.fingerprint_width)  # dense in the record only
+                fingerprint[mol.fingerprint_cols] = mol.fingerprint_values
                 record.update(n_atoms=mol.n_atoms, atom_features=mol.atom_features.tolist(),
                               bonds=[{"u": int(u), "v": int(v), "features": feats.tolist()}
                                      for u, v, feats in bonds if u < v],
-                              fingerprint=mol.fingerprint.tolist())
+                              fingerprint=fingerprint.tolist())
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     return EXIT_OK
 

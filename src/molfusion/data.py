@@ -118,7 +118,8 @@ def read_csv(
     The bytes are UTF-8, optionally BOM-prefixed. Records split per RFC-4180,
     so a quoted newline or a U+2028 inside a cell stays in its record. Every
     name in ``columns`` must be in the header, and no name may repeat; a short
-    row reads None for its missing cells.
+    row reads None for its missing cells, and a row longer than the header is
+    a ``DataError`` naming it (row 2 is the first after the header).
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -140,6 +141,10 @@ def read_csv(
     missing = [c for c in columns if c not in header]
     if missing:
         raise MissingColumnError(f"{path}: columns {missing} not in header {header}")
+    for row_num, row in enumerate(rows, start=2):
+        if None in row:  # DictReader files the cells past the header under None
+            raise DataError(f"{path}: row {row_num} has {len(header) + len(row[None])} cells, "
+                            f"more than the {len(header)} of the header")
     return header, rows, hashlib.sha256(raw).hexdigest()
 
 

@@ -15,6 +15,17 @@ Atom rows are 57-wide, bond vectors 13-wide. Layout (offsets inclusive):
     bond: type one-hot [0..4] ("exists" always set, then single/double/
           triple/aromatic) | conjugated [5] | in ring [6] | stereo one-hot
           [7..12] (codes 0-5)
+
+The fingerprint is the morgan, keys and erg components concatenated, 2523
+columns by default. A molecule keeps it in sparse form only: its sorted
+nonzero columns, their values and the width. Hashed circular fingerprints
+are sparse by construction; a molecule of the 300-molecule test corpus has
+about 44 nonzero columns (1.8%). So 3000 featurized corpus molecules hold
+about 16 MB of arrays, where dense rows would hold 71 MB, and a featurized
+molecule pickles to about 6 KB (25 KB with a dense row). ``MoleculeBatch``
+joins the columns of a chunk, and the model's first fingerprint layer
+multiplies only those rows of its weight; ``featurize`` output densifies
+each row as it writes it.
 """
 
 from __future__ import annotations
@@ -86,7 +97,9 @@ class FeaturizedMolecule:
     src: np.ndarray  # [E] int64
     dst: np.ndarray  # [E] int64
     bond_features: np.ndarray  # [E, 13], row k for edge (src[k], dst[k])
-    fingerprint: np.ndarray
+    fingerprint_cols: np.ndarray  # [nnz] int64, the sorted nonzero columns
+    fingerprint_values: np.ndarray  # [nnz] float64, their values
+    fingerprint_width: int  # every other column of the width is zero
 
     @property
     def n_atoms(self) -> int:
@@ -148,7 +161,11 @@ def normalized_adjacency(n_atoms: int, src: np.ndarray, dst: np.ndarray) -> np.n
     return adj / adj.sum(axis=1, keepdims=True)
 
 
-def compute_fingerprint(graph: MolecularGraph, config: FeaturizeConfig) -> np.ndarray:
+def compute_fingerprint(
+    graph: MolecularGraph, config: FeaturizeConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The concatenated fingerprint as ``(cols, values, width)``: its sorted
+    nonzero columns, their values, and its width."""
     parts = []
     if "morgan" in config.components:
         parts.append(morgan_fingerprint(graph, config.morgan_radius, config.morgan_bits))
@@ -156,18 +173,21 @@ def compute_fingerprint(graph: MolecularGraph, config: FeaturizeConfig) -> np.nd
         parts.append(substructure_key_fingerprint(graph))
     if "erg" in config.components:
         parts.append(erg_fingerprint(graph, config.erg_max_path))
-    if not parts:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate(parts)
+    dense = np.concatenate(parts) if parts else np.zeros(0)
+    cols = np.flatnonzero(dense)
+    return cols, dense[cols], len(dense)
 
 
 def featurize(graph: MolecularGraph, config: FeaturizeConfig | None = None) -> FeaturizedMolecule:
     config = config or FeaturizeConfig()
     src, dst, bond_features = featurize_bonds(graph)
+    cols, values, width = compute_fingerprint(graph, config)
     return FeaturizedMolecule(
         atom_features=featurize_atoms(graph),
         src=src,
         dst=dst,
         bond_features=bond_features,
-        fingerprint=compute_fingerprint(graph, config),
+        fingerprint_cols=cols,
+        fingerprint_values=values,
+        fingerprint_width=width,
     )

@@ -61,7 +61,7 @@ class MoleculeBatch:
         sizes = np.array([m.n_atoms for m in mols], dtype=np.int64)
         if sizes.min() < 1:
             raise EmptyMoleculeError("molecule has no atoms")
-        widths = sorted({m.fingerprint.shape for m in mols})
+        widths = sorted({(m.fingerprint_width,) for m in mols})
         if len(widths) > 1:
             raise ShapeMismatchError("fingerprint", *widths)
         starts = np.cumsum(sizes) - sizes
@@ -72,7 +72,18 @@ class MoleculeBatch:
         self.dst = np.concatenate([m.dst + s for m, s in zip(mols, starts)])
         self.bond_features = np.concatenate([m.bond_features for m in mols])
         self.graph_ids = np.repeat(np.arange(self.size), sizes)
-        self.fingerprints = np.stack([m.fingerprint for m in mols])
+        # The chunk's active fingerprint columns (each one nonzero in some
+        # molecule), sorted, and their values [B, n_active]; every other
+        # column of the width is zero in every row.
+        self.fingerprint_width = mols[0].fingerprint_width
+        self.fingerprint_cols, slots = np.unique(
+            np.concatenate([m.fingerprint_cols for m in mols]), return_inverse=True
+        )
+        self.fingerprint_block = np.zeros((self.size, len(self.fingerprint_cols)))
+        nnz = [len(m.fingerprint_cols) for m in mols]
+        self.fingerprint_block[np.repeat(np.arange(self.size), nnz), slots] = np.concatenate(
+            [m.fingerprint_values for m in mols]
+        )
 
         same = self.graph_ids[:, None] == self.graph_ids[None, :]
         # Additive masks over the joined atom rows, and over the token rows

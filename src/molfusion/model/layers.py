@@ -56,15 +56,21 @@ class DynamicTanh:
 
 
 class FingerprintMlp:
-    """Two-layer embedding of the concatenated fingerprint vector."""
+    """Two-layer embedding of the concatenated fingerprint vector.
+
+    The input rows [B, in_dim] come as their values ``block`` [B, len(cols)]
+    on the sorted columns ``cols``, zero elsewhere; ``lin1`` multiplies only
+    those rows of its weight (``T.sparse_linear``).
+    """
 
     def __init__(self, store, rng, prefix, in_dim, embed_dim, dropout_rate):
         self.lin1 = Linear(store, rng, f"{prefix}.lin1", in_dim, embed_dim)
         self.lin2 = Linear(store, rng, f"{prefix}.lin2", embed_dim, embed_dim)
         self.dropout_rate = dropout_rate
 
-    def __call__(self, u: Tensor, train=False, rng=None) -> Tensor:
-        return self.lin2(T.dropout(T.relu(self.lin1(u)), self.dropout_rate, rng, train))
+    def __call__(self, block: np.ndarray, cols: np.ndarray, train=False, rng=None) -> Tensor:
+        h = T.sparse_linear(block, cols, self.lin1.w, self.lin1.b)
+        return self.lin2(T.dropout(T.relu(h), self.dropout_rate, rng, train))
 
 
 class AttentiveGru:

@@ -104,10 +104,11 @@ class MlfgnnModel:
 
         fp_embed = None
         if c.has_fingerprint:
-            width = batch.fingerprints.shape[1]
+            width = batch.fingerprint_width
             if width != c.fingerprint_dim:
                 raise T.ShapeMismatchError("fingerprint", (width,), (c.fingerprint_dim,))
-            fp_embed = self.fingerprint_mlp(Tensor(batch.fingerprints), train=train, rng=rng)
+            fp_embed = self.fingerprint_mlp(batch.fingerprint_block, batch.fingerprint_cols,
+                                            train=train, rng=rng)
 
         transformer_out = None
         if c.has_transformer:

@@ -18,6 +18,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from molfusion.chem import MolecularGraph, parse_smiles
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -211,3 +213,10 @@ def n_components(graph: MolecularGraph) -> int:
     """Connected components, counted from ``distance_matrix()`` as the distinct
     sets of mutually reachable atoms (independent of ring perception's forest)."""
     return len({row.tobytes() for row in graph.distance_matrix() >= 0})
+
+
+def dense_fingerprint(mol) -> np.ndarray:
+    """A featurized molecule's fingerprint as one dense row of its width."""
+    dense = np.zeros(mol.fingerprint_width)
+    dense[mol.fingerprint_cols] = mol.fingerprint_values
+    return dense

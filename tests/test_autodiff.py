@@ -453,6 +453,54 @@ class TestFusedOps:
 
     @given(seed=st.integers(0, 29))
     @settings(max_examples=30, deadline=None)
+    def test_sparse_linear(self, seed):
+        rng = make_rng(seed + 6050)
+        n, k, m = (int(rng.integers(1, 6)) for _ in range(3))
+        cols = np.sort(rng.choice(k, size=int(rng.integers(0, k + 1)), replace=False))
+        block = rng.standard_normal((n, len(cols)))
+        w, b = _rand(rng, k, m), _rand(rng, 1, m)
+
+        def f():
+            out = ad.sparse_linear(block, cols, w, b)
+            return ad.sum_(ad.mul(out, out))
+
+        report = grad_check(f, {"w": w, "b": b}, rtol=1e-5, atol=1e-8)
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("pattern", ["none", "one", "all", "some"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_sparse_linear_matches_the_dense_product(self, pattern, data):
+        """Against dense numpy on the zero-filled rows: x @ w + b forward,
+        x.T @ g for the weight gradient, exact zeros in every weight row
+        outside ``cols``, and the column sum of g for the bias."""
+        n, k, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12)), data.draw(
+            st.integers(1, 5))
+        chosen = {"none": st.just(set()), "one": st.sets(st.integers(0, k - 1), min_size=1,
+                                                             max_size=1),
+                  "all": st.just(set(range(k))), "some": st.sets(st.integers(0, k - 1))}
+        cols = np.array(sorted(data.draw(chosen[pattern])), dtype=np.int64)
+        rng = make_rng(data.draw(st.integers(0, 2**32 - 1)))
+        block = rng.standard_normal((n, len(cols)))
+        x = np.zeros((n, k))
+        x[:, cols] = block
+        w, b = _rand(rng, k, m), _rand(rng, 1, m)
+        g = rng.standard_normal((n, m))
+        out = ad.sparse_linear(block, cols, w, b)
+        assert out.op_name == "sparse_linear"
+        _assert_oracle(out.data, x @ w.data + b.data)
+        backward(ad.sum_(ad.mul(out, Tensor(g))))
+        _assert_oracle(w.grad, x.T @ g)
+        assert not w.grad[np.setdiff1d(np.arange(k), cols)].any()
+        _assert_oracle(b.grad, g.sum(axis=0, keepdims=True))
+
+    def test_sparse_linear_checks_the_block_width(self):
+        w, b = Tensor(np.ones((4, 2)), requires_grad=True), Tensor(np.zeros((1, 2)))
+        with pytest.raises(ShapeMismatchError, match=r"sparse_linear: .*\(1, 3\) vs \(2,\)"):
+            ad.sparse_linear(np.ones((1, 3)), np.array([0, 2]), w, b)
+
+    @given(seed=st.integers(0, 29))
+    @settings(max_examples=30, deadline=None)
     def test_dyt(self, seed):
         rng = make_rng(seed + 6100)
         n, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))

@@ -85,6 +85,19 @@ def test_pack_layout(mols):
     assert not MoleculeBatch(mols[1:2]).atom_mask.any()  # one molecule: nothing masked
 
 
+def test_fingerprint_block_is_the_dense_rows_on_their_active_columns():
+    """On every chunk of 300 corpus molecules, the batch's columns are the
+    sorted columns that some dense row has nonzero, and its block is the dense
+    rows on those columns, byte for byte."""
+    mols = [featurize(g, FEATURIZE) for _s, g in corpus_util.frozen_corpus_graphs()[:300]]
+    for run in chunks(mols, lambda m: m.n_atoms):
+        batch = MoleculeBatch(run)
+        dense = np.stack([corpus_util.dense_fingerprint(m) for m in run])
+        assert batch.fingerprint_width == dense.shape[1]
+        assert batch.fingerprint_cols.tolist() == np.flatnonzero(dense.any(axis=0)).tolist()
+        assert batch.fingerprint_block.tobytes() == dense[:, batch.fingerprint_cols].tobytes()
+
+
 def _oracle_adjacency(graph):
     """D^-1 (A + I) by a loop over the bonds."""
     adj = np.eye(graph.n_atoms)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -26,6 +27,7 @@ import corpus_util
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = Path(__file__).resolve().parents[1] / "README.md"
+DATA = Path(__file__).resolve().parent / "data"
 
 TINY_CONFIG = {
     "model": {
@@ -135,8 +137,41 @@ class TestInputCsv:
         assert proc.stderr == f"data error: {data}: header repeats the column names ['{name}']\n"
         assert sorted(tmp_path.iterdir()) == [data]
 
+    @pytest.mark.parametrize("command", ["featurize", "train", "predict"])
+    def test_row_longer_than_the_header_exit_2(self, workdir, trained, tmp_path, command):
+        """``csv.DictReader`` files the cells past the header under the key
+        None, which no command reads, so such a row is refused before
+        anything is written. Run as a process, so that a traceback would
+        reach stderr."""
+        data = tmp_path / "long.csv"
+        rows = [f"{s},1.5" for s in corpus_util.build_corpus(30)]
+        rows[7] += ",7"  # row 9: the header is row 1
+        data.write_text("smiles,y\n" + "".join(r + "\n" for r in rows))
+        proc = run_process(csv_command(command, data, workdir, trained, tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"data error: {data}: row 9 has 3 cells, more than the 2 of "
+                               "the header\n")
+        assert sorted(tmp_path.iterdir()) == [data]
+
 
 class TestFeaturizeCommand:
+    # sha256 of the JSONL that ``featurize`` writes for build_corpus(300) with
+    # the default config, as written by commit c43dc29, which still kept
+    # every fingerprint as a dense row.
+    CORPUS_300_SHA256 = "9db1c7a334d161c76d7f316e91c9ef9e7aa2bc3f9729faa04416ee2feea3ff17"
+
+    @pytest.mark.parametrize("fork", [True, False], ids=["forked", "inline"])
+    def test_jsonl_matches_the_dense_era_digest(self, tmp_path, monkeypatch, fork):
+        """Fingerprints are densified only in the record, so the bytes are the
+        dense version's, forked and inline."""
+        from molfusion import helper
+
+        monkeypatch.setattr(helper, "FORK_HELPER", fork and helper.FORK_HELPER)
+        data, out = tmp_path / "c300.csv", tmp_path / "c300.jsonl"
+        data.write_text("smiles\n" + "".join(s + "\n" for s in corpus_util.build_corpus(300)))
+        assert main(["featurize", "--input", str(data), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CORPUS_300_SHA256
+
     def test_widths_and_determinism(self, workdir):
         out1, out2 = workdir / "f1.jsonl", workdir / "f2.jsonl"
         for out in (out1, out2):
@@ -893,6 +928,36 @@ class TestPredictLanes:
         assert len(forks) == len(multi)
         for w in multi:
             assert set(smiles[starts[w]:ends[w]]) <= featurized_here
+
+    def test_dense_era_checkpoint_predicts_what_it_did(self, tmp_path, monkeypatch):
+        """``tests/data/tiny_c43dc29.ckpt`` is the ``TINY_CONFIG`` model trained
+        on build_corpus(40) by commit c43dc29, which kept fingerprints as
+        dense rows (393 wide), and ``tiny_c43dc29_predictions.csv`` is what
+        that commit's ``predict`` wrote for build_corpus(200) with a malformed
+        row at index 50. The sparse first layer sums fewer zeros, so each
+        prediction may move at rounding level only; reruns are byte-identical,
+        forked and inline."""
+        from molfusion import helper
+
+        rows = corpus_util.build_corpus(200)
+        rows.insert(50, "xx((bad")
+        data = tmp_path / "rows.csv"
+        data.write_text("smiles\n" + "".join(r + "\n" for r in rows))
+        fork_helper, written = helper.FORK_HELPER, {}
+        for name, fork in [("f1", True), ("f2", True), ("i1", False), ("i2", False)]:
+            monkeypatch.setattr(helper, "FORK_HELPER", fork and fork_helper)
+            out = tmp_path / f"{name}.csv"
+            assert main(["predict", "--checkpoint", str(DATA / "tiny_c43dc29.ckpt"),
+                         "--input", str(data), "--out", str(out)]) == 0
+            written[name] = out.read_bytes()
+        assert written["f1"] == written["f2"] == written["i1"] == written["i2"]
+        got = list(csv.reader(written["f1"].decode().splitlines()))
+        want = list(csv.reader((DATA / "tiny_c43dc29_predictions.csv").read_text().splitlines()))
+        assert [r[0] for r in got] == [r[0] for r in want] == ["smiles", *rows]
+        assert got[51] == want[51] == ["xx((bad", want[51][1]]
+        assert want[51][1].startswith("ERROR:")
+        for g, w in zip(got[1:51] + got[52:], want[1:51] + want[52:]):
+            assert abs(float(g[1]) - float(w[1])) <= 1e-12 * abs(float(w[1])), (g, w)
 
     def test_one_chunk_starts_no_process(self, trained, tmp_path, monkeypatch):
         def no_fork():

@@ -52,6 +52,15 @@ class TestReadCsv:
         _header, rows, _checksum = read_csv(path, ["smiles"])
         assert [r["smiles"] for r in rows] == ["CCO", "CCC"]
 
+    @pytest.mark.parametrize("extra, cells", [(",7", 3), (",", 3), (",a,b", 4)])
+    def test_row_longer_than_the_header_is_data_error_naming_it(self, tmp_path, extra, cells):
+        """Rows count records, not lines: the quoted newline of row 2 does not
+        shift row 3's number."""
+        path = tmp_path / "d.csv"
+        path.write_text(f'smiles,y\n"C\nC",1\nCCO,1{extra}\nCCC,2\n')
+        with pytest.raises(DataError, match=f"row 3 has {cells} cells, more than the 2 of"):
+            read_csv(path, ["smiles"])
+
     @pytest.mark.parametrize(
         "raw",
         [b"", b"\n", b"\xef\xbb\xbf", b"smiles,y\nCC\xff,1\n", b"smiles\n" + b"C" * 200_000],

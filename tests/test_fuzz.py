@@ -43,8 +43,9 @@ EDITS = st.lists(
 def _featurize_and_predict(graphs):
     mols = [featurize(g, FEATURIZE) for g in graphs]
     for g, mol in zip(graphs, mols):
-        assert mol.fingerprint.shape == (FEATURIZE.fingerprint_length,)
-        assert np.isfinite(mol.fingerprint).all()
+        assert mol.fingerprint_width == FEATURIZE.fingerprint_length
+        assert np.isfinite(mol.fingerprint_values).all() and mol.fingerprint_values.all()
+        assert (np.diff(mol.fingerprint_cols) > 0).all()
         assert np.isfinite(mol.atom_features).all()
         dist = g.distance_matrix()
         assert np.array_equal(dist, dist.T) and not dist.diagonal().any()

@@ -11,7 +11,7 @@ from molfusion.autodiff.params import ParameterStore
 from molfusion.chem import parse_smiles
 from molfusion.featurize import FeaturizeConfig, featurize
 from molfusion.model import ConfigError, ModelConfig, MlfgnnModel
-from molfusion.model.batch import MoleculeBatch
+from molfusion.model.batch import MoleculeBatch, chunks
 from molfusion.model.config import LEAKY_SLOPE
 from molfusion.model.layers import (
     AttentiveGru,
@@ -547,15 +547,62 @@ class TestFingerprintEmbed:
     def test_zero_input_zero_biases_zero_output(self):
         config = small_config()
         model = MlfgnnModel(config, seed=0)  # biases init to zero
-        zero = Tensor(np.zeros((1, config.fingerprint_dim)))
-        out = model.fingerprint_mlp(zero)
+        out = model.fingerprint_mlp(np.zeros((1, 3)), np.array([0, 5, 9]))
         assert np.all(out.data == 0.0)
 
     def test_output_width(self):
         config = small_config()
         model = MlfgnnModel(config, seed=0)
-        u = Tensor(make_rng(0).random((1, config.fingerprint_dim)))
-        assert model.fingerprint_mlp(u).shape == (1, config.fingerprint_embed_dim)
+        block = make_rng(0).random((1, config.fingerprint_dim))  # every column active
+        out = model.fingerprint_mlp(block, np.arange(config.fingerprint_dim))
+        assert out.shape == (1, config.fingerprint_embed_dim)
+
+    @pytest.mark.parametrize("train", [False, True], ids=["eval", "train"])
+    def test_matches_the_dense_first_layer_on_corpus_chunks(self, train):
+        """The gate of the sparse first layer, on every chunk of 120 corpus
+        molecules and on a chunk whose fingerprints are all zero."""
+        config = FeaturizeConfig()
+        graphs = [g for _s, g in corpus_util.frozen_corpus_graphs()[:120]]
+        packs = chunks([featurize(g, config) for g in graphs], lambda m: m.n_atoms)
+        batches = [MoleculeBatch(pack) for pack in packs]
+        assert sum(b.fingerprint_cols.size < b.fingerprint_width // 10 for b in batches) > 5
+        self._assert_matches_dense(config, batches, train)
+        no_bits = FeaturizeConfig(components=("erg",))  # no ERG pair in either molecule
+        zero = MoleculeBatch([featurize(parse_smiles(s), no_bits) for s in ("C", "ClC(Cl)Cl")])
+        assert zero.fingerprint_cols.size == 0
+        self._assert_matches_dense(no_bits, [zero], train)
+
+    @staticmethod
+    def _assert_matches_dense(config, batches, train):
+        """Each batch runs through the model twice: as it is, and with
+        ``lin1`` as ``T.linear`` on the densified rows (built here, with the
+        same parameters and the same dropout draws). Outputs and every
+        parameter gradient agree within 1e-13 of their scale, and ``lin1.w``
+        gets no gradient outside the batch's active columns."""
+        model = MlfgnnModel(ModelConfig(fingerprint_dim=config.fingerprint_length), seed=0)
+        sparse_mlp = model.fingerprint_mlp
+
+        def dense_mlp(block, cols, train=False, rng=None):
+            x = np.zeros((len(block), config.fingerprint_length))
+            x[:, cols] = block
+            h = ad.linear(Tensor(x), sparse_mlp.lin1.w, sparse_mlp.lin1.b)
+            return sparse_mlp.lin2(ad.dropout(ad.relu(h), sparse_mlp.dropout_rate, rng, train))
+
+        def run(mlp, batch, seed):
+            model.fingerprint_mlp = mlp
+            model.params.zero_grad()
+            out = model.forward(batch, train=train, rng=make_rng(seed))
+            backward(ad.sum_(ad.mul(out, out)))
+            return out.data, {name: t.grad for name, t in model.params.tensors.items()}
+
+        for seed, batch in enumerate(batches):
+            got, got_grads = run(sparse_mlp, batch, seed)
+            want, want_grads = run(dense_mlp, batch, seed)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), seed
+            for name, g in want_grads.items():
+                assert np.abs(got_grads[name] - g).max() <= 1e-13 * np.abs(g).max(), name
+            inactive = np.setdiff1d(np.arange(batch.fingerprint_width), batch.fingerprint_cols)
+            assert not got_grads["fingerprint_mlp.lin1.w"][inactive].any()
 
 
 class TestForwardContract:
@@ -581,7 +628,9 @@ class TestForwardContract:
             src=np.zeros(0, dtype=np.int64),
             dst=np.zeros(0, dtype=np.int64),
             bond_features=np.zeros((0, 13)),
-            fingerprint=np.zeros(SMALL_FEATURIZE.fingerprint_length),
+            fingerprint_cols=np.zeros(0, dtype=np.int64),
+            fingerprint_values=np.zeros(0),
+            fingerprint_width=SMALL_FEATURIZE.fingerprint_length,
         )
         model = MlfgnnModel(small_config(), seed=0)
         with pytest.raises(EmptyMoleculeError):
@@ -729,7 +778,7 @@ class TestTapeOps:
     and every op records through ``autodiff.tensor._make``, where the
     benchmark tracer counts tape ops."""
 
-    FUSED = ("linear", "dyt", "gru_cell", "segment_softmax", "attention")
+    FUSED = ("linear", "sparse_linear", "dyt", "gru_cell", "segment_softmax", "attention")
 
     def test_train_forward_of_a_corpus_chunk(self, monkeypatch):
         from collections import Counter
@@ -754,5 +803,6 @@ class TestTapeOps:
         assert out.op_name == "linear" and out.requires_grad
         assert sum(ops.values()) == 94
         assert {op: ops[op] for op in self.FUSED} == {
-            "linear": 15, "dyt": 4, "gru_cell": 3, "segment_softmax": 3, "attention": 3,
+            "linear": 14, "sparse_linear": 1, "dyt": 4, "gru_cell": 3, "segment_softmax": 3,
+            "attention": 3,
         }
