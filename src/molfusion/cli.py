@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 usage or config error, 2 data error (a file that
 cannot be read or written and a non-finite training loss included), 3
-verification failure.
-featurize and predict share one row loop, which works on two lanes a window
-of chunks at a time and writes each window's lines in row order; when every
-row fails to parse, every line is written, then the command exits 2.
+verification failure, 130 interrupted (Ctrl-C).
+featurize and predict share one row loop, which runs chunks of rows on two
+lanes and writes their lines in row order; when every row fails to parse,
+every line is written, then the command exits 2.
 Config files are JSON with optional "model", "train" and "featurize"
 sections; every key mirrors the corresponding dataclass field. The env var
 MOLFUSION_LOG sets log verbosity (DEBUG/INFO/WARNING/ERROR).
@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import logging
 import os
+import shlex
 import sys
 import time
-from contextlib import nullcontext
+from collections import deque
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .chem.graph import Atom, Bond, BondOrder, MolecularGraph
 from .chem.perception import annotate
 from .data import DataError, load_csv, read_csv
 from .featurize import FeaturizeConfig, featurize
-from .helper import Counter, Helper, sendable
+from .helper import Helper, sendable
 from .model import MAX_CHUNK_ATOMS, ModelConfig, MoleculeBatch, chunks
 from .model.network import MlfgnnModel
 from .train import SEED_MAX, NonFiniteLossError, TrainConfig, multi_seed
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_VERIFY = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,24 +186,24 @@ def random_molecule_graph(n_atoms: int, seed: int = 0) -> MolecularGraph:
 # -- featurize, and the row loop it shares with predict ------------------------
 
 
-# Chunks per ``each_row`` window. The two lanes claim a window's chunks from
-# one shared counter, not by a fixed deal, so the split follows what each
-# chunk really costs. This process runs chunk 0, parses the next window while
-# lane 1 (a helper forked for the window, which reads the parsed graphs
-# copy-on-write) works, then claims chunks too. A window holds at most 2048
-# atoms. At about 0.5 KB per parsed atom, the two windows of parsed graphs
-# alive at once come to about 2 MB; at most two windows' results are alive
-# too (a featurized molecule is about 6 KB, its fingerprint kept sparse).
-WINDOW_CHUNKS = 32
+# A chunk goes to lane 1 while fewer than this many of its chunks are in
+# flight, so lane 1 always has its next chunk. A chunk within the atom cap
+# pickles to a few KB, far below the pipe's buffer; one larger molecule goes
+# only when none is in flight, so its send never waits on a large reply.
+LANE1_IN_FLIGHT = 2
+# Chunks that may wait to be written behind one on lane 1 before this process
+# waits for it, so that a lagging lane 1 bounds the memory.
+MAX_WAITING_CHUNKS = 32
 
 
 def each_row(args, rows, work):
     """``(smiles, parse error or None, result)`` per CSV row, in row order.
     Rows are parsed here and packed into chunks (an error row rides in its
     chunk with no atoms); ``work(graphs)``, one result per parsed graph of a
-    chunk, runs on two lanes. The lowest-numbered failing chunk's exception
-    is raised once its window is done. After the last row, a summary is
-    printed, or a ``DataError`` raised if every row failed to parse."""
+    chunk, runs on two lanes: here for chunk 0, then on lane 1 or here. The
+    lowest-numbered failing chunk's exception is raised after the rows of
+    every earlier chunk. After the last row, a summary is printed, or a
+    ``DataError`` raised if every row failed to parse."""
 
     def parsed():
         for row in rows:
@@ -211,49 +213,58 @@ def each_row(args, rows, work):
             except SmilesError as exc:
                 yield smiles, None, exc
 
-    def run_lane(window, ks):
-        """Runs ``work`` on ``window[k]`` for each k of ``ks`` until one raises:
-        ({k: results}, None), or ({k: results}, (k, the exception))."""
-        results = {}
-        for k in ks:
-            try:
-                graphs = [g for _s, g, _e in window[k] if g is not None]
-                results[k] = work(graphs) if graphs else ()
-            except Exception as exc:
-                return results, (k, sendable(exc))
-        return results, None
+    def run(graphs):
+        return work(graphs) if graphs else ()
 
-    packed = chunks(parsed(), lambda row: 0 if row[1] is None else row[1].n_atoms)
+    def outcome(get):
+        """``get()``, or the exception it raised, as it would cross the pipe."""
+        try:
+            return get()
+        except Exception as exc:
+            return sendable(exc)
+
+    def flush(drain=False):
+        """Yields the rows of the held chunks, oldest first, up to the first
+        one not done or failed. In between, collects lane 1's oldest reply
+        while it is ready, while more than ``MAX_WAITING_CHUNKS`` chunks are
+        held, or, with ``drain``, until none is in flight."""
+        nonlocal n_rows, n_errors
+        while True:
+            while held and held[0][1] is not None and not isinstance(held[0][1], Exception):
+                chunk, results = held.popleft()
+                results = iter(results)
+                for smiles, graph, error in chunk:
+                    n_rows += 1
+                    n_errors += graph is None
+                    yield smiles, error, None if graph is None else next(results)
+            if not sent or not (drain or lane1.ready() or len(held) > MAX_WAITING_CHUNKS):
+                return
+            sent.popleft()[1] = outcome(lane1.reply)
+
+    lane1 = Helper(run)
+    held = deque()  # [chunk, results or exception; None while on lane 1] per unwritten chunk
+    sent = deque()  # the entries of ``held`` on lane 1, oldest first
     n_rows = n_errors = 0
-    window = list(itertools.islice(packed, WINDOW_CHUNKS))
-    while window:
-        claims = Counter(1)  # chunk 0 is this process's own
-        lane1 = Helper(lambda n: run_lane(window, claims.claims(n)))
-        # A one-chunk window leaves lane 1 nothing to claim: its helper is
-        # not entered, so nothing is forked and its reply runs inline.
-        with lane1 if len(window) > 1 else nullcontext():
-            lane1.send(len(window))
-            results, failure = run_lane(window, [0])
-            ahead = []
-            if failure is None:  # a lane that fails claims no more
-                ahead = list(itertools.islice(packed, WINDOW_CHUNKS))
-                more, failure = run_lane(window, claims.claims(len(window)))
-                results.update(more)
-            more, lane1_failure = lane1.reply()
-            results.update(more)
-        # Chunks are claimed in increasing order, so every chunk below the
-        # lowest-numbered failure has run: that failure is the one raised,
-        # whichever lane ran it.
-        failures = [f for f in (failure, lane1_failure) if f is not None]
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        for k, chunk in enumerate(window):
-            chunk_results = iter(results[k])
-            for smiles, graph, error in chunk:
-                n_rows += 1
-                n_errors += graph is None
-                yield smiles, error, None if graph is None else next(chunk_results)
-        window = ahead
+    with ExitStack() as stack:  # stops lane 1 however the loop is left
+        for k, chunk in enumerate(chunks(parsed(), lambda r: 0 if r[1] is None else r[1].n_atoms)):
+            graphs = [g for _s, g, _e in chunk if g is not None]
+            held.append(entry := [chunk, None])
+            room = LANE1_IN_FLIGHT if sum(g.n_atoms for g in graphs) <= MAX_CHUNK_ATOMS else 1
+            if k and len(sent) < room:
+                if k == 1:  # forked here, so a one-chunk input forks nothing
+                    stack.enter_context(lane1)
+                lane1.send(graphs)
+                sent.append(entry)
+            else:
+                entry[1] = outcome(lambda: run(graphs))
+            yield from flush()
+            # A chunk that fails here stops the loop; one that fails on lane 1
+            # does once every chunk before it is written.
+            if isinstance(entry[1], Exception) or (held and isinstance(held[0][1], Exception)):
+                break
+        yield from flush(drain=True)
+    if held:  # the lowest-numbered failing chunk
+        raise held[0][1]
     if n_rows and n_errors == n_rows:
         raise DataError(f"{args.input}: every row failed to parse; their errors are in {args.out}")
     print(f"wrote {n_rows} rows ({n_errors} errors) to {args.out}")
@@ -306,7 +317,7 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     full_config = combined_config_dict(model_config, train_config, featurize_config)
     manifest = RunManifest(
-        command=" ".join(sys.argv),
+        command=args.command_line,
         config_digest=config_digest(full_config),
         dataset_checksum=dataset.checksum,
         seeds=list(train_config.seeds),
@@ -558,6 +569,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.command_line = shlex.join(["molfusion", *(sys.argv[1:] if argv is None else argv)])
     if getattr(args, "ablate", None):
         args.ablate = _ABLATION_FLAG[args.ablate]
     try:
@@ -568,6 +580,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # every helper has been stopped by its ``with`` block
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

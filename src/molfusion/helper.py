@@ -1,28 +1,29 @@
-"""The lane-1 helper process that ``train`` and ``predict`` share.
+"""The lane-1 helper process that ``train``, ``featurize`` and ``predict`` share.
 
 A ``Helper`` runs ``work(message)`` for each message it is sent. On Linux
 it is a process forked when the ``with`` block is entered, so it sees the
-caller's memory as it was then, copy-on-write, and nothing has to be
-pickled on the way in; only the messages and the replies cross the pipe.
+caller's memory as it was then, copy-on-write; only the messages and the
+replies are pickled to cross the pipe.
 Elsewhere, or when the helper is never entered, ``work`` runs inline when
 its reply is asked for, with the same arithmetic, so results never depend
 on whether the helper ran.
 
-An exception raised by ``work`` is raised again by ``reply``, with the same
-type and message. The helper ignores Ctrl-C (the caller stops it) and has
-stopped by the time the ``with`` block is left, however it is left.
-
-A ``Counter`` made before the helper is forked hands out each of its values
-once, to whichever process claims it first.
+Several messages may be sent before their replies are asked for; the
+replies come back oldest first. An exception raised by ``work`` is raised
+again by its own ``reply``, with the same type and message, and the replies
+after it still arrive. A message sent while another is in flight must fit
+in the pipe's buffer: a larger one could wait on the helper, which could
+wait in turn to send a large reply. The helper ignores Ctrl-C (the caller
+stops it) and has stopped by the time the ``with`` block is left, however
+it is left.
 """
 
 from __future__ import annotations
 
-import contextlib
-import mmap
 import pickle
 import signal
 import sys
+from collections import deque
 from typing import Any, Callable
 
 # Forking shares the caller's memory without pickling it. Linux is where the
@@ -40,32 +41,6 @@ def sendable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__} (not picklable): {exc}")
 
 
-class Counter:
-    """Hands out ``start``, ``start + 1``, ... each once, across this process
-    and the helpers forked after the counter was made: an int64 in a shared
-    anonymous mmap, under a fork-context lock (no lock inline)."""
-
-    def __init__(self, start: int):
-        self._next = memoryview(mmap.mmap(-1, 8)).cast("q")
-        self._next[0] = start
-        if FORK_HELPER:
-            import multiprocessing
-
-            self._lock = multiprocessing.get_context("fork").Lock()
-        else:
-            self._lock = contextlib.nullcontext()
-
-    def claims(self, stop: int):
-        """The values this process claims, in increasing order, until they reach ``stop``."""
-        while True:
-            with self._lock:
-                value = self._next[0]
-                if value >= stop:
-                    return
-                self._next[0] = value + 1
-            yield value
-
-
 class Helper:
     """Runs ``work`` on each message sent, in a forked process or inline."""
 
@@ -73,7 +48,7 @@ class Helper:
         self.work = work
         self.process = None
         self.conn = None
-        self._message = None
+        self._inline = deque()  # messages whose work runs when their reply is asked for
 
     def __enter__(self) -> "Helper":
         if FORK_HELPER:
@@ -103,16 +78,20 @@ class Helper:
         self.process = None
 
     def send(self, message) -> None:
-        """Start ``work(message)``; ``message`` must not be None."""
+        """Queue ``work(message)``; ``message`` must not be None."""
         if self.process is not None:
             self.conn.send(message)
         else:
-            self._message = message
+            self._inline.append(message)
+
+    def ready(self) -> bool:
+        """Whether ``reply`` would return without waiting for the helper."""
+        return self.process is None or self.conn.poll()
 
     def reply(self):
-        """The result of the last message sent; waits for it."""
+        """The oldest reply not yet asked for; waits for it."""
         if self.process is None:
-            return self.work(self._message)
+            return self.work(self._inline.popleft())
         reply = self.conn.recv()
         if isinstance(reply, Exception):
             raise reply

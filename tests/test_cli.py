@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import signal
 import struct
 import subprocess
@@ -220,15 +221,14 @@ class TestFeaturizeCommand:
         assert all(sorted(r) == ["error", "row", "smiles"] for r in records)
 
     def test_memory_is_bounded_by_the_window(self, tmp_path, monkeypatch):
-        """Records are written as their window comes back, so 4x the rows
-        peaks close to 1x under tracemalloc (inline, windows of 3 chunks; 60
-        corpus rows make 4 chunks). Building every record before writing
-        would peak about 4x as high."""
+        """Records are written as their chunk is done, so 4x the rows peaks
+        close to 1x under tracemalloc (inline; 60 corpus rows make 4
+        chunks). Building every record before writing would peak about 4x as
+        high."""
         import tracemalloc
 
-        from molfusion import cli, helper
+        from molfusion import helper
 
-        monkeypatch.setattr(cli, "WINDOW_CHUNKS", 3)
         monkeypatch.setattr(helper, "FORK_HELPER", False)
         smiles = corpus_util.build_corpus(60)
         out = tmp_path / "f.jsonl"
@@ -608,6 +608,16 @@ class TestTrainCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_digest"] == config_digest(saved)
 
+    def test_manifest_records_the_argv_main_parsed(self, workdir, tmp_path):
+        """The command is the argv given to ``main``, not the host process's,
+        quoted so that an argument holding a space splits back whole."""
+        argv = ["train", "--data", str(workdir / "reg.csv"), "--task", "reg",
+                "--config", str(workdir / "config.json"), "--seeds", "1", "--epochs", "1",
+                "--out", str(tmp_path / "a run")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "a run" / "manifest.json").read_text())
+        assert shlex.split(manifest["command"]) == ["molfusion", *argv]
+
 
 class TestPredictCommand:
     def test_roundtrip_reproduces_forward(self, workdir, trained):
@@ -728,14 +738,10 @@ class TestPredictCommand:
 
 
 class TestPredictLanes:
-    """Chunk k of each window runs on lane k mod 2; lane 1 in a forked helper."""
-
-    WINDOW = 3  # chunks per window here, so a small input spans several windows
-
     @pytest.fixture
     def edge_input(self, tmp_path):
-        """Corpus rows with malformed rows at the start, at window edges and
-        at chunk edges (a row of no atoms joins the chunk before it)."""
+        """Corpus rows with malformed rows at the start and at chunk edges (a
+        row of no atoms joins the chunk before it)."""
         from molfusion.chem import parse_smiles
         from molfusion.model import chunks
 
@@ -744,8 +750,8 @@ class TestPredictLanes:
         for chunk in chunks(smiles, lambda s: parse_smiles(s).n_atoms):
             starts.append(k)
             k += len(chunk)
-        assert len(starts) >= 4 * self.WINDOW
-        bad_before = {0, starts[self.WINDOW], starts[self.WINDOW + 1], starts[2 * self.WINDOW]}
+        assert len(starts) >= 12
+        bad_before = {0, starts[3], starts[4], starts[6]}
         rows = []
         for i, s in enumerate(smiles):
             if i in bad_before:
@@ -757,9 +763,8 @@ class TestPredictLanes:
         return path, smiles, starts
 
     def _predict(self, trained, data, out, monkeypatch, fork):
-        from molfusion import cli, helper
+        from molfusion import helper
 
-        monkeypatch.setattr(cli, "WINDOW_CHUNKS", self.WINDOW)
         monkeypatch.setattr(helper, "FORK_HELPER", fork and helper.FORK_HELPER)
         return main(["predict", "--checkpoint", str(trained / "seed_0.ckpt"),
                      "--input", str(data), "--out", str(out)])
@@ -767,8 +772,7 @@ class TestPredictLanes:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forked on Linux")
     def test_forked_and_inline_paths_write_identical_csvs(self, trained, tmp_path,
                                                             monkeypatch, edge_input):
-        data, _smiles, starts = edge_input
-        n_chunks = len(starts)
+        data, _smiles, _starts = edge_input
         real_fork, forks = os.fork, []
 
         def counted_fork():
@@ -781,8 +785,7 @@ class TestPredictLanes:
             out = tmp_path / f"{name}.csv"
             assert self._predict(trained, data, out, monkeypatch, fork) == 0
             written[name] = out.read_bytes()
-        windows = -(-n_chunks // self.WINDOW)
-        assert len(forks) == 2 * (windows - (n_chunks % self.WINDOW == 1))
+        assert len(forks) == 2  # one per forked run
         assert written["f1"] == written["f2"] == written["i1"] == written["i2"]
         rows = list(csv.reader(written["f1"].decode().splitlines()))[1:]
         assert [r[0] for r in rows if r[1].startswith("ERROR:")] == ["xx((bad"] * 4 + ["C1CC"]
@@ -790,12 +793,12 @@ class TestPredictLanes:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forked on Linux")
     def test_featurize_forked_and_inline_paths_write_identical_jsonl(self, tmp_path, monkeypatch,
                                                                      edge_input):
-        """``featurize`` runs on the same windows and lanes: over several
-        windows, forked and inline, it writes the bytes of a one-window run,
-        every row once, in input order, error records in place."""
-        from molfusion import cli, helper
+        """``featurize`` runs on the same lanes: forked and inline, it writes
+        the same bytes, every row once, in input order, error records in
+        place."""
+        from molfusion import helper
 
-        data, _smiles, starts = edge_input
+        data, _smiles, _starts = edge_input
         real_fork, forks = os.fork, []
 
         def counted_fork():
@@ -803,18 +806,14 @@ class TestPredictLanes:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        runs = [("one-window", False, len(starts)), ("f1", True, self.WINDOW),
-                ("f2", True, self.WINDOW), ("i1", False, self.WINDOW)]
         fork_helper, written = helper.FORK_HELPER, {}
-        for name, fork, window in runs:
-            monkeypatch.setattr(cli, "WINDOW_CHUNKS", window)
+        for name, fork in [("f1", True), ("f2", True), ("i1", False), ("i2", False)]:
             monkeypatch.setattr(helper, "FORK_HELPER", fork and fork_helper)
             out = tmp_path / f"{name}.jsonl"
             assert main(["featurize", "--input", str(data), "--out", str(out)]) == 0
             written[name] = out.read_bytes()
-        windows = -(-len(starts) // self.WINDOW)
-        assert len(forks) == 2 * (windows - (len(starts) % self.WINDOW == 1))
-        assert written["one-window"] == written["f1"] == written["f2"] == written["i1"]
+        assert len(forks) == 2  # one per forked run
+        assert written["f1"] == written["f2"] == written["i1"] == written["i2"]
         records = [json.loads(line) for line in written["f1"].decode().splitlines()]
         rows = data.read_text().splitlines()[1:]
         assert [(r["row"], r["smiles"]) for r in records] == list(enumerate(rows, start=2))
@@ -848,8 +847,8 @@ class TestPredictLanes:
 
     def test_lane_1_failure_matches_the_inline_path(self, trained, tmp_path, monkeypatch,
                                                       capsys, edge_input):
-        """A non-SmilesError for a row of chunk 1, which either lane may
-        claim, ends both paths alike."""
+        """A non-SmilesError for a row of chunk 1, which lane 1 runs, ends
+        both paths alike."""
         data, smiles, starts = edge_input
         target = smiles[starts[1] + 1]
         self._fail_rows(monkeypatch, {target: (f"cannot featurize {target}", 0.0)})
@@ -859,14 +858,15 @@ class TestPredictLanes:
             results.append((code, capsys.readouterr().err))
         assert results[0] == results[1] == (2, f"data error: cannot featurize {target}\n")
 
-    @pytest.mark.parametrize("failing", [(1, 2), (0,), (0, 2)],
-                             ids=["chunks-1-2", "chunk-0", "chunks-0-2"])
+    @pytest.mark.parametrize("failing", [(1, 2), (0,), (0, 2), (1, 3)],
+                             ids=["chunks-1-2", "chunk-0", "chunks-0-2", "chunks-1-3"])
     def test_lowest_failing_chunk_is_raised_on_both_paths(self, trained, tmp_path, monkeypatch,
                                                            capsys, edge_input, failing):
-        """With several chunks of a window failing, both paths raise the
+        """With several chunks failing, both paths raise the
         lowest-numbered one's error, whichever lane ran it and whichever
-        failed first: chunk 1's row fails slowly, so chunk 2 usually fails
-        first when forked. Chunk 0 is always this process's own."""
+        failed first: chunk 1's row fails slowly on lane 1, so when forked,
+        chunk 3, run here while lane 1 holds chunks 1 and 2, fails first.
+        Chunk 0 is always this process's own."""
         data, smiles, starts = edge_input
         self._fail_rows(monkeypatch, {
             smiles[starts[k] + 1]: (f"chunk {k} failed", 0.2 if k == 1 else 0.0)
@@ -882,10 +882,10 @@ class TestPredictLanes:
     @pytest.mark.parametrize("slow_lane", ["cli", "helper"])
     def test_skewed_lanes_keep_every_row_once_in_order(self, trained, tmp_path, monkeypatch,
                                                         edge_input, slow_lane):
-        """One lane featurizes slowly, so the other claims most chunks. The
+        """One lane featurizes slowly, so the other runs more chunks. The
         CSV still matches the inline path's byte for byte, each row once in
-        input order; one helper is forked per multi-chunk window, and this
-        process still runs chunk 0 of each such window."""
+        input order; one helper is forked for the run, and this process
+        still runs chunk 0."""
         from molfusion import cli
 
         data, smiles, starts = edge_input
@@ -922,12 +922,71 @@ class TestPredictLanes:
         assert forked.read_bytes() == inline.read_bytes()
         rows = [r[0] for r in csv.reader(forked.read_text().splitlines()[1:])]
         assert rows == data.read_text().splitlines()[1:]
-        n_chunks = len(starts)
-        ends = [*starts[1:], len(smiles)]
-        multi = [w for w in range(0, n_chunks, self.WINDOW) if w + 1 < n_chunks]
-        assert len(forks) == len(multi)
-        for w in multi:
-            assert set(smiles[starts[w]:ends[w]]) <= featurized_here
+        assert len(forks) == 1
+        assert set(smiles[:starts[1]]) <= featurized_here
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forked on Linux")
+    def test_a_stalled_lane_1_bounds_the_rows_waiting(self, trained, tmp_path, monkeypatch):
+        """Lane 1 featurizes so slowly that the chunks run here pile up behind
+        its oldest one. Once 32 wait, this process waits for lane 1, so rows
+        parsed minus rows written never exceed the rows of 34 chunks: 32
+        waiting, the chunk just parsed, and the row the packer reads ahead."""
+        from molfusion import cli
+        from molfusion.chem import parse_smiles
+        from molfusion.model import chunks
+
+        smiles = corpus_util.build_corpus(600)
+        sizes = [len(c) for c in chunks(smiles, lambda s: parse_smiles(s).n_atoms)]
+        assert len(sizes) > 2 * 34
+        bound = max(sum(sizes[k:k + 34]) for k in range(len(sizes)))
+        data = tmp_path / "rows.csv"
+        data.write_text("smiles\n" + "".join(s + "\n" for s in smiles))
+        parent = os.getpid()
+        parse, featurize, each_row = cli.parse_smiles, cli.featurize, cli.each_row
+        parsed, waiting = [0], []
+
+        def parse_counted(s):
+            parsed[0] += 1
+            return parse(s)
+
+        def featurize_stalled(graph, config):
+            if os.getpid() != parent:
+                time.sleep(0.05)
+            return featurize(graph, config)
+
+        def each_row_measured(*args):
+            for written, row in enumerate(each_row(*args)):
+                waiting.append(parsed[0] - written)
+                yield row
+
+        monkeypatch.setattr(cli, "parse_smiles", parse_counted)
+        monkeypatch.setattr(cli, "featurize", featurize_stalled)
+        monkeypatch.setattr(cli, "each_row", each_row_measured)
+        out = tmp_path / "out.csv"
+        assert self._predict(trained, data, out, monkeypatch, True) == 0
+        assert len(waiting) == len(smiles) == parsed[0]
+        # The wait was reached: 33 chunks were held at once.
+        assert min(sum(sizes[k:k + 33]) for k in range(len(sizes) - 32)) < max(waiting) <= bound
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forked on Linux")
+    def test_molecules_over_the_atom_cap_in_a_row_do_not_stall_the_pipe(self, tmp_path,
+                                                                         monkeypatch):
+        """Each 1600-atom chain is a chunk of its own: pickled, it is larger
+        than the pipe's buffer, and its featurized reply is about 1 MB. Sent
+        while lane 1 has a chunk in flight, such a chunk could wait on lane 1
+        while lane 1 waits to send its reply, and neither would return. The
+        forked run ends, with the inline run's bytes."""
+        from molfusion import helper
+
+        data, out = tmp_path / "chains.csv", tmp_path / "forked.jsonl"
+        data.write_text("smiles\n" + ("C" * 1600 + "\n") * 6)
+        proc = subprocess.run([sys.executable, "-m", "molfusion.cli", "featurize", "--input",
+                               str(data), "--out", str(out)],
+                              env=process_env(), capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        monkeypatch.setattr(helper, "FORK_HELPER", False)
+        assert main(["featurize", "--input", str(data), "--out", str(tmp_path / "inline.jsonl")]) == 0
+        assert out.read_bytes() == (tmp_path / "inline.jsonl").read_bytes()
 
     def test_dense_era_checkpoint_predicts_what_it_did(self, tmp_path, monkeypatch):
         """``tests/data/tiny_c43dc29.ckpt`` is the ``TINY_CONFIG`` model trained
@@ -973,30 +1032,44 @@ class TestPredictLanes:
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="process groups, fork on Linux")
 @pytest.mark.parametrize("delay", [0.5, 1.0])
-@pytest.mark.parametrize("command", ["featurize", "predict"])
+@pytest.mark.parametrize("command", ["featurize", "predict", "train"])
 def test_ctrl_c_leaves_no_process_behind(tmp_path, command, delay):
     """Ctrl-C reaches the whole process group, lane-1 helper included. The
-    command ends with a non-zero status, and no process of its group is
-    left: the helper ignores the signal and is stopped by the command."""
+    command prints one line and exits 130, and no process of its group is
+    left: the helper ignores the signal and is stopped by the command. The
+    signal comes ``delay`` seconds after the start, and no sooner than the
+    command's first output, so that it lands in the command, not in Python's
+    start-up."""
     from molfusion.autodiff.checkpoint import save_checkpoint
     from molfusion.cli import combined_config_dict, resolve_configs
     from molfusion.model.network import MlfgnnModel
 
-    data = tmp_path / "rows.csv"  # 3572 rows: several seconds of work either way
-    data.write_text("smiles\n" + "".join(s + "\n" for s in corpus_util.build_corpus(1786) * 2))
-    configs = resolve_configs({}, "regression", 1)
-    save_checkpoint(tmp_path / "model.ckpt", combined_config_dict(*configs),
-                    MlfgnnModel(configs[0], seed=0).state_arrays())
-    argv = ["--input", str(data), "--out", str(tmp_path / "out")]
+    out = tmp_path / "out"
+    if command == "train":  # 300 labelled rows, then up to 300 epochs
+        data = corpus_util.write_regression_csv(tmp_path / "rows.csv",
+                                                corpus_util.build_corpus(300))
+        argv = ["--data", str(data), "--task", "reg", "--out", str(out)]
+    else:  # 3572 rows: several seconds of work either way
+        data = tmp_path / "rows.csv"
+        smiles = corpus_util.build_corpus(1786) * 2
+        data.write_text("smiles\n" + "".join(s + "\n" for s in smiles))
+        argv = ["--input", str(data), "--out", str(out)]
     if command == "predict":
+        configs = resolve_configs({}, "regression", 1)
+        save_checkpoint(tmp_path / "model.ckpt", combined_config_dict(*configs),
+                        MlfgnnModel(configs[0], seed=0).state_arrays())
         argv += ["--checkpoint", str(tmp_path / "model.ckpt")]
+    # MOLFUSION_LOG=ERROR keeps the corpus's multi-fragment warnings off stderr.
     proc = subprocess.Popen([sys.executable, "-m", "molfusion.cli", command, *argv],
-                            env=process_env(), start_new_session=True,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                            env=process_env({"MOLFUSION_LOG": "ERROR"}), start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     try:
         time.sleep(delay)
+        while not out.exists() and proc.poll() is None:
+            time.sleep(0.05)
         os.killpg(proc.pid, signal.SIGINT)
-        assert proc.wait(timeout=60) != 0
+        _stdout, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (130, "interrupted\n")
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)  # no process of the group is left
     finally:
