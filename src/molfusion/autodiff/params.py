@@ -40,7 +40,7 @@ class ParameterStore:
                 raise ValueError(
                     f"shape mismatch for {name}: have {t.data.shape}, got {arr.shape}"
                 )
-            t.data = np.asarray(arr, dtype=t.data.dtype).copy()
+            t.data[...] = arr  # in place: the data may be a view of a shared buffer
 
 
 def uniform_fan_in(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -1,18 +1,22 @@
-"""Two-lane data parallelism over the chunks of one optimizer batch.
+"""Two-lane data parallelism for the optimizer steps and evals of ``train``.
 
 Chunk k of a batch goes to lane k mod 2. Lane 0 runs in the training
 process. Lane 1 runs in one ``helper.Helper``, forked once per ``train``
 call on Linux; elsewhere it runs inline after lane 0, with the same
 arithmetic. The batch gradient is lane 0's sum plus lane 1's sum, added in
-that order.
+that order. Adam updates the first half of the flat parameter vector in
+lane 0 and the second half in lane 1, each lane with the moments of its own
+half, and an eval runs the odd chunks in lane 1.
 
-The parameters live in one shared anonymous ``mmap``: Adam updates them in
-place in the training process, and the helper reads the new values at the
-next step. The helper writes lane 1's summed gradient into a second shared
-buffer. The pipe carries only small messages (the lane-1 chunk lists, their
-dropout seeds and the batch length; back, the losses or an exception), and
-their order is what orders the two processes' reads and writes of the
-buffers.
+The parameters and the gradients live in two shared anonymous ``mmap``s
+(``optim.Adam.pack``). The helper writes lane 1's summed gradient into the
+gradient buffer, and lane 0 adds its own sum there; each lane's Adam half
+writes its half of the parameter buffer. The pipe carries only small
+messages (the lane-1 chunk lists, their dropout seeds and the batch length,
+or the Adam step and range; back, the losses, the eval outputs or an
+exception), and their order is what orders the two processes' reads and
+writes of the buffers: lane 0 has lane 1's reply to each message before it
+reads what lane 1 wrote or sends the next one.
 
 Each chunk draws its dropout masks from its own seed, so a chunk computes
 the same bits in either lane, and results never depend on whether the
@@ -26,6 +30,7 @@ import mmap
 
 import numpy as np
 
+from ..autodiff import no_grad
 from ..autodiff import tensor as T
 from ..autodiff.rng import make_rng
 from ..helper import Helper
@@ -33,48 +38,51 @@ from ..model.batch import MoleculeBatch
 from .losses import masked_loss
 
 
-def _shared_like(arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Zeroed views, shaped like ``arrays``, into one shared anonymous mmap."""
-    sizes = [a.size for a in arrays]
-    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
-    ends = np.cumsum(sizes)
-    return [flat[end - size : end].reshape(a.shape) for a, size, end in zip(arrays, sizes, ends)]
+def _shared_zeros(n: int) -> np.ndarray:
+    """``n`` zeroed float64 values in a shared anonymous mmap."""
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
+
+
+def eval_outputs(model, mols, chunk_lists: list[list[int]]) -> list[np.ndarray]:
+    """The model's outputs on each chunk of ``mols``, without a gradient tape."""
+    with no_grad():
+        return [model.forward(MoleculeBatch([mols[i] for i in chunk])).data
+                for chunk in chunk_lists]
 
 
 class Lanes:
-    """Runs each optimizer batch's chunks on the two lanes.
+    """Runs each optimizer batch's chunks, Adam's steps and evals on the two lanes.
 
-    A context manager: entering moves the parameters into shared memory and
-    starts the helper; leaving stops it, so no process outlives the ``with``.
-    The parameters stay views of the shared buffer until the caller loads
-    private copies (``load_state_arrays``).
+    A context manager: entering moves the parameters and gradients into
+    shared memory, has ``optimizer`` step through ``adam_step`` and starts the
+    helper; leaving stops it, so no process outlives the ``with``.
     """
 
-    def __init__(self, model, mols, labels: np.ndarray, mask: np.ndarray):
+    def __init__(self, model, mols, labels: np.ndarray, mask: np.ndarray, optimizer):
         self.model, self.mols, self.labels, self.mask = model, mols, labels, mask
+        self.optimizer = optimizer
         self.tensors = list(model.params.tensors.values())
-        self.helper = Helper(lambda work: self._run_lane1(*work))
+        self.helper = Helper(lambda message: getattr(self, message[0])(*message[1:]))
 
     def __enter__(self) -> "Lanes":
-        for t, view in zip(self.tensors, _shared_like([t.data for t in self.tensors])):
-            view[...] = t.data
-            t.data = view  # the private array is freed here
-        self.lane1_grads = _shared_like([t.data for t in self.tensors])
+        self.optimizer.pack(_shared_zeros)
+        self.optimizer.lanes = self
         self.helper.__enter__()
         return self
 
     def __exit__(self, *exc_info) -> None:
+        self.optimizer.lanes = None
         self.helper.__exit__(*exc_info)
 
     def step(self, chunk_lists: list[list[int]], seeds: list[int], n: int) -> list[float]:
         """Forward and backward of every chunk of a batch of ``n`` molecules.
 
         ``seeds[k]`` seeds chunk k's dropout. Leaves the batch gradient in
-        each parameter's ``grad`` (zeros where no chunk reached it) and
-        returns the chunk losses in chunk order; a chunk whose loss is not
-        finite gets no backward.
+        each parameter's ``grad``, a view of the shared gradient buffer (zeros
+        where no chunk reached it), and returns the chunk losses in chunk
+        order; a chunk whose loss is not finite gets no backward.
         """
-        self.helper.send((chunk_lists[1::2], seeds[1::2], n))
+        self.helper.send(("_run_lane1", chunk_lists[1::2], seeds[1::2], n))
         losses = [0.0] * len(chunk_lists)
         losses[0::2] = self._run(chunk_lists[0::2], seeds[0::2], n)
         # Inline, lane 1 runs here and leaves its own ``grad``s; lane 0's are
@@ -85,11 +93,28 @@ class Lanes:
             t.grad = g
         # Lane 0's sum plus lane 1's, summed in place in the shared buffer;
         # the helper writes it again only after the next step's message.
-        for t, g in zip(self.tensors, self.lane1_grads):
+        for t, g in zip(self.tensors, self.optimizer.grad_views):
             if t.grad is not None:
                 g += t.grad
             t.grad = g
         return losses
+
+    def adam_step(self) -> None:
+        """The optimizer's step ``t``: the first half of the elements here,
+        the second in lane 1, done when this returns."""
+        optimizer = self.optimizer
+        n = optimizer.params.size
+        self.helper.send(("_adam", optimizer.t, n // 2, n))
+        optimizer.update(optimizer.t, 0, n // 2)
+        self.helper.reply()
+
+    def eval(self, chunk_lists: list[list[int]]) -> list[np.ndarray]:
+        """``eval_outputs`` of the chunks, the odd ones run in lane 1."""
+        self.helper.send(("_eval_lane1", chunk_lists[1::2]))
+        outputs = [None] * len(chunk_lists)
+        outputs[0::2] = eval_outputs(self.model, self.mols, chunk_lists[0::2])
+        outputs[1::2] = self.helper.reply()
+        return outputs
 
     def _run(self, chunk_lists, seeds, n) -> list[float]:
         """The chunks' forwards and backwards, from zero gradients; their losses."""
@@ -112,6 +137,12 @@ class Lanes:
     def _run_lane1(self, chunk_lists, seeds, n) -> list[float]:
         """``_run``, with the summed gradient copied into the shared buffer."""
         losses = self._run(chunk_lists, seeds, n)
-        for t, g in zip(self.tensors, self.lane1_grads):
+        for t, g in zip(self.tensors, self.optimizer.grad_views):
             g[...] = 0.0 if t.grad is None else t.grad
         return losses
+
+    def _adam(self, t: int, lo: int, hi: int) -> None:
+        self.optimizer.update(t, lo, hi)
+
+    def _eval_lane1(self, chunk_lists) -> list[np.ndarray]:
+        return eval_outputs(self.model, self.mols, chunk_lists)

@@ -13,15 +13,15 @@ from typing import Callable
 import numpy as np
 
 from .. import Config, distinct_integers, integer, optional, real, setting
-from ..autodiff import no_grad
 from ..autodiff.optim import Adam
 from ..autodiff.rng import split_streams
 from ..chem import parse_smiles
 from ..data import Dataset, DatasetSplit, random_split, scaffold_split
 from ..featurize import FeaturizeConfig, FeaturizedMolecule, featurize
-from ..model.batch import MoleculeBatch, chunks
+from ..helper import Helper
+from ..model.batch import chunks
 from ..model.network import MlfgnnModel
-from .lanes import Lanes
+from .lanes import Lanes, eval_outputs
 from .metrics import SingleClassError, masked_rmse, roc_auc_multi
 
 log = logging.getLogger(__name__)
@@ -83,25 +83,39 @@ def aggregate(metric_name: str, per_seed: dict[int, float | None]) -> EvalReport
 def prepare_inputs(
     dataset: Dataset, featurize_config: FeaturizeConfig | None = None
 ) -> list[FeaturizedMolecule]:
-    """Every record featurized once, in dataset order."""
-    featurize_config = featurize_config or FeaturizeConfig()
-    return [featurize(parse_smiles(smiles), featurize_config) for smiles in dataset.smiles]
+    """Every record featurized once, in dataset order, on two lanes.
+
+    This process parses the back half of the records and forks lane 1
+    (``helper.Helper``), which featurizes those graphs from its copy-on-write
+    view of them and sends the molecules back in one reply. Meanwhile this
+    process drops the graphs and parses and featurizes the front half one
+    record at a time. Every parse runs in this process.
+    """
+    config = featurize_config or FeaturizeConfig()
+    half = (len(dataset.smiles) + 1) // 2
+    back = [parse_smiles(smiles) for smiles in dataset.smiles[half:]]
+    with Helper(lambda _: [featurize(graph, config) for graph in back]) as lane1:
+        lane1.send("featurize")
+        if lane1.process is not None:
+            back.clear()  # lane 1 holds its own copy; inline, the reply needs them
+        front = [featurize(parse_smiles(smiles), config) for smiles in dataset.smiles[:half]]
+        return front + lane1.reply()
 
 
-def evaluate_metric(model, mols, labels, mask, indices) -> float | None:
+def evaluate_metric(model, mols, labels, mask, indices, lanes: Lanes | None = None
+                    ) -> float | None:
     """Validation/test metric over ``indices``: mean ROC-AUC for a
-    classification model, pooled RMSE for a regression one.
+    classification model, pooled RMSE for a regression one. With ``lanes``
+    open, the odd chunks run in lane 1.
 
     Returns None for an empty fold or a classification fold without both
     classes in any task (the metric is undefined there).
     """
     if not indices:
         return None
-    with no_grad():
-        preds = np.concatenate([
-            model.forward(MoleculeBatch([mols[i] for i in chunk])).data
-            for chunk in chunks(indices, lambda i: mols[i].n_atoms)
-        ])
+    chunk_lists = list(chunks(indices, lambda i: mols[i].n_atoms))
+    outputs = lanes.eval(chunk_lists) if lanes else eval_outputs(model, mols, chunk_lists)
+    preds = np.concatenate(outputs)
     sub_labels, sub_mask = labels[indices], mask[indices]
     if model.config.task == "classification":
         try:
@@ -135,9 +149,10 @@ def train(
     (``model.batch.chunks``), each with one forward and one backward and its
     own dropout seed, drawn in chunk order from the seed's dropout stream;
     ``lanes.Lanes`` splits them between this process and a helper, and the
-    gradients add up to that of the mean per-molecule loss. Then the epoch
-    scores the validation set. Training stops after ``patience``
-    non-improving epochs. The returned state is the best-validation snapshot (last epoch when the
+    gradients add up to that of the mean per-molecule loss. Adam's step and
+    the evals run on both lanes as well. Then the epoch scores the
+    validation set. Training stops after ``patience`` non-improving epochs.
+    The returned state is the best-validation snapshot (last epoch when the
     validation set is empty), already restored into the model.
     """
     task = model.config.task
@@ -148,7 +163,7 @@ def train(
     best_state = model.state_arrays()
     non_improving = 0
     history: list[dict] = []
-    with Lanes(model, mols, labels, mask) as lanes, \
+    with Lanes(model, mols, labels, mask, optimizer) as lanes, \
             (open(log_path, "w") if log_path else nullcontext()) as log_fh:
         for epoch in range(1, config.epochs + 1):
             order = streams["shuffle"].permutation(split.train).tolist()
@@ -166,7 +181,7 @@ def train(
                     loss_sum += value * len(chunk)
                 optimizer.step()
             train_loss = loss_sum / len(order) if order else float("nan")
-            valid_metric = evaluate_metric(model, mols, labels, mask, split.valid)
+            valid_metric = evaluate_metric(model, mols, labels, mask, split.valid, lanes)
             lambda_attn, lambda_adj = model.lambda_values()
             entry = {
                 "epoch": epoch,
@@ -199,9 +214,8 @@ def train(
             ):
                 log.info("seed %d: train RMSE target reached at epoch %d", seed, epoch)
                 break
-    # The helper has stopped; the parameters get private copies again.
-    model.load_state_arrays(best_state)
-    test_metric = evaluate_metric(model, mols, labels, mask, split.test)
+        model.load_state_arrays(best_state)  # into the shared buffer that lane 1 reads
+        test_metric = evaluate_metric(model, mols, labels, mask, split.test, lanes)
     return TrainResult(
         seed=seed,
         best_epoch=best_epoch,

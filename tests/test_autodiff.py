@@ -1,6 +1,7 @@
 """Tensor engine tests: primitive gradients, optimizer, checkpoint format."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from molfusion.autodiff import (
     make_rng,
     save_checkpoint,
 )
+from molfusion.autodiff import optim
 
 
 def _rand(rng, *shape):
@@ -284,6 +286,114 @@ class TestAdam:
         # after one bias-corrected step m_hat = g and v_hat = g^2
         g = np.array([[2.0, 4.0]])
         assert np.allclose(w.data, np.array([[1.0, 2.0]]) - 0.01 * g / (np.abs(g) + 1e-8))
+
+
+class _ReferenceAdam:
+    """The per-tensor Adam step that the flat one replaced, kept as its reference."""
+
+    def __init__(self, arrays, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.data = [a.copy() for a in arrays]
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        m_scale = 1.0 - self.beta1**self.t
+        v_scale = 1.0 - self.beta2**self.t
+        for data, grad, m, v in zip(self.data, grads, self.m, self.v):
+            g = grad if grad is not None else 0.0
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            data -= self.lr * (m / m_scale) / (np.sqrt(v / v_scale) + self.eps)
+
+
+class _SplitAt:
+    """Stands in for ``train.lanes.Lanes``: each step updates ``[at, n)``, then ``[0, at)``."""
+
+    def __init__(self, optimizer, at):
+        self.optimizer, self.at = optimizer, at
+
+    def adam_step(self):
+        opt = self.optimizer
+        opt.update(opt.t, self.at, opt.params.size)
+        opt.update(opt.t, 0, self.at)
+
+
+_SHAPES = st.lists(st.integers(1, 6), max_size=2).map(tuple)  # () is a scalar
+
+
+@st.composite
+def _adam_cases(draw):
+    """Shapes, a block size, a split point, per-step gradients (None or drawn)."""
+    block = draw(st.sampled_from([1, 2, 3, 5, 8, optim.BLOCK]))
+    shapes = draw(st.lists(_SHAPES, min_size=1, max_size=5))
+    if block == optim.BLOCK:  # tensors that reach and cross a real block edge
+        shapes.insert(draw(st.integers(0, len(shapes))),
+                      (optim.BLOCK + draw(st.integers(-2, 2)),))
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    n = sum(sizes)
+    ends = np.cumsum(sizes).tolist()
+    edges = [0, n, *ends, *range(block, n, block)]
+    near = sorted({x + d for x in edges for d in (-1, 0, 1) if 0 <= x + d <= n})
+    at = draw(st.one_of(st.sampled_from(near), st.integers(0, n)))
+    steps = draw(st.integers(1, 4))
+    given_grad = draw(st.lists(st.booleans(), min_size=steps * len(shapes),
+                               max_size=steps * len(shapes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+
+    def values(shape):
+        x = np.array(rng.standard_normal(shape) * scale)
+        x[rng.random(shape) < 0.2] = 0.0
+        x[rng.random(shape) < 0.1] = -0.0
+        return x
+
+    params = [np.array(rng.standard_normal(shape)) for shape in shapes]
+    grads = [[values(shape) if given_grad[k * len(shapes) + i] else None
+              for i, shape in enumerate(shapes)] for k in range(steps)]
+    lr = draw(st.sampled_from([1e-3, 0.1]))
+    return block, at, params, grads, lr
+
+
+class TestFlatAdam:
+    @given(case=_adam_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_blocked_split_steps_are_bit_equal_to_the_per_tensor_reference(self, case):
+        block, at, params, grads, lr = case
+        store = ParameterStore()
+        tensors = [store.register(f"p{i}", a.copy()) for i, a in enumerate(params)]
+        opt = Adam(store, lr=lr)
+        opt.lanes = _SplitAt(opt, at)
+        reference = _ReferenceAdam(params, lr)
+        with mock.patch.object(optim, "BLOCK", block):
+            for step_grads in grads:
+                for t, g in zip(tensors, step_grads):
+                    t.grad = None if g is None else g.copy()
+                opt.step()
+                reference.step(step_grads)
+                for t, want in zip(tensors, reference.data):
+                    assert t.data.shape == want.shape
+                    assert t.data.tobytes() == want.tobytes()
+        n = opt.params.size
+        assert {key: len(m) for key, (m, _v) in opt.moments.items()} == {
+            (0, at): at, (at, n): n - at}
+
+    def test_parameters_are_views_of_one_flat_buffer(self):
+        store = ParameterStore()
+        a = store.register("a", np.arange(6.0).reshape(2, 3))
+        b = store.register("b", np.array(7.0))
+        opt = Adam(store)
+        assert opt.params.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+        assert np.shares_memory(a.data, opt.params) and np.shares_memory(b.data, opt.params)
+        assert a.shape == (2, 3) and b.shape == ()
+        b.grad = np.array(1.0)
+        opt.step()
+        assert opt.grads.tolist() == [0.0] * 6 + [1.0]
+        assert opt.params[6] == b.data < 7.0
 
 
 class TestGradCheckHarness:

@@ -1080,6 +1080,37 @@ def test_ctrl_c_leaves_no_process_behind(tmp_path, command, delay):
         proc.wait(timeout=60)
 
 
+def test_ctrl_c_while_the_cli_is_imported_exits_130(monkeypatch, capsys):
+    """The ``molfusion`` entry point imports ``molfusion.cli`` inside the
+    Ctrl-C handling, so an interrupt that lands during that import (numpy's,
+    say) ends like one inside a command: exit 130 and one line."""
+    import importlib.abc
+
+    from molfusion import __main__ as entry
+
+    class Interrupted(importlib.abc.MetaPathFinder):
+        def find_spec(self, name, path=None, target=None):
+            if name == "molfusion.cli":
+                raise KeyboardInterrupt
+            return None
+
+    monkeypatch.delitem(sys.modules, "molfusion.cli")
+    monkeypatch.setattr(sys, "meta_path", [Interrupted(), *sys.meta_path])
+    assert entry.main() == 130
+    assert capsys.readouterr() == ("", "interrupted\n")
+
+
+def test_python_m_molfusion_runs_the_cli(tmp_path):
+    data = tmp_path / "rows.csv"
+    data.write_text("smiles\nCCO\nc1ccccc1\n")
+    argv = ["featurize", "--input", str(data), "--out", str(tmp_path / "f.jsonl")]
+    proc = subprocess.run([sys.executable, "-m", "molfusion", *argv], capture_output=True,
+                          text=True, env=process_env(), timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run_process([*argv[:-1], str(tmp_path / "g.jsonl")]).returncode == 0
+    assert (tmp_path / "f.jsonl").read_bytes() == (tmp_path / "g.jsonl").read_bytes()
+
+
 def _set_header_length(raw: bytes, length: int) -> bytes:
     return raw[:8] + struct.pack("<I", length) + raw[12:]
 

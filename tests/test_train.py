@@ -1,6 +1,7 @@
 """Loss, metric and training-protocol tests."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,8 +19,9 @@ from molfusion import helper as helper_module
 from molfusion.autodiff import Tensor, backward, load_checkpoint, make_rng
 from molfusion.autodiff import tensor as T
 from molfusion.autodiff.rng import split_streams
+from molfusion.chem import parse_smiles
 from molfusion.data import load_csv, random_split
-from molfusion.featurize import FeaturizeConfig
+from molfusion.featurize import FeaturizeConfig, featurize
 from molfusion.model import MlfgnnModel, ModelConfig, MoleculeBatch, chunks
 from molfusion.train import (
     AllMaskedError,
@@ -27,6 +29,7 @@ from molfusion.train import (
     SingleClassError,
     TrainConfig,
     aggregate,
+    evaluate_metric,
     masked_loss,
     multi_seed,
     prepare_inputs,
@@ -36,7 +39,7 @@ from molfusion.train import (
 )
 
 import corpus_util
-from molfusion.train import lanes
+from molfusion.train import lanes, loop
 
 SMALL_FEATURIZE = FeaturizeConfig(morgan_bits=64, erg_max_path=5)
 
@@ -329,7 +332,7 @@ class TestLanes:
         )
         chunk_lists, seeds = [[0], [1], [2], [3]], [11, 12, 13, 14]
         swap = [1, 0, 3, 2]  # lane 0 gets the chunks lane 1 had
-        with lanes.Lanes(model, mols, labels, mask) as pair:
+        with lanes.Lanes(model, mols, labels, mask, ad.Adam(model.params)) as pair:
             assert pair.helper.process.is_alive()
             first = pair.step(chunk_lists, seeds, 4)
             first_grads = [t.grad.copy() for t in pair.tensors]
@@ -359,7 +362,7 @@ class TestLanes:
             backward(T.mul(loss, Tensor(len(chunk) / len(batch))))
         serial = {name: np.zeros_like(t.data) if t.grad is None else t.grad
                   for name, t in model.params.tensors.items()}
-        with lanes.Lanes(model, mols, labels, mask) as pair:
+        with lanes.Lanes(model, mols, labels, mask, ad.Adam(model.params)) as pair:
             pair.step(chunk_lists, list(range(len(chunk_lists))), len(batch))
         for name, t in model.params.tensors.items():
             want = serial[name]
@@ -426,6 +429,107 @@ class TestLanes:
         with pytest.raises(RuntimeError, match="loss failed in lane 0"):
             self._run_train(tiny_dataset)
         assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_prepare_inputs_matches_a_serial_featurize(self, tiny_dataset, monkeypatch, helper,
+                                                       n):
+        """Lane 1 featurizes the back half; every parse stays in this process."""
+        monkeypatch.setattr(helper_module, "FORK_HELPER", helper and helper_module.FORK_HELPER)
+        smiles = tiny_dataset.smiles[:n]
+        parsed = []
+
+        def counted_parse(text):
+            parsed.append(text)
+            return parse_smiles(text)
+
+        monkeypatch.setattr(loop, "parse_smiles", counted_parse)
+        got = prepare_inputs(dataclasses.replace(tiny_dataset, smiles=smiles), SMALL_FEATURIZE)
+        assert sorted(parsed) == sorted(smiles)
+        want = [featurize(parse_smiles(text), SMALL_FEATURIZE) for text in smiles]
+        assert len(got) == n
+        for a, b in zip(got, want):
+            for field in dataclasses.fields(b):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                assert np.asarray(x).dtype == np.asarray(y).dtype, field.name
+                assert np.array_equal(x, y), field.name
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
+    def test_eval_on_the_two_lanes_equals_a_serial_eval(self, tiny_dataset, monkeypatch, helper):
+        monkeypatch.setattr(helper_module, "FORK_HELPER", helper and helper_module.FORK_HELPER)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels, mask = tiny_dataset.labels, tiny_dataset.mask
+        model = MlfgnnModel(small_config(), seed=0)
+        indices = list(range(len(mols)))[::-1]
+        chunk_lists = list(chunks(indices, lambda i: mols[i].n_atoms))
+        assert len(chunk_lists) >= 3
+        serial = lanes.eval_outputs(model, mols, chunk_lists)
+        serial_metric = evaluate_metric(model, mols, labels, mask, indices)
+        with lanes.Lanes(model, mols, labels, mask, ad.Adam(model.params)) as pair:
+            outputs = pair.eval(chunk_lists)
+            metric = evaluate_metric(model, mols, labels, mask, indices, pair)
+        assert [a.tobytes() for a in outputs] == [b.tobytes() for b in serial]
+        assert metric == serial_metric
+
+    @pytest.mark.parametrize("helper", ["helper", "slow-helper", "inline"])
+    def test_adam_on_the_two_lanes_equals_adam_in_one_process(self, tiny_dataset, monkeypatch,
+                                                             helper):
+        """Three steps; each lane keeps the moments of its own half only. With
+        lane 1's half slowed down, the step still returns with it written."""
+        forked = helper != "inline" and helper_module.FORK_HELPER
+        monkeypatch.setattr(helper_module, "FORK_HELPER", forked)
+        if helper == "slow-helper":
+            training_pid, adam = os.getpid(), lanes.Lanes._adam
+
+            def slow_adam(pair, *args):
+                if os.getpid() != training_pid:
+                    time.sleep(0.05)
+                adam(pair, *args)
+
+            monkeypatch.setattr(lanes.Lanes, "_adam", slow_adam)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels, mask = tiny_dataset.labels, tiny_dataset.mask
+        model, reference = MlfgnnModel(small_config(), seed=0), MlfgnnModel(small_config(), seed=0)
+        optimizer, serial = ad.Adam(model.params, lr=0.01), ad.Adam(reference.params, lr=0.01)
+        batch = list(range(len(mols)))
+        chunk_lists = list(chunks(batch, lambda i: mols[i].n_atoms))
+        with lanes.Lanes(model, mols, labels, mask, optimizer) as pair:
+            for _ in range(3):
+                pair.step(chunk_lists, list(range(len(chunk_lists))), len(batch))
+                for t, r in zip(model.params.tensors.values(), reference.params.tensors.values()):
+                    r.grad = t.grad.copy()
+                optimizer.step()
+                serial.step()
+                assert optimizer.params.tobytes() == serial.params.tobytes()
+        n = optimizer.params.size
+        assert sorted(optimizer.moments) == ([(0, n // 2)] if forked else
+                                             [(0, n // 2), (n // 2, n)])
+
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
+    def test_non_finite_loss_raises_before_adam_and_leaves_no_process(self, tiny_dataset,
+                                                                      monkeypatch, helper):
+        """Lane 0's first chunk overflows: neither Adam half steps."""
+        monkeypatch.setattr(helper_module, "FORK_HELPER", helper and helper_module.FORK_HELPER)
+        steps = []
+
+        class Counting(ad.Adam):
+            def step(self):
+                steps.append(self.t)
+                super().step()
+
+        monkeypatch.setattr(loop, "Adam", Counting)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        split = random_split(tiny_dataset, 0)
+        order = split_streams(0, ("shuffle", "dropout"))["shuffle"].permutation(split.train)
+        batch = order.tolist()[: TrainConfig().batch_size]
+        first_chunk = next(chunks(batch, lambda i: mols[i].n_atoms))
+        labels = tiny_dataset.labels.copy()
+        labels[first_chunk[0]] = 1e200
+        with pytest.raises(NonFiniteLossError, match=f"records {re.escape(str(first_chunk))}"):
+            self._run_train(tiny_dataset, labels)
+        assert steps == []
         assert multiprocessing.active_children() == []
 
     def test_helper_and_inline_paths_write_identical_runs(self, tmp_path, monkeypatch):
