@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-# Elements writable without brackets (organic subset). Two-character symbols
-# must be matched before their one-character prefixes.
-ORGANIC_SUBSET = ("Br", "Cl", "B", "C", "N", "O", "P", "S", "F", "I")
+# Elements writable without brackets (organic subset). A scanner tries the
+# two-character symbols before their one-character prefixes.
+ORGANIC_SUBSET = frozenset({"Br", "Cl", "B", "C", "N", "O", "P", "S", "F", "I"})
 
 # Lowercase symbols accepted as aromatic atoms, in and out of brackets.
 AROMATIC_SYMBOLS = ("se", "as", "te", "b", "c", "n", "o", "p", "s")
 
 # symbol -> (atomic mass in u, default valences smallest-first, valence electrons)
-# Valence electrons are None for elements where the lone-pair heuristic is not
-# attempted (hybridization then falls back to "other").
-_ELEMENT_TABLE = {
+# Default valences are the allowed valences; an empty tuple means the element
+# takes no implicit hydrogens. Valence electrons are None for elements where
+# the lone-pair heuristic is not attempted (hybridization then falls back to
+# "other").
+ELEMENTS = {
     "H": (1.008, (1,), 1),
     "B": (10.81, (3,), 3),
     "C": (12.011, (4,), 4),
@@ -53,19 +55,3 @@ _ELEMENT_TABLE = {
     "Li": (6.94, (), 1),
 }
 
-
-def is_known_element(symbol: str) -> bool:
-    return symbol in _ELEMENT_TABLE
-
-
-def atomic_mass(symbol: str) -> float:
-    return _ELEMENT_TABLE[symbol][0]
-
-
-def default_valences(symbol: str) -> tuple[int, ...]:
-    """Allowed valences, smallest first. Empty tuple: no implicit hydrogens."""
-    return _ELEMENT_TABLE[symbol][1]
-
-
-def valence_electrons(symbol: str):
-    return _ELEMENT_TABLE[symbol][2]

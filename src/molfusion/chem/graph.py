@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,18 +25,11 @@ class BondOrder(Enum):
     TRIPLE = "triple"
     AROMATIC = "aromatic"
 
-    @property
-    def valence(self) -> float:
-        """Bond-order contribution to valence; aromatic counts 1.5."""
-        return _ORDER_VALENCE[self]
-
-
-_ORDER_VALENCE = {
-    BondOrder.SINGLE: 1.0,
-    BondOrder.DOUBLE: 2.0,
-    BondOrder.TRIPLE: 3.0,
-    BondOrder.AROMATIC: 1.5,
-}
+    def __init__(self, value: str):
+        # Twice the bond's contribution to valence (aromatic counts 1.5), so
+        # that valence sums are integers. A plain attribute: enum members hash
+        # in Python, so a dict keyed by them is slow on the parse path.
+        self.twice_valence = {"single": 2, "double": 4, "triple": 6, "aromatic": 3}[value]
 
 
 class Hybridization(Enum):
@@ -105,25 +99,51 @@ class MolecularGraph:
     the smallest set of smallest rings as ordered atom-index cycles, and
     ``distance_matrix()`` the all-pairs hop distances that the fingerprints
     read. The bond topology is fixed once the graph is built.
+
+    A graph pickles as one row of field values per atom and per bond, beside
+    its other attributes (``rings``, and any a caller set); unpickled, its
+    ``bonds_of`` lists hold the objects of ``bonds`` in bond order, as built.
+    The distance matrix is a cache and is not pickled.
     """
 
     def __init__(self, atoms: Sequence[Atom], bonds: Sequence[Bond]):
         self.atoms: list[Atom] = list(atoms)
         self.bonds: list[Bond] = list(bonds)
         self.rings: list[list[int]] = []
-        self._distances: np.ndarray | None = None
         for i, atom in enumerate(self.atoms):
             atom.index = i
-        self._adjacency: list[list[Bond]] = [[] for _ in self.atoms]
         seen: set[tuple[int, int]] = set()
         for bond in self.bonds:
-            if bond.u == bond.v:
-                raise ValueError(f"self-bond on atom {bond.u}")
-            if bond.key in seen:
-                raise ValueError(f"duplicate bond between atoms {bond.key}")
-            seen.add(bond.key)
-            self._adjacency[bond.u].append(bond)
-            self._adjacency[bond.v].append(bond)
+            u, v = bond.u, bond.v
+            if u == v:
+                raise ValueError(f"self-bond on atom {u}")
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise ValueError(f"duplicate bond between atoms {key}")
+            seen.add(key)
+        self._link()
+
+    def _link(self) -> None:
+        """Each atom's bonds, in bond order; no distances yet."""
+        adjacency: list[list[Bond]] = [[] for _ in self.atoms]
+        for bond in self.bonds:
+            adjacency[bond.u].append(bond)
+            adjacency[bond.v].append(bond)
+        self._adjacency = adjacency
+        self._distances: np.ndarray | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_adjacency"], state["_distances"]
+        state["atoms"] = list(map(_ATOM_ROW, self.atoms))
+        state["bonds"] = list(map(_BOND_ROW, self.bonds))
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.atoms = [Atom(*row) for row in state["atoms"]]
+        self.bonds = [Bond(*row) for row in state["bonds"]]
+        self._link()
 
     @property
     def n_atoms(self) -> int:
@@ -183,6 +203,8 @@ class MolecularGraph:
 
 
 _ATOM_FIELDS = [f for f in Atom.__dataclass_fields__]  # noqa: C416 - insertion order
+_ATOM_ROW = operator.attrgetter(*_ATOM_FIELDS)
+_BOND_ROW = operator.attrgetter(*Bond.__dataclass_fields__)
 
 
 def _hop_distances(adjacency: list[list[Bond]]) -> np.ndarray:

@@ -15,7 +15,7 @@ pharmacophore site flags follow fixed rules:
 
 from __future__ import annotations
 
-from .elements import atomic_mass, default_valences, is_known_element, valence_electrons
+from .elements import ELEMENTS
 from .errors import ValenceViolationError
 from .graph import Bond, BondOrder, Hybridization, MolecularGraph
 
@@ -33,6 +33,7 @@ _CATION_EXPANDABLE = frozenset({"N", "O", "P", "S", "As", "Se", "Te"})
 
 _ACCEPTOR_ELEMENTS = frozenset({"N", "O"})
 _DONOR_ELEMENTS = frozenset({"N", "O"})
+_LONE_PAIR_ELEMENTS = frozenset({"N", "O", "S"})
 _ACID_CENTERS = frozenset({"C", "S", "P"})
 _BASIC_HYBRIDIZATIONS = frozenset({Hybridization.SP2, Hybridization.SP3})
 
@@ -42,11 +43,8 @@ def annotate(graph: MolecularGraph) -> MolecularGraph:
     graph.rings = perceive_rings(graph)
     _mark_ring_membership(graph)
     _assign_valence(graph)
-    _assign_hybridization(graph)
     _assign_conjugation(graph)
     _assign_pharmacophore_flags(graph)
-    for atom in graph.atoms:
-        atom.mass = atomic_mass(atom.element)
     return graph
 
 
@@ -54,63 +52,72 @@ def perceive_rings(graph: MolecularGraph) -> list[list[int]]:
     """Smallest set of smallest rings as ordered atom cycles.
 
     Candidate cycles are the fundamental cycles of a spanning forest plus the
-    shortest cycle through every bond that lies on one of them (any other
-    bond is a bridge and lies on no cycle); a greedy pass keeps the smallest
-    candidates that are independent over GF(2) edge space, stopping at the
-    circuit rank |E| - |V| + components, which is the number of fundamental
-    cycles.
+    shortest cycle through every bond of a fundamental cycle that shares a
+    bond with another one; a greedy pass keeps the smallest candidates that
+    are independent over GF(2) edge space, stopping at the circuit rank
+    |E| - |V| + components, which is the number of fundamental cycles.
+
+    Two kinds of bond need no search. A bond on no fundamental cycle is a
+    bridge and lies on no cycle at all. A fundamental cycle C that shares no
+    bond with another fundamental cycle is the only cycle through each of its
+    bonds: any cycle Z is the GF(2) sum of the fundamental cycles of its
+    non-tree bonds, so a bond of C in Z puts C in that sum; no other summand
+    has a bond of C, so Z contains every bond of C, and a simple cycle that
+    contains another one equals it. The search would offer C again, which
+    changes nothing, so skipping it is exact. When every fundamental cycle is
+    such, the candidates are just the fundamental cycles, which are
+    independent, and all of them are kept.
     """
     fundamental = _fundamental_cycles(graph)
     target = len(fundamental)
     if not target:
         return []
 
-    bond_index = {b.key: i for i, b in enumerate(graph.bonds)}
+    bit: dict[tuple[int, int], int] = {}
+    for k, bond in enumerate(graph.bonds):
+        bit[bond.u, bond.v] = bit[bond.v, bond.u] = 1 << k
 
     def edge_mask(cycle: list[int]) -> int:
-        mask = 0
-        for i, a in enumerate(cycle):
-            b = cycle[(i + 1) % len(cycle)]
-            mask |= 1 << bond_index[(a, b) if a < b else (b, a)]
+        mask = bit[cycle[-1], cycle[0]]
+        for a, b in zip(cycle, cycle[1:]):
+            mask |= bit[a, b]
         return mask
 
-    candidates: dict[int, list[int]] = {}
+    # Each fundamental cycle has its own non-tree bond, so the masks differ.
+    candidates = {edge_mask(cycle): cycle for cycle in fundamental}
+    seen = shared = 0
+    for mask in candidates:
+        shared |= seen & mask
+        seen |= mask
+    fused = 0  # the bonds of fundamental cycles that share a bond
+    for mask in candidates:
+        if mask & shared:
+            fused |= mask
+    while fused:
+        low = fused & -fused
+        fused ^= low
+        # A mask fixes its cycle up to rotation and direction, which
+        # _rotate_cycle removes, so the first cycle offered for it stays.
+        cycle = _shortest_cycle_through(graph, graph.bonds[low.bit_length() - 1])
+        candidates.setdefault(edge_mask(cycle), cycle)
 
-    def offer(cycle: list[int]) -> int:
-        mask = edge_mask(cycle)
-        if mask not in candidates or len(cycle) < len(candidates[mask]):
-            candidates[mask] = cycle
-        return mask
-
-    # A bond on no fundamental cycle lies on no cycle at all (a bridge).
-    on_cycle = 0
-    for cycle in fundamental:
-        on_cycle |= offer(cycle)
-    for k, bond in enumerate(graph.bonds):
-        if on_cycle >> k & 1:
-            offer(_shortest_cycle_through(graph, bond))
-
-    ordered = sorted(
-        candidates.items(), key=lambda kv: (len(kv[1]), _canonical_cycle(kv[1]))
-    )
-    basis: list[int] = []  # row-reduced masks
-    chosen: list[list[int]] = []
-    for mask, cycle in ordered:
-        reduced = mask
-        for row in basis:
-            reduced = min(reduced, reduced ^ row)
-        if reduced:
-            basis.append(reduced)
-            basis.sort(reverse=True)
-            chosen.append(cycle)
-            if len(chosen) == target:
-                break
-    chosen.sort(key=lambda c: (len(c), _canonical_cycle(c)))
+    ordered = sorted(candidates.items(), key=lambda kv: (len(kv[1]), sorted(kv[1])))
+    if len(ordered) == target:
+        chosen = [cycle for _mask, cycle in ordered]
+    else:
+        basis: list[int] = []  # row-reduced masks
+        chosen = []
+        for mask, cycle in ordered:
+            reduced = mask
+            for row in basis:
+                reduced = min(reduced, reduced ^ row)
+            if reduced:
+                basis.append(reduced)
+                basis.sort(reverse=True)
+                chosen.append(cycle)
+                if len(chosen) == target:
+                    break
     return [_rotate_cycle(c) for c in chosen]
-
-
-def _canonical_cycle(cycle: list[int]) -> tuple[int, ...]:
-    return tuple(sorted(cycle))
 
 
 def _rotate_cycle(cycle: list[int]) -> list[int]:
@@ -123,29 +130,31 @@ def _rotate_cycle(cycle: list[int]) -> list[int]:
 
 
 def _fundamental_cycles(graph: MolecularGraph) -> list[list[int]]:
-    parent = [-1] * graph.n_atoms
-    depth = [-1] * graph.n_atoms
-    tree_edges: set[tuple[int, int]] = set()
-    for root in range(graph.n_atoms):
+    """The cycle that each non-tree bond of a breadth-first spanning forest
+    closes, in bond order."""
+    n = graph.n_atoms
+    parent = [-1] * n
+    parent_bond: list[Bond | None] = [None] * n
+    depth = [-1] * n
+    for root in range(n):
         if depth[root] >= 0:
             continue
         depth[root] = 0
         queue = [root]
-        while queue:
-            nxt = []
-            for a in queue:
-                for b in graph.neighbors(a):
-                    if depth[b] < 0:
-                        depth[b] = depth[a] + 1
-                        parent[b] = a
-                        tree_edges.add((a, b) if a < b else (b, a))
-                        nxt.append(b)
-            queue = nxt
+        for a in queue:  # grows while read: breadth-first order
+            d = depth[a] + 1
+            for bond in graph.bonds_of(a):
+                b = bond.v if bond.u == a else bond.u
+                if depth[b] < 0:
+                    depth[b] = d
+                    parent[b] = a
+                    parent_bond[b] = bond
+                    queue.append(b)
     cycles = []
     for bond in graph.bonds:
-        if bond.key in tree_edges:
-            continue
         u, v = bond.u, bond.v
+        if parent_bond[u] is bond or parent_bond[v] is bond:
+            continue
         path_u, path_v = [u], [v]
         while depth[path_u[-1]] > depth[path_v[-1]]:
             path_u.append(parent[path_u[-1]])
@@ -163,23 +172,21 @@ def _shortest_cycle_through(graph: MolecularGraph, bond: Bond) -> list[int] | No
     u, v = bond.u, bond.v
     prev = {u: None}
     queue = [u]
-    while queue and v not in prev:
-        nxt = []
-        for a in queue:
-            for b in graph.bonds_of(a):
-                if b is bond:
-                    continue
-                nbr = b.other(a)
-                if nbr not in prev:
-                    prev[nbr] = a
-                    nxt.append(nbr)
-        queue = nxt
-    if v not in prev:
-        return None
-    path = [v]
-    while path[-1] != u:
-        path.append(prev[path[-1]])
-    return path
+    for a in queue:  # grows while read: breadth-first order
+        for b in graph.bonds_of(a):
+            if b is bond:
+                continue
+            nbr = b.v if b.u == a else b.u
+            if nbr in prev:
+                continue
+            prev[nbr] = a
+            if nbr == v:
+                path = [v]
+                while path[-1] != u:
+                    path.append(prev[path[-1]])
+                return path
+            queue.append(nbr)
+    return None
 
 
 def _mark_ring_membership(graph: MolecularGraph) -> None:
@@ -188,29 +195,34 @@ def _mark_ring_membership(graph: MolecularGraph) -> None:
     Aromatic bonds survive only inside rings whose atoms are all aromatic;
     any other aromatic bond becomes single.
     """
+    atoms = graph.atoms
     ring_edges: set[tuple[int, int]] = set()
     aromatic_ring_edges: set[tuple[int, int]] = set()
     smallest: dict[int, int] = {}
     for ring in graph.rings:
-        aromatic = all(graph.atoms[a].is_aromatic for a in ring)
-        for i, a in enumerate(ring):
-            b = ring[(i + 1) % len(ring)]
-            key = (a, b) if a < b else (b, a)
-            ring_edges.add(key)
-            if aromatic:
-                aromatic_ring_edges.add(key)
-            smallest[a] = min(smallest.get(a, len(ring)), len(ring))
-    for atom in graph.atoms:
-        atom.in_ring = atom.index in smallest
-        atom.min_ring_size = smallest.get(atom.index, 0)
+        size = len(ring)
+        edges = {(a, b) if a < b else (b, a) for a, b in zip(ring, ring[1:] + ring[:1])}
+        ring_edges |= edges
+        if all(atoms[a].is_aromatic for a in ring):
+            aromatic_ring_edges |= edges
+        for a in ring:
+            if smallest.get(a, size) >= size:
+                smallest[a] = size
+    for i, atom in enumerate(atoms):
+        size = smallest.get(i, 0)
+        atom.in_ring = size > 0
+        atom.min_ring_size = size
     for bond in graph.bonds:
-        bond.in_ring = bond.key in ring_edges
-        if bond.order is BondOrder.AROMATIC and bond.key not in aromatic_ring_edges:
+        u, v = bond.u, bond.v
+        key = (u, v) if u < v else (v, u)
+        bond.in_ring = key in ring_edges
+        if bond.order is BondOrder.AROMATIC and key not in aromatic_ring_edges:
             bond.order = BondOrder.SINGLE
 
 
 def _assign_valence(graph: MolecularGraph) -> None:
-    """Implicit hydrogen counts and valence violation checks.
+    """Degrees, implicit hydrogen counts, valence violation checks,
+    hybridization and mass, in one pass over the atoms.
 
     Aromatic bonds count 1.5, summed then rounded to nearest (ties to even,
     so three fused aromatic bonds give 4). When that total overshoots the
@@ -218,49 +230,50 @@ def _assign_valence(graph: MolecularGraph) -> None:
     (pyrrole-type N, furan O, ...) and its aromatic bonds recount at 1.0.
     Implicit H fills the smallest non-violating default valence after
     subtracting explicit H and |charge|.
+
+    Aromatic atoms are sp2. Any other atom's hybridization follows its
+    steric number (bonds + hydrogens + lone pairs), with the lone pairs
+    counted from the valence electrons left after bonding and charge.
     """
-    for atom in graph.atoms:
-        atom.degree = len(graph.bonds_of(atom.index))
-        bonds = graph.bonds_of(atom.index)
-        bond_sum = round(sum(b.order.valence for b in bonds))
-        valences = default_valences(atom.element)
-        if not valences:
-            atom.implicit_hs = 0
-            atom.bond_order_sum = bond_sum
-            continue
-        allowance = (
-            atom.formal_charge
-            if atom.formal_charge > 0 and atom.element in _CATION_EXPANDABLE
-            else 0
-        )
-        if bond_sum > max(valences) + allowance and atom.is_aromatic:
-            bond_sum = round(
-                sum(1.0 if b.order is BondOrder.AROMATIC else b.order.valence for b in bonds)
-            )
-        if bond_sum > max(valences) + allowance:
-            raise ValenceViolationError(
-                f"atom {atom.index} ({atom.element}) has bond valence {bond_sum}, "
-                f"maximum is {max(valences) + allowance}"
-            )
+    twice = [0] * graph.n_atoms  # twice each atom's bond valence: integers
+    for bond in graph.bonds:
+        t = bond.order.twice_valence
+        twice[bond.u] += t
+        twice[bond.v] += t
+    for i, atom in enumerate(graph.atoms):
+        bonds = graph.bonds_of(i)
+        atom.degree = len(bonds)
+        atom.mass, valences, electrons = ELEMENTS[atom.element]
+        charge = atom.formal_charge
+        bond_sum = round(twice[i] / 2)
+        implicit_hs = 0
+        if valences:
+            most = valences[-1]
+            if charge > 0 and atom.element in _CATION_EXPANDABLE:
+                most += charge
+            if bond_sum > most and atom.is_aromatic:
+                aromatic = sum(b.order is BondOrder.AROMATIC for b in bonds)
+                bond_sum = round((twice[i] - aromatic) / 2)
+            if bond_sum > most:
+                raise ValenceViolationError(
+                    f"atom {i} ({atom.element}) has bond valence {bond_sum}, maximum is {most}"
+                )
+            load = bond_sum + atom.explicit_hs + abs(charge)
+            for valence in valences:  # the smallest that holds the load, else the largest
+                if valence >= load:
+                    implicit_hs = valence - load
+                    break
         atom.bond_order_sum = bond_sum
-        load = bond_sum + atom.explicit_hs + abs(atom.formal_charge)
-        chosen = next((v for v in valences if v >= load), max(valences))
-        atom.implicit_hs = max(0, chosen - load)
-
-
-def _assign_hybridization(graph: MolecularGraph) -> None:
-    for atom in graph.atoms:
+        atom.implicit_hs = implicit_hs
         if atom.is_aromatic:
             atom.hybridization = Hybridization.SP2
-            continue
-        ve = valence_electrons(atom.element) if is_known_element(atom.element) else None
-        if ve is None:
+        elif electrons is None:
             atom.hybridization = Hybridization.OTHER
-            continue
-        bonding_electrons = atom.bond_order_sum + atom.total_hs
-        lone_pairs = max(0, ve - atom.formal_charge - bonding_electrons) // 2
-        steric = atom.degree + atom.total_hs + lone_pairs
-        atom.hybridization = _STERIC_TO_HYB.get(steric, Hybridization.OTHER)
+        else:
+            hs = atom.explicit_hs + implicit_hs
+            lone_pairs = max(0, electrons - charge - bond_sum - hs) // 2
+            steric = atom.degree + hs + lone_pairs
+            atom.hybridization = _STERIC_TO_HYB.get(steric, Hybridization.OTHER)
 
 
 def _assign_conjugation(graph: MolecularGraph) -> None:
@@ -271,81 +284,82 @@ def _assign_conjugation(graph: MolecularGraph) -> None:
     conjugated when both sides offer pi or a lone pair and at least one side
     has a real pi bond. Aromatic bonds are always conjugated.
     """
-    pi_count = [0] * graph.n_atoms
+    single, aromatic = BondOrder.SINGLE, BondOrder.AROMATIC
+    has_pi = [False] * graph.n_atoms
     for bond in graph.bonds:
-        if bond.order in (BondOrder.DOUBLE, BondOrder.TRIPLE, BondOrder.AROMATIC):
-            pi_count[bond.u] += 1
-            pi_count[bond.v] += 1
-
-    def lp_donor(i: int) -> bool:
-        a = graph.atoms[i]
-        return a.element in ("N", "O", "S") and a.formal_charge <= 0
+        if bond.order is not single:
+            has_pi[bond.u] = has_pi[bond.v] = True
+    donor = [a.element in _LONE_PAIR_ELEMENTS and a.formal_charge <= 0 for a in graph.atoms]
 
     def adjacent_pi_or_donor(i: int, skip: Bond) -> bool:
-        for b in graph.bonds_of(i):
-            if b is skip:
-                continue
-            if b.order in (BondOrder.DOUBLE, BondOrder.TRIPLE, BondOrder.AROMATIC):
-                return True
-            if lp_donor(b.other(i)):
-                return True
-        return False
+        return any(
+            b is not skip and (b.order is not single or donor[b.v if b.u == i else b.u])
+            for b in graph.bonds_of(i)
+        )
 
     for bond in graph.bonds:
-        if bond.order is BondOrder.AROMATIC:
+        u, v = bond.u, bond.v
+        if bond.order is aromatic:
             bond.is_conjugated = True
-        elif bond.order in (BondOrder.DOUBLE, BondOrder.TRIPLE):
-            bond.is_conjugated = adjacent_pi_or_donor(bond.u, bond) or adjacent_pi_or_donor(
-                bond.v, bond
-            )
+        elif bond.order is not single:
+            bond.is_conjugated = adjacent_pi_or_donor(u, bond) or adjacent_pi_or_donor(v, bond)
         else:
-            side_u = pi_count[bond.u] > 0 or lp_donor(bond.u)
-            side_v = pi_count[bond.v] > 0 or lp_donor(bond.v)
             bond.is_conjugated = (
-                side_u and side_v and (pi_count[bond.u] > 0 or pi_count[bond.v] > 0)
+                (has_pi[u] or has_pi[v])
+                and (has_pi[u] or donor[u])
+                and (has_pi[v] or donor[v])
             )
 
 
 def _assign_pharmacophore_flags(graph: MolecularGraph) -> None:
-    for atom in graph.atoms:
-        atom.is_h_acceptor = atom.element in _ACCEPTOR_ELEMENTS and atom.formal_charge <= 0
-        atom.is_h_donor = atom.element in _DONOR_ELEMENTS and atom.total_hs >= 1
-        atom.is_acidic = False
+    atoms = graph.atoms
 
-    for center in graph.atoms:
-        if center.element not in _ACID_CENTERS:
-            continue
+    def double_bonded_to(i: int, elements: tuple[str, ...]) -> bool:
+        return any(
+            b.order is BondOrder.DOUBLE and atoms[b.v if b.u == i else b.u].element in elements
+            for b in graph.bonds_of(i)
+        )
+
+    def is_basic(atom) -> bool:
+        i = atom.index
+        return (
+            not atom.is_aromatic
+            and atom.hybridization in _BASIC_HYBRIDIZATIONS
+            and atom.formal_charge == 0
+            and not double_bonded_to(i, ("O",))
+            and not any(
+                atoms[nbr].element == "C" and double_bonded_to(nbr, ("O", "S"))
+                for nbr in graph.neighbors(i)
+            )
+        )
+
+    for atom in atoms:
+        element = atom.element
+        atom.is_h_acceptor = element in _ACCEPTOR_ELEMENTS and atom.formal_charge <= 0
+        atom.is_h_donor = element in _DONOR_ELEMENTS and atom.total_hs >= 1
+        atom.is_acidic = False
+        atom.is_basic = element == "N" and is_basic(atom)
+
+    # An acid motif's centre has a double-bonded O, so only those centres
+    # are looked at.
+    centers = set()
+    for bond in graph.bonds:
+        if bond.order is BondOrder.DOUBLE:
+            u, v = atoms[bond.u], atoms[bond.v]
+            if u.element == "O" and v.element in _ACID_CENTERS:
+                centers.add(bond.v)
+            elif v.element == "O" and u.element in _ACID_CENTERS:
+                centers.add(bond.u)
+    for center in centers:
         double_os, single_os = [], []
-        for b in graph.bonds_of(center.index):
-            nbr = graph.atoms[b.other(center.index)]
+        for b in graph.bonds_of(center):
+            nbr = atoms[b.v if b.u == center else b.u]
             if nbr.element != "O":
                 continue
             if b.order is BondOrder.DOUBLE:
                 double_os.append(nbr)
             elif b.order is BondOrder.SINGLE and (nbr.total_hs >= 1 or nbr.formal_charge < 0):
                 single_os.append(nbr)
-        if double_os and single_os:
+        if single_os:
             for o in double_os + single_os:
                 o.is_acidic = True
-
-    def neighbor_carbonyl(i: int) -> bool:
-        for nbr in graph.neighbors(i):
-            if graph.atoms[nbr].element != "C":
-                continue
-            for b in graph.bonds_of(nbr):
-                if b.order is BondOrder.DOUBLE and graph.atoms[b.other(nbr)].element in ("O", "S"):
-                    return True
-        return False
-
-    for atom in graph.atoms:
-        atom.is_basic = (
-            atom.element == "N"
-            and not atom.is_aromatic
-            and atom.hybridization in _BASIC_HYBRIDIZATIONS
-            and atom.formal_charge == 0
-            and not any(
-                b.order is BondOrder.DOUBLE and graph.atoms[b.other(atom.index)].element == "O"
-                for b in graph.bonds_of(atom.index)
-            )
-            and not neighbor_carbonyl(atom.index)
-        )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 
-from .elements import AROMATIC_SYMBOLS, ORGANIC_SUBSET, is_known_element
+from .elements import AROMATIC_SYMBOLS, ELEMENTS, ORGANIC_SUBSET
 from .errors import (
     EmptyInputError,
     SmilesError,
@@ -32,27 +32,23 @@ _BOND_CHARS = {
     "/": BondOrder.SINGLE,
     "\\": BondOrder.SINGLE,
 }
+_DIRECTIONS = {"/": 1, "\\": -1}
+
+# Atoms written without brackets: symbol -> (element, aromatic). The only
+# two-character keys are Br and Cl, whose first characters are keys too.
+_ORGANIC_ATOMS = {sym: (sym, False) for sym in ORGANIC_SUBSET}
+_ORGANIC_ATOMS.update({sym: (sym.upper(), True) for sym in "bcnops"})
 
 _ATOM_START = ("element symbol", "aromatic symbol", "'['")
 
 
-class _PendingBond:
-    __slots__ = ("order", "explicit", "direction")
-
-    def __init__(self, order=None, explicit=False, direction=0):
-        self.order = order
-        self.explicit = explicit
-        self.direction = direction  # +1 for '/', -1 for '\\'
-
-
 class _RawBond:
-    __slots__ = ("u", "v", "order", "explicit", "direction")
+    __slots__ = ("u", "v", "order", "direction")
 
-    def __init__(self, u, v, order, explicit, direction):
+    def __init__(self, u, v, order, direction):
         self.u = u
         self.v = v
         self.order = order  # None means "default": aromatic-or-single
-        self.explicit = explicit
         self.direction = direction  # sign is relative to written u -> v order
 
 
@@ -85,106 +81,90 @@ def _scan(s: str):
     atoms: list[Atom] = []
     bonds: list[_RawBond] = []
     prev: int | None = None
-    pending = _PendingBond()
+    pending: BondOrder | None = None  # the bond symbol read since the last atom
+    direction = 0  # +1 after '/', -1 after '\\'
     branch_stack: list[int] = []
-    open_rings: dict[int, tuple[int, _PendingBond, int]] = {}
+    open_rings: dict[int, tuple[int, BondOrder | None, int, int]] = {}
     saw_dot = False
     i, n = 0, len(s)
 
-    def attach(new_idx: int) -> None:
-        nonlocal pending, prev
-        if prev is not None:
-            bonds.append(
-                _RawBond(prev, new_idx, pending.order, pending.explicit, pending.direction)
-            )
-        pending = _PendingBond()
-        prev = new_idx
-
     def close_ring(num: int, pos: int) -> None:
-        nonlocal pending
         if prev is None:
             raise SmilesError("ring closure before any atom", pos, _ATOM_START)
         if num in open_rings:
-            o_atom, o_bond, o_pos = open_rings.pop(num)
+            o_atom, o_order, o_direction, _pos = open_rings.pop(num)
             if o_atom == prev:
                 raise SmilesError(f"ring bond {num} closes on its own atom", pos)
-            order, explicit = pending.order, pending.explicit
-            direction = pending.direction
-            if o_bond.explicit:
-                if explicit and o_bond.order is not order:
+            order, bond_direction = pending, direction
+            if o_order is not None:
+                if order is not None and o_order is not order:
                     raise SmilesError(f"conflicting bond orders on ring closure {num}", pos)
-                order, explicit = o_bond.order, True
-                direction = direction or -o_bond.direction
-            bonds.append(_RawBond(o_atom, prev, order, explicit, direction))
+                order = o_order
+                bond_direction = bond_direction or -o_direction
+            bonds.append(_RawBond(o_atom, prev, order, bond_direction))
         else:
-            open_rings[num] = (prev, pending, pos)
-        pending = _PendingBond()
+            open_rings[num] = (prev, pending, direction, pos)
 
     while i < n:
         ch = s[i]
-        if ch == "(":
-            if prev is None:
-                raise SmilesError("branch before any atom", i, _ATOM_START)
-            branch_stack.append(prev)
-            i += 1
-        elif ch == ")":
-            if not branch_stack:
-                raise UnbalancedParenError("')' without matching '('", i)
-            prev = branch_stack.pop()
-            i += 1
-        elif ch in _BOND_CHARS:
-            if pending.explicit:
-                raise SmilesError("two bond symbols in a row", i, _ATOM_START)
-            direction = {"/": 1, "\\": -1}.get(ch, 0)
-            pending = _PendingBond(_BOND_CHARS[ch], True, direction)
-            i += 1
-        elif ch == ".":
-            if pending.explicit:
-                raise SmilesError("bond symbol before '.'", i, _ATOM_START)
-            prev = None
-            saw_dot = True
-            i += 1
-        elif ch.isdigit():
-            close_ring(int(ch), i)
-            i += 1
-        elif ch == "%":
-            if i + 2 >= n or not (s[i + 1].isdigit() and s[i + 2].isdigit()):
-                raise SmilesError("'%' needs two digits", i, ("two-digit ring number",))
-            close_ring(int(s[i + 1 : i + 3]), i)
-            i += 3
+        if ch in _ORGANIC_ATOMS:
+            sym = s[i : i + 2]
+            if sym not in _ORGANIC_ATOMS:
+                sym = ch
+            element, aromatic = _ORGANIC_ATOMS[sym]
+            atom = Atom(element, is_aromatic=aromatic)
+            i += len(sym)
         elif ch == "[":
             atom, i = _parse_bracket(s, i)
-            atom_idx = len(atoms)
-            atoms.append(atom)
-            attach(atom_idx)
         else:
-            matched = None
-            for sym in ORGANIC_SUBSET:
-                if s.startswith(sym, i):
-                    matched = sym
-                    break
-            if matched is not None:
-                atoms.append(Atom(element=matched))
-                attach(len(atoms) - 1)
-                i += len(matched)
-            elif ch in "bcnops":
-                atoms.append(Atom(element=ch.upper(), is_aromatic=True))
-                attach(len(atoms) - 1)
-                i += 1
+            if ch == "(":
+                if prev is None:
+                    raise SmilesError("branch before any atom", i, _ATOM_START)
+                branch_stack.append(prev)
+            elif ch == ")":
+                if not branch_stack:
+                    raise UnbalancedParenError("')' without matching '('", i)
+                prev = branch_stack.pop()
+            elif ch in _BOND_CHARS:
+                if pending is not None:
+                    raise SmilesError("two bond symbols in a row", i, _ATOM_START)
+                pending = _BOND_CHARS[ch]
+                direction = _DIRECTIONS.get(ch, 0)
+            elif ch == ".":
+                if pending is not None:
+                    raise SmilesError("bond symbol before '.'", i, _ATOM_START)
+                prev = None
+                saw_dot = True
+            elif ch.isdigit():
+                close_ring(int(ch), i)
+                pending, direction = None, 0
+            elif ch == "%":
+                if i + 2 >= n or not (s[i + 1].isdigit() and s[i + 2].isdigit()):
+                    raise SmilesError("'%' needs two digits", i, ("two-digit ring number",))
+                close_ring(int(s[i + 1 : i + 3]), i)
+                pending, direction = None, 0
+                i += 2
             else:
                 raise SmilesError(
                     f"unexpected character {ch!r}",
                     i,
                     _ATOM_START + ("bond symbol", "ring digit", "'('", "')'"),
                 )
+            i += 1
+            continue
+        if prev is not None:
+            bonds.append(_RawBond(prev, len(atoms), pending, direction))
+        prev = len(atoms)
+        atoms.append(atom)
+        pending, direction = None, 0
 
     if branch_stack:
         raise UnbalancedParenError("'(' never closed", n)
     if open_rings:
         nums = ", ".join(str(k) for k in sorted(open_rings))
-        first_pos = min(pos for _, _, pos in open_rings.values())
+        first_pos = min(pos for *_, pos in open_rings.values())
         raise UnclosedRingError(f"ring bond(s) {nums} never closed", first_pos)
-    if pending.explicit:
+    if pending is not None:
         raise SmilesError("dangling bond symbol at end of input", n - 1, _ATOM_START)
     return atoms, bonds, saw_dot
 
@@ -216,10 +196,10 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
             raise UnknownElementError(f"expected element symbol at {s[i]!r}", i, ("element",))
         element = s[i]
         i += 1
-        if i < n and s[i].isalpha() and s[i].islower() and is_known_element(element + s[i]):
+        if i < n and s[i].isalpha() and s[i].islower() and element + s[i] in ELEMENTS:
             element += s[i]
             i += 1
-    if not is_known_element(element):
+    if element not in ELEMENTS:
         raise UnknownElementError(f"unknown element {element!r}", i - len(element))
 
     chirality = Chirality.NONE

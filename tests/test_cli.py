@@ -1038,8 +1038,9 @@ def test_ctrl_c_leaves_no_process_behind(tmp_path, command, delay):
     command prints one line and exits 130, and no process of its group is
     left: the helper ignores the signal and is stopped by the command. The
     signal comes ``delay`` seconds after the start, and no sooner than the
-    command's first output, so that it lands in the command, not in Python's
-    start-up."""
+    command's first output line reaches its file (``train``'s manifest), so
+    that it lands in the command, not in Python's start-up. A command that
+    has finished by then fails the ``poll`` check, not the exit-code one."""
     from molfusion.autodiff.checkpoint import save_checkpoint
     from molfusion.cli import combined_config_dict, resolve_configs
     from molfusion.model.network import MlfgnnModel
@@ -1063,10 +1064,12 @@ def test_ctrl_c_leaves_no_process_behind(tmp_path, command, delay):
     proc = subprocess.Popen([sys.executable, "-m", "molfusion.cli", command, *argv],
                             env=process_env({"MOLFUSION_LOG": "ERROR"}), start_new_session=True,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    first = out / "manifest.json" if command == "train" else out
     try:
         time.sleep(delay)
-        while not out.exists() and proc.poll() is None:
+        while proc.poll() is None and not (first.exists() and first.stat().st_size):
             time.sleep(0.05)
+        assert proc.poll() is None, "the command ended before the signal was sent"
         os.killpg(proc.pid, signal.SIGINT)
         _stdout, stderr = proc.communicate(timeout=60)
         assert (proc.returncode, stderr) == (130, "interrupted\n")

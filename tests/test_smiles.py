@@ -1,5 +1,12 @@
 """Parser, perception and scaffold tests."""
 
+import dataclasses
+import hashlib
+import json
+import pickle
+from enum import Enum
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +27,7 @@ from molfusion.chem import (
     annotate,
     murcko_scaffold,
     parse_smiles,
+    perceive_rings,
     scaffold_hash,
 )
 from molfusion.chem.perception import _fundamental_cycles, _shortest_cycle_through
@@ -224,6 +232,232 @@ class TestRings:
                 b.u in r and b.v in r and _adjacent_in_cycle(r, b.u, b.v) for r in g.rings
             )
             assert b.in_ring == in_listed_ring
+
+
+# -- ring perception against the search it replaced --------------------------
+
+
+def _reference_perceive_rings(graph: MolecularGraph) -> list[list[int]]:
+    """``perceive_rings`` as it was before it skipped the cycles that share
+    no bond with another one: a shortest-cycle search through every bond of
+    every fundamental cycle. Kept as the reference of the faster one."""
+    fundamental = _reference_fundamental_cycles(graph)
+    target = len(fundamental)
+    if not target:
+        return []
+
+    bond_index = {b.key: i for i, b in enumerate(graph.bonds)}
+
+    def edge_mask(cycle):
+        mask = 0
+        for i, a in enumerate(cycle):
+            b = cycle[(i + 1) % len(cycle)]
+            mask |= 1 << bond_index[(a, b) if a < b else (b, a)]
+        return mask
+
+    candidates = {}
+
+    def offer(cycle):
+        mask = edge_mask(cycle)
+        if mask not in candidates or len(cycle) < len(candidates[mask]):
+            candidates[mask] = cycle
+        return mask
+
+    on_cycle = 0
+    for cycle in fundamental:
+        on_cycle |= offer(cycle)
+    for k, bond in enumerate(graph.bonds):
+        if on_cycle >> k & 1:
+            offer(_reference_shortest_cycle_through(graph, bond))
+
+    ordered = sorted(candidates.items(), key=lambda kv: (len(kv[1]), tuple(sorted(kv[1]))))
+    basis, chosen = [], []
+    for mask, cycle in ordered:
+        reduced = mask
+        for row in basis:
+            reduced = min(reduced, reduced ^ row)
+        if reduced:
+            basis.append(reduced)
+            basis.sort(reverse=True)
+            chosen.append(cycle)
+            if len(chosen) == target:
+                break
+    chosen.sort(key=lambda c: (len(c), tuple(sorted(c))))
+    rotated = []
+    for cycle in chosen:
+        k = cycle.index(min(cycle))
+        c = cycle[k:] + cycle[:k]
+        if len(c) > 2 and c[-1] < c[1]:
+            c = [c[0]] + c[:0:-1]
+        rotated.append(c)
+    return rotated
+
+
+def _reference_fundamental_cycles(graph):
+    parent = [-1] * graph.n_atoms
+    depth = [-1] * graph.n_atoms
+    tree_edges = set()
+    for root in range(graph.n_atoms):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = [root]
+        while queue:
+            nxt = []
+            for a in queue:
+                for b in graph.neighbors(a):
+                    if depth[b] < 0:
+                        depth[b] = depth[a] + 1
+                        parent[b] = a
+                        tree_edges.add((a, b) if a < b else (b, a))
+                        nxt.append(b)
+            queue = nxt
+    cycles = []
+    for bond in graph.bonds:
+        if bond.key in tree_edges:
+            continue
+        path_u, path_v = [bond.u], [bond.v]
+        while depth[path_u[-1]] > depth[path_v[-1]]:
+            path_u.append(parent[path_u[-1]])
+        while depth[path_v[-1]] > depth[path_u[-1]]:
+            path_v.append(parent[path_v[-1]])
+        while path_u[-1] != path_v[-1]:
+            path_u.append(parent[path_u[-1]])
+            path_v.append(parent[path_v[-1]])
+        cycles.append(path_u + path_v[-2::-1])
+    return cycles
+
+
+def _reference_shortest_cycle_through(graph, bond):
+    u, v = bond.u, bond.v
+    prev = {u: None}
+    queue = [u]
+    while queue and v not in prev:
+        nxt = []
+        for a in queue:
+            for b in graph.bonds_of(a):
+                if b is bond:
+                    continue
+                nbr = b.other(a)
+                if nbr not in prev:
+                    prev[nbr] = a
+                    nxt.append(nbr)
+        queue = nxt
+    path = [v]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return path
+
+
+@st.composite
+def ring_systems(draw):
+    """Bond lists of one to three components, each grown from one atom by
+    pieces hung on an atom already there: a chain, a ring through one atom
+    (isolated on a chain atom, spiro on a ring atom) or a path between two
+    atoms (fused when they are bonded, bridged when not). Atom labels, bond
+    order and bond direction are shuffled."""
+    edges, n = set(), 0
+
+    def path(a, b, length):
+        nonlocal n
+        nodes = [a, *range(n, n + length - 1), b]
+        n += length - 1
+        edges.update(zip(nodes, nodes[1:]))
+
+    for _ in range(draw(st.integers(1, 3))):
+        start, n = n, n + 1
+        for _ in range(draw(st.integers(0, 6))):
+            kind = draw(st.sampled_from(["chain", "ring", "ear"]))
+            a = draw(st.integers(start, n - 1))
+            if kind == "chain":  # ends in a new atom
+                length = draw(st.integers(1, 3))
+                path(a, n + length - 1, length)
+                n += 1
+            elif kind == "ring":
+                path(a, a, draw(st.integers(3, 8)))
+            else:
+                b = draw(st.integers(start, n - 1))
+                if b == a:
+                    continue
+                bonded = (a, b) in edges or (b, a) in edges
+                path(a, b, draw(st.integers(2 if bonded else 1, 6)))
+    perm = draw(st.permutations(range(n)))
+    bonds = [(perm[u], perm[v]) for u, v in sorted(edges)]
+    bonds = draw(st.permutations(bonds))
+    flips = draw(st.lists(st.booleans(), min_size=len(bonds), max_size=len(bonds)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(bonds, flips)]
+
+
+class TestRingReference:
+    @given(system=ring_systems())
+    @settings(max_examples=400, deadline=None)
+    def test_rings_equal_the_full_search(self, system):
+        n, bonds = system
+        g = MolecularGraph([Atom("C") for _ in range(n)],
+                           [Bond(u, v, BondOrder.SINGLE) for u, v in bonds])
+        rings = perceive_rings(g)
+        assert rings == _reference_perceive_rings(g)
+        assert len(rings) == g.n_bonds - g.n_atoms + corpus_util.n_components(g)
+
+    @pytest.mark.parametrize("smiles", [
+        "C1CC2CCC12", "C1CC12CC2", "C12C3C4C1C5C2C3C45", "C1CC2CCC1C2", "C1CC1CCC1CC1",
+        "C1C2CC3CC1CC(C2)C3", "c1ccc2cc3ccccc3cc2c1",
+    ])
+    def test_fused_bridged_and_spiro_cases(self, smiles):
+        g = parse_smiles(smiles)
+        assert g.rings == _reference_perceive_rings(g)
+
+
+def _annotation_rows(g: MolecularGraph) -> list:
+    """Every atom field, every bond field and every ring, enums as values."""
+    def plain(x):
+        return x.value if isinstance(x, Enum) else x
+
+    rows = [[plain(getattr(a, f.name)) for f in dataclasses.fields(Atom)] for a in g.atoms]
+    rows += [[plain(getattr(b, f.name)) for f in dataclasses.fields(Bond)] for b in g.bonds]
+    rows.append(g.rings)
+    return rows
+
+
+def test_corpus_annotations_are_pinned():
+    """One digest of every annotation of build_corpus(1786), computed at
+    commit 670bec0, before the parse was made faster: any change to an atom
+    field, a bond field or a ring of any corpus molecule fails here."""
+    digest = hashlib.sha256()
+    for smiles in corpus_util.build_corpus(1786):
+        digest.update(json.dumps(_annotation_rows(parse_smiles(smiles))).encode())
+    assert digest.hexdigest() == (
+        "605df2392e431529b1db70f6923a54020ae0a97ff9bc5febcec710605f94dc42")
+
+
+class TestGraphPickle:
+    @pytest.mark.parametrize("smiles", [
+        "CC(=O)[O-].[Na+]", "F/C=C/F", "[C@@H](N)(O)C(=O)O", "c1ccc2[nH]ccc2c1",
+        "C1CC2CCC12", "OS(=O)(=O)c1ccccc1", "C",
+    ])
+    def test_round_trip_keeps_every_field_ring_and_attribute(self, smiles):
+        g = parse_smiles(smiles)
+        want_distances = g.distance_matrix().copy()
+        g.note = {"doomed": ("cannot featurize", 0.5)}  # an attribute a caller set
+        h = pickle.loads(pickle.dumps(g))
+        assert _annotation_rows(h) == _annotation_rows(g)
+        assert h.atoms == g.atoms and h.bonds == g.bonds and h.rings == g.rings
+        assert h.note == g.note
+        assert h._distances is None  # a cache: not pickled
+        assert np.array_equal(h.distance_matrix(), want_distances)
+        position = {id(b): k for k, b in enumerate(h.bonds)}
+        for i in range(g.n_atoms):
+            assert [position[id(b)] for b in h.bonds_of(i)] == [
+                g.bonds.index(b) for b in g.bonds_of(i)]
+
+    def test_graphs_in_one_message_keep_their_own_state(self):
+        graphs = [parse_smiles(s) for s in corpus_util.build_corpus(60)]
+        again = pickle.loads(pickle.dumps(graphs))
+        assert [_annotation_rows(h) for h in again] == [_annotation_rows(g) for g in graphs]
+
+    def test_long_chain_pickles_compactly(self):
+        chain = parse_smiles("C" * 1600)
+        assert len(pickle.dumps([chain])) < 100_000
 
 
 def _adjacent_in_cycle(cycle, u, v):
