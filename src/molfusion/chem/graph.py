@@ -27,9 +27,12 @@ class BondOrder(Enum):
 
     def __init__(self, value: str):
         # Twice the bond's contribution to valence (aromatic counts 1.5), so
-        # that valence sums are integers. A plain attribute: enum members hash
-        # in Python, so a dict keyed by them is slow on the parse path.
-        self.twice_valence = {"single": 2, "double": 4, "triple": 6, "aromatic": 3}[value]
+        # that valence sums are integers, and the 1-4 code that neighbourhood
+        # hashing packs. Plain attributes: enum members hash in Python, so a
+        # dict keyed by them is slow on the parse path.
+        self.twice_valence, self.code = {
+            "single": (2, 1), "double": (4, 2), "triple": (6, 3), "aromatic": (3, 4)
+        }[value]
 
 
 class Hybridization(Enum):
@@ -172,39 +175,66 @@ class MolecularGraph:
     def graph_hash(self) -> str:
         """Canonical-by-refinement hash; equal for isomorphic parses.
 
-        Iterated neighborhood hashing (Weisfeiler-Lehman style) over atom
-        invariants and bond orders, run n_atoms rounds, then digested as a
-        sorted multiset. Collisions between non-isomorphic molecules are
-        possible in principle but not observed at this scale.
+        ``refine`` runs on parse invariants (element, charge, total Hs,
+        aromatic) until a round does not raise the number of distinct codes;
+        its last codes (sorted), ``n_atoms`` and ``n_bonds`` are digested. The
+        stop is exact: each round refines the last one's partition of the
+        atoms, a stable partition stays stable, and the stopping round is an
+        isomorphism invariant, so the hash separates no fewer graphs than
+        ``n_atoms`` rounds would. "Does not grow" also ends the loop should a
+        64-bit collision ever shrink the count. The cost is O(n * rounds);
+        rounds grow with the diameter of a chain of rings (198 for 100
+        para-linked benzenes). Collisions between non-isomorphic molecules
+        are possible in principle but not observed at this scale.
         """
-        codes = [
-            _h64(
-                a.element.encode(),
-                struct.pack("<iii?", a.formal_charge, a.explicit_hs + a.implicit_hs, 0, a.is_aromatic),
-            )
+        invariants = [
+            a.element.encode() + struct.pack("<ii?", a.formal_charge, a.total_hs, a.is_aromatic)
             for a in self.atoms
         ]
-        for _ in range(max(1, self.n_atoms)):
-            nxt = []
-            for i in range(self.n_atoms):
-                nbrs = sorted(
-                    (b.order.value, codes[b.other(i)]) for b in self._adjacency[i]
-                )
-                payload = struct.pack("<Q", codes[i]) + b"".join(
-                    o.encode() + struct.pack("<Q", c) for o, c in nbrs
-                )
-                nxt.append(_h64(payload))
-            codes = nxt
-        digest = hashlib.blake2b(digest_size=16)
-        for c in sorted(codes):
-            digest.update(struct.pack("<Q", c))
+        codes = sorted(refine(self, invariants)[-1])
+        digest = hashlib.blake2b(struct.pack(f"<{len(codes)}Q", *codes), digest_size=16)
         digest.update(struct.pack("<II", self.n_atoms, self.n_bonds))
         return digest.hexdigest()
 
 
-_ATOM_FIELDS = [f for f in Atom.__dataclass_fields__]  # noqa: C416 - insertion order
-_ATOM_ROW = operator.attrgetter(*_ATOM_FIELDS)
+_ATOM_ROW = operator.attrgetter(*Atom.__dataclass_fields__)
 _BOND_ROW = operator.attrgetter(*Bond.__dataclass_fields__)
+
+
+def refine(
+    graph: MolecularGraph, invariants: Sequence[bytes], rounds: int | None = None
+) -> list[list[int]]:
+    """Iterated neighbourhood hashing (Morgan 1965; ECFP): every round's codes.
+
+    Round 0 holds the 64-bit blake2b hash of each atom's invariant bytes. Each
+    later round hashes an atom's code (``"<Q"``) with its sorted (bond-order
+    code, neighbour code) pairs (``"IQ"`` each), so ``out[r][v]`` codes the
+    radius-r view of atom v. Each distinct payload is hashed once per call.
+    Runs ``rounds`` rounds or, when None, until a round does not raise the
+    number of distinct codes (see ``MolecularGraph.graph_hash``).
+    """
+    memo: dict[bytes, int] = {}
+
+    def code(payload: bytes) -> int:
+        c = memo.get(payload)
+        if c is None:
+            c = memo[payload] = int.from_bytes(
+                hashlib.blake2b(payload, digest_size=8).digest(), "little"
+            )
+        return c
+
+    bonds = [[(b.order.code, b.other(i)) for b in graph.bonds_of(i)] for i in range(graph.n_atoms)]
+    out = [list(map(code, invariants))]
+    while rounds is None or len(out) <= rounds:
+        prev = out[-1]
+        nxt = []
+        for i, pairs in enumerate(bonds):
+            flat = [x for pair in sorted((oc, prev[j]) for oc, j in pairs) for x in pair]
+            nxt.append(code(struct.pack("<Q" + "IQ" * len(pairs), prev[i], *flat)))
+        out.append(nxt)
+        if rounds is None and len(set(nxt)) <= len(set(prev)):
+            break
+    return out
 
 
 def _hop_distances(adjacency: list[list[Bond]]) -> np.ndarray:
@@ -243,21 +273,11 @@ def _hop_distances(adjacency: list[list[Bond]]) -> np.ndarray:
     return out
 
 
-def _h64(*chunks: bytes) -> int:
-    h = hashlib.blake2b(digest_size=8)
-    for chunk in chunks:
-        h.update(chunk)
-    return struct.unpack("<Q", h.digest())[0]
-
-
 def induced_subgraph(g: MolecularGraph, keep: Iterable[int]) -> MolecularGraph:
     """Subgraph on ``keep`` (order preserved), bonds restricted to kept atoms."""
     keep = list(keep)
     remap = {old: new for new, old in enumerate(keep)}
-    atoms = []
-    for old in keep:
-        src = g.atoms[old]
-        atoms.append(Atom(**{f: getattr(src, f) for f in _ATOM_FIELDS}))
+    atoms = [Atom(*_ATOM_ROW(g.atoms[old])) for old in keep]
     bonds = [
         Bond(remap[b.u], remap[b.v], b.order, b.stereo)
         for b in g.bonds

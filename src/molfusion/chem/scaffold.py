@@ -12,21 +12,21 @@ def murcko_scaffold(graph: MolecularGraph) -> MolecularGraph:
     """Bemis-Murcko scaffold: prune non-ring atoms of degree <= 1 until fixed.
 
     Ring systems and the linkers between them survive; an acyclic molecule
-    collapses to the empty scaffold.
+    collapses to the empty scaffold. Pruning pops leaves from a worklist over
+    degree counts, in linear time: degrees only fall, so an atom is queued at
+    most once, and the fixed point does not depend on the popping order.
     """
-    keep = set(range(graph.n_atoms))
-    in_ring = {a.index for a in graph.atoms if a.in_ring}
-    changed = True
-    while changed:
-        changed = False
-        for idx in sorted(keep):
-            if idx in in_ring:
-                continue
-            degree = sum(1 for nbr in graph.neighbors(idx) if nbr in keep)
-            if degree <= 1:
-                keep.remove(idx)
-                changed = True
-    scaffold = induced_subgraph(graph, sorted(keep))
+    degree = [len(graph.bonds_of(i)) for i in range(graph.n_atoms)]
+    leaves = [a.index for a in graph.atoms if not a.in_ring and degree[a.index] <= 1]
+    kept = [True] * graph.n_atoms
+    while leaves:
+        idx = leaves.pop()
+        kept[idx] = False
+        for nbr in graph.neighbors(idx):
+            degree[nbr] -= 1
+            if degree[nbr] == 1 and not graph.atoms[nbr].in_ring:
+                leaves.append(nbr)
+    scaffold = induced_subgraph(graph, [i for i, k in enumerate(kept) if k])
     if scaffold.n_atoms:
         annotate(scaffold)
     return scaffold
@@ -36,7 +36,8 @@ def scaffold_hash(graph: MolecularGraph) -> str:
     """Canonical hash of the molecule's scaffold.
 
     All acyclic molecules share one bucket so that scaffold splits group them
-    deterministically.
+    deterministically. The key is ``graph_hash``, a ``refine`` run to a
+    stable partition.
     """
     scaffold = murcko_scaffold(graph)
     if scaffold.n_atoms == 0:

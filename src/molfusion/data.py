@@ -231,7 +231,8 @@ def scaffold_split(
 ) -> DatasetSplit:
     """Group records by scaffold and pack whole groups greedily.
 
-    Groups are ordered by size descending (ties by hash) and each goes to the
+    Groups are ordered by size descending (ties by lowest record index, so
+    the split does not depend on the hash function) and each goes to the
     partition furthest below its target count, so no scaffold ever straddles
     two partitions. The packing itself is deterministic; ``seed`` is recorded
     for provenance only.
@@ -243,7 +244,7 @@ def scaffold_split(
     groups: dict[str, list[int]] = {}
     for i, smiles in enumerate(dataset.smiles):
         groups.setdefault(scaffold_hash(parse_smiles(smiles)), []).append(i)
-    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[1][0]))
     targets = [f * n for f in fractions]
     parts: list[list[int]] = [[], [], []]
     for _key, members in ordered:

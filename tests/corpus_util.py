@@ -192,6 +192,17 @@ def screen_large_smiles(seed: int) -> tuple[str, ...]:
     )
 
 
+def polyphenyl_smiles(n_rings: int) -> str:
+    """``n_rings`` benzenes linked para to para: a chain of rings whose
+    diameter grows with its length (600 atoms at 100 rings)."""
+    return "c1ccc(cc1)" * (n_rings - 1) + "c1ccccc1"
+
+
+def ring_with_chain_smiles(n_chain: int) -> str:
+    """Benzene carrying one ``n_chain``-carbon chain; its scaffold is benzene."""
+    return "c1ccccc1" + "C" * n_chain
+
+
 def relabel(graph: MolecularGraph, perm: Sequence[int]) -> MolecularGraph:
     """Copy of ``graph`` with atom i moved to position perm[i].
 

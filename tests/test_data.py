@@ -252,6 +252,17 @@ class TestScaffoldSplit:
         ds = self._dataset(tmp_path, corpus_util.scaffold_family_corpus())
         assert scaffold_split(ds, 0) == scaffold_split(ds, 0)
 
+    @pytest.mark.parametrize("order", [list(range(10)), [3, 7, 0, 9, 5, 1, 8, 2, 6, 4]])
+    def test_equal_size_groups_dealt_in_first_index_order(self, tmp_path, order):
+        # Ten two-member scaffold groups: each ring, then the methyl rings in
+        # reverse. Train's target of 16 takes the first eight groups; valid
+        # and test, tied at a deficit of 2, then take the ninth and tenth.
+        rings = [corpus_util._RING_TEMPLATES[k] for k in order]
+        ds = self._dataset(tmp_path, rings + [f"C{r}" for r in reversed(rings)])
+        split = scaffold_split(ds, seed=0)
+        assert len({scaffold_hash(parse_smiles(s)) for s in ds.smiles}) == 10
+        assert (split.valid, split.test) == ([8, 11], [9, 10])
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path, regression_csv):

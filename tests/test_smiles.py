@@ -4,14 +4,19 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import struct
 from enum import Enum
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from molfusion.chem import graph as graph_module
+from molfusion.chem import scaffold as scaffold_module
 from molfusion.chem import (
+    EMPTY_SCAFFOLD_HASH,
     Atom,
     Bond,
     BondOrder,
@@ -30,6 +35,7 @@ from molfusion.chem import (
     perceive_rings,
     scaffold_hash,
 )
+from molfusion.chem.graph import induced_subgraph, refine
 from molfusion.chem.perception import _fundamental_cycles, _shortest_cycle_through
 from molfusion.cli import random_molecule_graph
 
@@ -533,6 +539,129 @@ class TestScaffold:
     def test_linker_kept(self):
         scaffold = murcko_scaffold(parse_smiles("c1ccccc1CCc1ccccc1"))
         assert scaffold.n_atoms == 14  # two rings + 2-carbon linker
+
+
+def _h64(*chunks: bytes) -> int:
+    h = hashlib.blake2b(digest_size=8)
+    for chunk in chunks:
+        h.update(chunk)
+    return struct.unpack("<Q", h.digest())[0]
+
+
+def reference_graph_hash(g) -> str:
+    """Oracle: the refinement hash run for ``n_atoms`` rounds, bond orders
+    packed by name and a constant 0 among the atom invariants."""
+    codes = [
+        _h64(a.element.encode(), struct.pack("<iii?", a.formal_charge, a.total_hs, 0, a.is_aromatic))
+        for a in g.atoms
+    ]
+    for _ in range(max(1, g.n_atoms)):
+        nxt = []
+        for i in range(g.n_atoms):
+            nbrs = sorted((b.order.value, codes[b.other(i)]) for b in g.bonds_of(i))
+            payload = struct.pack("<Q", codes[i]) + b"".join(
+                o.encode() + struct.pack("<Q", c) for o, c in nbrs
+            )
+            nxt.append(_h64(payload))
+        codes = nxt
+    digest = hashlib.blake2b(digest_size=16)
+    for c in sorted(codes):
+        digest.update(struct.pack("<Q", c))
+    digest.update(struct.pack("<II", g.n_atoms, g.n_bonds))
+    return digest.hexdigest()
+
+
+def reference_murcko_keep(g) -> list[int]:
+    """Oracle: full passes over the kept atoms until one prunes nothing."""
+    keep = set(range(g.n_atoms))
+    changed = True
+    while changed:
+        changed = False
+        for idx in sorted(keep):
+            if g.atoms[idx].in_ring:
+                continue
+            if sum(1 for nbr in g.neighbors(idx) if nbr in keep) <= 1:
+                keep.remove(idx)
+                changed = True
+    return sorted(keep)
+
+
+def reference_scaffold_hash(g) -> str:
+    keep = reference_murcko_keep(g)
+    if not keep:
+        return EMPTY_SCAFFOLD_HASH
+    scaffold = induced_subgraph(g, keep)
+    annotate(scaffold)
+    return reference_graph_hash(scaffold)
+
+
+def _partition(keys) -> list[list[int]]:
+    groups: dict[str, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return sorted(groups.values())
+
+
+def _ring_plus_chains(chains: list[int], linker: int | None) -> str:
+    """A ring with a ``chains[i]``-carbon chain on atom i and, unless
+    ``linker`` is None, a ``linker``-carbon bridge to a benzene."""
+    ring = "".join(
+        "C" + ("1" if i in (0, len(chains) - 1) else "") + (f"({'C' * c})" if c else "")
+        for i, c in enumerate(chains)
+    )
+    return ring if linker is None else ring + "C" * linker + "c1ccccc1"
+
+
+class TestRefinement:
+    def test_scaffold_partition_matches_reference_on_corpus(self):
+        graphs = [parse_smiles(s) for s in corpus_util.build_corpus(1786)]
+        assert _partition(map(scaffold_hash, graphs)) == _partition(
+            map(reference_scaffold_hash, graphs)
+        )
+
+    @given(
+        st.one_of(
+            st.builds(random_molecule_graph, st.integers(1, 40), st.integers(0, 2**32 - 1)),
+            st.builds(
+                lambda chains, linker: parse_smiles(_ring_plus_chains(chains, linker)),
+                st.lists(st.integers(0, 6), min_size=3, max_size=8),
+                st.none() | st.integers(0, 6),
+            ),
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_queue_pruning_keeps_the_reference_atoms(self, g):
+        with mock.patch.object(scaffold_module, "induced_subgraph", wraps=induced_subgraph) as spy:
+            murcko_scaffold(g)
+        assert spy.call_args.args[1] == reference_murcko_keep(g)
+
+    def test_polyphenyl_hash_survives_relabel(self):
+        g = parse_smiles(corpus_util.polyphenyl_smiles(100))
+        n = g.n_atoms
+        expected = g.graph_hash()
+        for perm in (list(reversed(range(n))), np.random.default_rng(0).permutation(n).tolist()):
+            assert corpus_util.relabel(g, perm).graph_hash() == expected
+
+    def test_polyphenyl_settles_far_below_n_atoms_rounds(self):
+        g = parse_smiles(corpus_util.polyphenyl_smiles(100))
+        taken = []
+
+        def counting_refine(graph, invariants, rounds=None):
+            out = refine(graph, invariants, rounds)
+            taken.append(len(out) - 1)
+            return out
+
+        with mock.patch.object(graph_module, "refine", counting_refine):
+            g.graph_hash()
+        assert g.n_atoms == 600 and taken == [198]
+
+    def test_murcko_prunes_a_long_chain_in_one_read_per_atom(self):
+        g = parse_smiles(corpus_util.ring_with_chain_smiles(800))
+        reads = []
+        neighbors = g.neighbors
+        g.neighbors = lambda idx: reads.append(idx) or neighbors(idx)
+        assert murcko_scaffold(g).n_atoms == 6
+        assert len(reads) <= g.n_atoms
 
 
 class TestInvariants:
