@@ -3,9 +3,9 @@
 Exit codes: 0 success, 1 usage or config error, 2 data error (a file that
 cannot be read or written and a non-finite training loss included), 3
 verification failure, 130 interrupted (Ctrl-C).
-featurize and predict share one row loop, which runs chunks of rows on two
-lanes and writes their lines in row order; when every row fails to parse,
-every line is written, then the command exits 2.
+featurize and predict run their rows through the row loop that train shares
+(``helper.each_row``), on two lanes, and write their lines in row order; when
+every row fails to parse, every line is written, then the command exits 2.
 Config files are JSON with optional "model", "train" and "featurize"
 sections; every key mirrors the corresponding dataclass field. The env var
 MOLFUSION_LOG sets log verbosity (DEBUG/INFO/WARNING/ERROR).
@@ -21,8 +21,6 @@ import os
 import shlex
 import sys
 import time
-from collections import deque
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -38,8 +36,8 @@ from .chem.graph import Atom, Bond, BondOrder, MolecularGraph
 from .chem.perception import annotate
 from .data import DataError, load_csv, read_csv
 from .featurize import FeaturizeConfig, featurize
-from .helper import Helper, sendable
-from .model import MAX_CHUNK_ATOMS, ModelConfig, MoleculeBatch, chunks
+from .helper import each_row
+from .model import MAX_CHUNK_ATOMS, ModelConfig, MoleculeBatch
 from .model.network import MlfgnnModel
 from .train import SEED_MAX, NonFiniteLossError, TrainConfig, multi_seed
 
@@ -183,88 +181,19 @@ def random_molecule_graph(n_atoms: int, seed: int = 0) -> MolecularGraph:
     return graph
 
 
-# -- featurize, and the row loop it shares with predict ------------------------
+# -- featurize, and the CSV row loop it shares with predict -------------------
 
 
-# A chunk goes to lane 1 while fewer than this many of its chunks are in
-# flight, so lane 1 always has its next chunk. A chunk within the atom cap
-# pickles to a few KB, far below the pipe's buffer; one larger molecule goes
-# only when none is in flight, so its send never waits on a large reply.
-LANE1_IN_FLIGHT = 2
-# Chunks that may wait to be written behind one on lane 1 before this process
-# waits for it, so that a lagging lane 1 bounds the memory.
-MAX_WAITING_CHUNKS = 32
-
-
-def each_row(args, rows, work):
-    """``(smiles, parse error or None, result)`` per CSV row, in row order.
-    Rows are parsed here and packed into chunks (an error row rides in its
-    chunk with no atoms); ``work(graphs)``, one result per parsed graph of a
-    chunk, runs on two lanes: here for chunk 0, then on lane 1 or here. The
-    lowest-numbered failing chunk's exception is raised after the rows of
-    every earlier chunk. After the last row, a summary is printed, or a
-    ``DataError`` raised if every row failed to parse."""
-
-    def parsed():
-        for row in rows:
-            smiles = (row[args.smiles_col] or "").strip()
-            try:
-                yield smiles, parse_smiles(smiles), None
-            except SmilesError as exc:
-                yield smiles, None, exc
-
-    def run(graphs):
-        return work(graphs) if graphs else ()
-
-    def outcome(get):
-        """``get()``, or the exception it raised, as it would cross the pipe."""
-        try:
-            return get()
-        except Exception as exc:
-            return sendable(exc)
-
-    def flush(drain=False):
-        """Yields the rows of the held chunks, oldest first, up to the first
-        one not done or failed. In between, collects lane 1's oldest reply
-        while it is ready, while more than ``MAX_WAITING_CHUNKS`` chunks are
-        held, or, with ``drain``, until none is in flight."""
-        nonlocal n_rows, n_errors
-        while True:
-            while held and held[0][1] is not None and not isinstance(held[0][1], Exception):
-                chunk, results = held.popleft()
-                results = iter(results)
-                for smiles, graph, error in chunk:
-                    n_rows += 1
-                    n_errors += graph is None
-                    yield smiles, error, None if graph is None else next(results)
-            if not sent or not (drain or lane1.ready() or len(held) > MAX_WAITING_CHUNKS):
-                return
-            sent.popleft()[1] = outcome(lane1.reply)
-
-    lane1 = Helper(run)
-    held = deque()  # [chunk, results or exception; None while on lane 1] per unwritten chunk
-    sent = deque()  # the entries of ``held`` on lane 1, oldest first
+def each_csv_row(args, rows, work):
+    """``helper.each_row`` over the rows' SMILES cells. After the last row, a
+    summary is printed, or a ``DataError`` raised if every row failed to
+    parse."""
     n_rows = n_errors = 0
-    with ExitStack() as stack:  # stops lane 1 however the loop is left
-        for k, chunk in enumerate(chunks(parsed(), lambda r: 0 if r[1] is None else r[1].n_atoms)):
-            graphs = [g for _s, g, _e in chunk if g is not None]
-            held.append(entry := [chunk, None])
-            room = LANE1_IN_FLIGHT if sum(g.n_atoms for g in graphs) <= MAX_CHUNK_ATOMS else 1
-            if k and len(sent) < room:
-                if k == 1:  # forked here, so a one-chunk input forks nothing
-                    stack.enter_context(lane1)
-                lane1.send(graphs)
-                sent.append(entry)
-            else:
-                entry[1] = outcome(lambda: run(graphs))
-            yield from flush()
-            # A chunk that fails here stops the loop; one that fails on lane 1
-            # does once every chunk before it is written.
-            if isinstance(entry[1], Exception) or (held and isinstance(held[0][1], Exception)):
-                break
-        yield from flush(drain=True)
-    if held:  # the lowest-numbered failing chunk
-        raise held[0][1]
+    smiles = ((row[args.smiles_col] or "").strip() for row in rows)
+    for result in each_row(smiles, work):
+        n_rows += 1
+        n_errors += result[1] is not None
+        yield result
     if n_rows and n_errors == n_rows:
         raise DataError(f"{args.input}: every row failed to parse; their errors are in {args.out}")
     print(f"wrote {n_rows} rows ({n_errors} errors) to {args.out}")
@@ -275,8 +204,8 @@ def cmd_featurize(args) -> int:
     overrides = {"components": args.fingerprints.split(",")} if args.fingerprints else {}
     featurize_config = FeaturizeConfig.from_dict({**file_config.get("featurize", {}), **overrides})
     _header, rows, _checksum = read_csv(args.input, [args.smiles_col])
-    featurized = each_row(args, rows,
-                          lambda graphs: [featurize(g, featurize_config) for g in graphs])
+    featurized = each_csv_row(args, rows,
+                              lambda graphs: [featurize(g, featurize_config) for g in graphs])
     with open(args.out, "w") as fh:
         for row_num, (smiles, error, mol) in enumerate(featurized, start=2):
             record = {"row": row_num, "smiles": smiles}
@@ -327,27 +256,33 @@ def cmd_train(args) -> int:
     manifest_path = out_dir / "manifest.json"
     manifest.write(manifest_path)
 
-    report, results, splits = multi_seed(
-        lambda seed: MlfgnnModel(model_config, seed=seed),
-        dataset,
-        train_config,
-        split_method=args.split,
-        featurize_config=featurize_config,
-        log_dir=out_dir,
-    )
-    for seed, result in results.items():
-        ckpt_path = out_dir / f"seed_{seed}.ckpt"
-        save_checkpoint(ckpt_path, full_config, result.state)
-        report.checkpoints[seed] = ckpt_path.name
-        splits[seed].save(out_dir / f"seed_{seed}_split.json", dataset.checksum)
-    report_payload = report.to_dict()
-    report_payload["best_epochs"] = {str(s): r.best_epoch for s, r in results.items()}
-    report_payload["valid_metrics"] = {str(s): r.valid_metric for s, r in results.items()}
-    (out_dir / "report.json").write_text(json.dumps(report_payload, indent=1, sort_keys=True))
-
-    manifest.finished_at = _utc_now()
-    manifest.status = "complete"
-    manifest.write(manifest_path)
+    status = "failed"
+    try:
+        report, results, splits = multi_seed(
+            lambda seed: MlfgnnModel(model_config, seed=seed),
+            dataset,
+            train_config,
+            split_method=args.split,
+            featurize_config=featurize_config,
+            log_dir=out_dir,
+        )
+        for seed, result in results.items():
+            ckpt_path = out_dir / f"seed_{seed}.ckpt"
+            save_checkpoint(ckpt_path, full_config, result.state)
+            report.checkpoints[seed] = ckpt_path.name
+            splits[seed].save(out_dir / f"seed_{seed}_split.json", dataset.checksum)
+        report_payload = report.to_dict()
+        report_payload["best_epochs"] = {str(s): r.best_epoch for s, r in results.items()}
+        report_payload["valid_metrics"] = {str(s): r.valid_metric for s, r in results.items()}
+        (out_dir / "report.json").write_text(json.dumps(report_payload, indent=1, sort_keys=True))
+        status = "complete"
+    except KeyboardInterrupt:
+        status = "interrupted"
+        raise
+    finally:  # also when the run fails or is interrupted
+        manifest.finished_at = _utc_now()
+        manifest.status = status
+        manifest.write(manifest_path)
     mean = "undefined" if report.mean is None else f"{report.mean:.4f}"
     print(f"{report.metric_name}: {mean} +- {report.std:.4f} over seeds {list(train_config.seeds)}")
     return EXIT_OK
@@ -410,7 +345,7 @@ def cmd_predict(args) -> int:
     _header, rows, _checksum = read_csv(args.input, [args.smiles_col])
     n_tasks = model.config.n_tasks
     pred_cols = [f"prediction_{i}" for i in range(n_tasks)] if n_tasks > 1 else ["prediction"]
-    predicted = each_row(args, rows, lambda graphs: model.predict_batch(
+    predicted = each_csv_row(args, rows, lambda graphs: model.predict_batch(
         MoleculeBatch([featurize(g, featurize_config) for g in graphs])))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)

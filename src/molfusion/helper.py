@@ -1,4 +1,5 @@
-"""The lane-1 helper process that ``train``, ``featurize`` and ``predict`` share.
+"""The lane-1 helper process, and the row loop that ``train``, ``featurize``
+and ``predict`` run on it.
 
 A ``Helper`` runs ``work(message)`` for each message it is sent. On Linux
 it is a process forked when the ``with`` block is entered, so it sees the
@@ -16,6 +17,9 @@ in the pipe's buffer: a larger one could wait on the helper, which could
 wait in turn to send a large reply. The helper ignores Ctrl-C (the caller
 stops it) and has stopped by the time the ``with`` block is left, however
 it is left.
+
+``each_row`` parses SMILES strings in order, packs them into chunks and runs
+each chunk's work on two lanes: this process and one ``Helper``.
 """
 
 from __future__ import annotations
@@ -24,12 +28,24 @@ import pickle
 import signal
 import sys
 from collections import deque
-from typing import Any, Callable
+from contextlib import ExitStack
+from typing import Any, Callable, Iterable, Iterator
+
+from .chem import SmilesError, parse_smiles
+from .model.batch import MAX_CHUNK_ATOMS, chunks
 
 # Forking shares the caller's memory without pickling it. Linux is where the
 # fork start method is both available and safe under numpy.
 FORK_HELPER = sys.platform.startswith("linux")
 JOIN_TIMEOUT_S = 1.0  # a helper still busy after this is terminated
+# A chunk goes to lane 1 while fewer than this many of its chunks are in
+# flight, so lane 1 always has its next chunk. A chunk within the atom cap
+# pickles to a few KB, far below the pipe's buffer; one larger molecule goes
+# only when none is in flight, so its send never waits on a large reply.
+LANE1_IN_FLIGHT = 2
+# Chunks that may wait to be yielded behind one on lane 1 before this process
+# waits for it, so that a lagging lane 1 bounds the memory.
+MAX_WAITING_CHUNKS = 32
 
 
 def sendable(exc: Exception) -> Exception:
@@ -111,3 +127,68 @@ class Helper:
                 conn.send(reply)
         except (EOFError, OSError):  # the caller has gone
             pass
+
+
+def each_row(smiles_rows: Iterable[str], work: Callable[[list], list]) -> Iterator[tuple]:
+    """``(smiles, parse error or None, result)`` per SMILES string, in order.
+    The strings are parsed here and packed into chunks (an error row rides in
+    its chunk with no atoms); ``work(graphs)``, one result per parsed graph
+    of a chunk, runs on two lanes: here for chunk 0, then on lane 1 or here.
+    The lowest-numbered failing chunk's exception is raised after the rows of
+    every earlier chunk."""
+
+    def parsed():
+        for smiles in smiles_rows:
+            try:
+                yield smiles, parse_smiles(smiles), None
+            except SmilesError as exc:
+                yield smiles, None, exc
+
+    def run(graphs):
+        return work(graphs) if graphs else ()
+
+    def outcome(get):
+        """``get()``, or the exception it raised, as it would cross the pipe."""
+        try:
+            return get()
+        except Exception as exc:
+            return sendable(exc)
+
+    def flush(drain=False):
+        """Yields the rows of the held chunks, oldest first, up to the first
+        one not done or failed. In between, collects lane 1's oldest reply
+        while it is ready, while more than ``MAX_WAITING_CHUNKS`` chunks are
+        held, or, with ``drain``, until none is in flight."""
+        while True:
+            while held and held[0][1] is not None and not isinstance(held[0][1], Exception):
+                chunk, results = held.popleft()
+                results = iter(results)
+                for smiles, graph, error in chunk:
+                    yield smiles, error, None if graph is None else next(results)
+            if not sent or not (drain or lane1.ready() or len(held) > MAX_WAITING_CHUNKS):
+                return
+            sent.popleft()[1] = outcome(lane1.reply)
+
+    lane1 = Helper(run)
+    held = deque()  # [chunk, results or exception; None while on lane 1] per unyielded chunk
+    sent = deque()  # the entries of ``held`` on lane 1, oldest first
+    with ExitStack() as stack:  # stops lane 1 however the loop is left
+        for k, chunk in enumerate(chunks(parsed(), lambda r: 0 if r[1] is None else r[1].n_atoms)):
+            graphs = [g for _s, g, _e in chunk if g is not None]
+            held.append(entry := [chunk, None])
+            room = LANE1_IN_FLIGHT if sum(g.n_atoms for g in graphs) <= MAX_CHUNK_ATOMS else 1
+            if k and len(sent) < room:
+                if k == 1:  # forked here, so a one-chunk input forks nothing
+                    stack.enter_context(lane1)
+                lane1.send(graphs)
+                sent.append(entry)
+            else:
+                entry[1] = outcome(lambda: run(graphs))
+            yield from flush()
+            # A chunk that fails here stops the loop; one that fails on lane 1
+            # does once every chunk before it is yielded.
+            if isinstance(entry[1], Exception) or (held and isinstance(held[0][1], Exception)):
+                break
+        yield from flush(drain=True)
+    if held:  # the lowest-numbered failing chunk
+        raise held[0][1]

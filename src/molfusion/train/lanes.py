@@ -85,17 +85,14 @@ class Lanes:
         self.helper.send(("_run_lane1", chunk_lists[1::2], seeds[1::2], n))
         losses = [0.0] * len(chunk_lists)
         losses[0::2] = self._run(chunk_lists[0::2], seeds[0::2], n)
-        # Inline, lane 1 runs here and leaves its own ``grad``s; lane 0's are
-        # put back. Forked, the helper's ``grad``s stay in the helper.
+        # Kept aside: inline, lane 1 runs here and replaces every ``grad``.
         lane0_grads = [t.grad for t in self.tensors]
         losses[1::2] = self.helper.reply()
-        for t, g in zip(self.tensors, lane0_grads):
-            t.grad = g
         # Lane 0's sum plus lane 1's, summed in place in the shared buffer;
         # the helper writes it again only after the next step's message.
-        for t, g in zip(self.tensors, self.optimizer.grad_views):
-            if t.grad is not None:
-                g += t.grad
+        for t, g, lane0 in zip(self.tensors, self.optimizer.grad_views, lane0_grads):
+            if lane0 is not None:
+                g += lane0
             t.grad = g
         return losses
 

@@ -15,10 +15,9 @@ import numpy as np
 from .. import Config, distinct_integers, integer, optional, real, setting
 from ..autodiff.optim import Adam
 from ..autodiff.rng import split_streams
-from ..chem import parse_smiles
 from ..data import Dataset, DatasetSplit, random_split, scaffold_split
 from ..featurize import FeaturizeConfig, FeaturizedMolecule, featurize
-from ..helper import Helper
+from ..helper import each_row
 from ..model.batch import chunks
 from ..model.network import MlfgnnModel
 from .lanes import Lanes, eval_outputs
@@ -80,37 +79,19 @@ def aggregate(metric_name: str, per_seed: dict[int, float | None]) -> EvalReport
     return EvalReport(metric_name, dict(per_seed), mean, std)
 
 
-# The share of the records, at the back, that lane 1 featurizes in
-# ``prepare_inputs``. Lane 0 parses them before the fork, and lane 1 starts
-# after the fork and sends its molecules back in one reply, so halves are
-# where the lanes finish together. Measured on the train-small input (300
-# records, 2-core host, in-process timers, medians of 12 ``train`` runs),
-# ``prepare_inputs`` took 55.0 ms with 46% on lane 1, 54.6 ms with 50%,
-# 58.2 ms with 54% and 62.2 ms with 58%; at 50%, lane 1's reply arrives about
-# 2 ms after lane 0 has featurized the front part.
-LANE1_SHARE = 0.5
-
-
 def prepare_inputs(
     dataset: Dataset, featurize_config: FeaturizeConfig | None = None
 ) -> list[FeaturizedMolecule]:
-    """Every record featurized once, in dataset order, on two lanes.
-
-    This process parses the back ``LANE1_SHARE`` of the records and forks
-    lane 1 (``helper.Helper``), which featurizes those graphs from its
-    copy-on-write view of them and sends the molecules back in one reply.
-    Meanwhile this process drops the graphs and parses and featurizes the
-    front part one record at a time. Every parse runs in this process.
-    """
+    """Every record featurized once, in dataset order, on the two lanes of
+    ``helper.each_row``; a record that fails to parse raises its error."""
     config = featurize_config or FeaturizeConfig()
-    cut = len(dataset.smiles) - int(len(dataset.smiles) * LANE1_SHARE)
-    back = [parse_smiles(smiles) for smiles in dataset.smiles[cut:]]
-    with Helper(lambda _: [featurize(graph, config) for graph in back]) as lane1:
-        lane1.send("featurize")
-        if lane1.process is not None:
-            back.clear()  # lane 1 holds its own copy; inline, the reply needs them
-        front = [featurize(parse_smiles(smiles), config) for smiles in dataset.smiles[:cut]]
-        return front + lane1.reply()
+    mols = []
+    for _smiles, error, mol in each_row(dataset.smiles,
+                                        lambda graphs: [featurize(g, config) for g in graphs]):
+        if error is not None:
+            raise error
+        mols.append(mol)
+    return mols
 
 
 def evaluate_metric(model, mols, labels, mask, indices, lanes: Lanes | None = None

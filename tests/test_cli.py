@@ -583,6 +583,33 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("ending", ["error", "ctrl-c"])
+    def test_a_run_that_ends_early_marks_its_manifest(self, workdir, tmp_path, monkeypatch,
+                                                      capsys, ending):
+        """A non-finite loss or a Ctrl-C ends the run with its usual exit code
+        and message, and the manifest says how the run ended and when."""
+        from molfusion import cli
+
+        data = tmp_path / "labels.csv"
+        smiles = corpus_util.build_corpus(10)
+        data.write_text("smiles,solubility\n" + "".join(f"{s},1e200\n" for s in smiles))
+        if ending == "ctrl-c":
+            def interrupted(*args, **kwargs):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(cli, "multi_seed", interrupted)
+        capsys.readouterr()
+        code = main(csv_command("train", data, workdir, None, tmp_path))
+        err = capsys.readouterr().err
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        if ending == "error":
+            assert code == 2 and err.startswith("data error: non-finite loss at epoch 1")
+            assert manifest["status"] == "failed"
+        else:
+            assert (code, err) == (130, "interrupted\n")
+            assert manifest["status"] == "interrupted"
+        assert manifest["started_at"] <= manifest["finished_at"]
+
     def test_overflowing_loss_is_one_stderr_line(self, workdir, tmp_path):
         """Run as a process, so that numpy's own warnings would reach stderr too."""
         data = tmp_path / "labels.csv"
@@ -824,10 +851,10 @@ class TestPredictLanes:
         then raises ``DataError(failures[s][0])``. The parsed graph itself
         carries the mark: a map keyed by ``id(graph)`` would mark a healthy
         graph that reuses the id of a freed, doomed one."""
-        from molfusion import cli
+        from molfusion import cli, helper
         from molfusion.data import DataError
 
-        parse, featurize = cli.parse_smiles, cli.featurize
+        parse, featurize = helper.parse_smiles, cli.featurize
 
         def parse_marking(smiles):
             graph = parse(smiles)
@@ -842,7 +869,7 @@ class TestPredictLanes:
                 raise DataError(message)
             return featurize(graph, config)
 
-        monkeypatch.setattr(cli, "parse_smiles", parse_marking)
+        monkeypatch.setattr(helper, "parse_smiles", parse_marking)
         monkeypatch.setattr(cli, "featurize", featurize_failing)
 
     def test_lane_1_failure_matches_the_inline_path(self, trained, tmp_path, monkeypatch,
@@ -886,11 +913,11 @@ class TestPredictLanes:
         CSV still matches the inline path's byte for byte, each row once in
         input order; one helper is forked for the run, and this process
         still runs chunk 0."""
-        from molfusion import cli
+        from molfusion import cli, helper
 
         data, smiles, starts = edge_input
         parent = os.getpid()
-        parse, featurize = cli.parse_smiles, cli.featurize
+        parse, featurize = helper.parse_smiles, cli.featurize
         parsed_smiles, featurized_here = {}, set()
 
         def parse_marking(s):
@@ -912,7 +939,7 @@ class TestPredictLanes:
             forks.append(1)
             return real_fork()
 
-        monkeypatch.setattr(cli, "parse_smiles", parse_marking)
+        monkeypatch.setattr(helper, "parse_smiles", parse_marking)
         monkeypatch.setattr(cli, "featurize", featurize_skewed)
         monkeypatch.setattr(os, "fork", counted_fork)
         forked, inline = tmp_path / "forked.csv", tmp_path / "inline.csv"
@@ -931,7 +958,7 @@ class TestPredictLanes:
         its oldest one. Once 32 wait, this process waits for lane 1, so rows
         parsed minus rows written never exceed the rows of 34 chunks: 32
         waiting, the chunk just parsed, and the row the packer reads ahead."""
-        from molfusion import cli
+        from molfusion import cli, helper
         from molfusion.chem import parse_smiles
         from molfusion.model import chunks
 
@@ -942,7 +969,7 @@ class TestPredictLanes:
         data = tmp_path / "rows.csv"
         data.write_text("smiles\n" + "".join(s + "\n" for s in smiles))
         parent = os.getpid()
-        parse, featurize, each_row = cli.parse_smiles, cli.featurize, cli.each_row
+        parse, featurize, each_row = helper.parse_smiles, cli.featurize, cli.each_row
         parsed, waiting = [0], []
 
         def parse_counted(s):
@@ -959,7 +986,7 @@ class TestPredictLanes:
                 waiting.append(parsed[0] - written)
                 yield row
 
-        monkeypatch.setattr(cli, "parse_smiles", parse_counted)
+        monkeypatch.setattr(helper, "parse_smiles", parse_counted)
         monkeypatch.setattr(cli, "featurize", featurize_stalled)
         monkeypatch.setattr(cli, "each_row", each_row_measured)
         out = tmp_path / "out.csv"

@@ -435,26 +435,40 @@ class TestLanes:
     @pytest.mark.parametrize("n", [0, 1, 2, 7])
     def test_prepare_inputs_matches_a_serial_featurize(self, tiny_dataset, monkeypatch, helper,
                                                        n):
-        """Lane 1 featurizes the back half; every parse stays in this process."""
+        """Each record is parsed once, in this process, and featurized once,
+        in record order; a 100-atom chain, over ``MAX_CHUNK_ATOMS``, is a
+        chunk of its own among the corpus records."""
         monkeypatch.setattr(helper_module, "FORK_HELPER", helper and helper_module.FORK_HELPER)
-        smiles = tiny_dataset.smiles[:n]
+        smiles = list(tiny_dataset.smiles[:n])
+        if n > 2:
+            smiles.insert(n // 2, "C" * 100)
         parsed = []
 
         def counted_parse(text):
             parsed.append(text)
             return parse_smiles(text)
 
-        monkeypatch.setattr(loop, "parse_smiles", counted_parse)
+        monkeypatch.setattr(helper_module, "parse_smiles", counted_parse)
         got = prepare_inputs(dataclasses.replace(tiny_dataset, smiles=smiles), SMALL_FEATURIZE)
         assert sorted(parsed) == sorted(smiles)
         want = [featurize(parse_smiles(text), SMALL_FEATURIZE) for text in smiles]
-        assert len(got) == n
+        assert len(got) == len(smiles)
         for a, b in zip(got, want):
             for field in dataclasses.fields(b):
                 x, y = getattr(a, field.name), getattr(b, field.name)
                 assert np.asarray(x).dtype == np.asarray(y).dtype, field.name
                 assert np.array_equal(x, y), field.name
         assert multiprocessing.active_children() == []
+
+    def test_prepare_inputs_on_one_chunk_forks_nothing(self, tiny_dataset, monkeypatch):
+        def no_fork():
+            raise AssertionError("a one-chunk dataset forked a helper")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        smiles = tiny_dataset.smiles[:3]
+        mols = prepare_inputs(dataclasses.replace(tiny_dataset, smiles=smiles), SMALL_FEATURIZE)
+        assert len(list(chunks(mols, lambda mol: mol.n_atoms))) == 1
+        assert [mol.n_atoms for mol in mols] == [parse_smiles(s).n_atoms for s in smiles]
 
     @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
     def test_eval_on_the_two_lanes_equals_a_serial_eval(self, tiny_dataset, monkeypatch, helper):
