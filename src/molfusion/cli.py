@@ -1,8 +1,8 @@
 """Command-line interface: featurize, train, predict, explain, gradcheck.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error (a file that
-cannot be read or written and a non-finite training loss included), 3
-verification failure, 130 interrupted (Ctrl-C).
+cannot be read or written and a non-finite training loss included) or lane 1
+ended early, 3 verification failure, 130 interrupted (Ctrl-C).
 featurize and predict run their rows through the row loop that train shares
 (``helper.each_row``), on two lanes, and write their lines in row order; when
 every row fails to parse, every line is written, then the command exits 2.
@@ -36,7 +36,7 @@ from .chem.graph import Atom, Bond, BondOrder, MolecularGraph
 from .chem.perception import annotate
 from .data import DataError, load_csv, read_csv
 from .featurize import FeaturizeConfig, featurize
-from .helper import each_row
+from .helper import LaneEnded, each_row
 from .model import MAX_CHUNK_ATOMS, ModelConfig, MoleculeBatch
 from .model.network import MlfgnnModel
 from .train import SEED_MAX, NonFiniteLossError, TrainConfig, multi_seed
@@ -511,6 +511,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DataError, SmilesError, CheckpointError, OSError, NonFiniteLossError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except LaneEnded as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

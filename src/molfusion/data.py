@@ -163,6 +163,8 @@ def load_csv(
     header, rows, checksum = read_csv(path, [smiles_column, *(task_columns or [])])
     if task_columns is None:
         task_columns = [c for c in header if c != smiles_column]
+    if not task_columns:
+        raise MissingColumnError(f"{path}: no label column besides {smiles_column!r}")
     kept_smiles, values = [], []
     bad_smiles = 0
     no_labels = 0

@@ -16,7 +16,8 @@ after it still arrive. A message sent while another is in flight must fit
 in the pipe's buffer: a larger one could wait on the helper, which could
 wait in turn to send a large reply. The helper ignores Ctrl-C (the caller
 stops it) and has stopped by the time the ``with`` block is left, however
-it is left.
+it is left. If its process ends before it is stopped (the OOM killer, a
+signal), ``send`` or ``reply`` raises ``LaneEnded``, which says how it ended.
 
 ``each_row`` parses SMILES strings in order, packs them into chunks and runs
 each chunk's work on two lanes: this process and one ``Helper``.
@@ -55,6 +56,10 @@ def sendable(exc: Exception) -> Exception:
         return exc
     except Exception:
         return RuntimeError(f"{type(exc).__name__} (not picklable): {exc}")
+
+
+class LaneEnded(Exception):
+    """The helper's process ended before it was stopped."""
 
 
 class Helper:
@@ -96,7 +101,7 @@ class Helper:
     def send(self, message) -> None:
         """Queue ``work(message)``; ``message`` must not be None."""
         if self.process is not None:
-            self.conn.send(message)
+            self._pipe(self.conn.send, message)
         else:
             self._inline.append(message)
 
@@ -108,10 +113,21 @@ class Helper:
         """The oldest reply not yet asked for; waits for it."""
         if self.process is None:
             return self.work(self._inline.popleft())
-        reply = self.conn.recv()
+        reply = self._pipe(self.conn.recv)
         if isinstance(reply, Exception):
             raise reply
         return reply
+
+    def _pipe(self, call, *args):
+        """``call(*args)``; a pipe that fails raises ``LaneEnded``, saying how."""
+        try:
+            return call(*args)
+        except (EOFError, OSError) as exc:
+            self.process.join(JOIN_TIMEOUT_S)
+            code = self.process.exitcode
+            how = ("is still running" if code is None else
+                   f"was killed by signal {-code}" if code < 0 else f"exited with code {code}")
+            raise LaneEnded(f"lane 1 ended early: its process {how}") from exc
 
     def _serve(self, conn) -> None:
         """The helper: run ``work`` on each message until None or end of file."""

@@ -1,22 +1,22 @@
 """Two-lane data parallelism for the optimizer steps and evals of ``train``.
 
 Chunk k of a batch goes to lane k mod 2. Lane 0 runs in the training
-process. Lane 1 runs in one ``helper.Helper``, forked once per ``train``
-call on Linux; elsewhere it runs inline after lane 0, with the same
-arithmetic. The batch gradient is lane 0's sum plus lane 1's sum, added in
-that order. Adam updates the first half of the flat parameter vector in
-lane 0 and the second half in lane 1, each lane with the moments of its own
-half, and an eval runs the odd chunks in lane 1.
+process. Lane 1 runs in the ``helper.Helper`` that ``Lanes`` is, forked once
+per ``train`` call on Linux; elsewhere it runs inline after lane 0, with the
+same arithmetic. The batch gradient is lane 0's sum plus lane 1's sum, added
+in that order. Adam steps the first half of the flat parameter vector in
+lane 0 and the second half in lane 1, each lane with the step count and
+moments of its own half, and an eval runs the odd chunks in lane 1.
 
-The parameters and the gradients live in two shared anonymous ``mmap``s
-(``optim.Adam.pack``). The helper writes lane 1's summed gradient into the
-gradient buffer, and lane 0 adds its own sum there; each lane's Adam half
-writes its half of the parameter buffer. The pipe carries only small
-messages (the lane-1 chunk lists, their dropout seeds and the batch length,
-or the Adam step and range; back, the losses, the eval outputs or an
-exception), and their order is what orders the two processes' reads and
-writes of the buffers: lane 0 has lane 1's reply to each message before it
-reads what lane 1 wrote or sends the next one.
+The parameters and the gradients live in ``optim.Adam``'s two shared
+buffers. The helper writes lane 1's summed gradient into the gradient
+buffer, and lane 0 adds its own sum there; each lane's Adam half writes its
+half of the parameter buffer. The pipe carries only small messages (the
+lane-1 chunk lists, their dropout seeds and the batch length, or the Adam
+range; back, the losses, the eval outputs or an exception), and their order
+is what orders the two processes' reads and writes of the buffers: lane 0
+has lane 1's reply to each message before it reads what lane 1 wrote or
+sends the next one.
 
 Each chunk draws its dropout masks from its own seed, so a chunk computes
 the same bits in either lane, and results never depend on whether the
@@ -26,7 +26,6 @@ helper ran.
 from __future__ import annotations
 
 import math
-import mmap
 
 import numpy as np
 
@@ -38,11 +37,6 @@ from ..model.batch import MoleculeBatch
 from .losses import masked_loss
 
 
-def _shared_zeros(n: int) -> np.ndarray:
-    """``n`` zeroed float64 values in a shared anonymous mmap."""
-    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.float64)
-
-
 def eval_outputs(model, mols, chunk_lists: list[list[int]]) -> list[np.ndarray]:
     """The model's outputs on each chunk of ``mols``, without a gradient tape."""
     with no_grad():
@@ -50,29 +44,17 @@ def eval_outputs(model, mols, chunk_lists: list[list[int]]) -> list[np.ndarray]:
                 for chunk in chunk_lists]
 
 
-class Lanes:
-    """Runs each optimizer batch's chunks, Adam's steps and evals on the two lanes.
-
-    A context manager: entering moves the parameters and gradients into
-    shared memory, has ``optimizer`` step through ``adam_step`` and starts the
-    helper; leaving stops it, so no process outlives the ``with``.
+class Lanes(Helper):
+    """Runs each optimizer batch's chunks, Adam's steps and evals on the two
+    lanes. A ``Helper`` whose work is a call of its own method named by the
+    message's first item: entering forks lane 1, which shares the buffers of
+    ``optimizer``, and leaving stops it, so no process outlives the ``with``.
     """
 
     def __init__(self, model, mols, labels: np.ndarray, mask: np.ndarray, optimizer):
+        super().__init__(lambda message: getattr(self, message[0])(*message[1:]))
         self.model, self.mols, self.labels, self.mask = model, mols, labels, mask
         self.optimizer = optimizer
-        self.tensors = list(model.params.tensors.values())
-        self.helper = Helper(lambda message: getattr(self, message[0])(*message[1:]))
-
-    def __enter__(self) -> "Lanes":
-        self.optimizer.pack(_shared_zeros)
-        self.optimizer.lanes = self
-        self.helper.__enter__()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.optimizer.lanes = None
-        self.helper.__exit__(*exc_info)
 
     def step(self, chunk_lists: list[list[int]], seeds: list[int], n: int) -> list[float]:
         """Forward and backward of every chunk of a batch of ``n`` molecules.
@@ -82,35 +64,35 @@ class Lanes:
         where no chunk reached it), and returns the chunk losses in chunk
         order; a chunk whose loss is not finite gets no backward.
         """
-        self.helper.send(("_run_lane1", chunk_lists[1::2], seeds[1::2], n))
+        self.send(("_run_lane1", chunk_lists[1::2], seeds[1::2], n))
         losses = [0.0] * len(chunk_lists)
         losses[0::2] = self._run(chunk_lists[0::2], seeds[0::2], n)
         # Kept aside: inline, lane 1 runs here and replaces every ``grad``.
-        lane0_grads = [t.grad for t in self.tensors]
-        losses[1::2] = self.helper.reply()
+        tensors = self.optimizer.tensors
+        lane0_grads = [t.grad for t in tensors]
+        losses[1::2] = self.reply()
         # Lane 0's sum plus lane 1's, summed in place in the shared buffer;
         # the helper writes it again only after the next step's message.
-        for t, g, lane0 in zip(self.tensors, self.optimizer.grad_views, lane0_grads):
+        for t, g, lane0 in zip(tensors, self.optimizer.grad_views, lane0_grads):
             if lane0 is not None:
                 g += lane0
             t.grad = g
         return losses
 
     def adam_step(self) -> None:
-        """The optimizer's step ``t``: the first half of the elements here,
-        the second in lane 1, done when this returns."""
-        optimizer = self.optimizer
-        n = optimizer.params.size
-        self.helper.send(("_adam", optimizer.t, n // 2, n))
-        optimizer.update(optimizer.t, 0, n // 2)
-        self.helper.reply()
+        """An optimizer step: the first half of the elements here, the second
+        in lane 1, done when this returns."""
+        n = self.optimizer.params.size
+        self.send(("_adam", n // 2, n))
+        self.optimizer.step(0, n // 2)
+        self.reply()
 
     def eval(self, chunk_lists: list[list[int]]) -> list[np.ndarray]:
         """``eval_outputs`` of the chunks, the odd ones run in lane 1."""
-        self.helper.send(("_eval_lane1", chunk_lists[1::2]))
+        self.send(("_eval_lane1", chunk_lists[1::2]))
         outputs = [None] * len(chunk_lists)
         outputs[0::2] = eval_outputs(self.model, self.mols, chunk_lists[0::2])
-        outputs[1::2] = self.helper.reply()
+        outputs[1::2] = self.reply()
         return outputs
 
     def _run(self, chunk_lists, seeds, n) -> list[float]:
@@ -132,14 +114,17 @@ class Lanes:
         return losses
 
     def _run_lane1(self, chunk_lists, seeds, n) -> list[float]:
-        """``_run``, with the summed gradient copied into the shared buffer."""
+        """``_run``, with the summed gradient copied into the shared buffer
+        and each ``grad`` left as its view there, which lane 1's Adam half
+        then reads as it is."""
         losses = self._run(chunk_lists, seeds, n)
-        for t, g in zip(self.tensors, self.optimizer.grad_views):
+        for t, g in zip(self.optimizer.tensors, self.optimizer.grad_views):
             g[...] = 0.0 if t.grad is None else t.grad
+            t.grad = g
         return losses
 
-    def _adam(self, t: int, lo: int, hi: int) -> None:
-        self.optimizer.update(t, lo, hi)
+    def _adam(self, lo: int, hi: int) -> None:
+        self.optimizer.step(lo, hi)
 
     def _eval_lane1(self, chunk_lists) -> list[np.ndarray]:
         return eval_outputs(self.model, self.mols, chunk_lists)

@@ -171,7 +171,7 @@ def train(
                             f"non-finite loss at epoch {epoch}, records {chunk}: {value}"
                         )
                     loss_sum += value * len(chunk)
-                optimizer.step()
+                lanes.adam_step()
             train_loss = loss_sum / len(order) if order else float("nan")
             valid_metric = evaluate_metric(model, mols, labels, mask, split.valid, lanes)
             lambda_attn, lambda_adj = model.lambda_values()

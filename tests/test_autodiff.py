@@ -311,18 +311,6 @@ class _ReferenceAdam:
             data -= self.lr * (m / m_scale) / (np.sqrt(v / v_scale) + self.eps)
 
 
-class _SplitAt:
-    """Stands in for ``train.lanes.Lanes``: each step updates ``[at, n)``, then ``[0, at)``."""
-
-    def __init__(self, optimizer, at):
-        self.optimizer, self.at = optimizer, at
-
-    def adam_step(self):
-        opt = self.optimizer
-        opt.update(opt.t, self.at, opt.params.size)
-        opt.update(opt.t, 0, self.at)
-
-
 _SHAPES = st.lists(st.integers(1, 6), max_size=2).map(tuple)  # () is a scalar
 
 
@@ -367,20 +355,20 @@ class TestFlatAdam:
         store = ParameterStore()
         tensors = [store.register(f"p{i}", a.copy()) for i, a in enumerate(params)]
         opt = Adam(store, lr=lr)
-        opt.lanes = _SplitAt(opt, at)
+        n = opt.params.size
         reference = _ReferenceAdam(params, lr)
         with mock.patch.object(optim, "BLOCK", block):
             for step_grads in grads:
                 for t, g in zip(tensors, step_grads):
                     t.grad = None if g is None else g.copy()
-                opt.step()
+                opt.step(at, n)  # the upper range first: the order does not matter
+                opt.step(0, at)
                 reference.step(step_grads)
                 for t, want in zip(tensors, reference.data):
                     assert t.data.shape == want.shape
                     assert t.data.tobytes() == want.tobytes()
-        n = opt.params.size
-        assert {key: len(m) for key, (m, _v) in opt.moments.items()} == {
-            (0, at): at, (at, n): n - at}
+        assert {key: (steps, len(m), len(v)) for key, (steps, m, v) in opt.moments.items()} == {
+            (0, at): (len(grads), at, at), (at, n): (len(grads), n - at, n - at)}
 
     def test_parameters_are_views_of_one_flat_buffer(self):
         store = ParameterStore()

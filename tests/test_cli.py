@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -1055,6 +1056,38 @@ class TestPredictLanes:
         assert main(["predict", "--checkpoint", str(trained / "seed_0.ckpt"),
                      "--input", str(data), "--out", str(tmp_path / "one_preds.csv")]) == 0
         assert len((tmp_path / "one_preds.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forked on Linux")
+@pytest.mark.parametrize("command", ["featurize", "predict", "train"])
+def test_a_killed_lane_1_exits_2_with_one_line(workdir, trained, tmp_path, monkeypatch, capsys,
+                                                command):
+    """Lane 1 is killed, as the OOM killer would, in its first work: in its
+    first chunk of rows, or in ``train``'s first step. The command prints one
+    line naming the signal, with no traceback, and leaves no process."""
+    from molfusion import cli
+    from molfusion.train import lanes
+
+    cli_pid = os.getpid()
+
+    def killed_in_lane_1(work):
+        def run(*args):
+            if os.getpid() != cli_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return work(*args)
+        return run
+
+    if command == "train":
+        monkeypatch.setattr(lanes.Lanes, "_run_lane1", killed_in_lane_1(lanes.Lanes._run_lane1))
+    else:
+        monkeypatch.setattr(cli, "featurize", killed_in_lane_1(cli.featurize))
+    capsys.readouterr()
+    code = main(csv_command(command, workdir / "reg.csv", workdir, trained, tmp_path))
+    err = capsys.readouterr().err
+    assert (code, err) == (2, "error: lane 1 ended early: its process was killed by signal 9\n")
+    assert multiprocessing.active_children() == []
+    if command == "train":
+        assert json.loads((tmp_path / "run" / "manifest.json").read_text())["status"] == "failed"
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="process groups, fork on Linux")

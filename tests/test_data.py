@@ -151,6 +151,12 @@ class TestLoadCsv:
         with pytest.raises(MissingColumnError):
             load_csv(regression_csv, "smiles", ["nope"])
 
+    def test_header_without_a_label_column_is_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("smiles\nCCO\nCCC\n")
+        with pytest.raises(MissingColumnError, match="no label column besides 'smiles'"):
+            load_csv(path, "smiles")
+
     def test_empty_dataset(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("smiles,y\nbad(((,1.0\n")

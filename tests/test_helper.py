@@ -1,5 +1,7 @@
 """The ``helper.Helper`` contract, forked and inline."""
 
+import os
+import signal
 import time
 
 import pytest
@@ -44,3 +46,16 @@ def test_replies_come_back_oldest_first_each_with_its_own_exception(monkeypatch,
         assert lane1.reply() == ("sleep", 0.3)
     assert lane1.process is None
 
+
+@pytest.mark.skipif(not helper.FORK_HELPER, reason="the helper is forked on Linux")
+@pytest.mark.parametrize("call", ["send", "reply"])
+def test_a_killed_helper_raises_lane_ended_naming_the_signal(call):
+    """The pipe's EOF or reset becomes one error that says how lane 1 ended."""
+    with helper.Helper(_work) as lane1:
+        lane1.send(("sleep", 60))
+        os.kill(lane1.process.pid, signal.SIGKILL)
+        lane1.process.join(30)  # so that ``send`` meets a closed pipe
+        with pytest.raises(helper.LaneEnded,
+                           match="^lane 1 ended early: its process was killed by signal 9$"):
+            lane1.send(("echo", 1)) if call == "send" else lane1.reply()
+    assert lane1.process is None

@@ -333,11 +333,11 @@ class TestLanes:
         chunk_lists, seeds = [[0], [1], [2], [3]], [11, 12, 13, 14]
         swap = [1, 0, 3, 2]  # lane 0 gets the chunks lane 1 had
         with lanes.Lanes(model, mols, labels, mask, ad.Adam(model.params)) as pair:
-            assert pair.helper.process.is_alive()
+            assert pair.process.is_alive()
             first = pair.step(chunk_lists, seeds, 4)
-            first_grads = [t.grad.copy() for t in pair.tensors]
+            first_grads = [t.grad.copy() for t in pair.optimizer.tensors]
             second = pair.step([chunk_lists[k] for k in swap], [seeds[k] for k in swap], 4)
-            second_grads = [t.grad for t in pair.tensors]
+            second_grads = [t.grad for t in pair.optimizer.tensors]
         assert second == [first[k] for k in swap]
         assert all(np.array_equal(a, b) for a, b in zip(first_grads, second_grads))
         for (i,), seed, value in zip(chunk_lists, seeds, first):
@@ -470,6 +470,17 @@ class TestLanes:
         assert len(list(chunks(mols, lambda mol: mol.n_atoms))) == 1
         assert [mol.n_atoms for mol in mols] == [parse_smiles(s).n_atoms for s in smiles]
 
+    def test_entering_lanes_keeps_the_parameter_views_adam_made(self, tiny_dataset):
+        """The parameters are moved into shared memory once, by ``Adam``."""
+        model = MlfgnnModel(small_config(), seed=0)
+        optimizer = ad.Adam(model.params)
+        tensors = list(model.params.tensors.values())
+        views = [t.data for t in tensors]
+        assert all(np.shares_memory(view, optimizer.params) for view in views)
+        with lanes.Lanes(model, [], tiny_dataset.labels, tiny_dataset.mask, optimizer):
+            assert all(t.data is view for t, view in zip(tensors, views))
+        assert all(t.data is view for t, view in zip(tensors, views))
+
     @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
     def test_eval_on_the_two_lanes_equals_a_serial_eval(self, tiny_dataset, monkeypatch, helper):
         monkeypatch.setattr(helper_module, "FORK_HELPER", helper and helper_module.FORK_HELPER)
@@ -514,7 +525,7 @@ class TestLanes:
                 pair.step(chunk_lists, list(range(len(chunk_lists))), len(batch))
                 for t, r in zip(model.params.tensors.values(), reference.params.tensors.values()):
                     r.grad = t.grad.copy()
-                optimizer.step()
+                pair.adam_step()
                 serial.step()
                 assert optimizer.params.tobytes() == serial.params.tobytes()
         n = optimizer.params.size
@@ -529,9 +540,9 @@ class TestLanes:
         steps = []
 
         class Counting(ad.Adam):
-            def step(self):
-                steps.append(self.t)
-                super().step()
+            def step(self, lo=0, hi=None):
+                steps.append((lo, hi))
+                super().step(lo, hi)
 
         monkeypatch.setattr(loop, "Adam", Counting)
         mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
