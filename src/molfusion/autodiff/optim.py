@@ -1,12 +1,13 @@
 """Adam with bias correction, over the parameters as one flat vector.
 
-``Adam`` moves a store's parameters into views of one flat buffer, with a
-gradient buffer of the same layout beside it, both shared anonymous ``mmap``s
-that a forked process shares. ``step`` updates a range of elements in blocks
-of ``BLOCK``, so that a block's temporaries stay in cache. The arithmetic
-works element by element, so steps split at any element give the same bits
-as steps over the whole vector: ``train.lanes`` steps the first half in the
-training process and the second half in lane 1.
+``Adam`` moves a store's parameters into views of one flat buffer, with one
+gradient buffer per lane of the same layout beside it, all shared anonymous
+``mmap``s that a forked process shares; backwards add into a lane's buffer in
+place. ``step`` reads the gradient as lane 0's plus lane 1's and updates a
+range of elements in blocks of ``BLOCK``, so that a block's temporaries stay
+in cache. The arithmetic works element by element, so steps split at any
+element give the same bits as steps over the whole vector: ``train.lanes``
+steps the first half in the training process and the second half in lane 1.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ def _shared_views(shapes: list[tuple[int, ...]]):
 
 
 class Adam:
-    """In-place Adam over a ParameterStore, consuming accumulated ``.grad``.
+    """In-place Adam over a ParameterStore.
 
-    ``params`` and ``grads`` are the flat buffers; each of ``tensors`` has a
-    view of ``params`` as its ``data``. ``step`` copies into ``grads`` each
-    ``.grad`` that is not already its view there (None as zeros) and steps a
+    Each of ``tensors`` has a view of the flat ``params`` as its ``data``.
+    ``grads`` is ``[2, n]``, a gradient buffer per lane, with per-tensor views
+    ``grad_views[lane]``; ``__init__`` calls ``zero_grad(0)``. ``step`` steps a
     range of elements with that range's own step count and moments,
     ``moments[lo, hi] = [steps, m, v]``, made on its first step; so each lane
     holds those of its own half only.
@@ -50,15 +51,21 @@ class Adam:
         for t, view in zip(self.tensors, views):
             view[...] = t.data
             t.data = view  # the previous array is freed here
-        self.grads, self.grad_views = _shared_views(shapes)
+        grads, grad_views = _shared_views(shapes * 2)
+        self.grads = grads.reshape(2, -1)
+        self.grad_views = [grad_views[: len(shapes)], grad_views[len(shapes) :]]
         self.moments: dict[tuple[int, int], list] = {}
+        self.zero_grad(0)
+
+    def zero_grad(self, lane: int) -> None:
+        """Zero lane ``lane``'s buffer and make each ``grad`` its view there."""
+        self.grads[lane].fill(0.0)
+        for t, g in zip(self.tensors, self.grad_views[lane]):
+            t.grad = g
 
     def step(self, lo: int = 0, hi: int | None = None) -> None:
         """One step on elements ``[lo, hi)``; ``hi`` None is the end."""
         hi = self.params.size if hi is None else hi
-        for t, g in zip(self.tensors, self.grad_views):
-            if t.grad is not g:
-                g[...] = 0.0 if t.grad is None else t.grad
         if (lo, hi) not in self.moments:
             self.moments[lo, hi] = [0, np.zeros(hi - lo), np.zeros(hi - lo)]
         moments = self.moments[lo, hi]
@@ -68,7 +75,7 @@ class Adam:
         v_scale = 1.0 - BETA2**steps
         for start in range(lo, hi, BLOCK):
             end = min(start + BLOCK, hi)
-            g = self.grads[start:end]
+            g = self.grads[0, start:end] + self.grads[1, start:end]
             m, v = m_all[start - lo : end - lo], v_all[start - lo : end - lo]
             m *= BETA1
             m += (1.0 - BETA1) * g

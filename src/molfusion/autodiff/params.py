@@ -22,10 +22,6 @@ class ParameterStore:
     def count_values(self) -> int:
         return sum(t.size for t in self.tensors.values())
 
-    def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.tensors.items()}
 

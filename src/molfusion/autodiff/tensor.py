@@ -4,9 +4,12 @@ Values are float64 numpy arrays. Each operation records its parents and a
 backward closure; ``backward`` on a scalar walks the tape in reverse
 topological order and accumulates exact analytic gradients into the leaves
 (tensors made with ``requires_grad=True``), where they add up across calls
-until ``zero_grad``. ``backward`` consumes the graph it walks: each
-intermediate drops its gradient, closure and parents once propagated, so the
-tape's memory is freed as it goes. Inside ``no_grad()`` no op records a tape.
+until ``zero_grad``: a leaf owns its gradient array and adds into it in place
+(``optim.Adam.zero_grad`` makes it a view of a lane's buffer), while no
+intermediate's gradient is written in place. ``backward`` consumes the graph
+it walks: each intermediate drops its gradient, closure and parents once
+propagated, so the tape's memory is freed as it goes. Inside ``no_grad()``
+no op records a tape.
 
 At the sizes a molecule batch has (N <= 64 rows), the cost of a tape node
 outweighs its arithmetic, so the model's blocks are fused ops, each one node
@@ -94,10 +97,15 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, op: str) -
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``. The first gradient is kept as given and later
-    ones add out of place, so no gradient array is ever written to: ``add``
-    hands one array to both parents, and each keeps its own sum."""
-    t.grad = g if t.grad is None else t.grad + g
+    """Add ``g`` into ``t.grad``. A leaf owns its gradient: it copies the first
+    and adds later ones in place. An intermediate keeps the first as given and
+    adds later ones out of place, since ``add`` hands one array to both parents."""
+    if t._backward is not None:
+        t.grad = g if t.grad is None else t.grad + g
+    elif t.grad is None:
+        t.grad = np.array(g)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -394,17 +402,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def sparse_linear(block: np.ndarray, cols: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b for input rows x [n, in] that are zero outside the sorted,
     distinct columns ``cols``, given as their values ``block`` [n, len(cols)]:
-    block @ w[cols] + b. Backward writes w's gradient rows ``cols`` only; the
-    input takes no gradient."""
+    block @ w[cols] + b. Backward adds into rows ``cols`` of the leaf w's
+    gradient in place; the input takes no gradient."""
     if block.ndim != 2 or block.shape[1] != len(cols):
         raise ShapeMismatchError("sparse_linear", block.shape, cols.shape)
     data = block @ w.data[cols]
     data += b.data
 
     def back(g):
-        g_w = np.zeros_like(w.data)
-        g_w[cols] = block.T @ g
-        _give((w, g_w), (b, _unbroadcast(g, b.shape)))
+        if w.requires_grad:
+            if w.grad is None:
+                w.grad = np.zeros_like(w.data)
+            w.grad[cols] += block.T @ g  # the rows are distinct
+        _give((b, _unbroadcast(g, b.shape)))
 
     return _make(data, (w, b), back, "sparse_linear")
 

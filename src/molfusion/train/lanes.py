@@ -3,20 +3,20 @@
 Chunk k of a batch goes to lane k mod 2. Lane 0 runs in the training
 process. Lane 1 runs in the ``helper.Helper`` that ``Lanes`` is, forked once
 per ``train`` call on Linux; elsewhere it runs inline after lane 0, with the
-same arithmetic. The batch gradient is lane 0's sum plus lane 1's sum, added
-in that order. Adam steps the first half of the flat parameter vector in
-lane 0 and the second half in lane 1, each lane with the step count and
-moments of its own half, and an eval runs the odd chunks in lane 1.
+same arithmetic. Each lane's backwards add into its own gradient buffer in
+place, and the batch gradient is lane 0's sum plus lane 1's. Adam steps the
+first half of the flat parameter vector in lane 0 and the second half in
+lane 1, each lane with the step count and moments of its own half, and an
+eval runs the odd chunks in lane 1.
 
-The parameters and the gradients live in ``optim.Adam``'s two shared
-buffers. The helper writes lane 1's summed gradient into the gradient
-buffer, and lane 0 adds its own sum there; each lane's Adam half writes its
-half of the parameter buffer. The pipe carries only small messages (the
-lane-1 chunk lists, their dropout seeds and the batch length, or the Adam
-range; back, the losses, the eval outputs or an exception), and their order
-is what orders the two processes' reads and writes of the buffers: lane 0
-has lane 1's reply to each message before it reads what lane 1 wrote or
-sends the next one.
+The parameters and the gradients live in ``optim.Adam``'s shared buffers:
+one of parameters and one of gradients per lane. Each lane writes only its
+own gradient buffer and its half of the parameter buffer. The pipe carries
+only small messages (the lane-1 chunk lists, their dropout seeds, the batch
+length and the lane, or the Adam range; back, the losses, the eval outputs
+or an exception), and their order is what orders the two processes' reads
+and writes of the buffers: lane 0 has lane 1's reply to each message before
+it reads what lane 1 wrote or sends the next one.
 
 Each chunk draws its dropout masks from its own seed, so a chunk computes
 the same bits in either lane, and results never depend on whether the
@@ -59,24 +59,15 @@ class Lanes(Helper):
     def step(self, chunk_lists: list[list[int]], seeds: list[int], n: int) -> list[float]:
         """Forward and backward of every chunk of a batch of ``n`` molecules.
 
-        ``seeds[k]`` seeds chunk k's dropout. Leaves the batch gradient in
-        each parameter's ``grad``, a view of the shared gradient buffer (zeros
-        where no chunk reached it), and returns the chunk losses in chunk
-        order; a chunk whose loss is not finite gets no backward.
+        ``seeds[k]`` seeds chunk k's dropout. Leaves each lane's sum of its
+        chunks' gradients in its row of ``optimizer.grads`` (zeros where no
+        chunk reached it), and returns the chunk losses in chunk order; a
+        chunk whose loss is not finite gets no backward.
         """
-        self.send(("_run_lane1", chunk_lists[1::2], seeds[1::2], n))
+        self.send(("_run", chunk_lists[1::2], seeds[1::2], n, 1))
         losses = [0.0] * len(chunk_lists)
-        losses[0::2] = self._run(chunk_lists[0::2], seeds[0::2], n)
-        # Kept aside: inline, lane 1 runs here and replaces every ``grad``.
-        tensors = self.optimizer.tensors
-        lane0_grads = [t.grad for t in tensors]
+        losses[0::2] = self._run(chunk_lists[0::2], seeds[0::2], n, 0)
         losses[1::2] = self.reply()
-        # Lane 0's sum plus lane 1's, summed in place in the shared buffer;
-        # the helper writes it again only after the next step's message.
-        for t, g, lane0 in zip(tensors, self.optimizer.grad_views, lane0_grads):
-            if lane0 is not None:
-                g += lane0
-            t.grad = g
         return losses
 
     def adam_step(self) -> None:
@@ -95,10 +86,11 @@ class Lanes(Helper):
         outputs[1::2] = self.reply()
         return outputs
 
-    def _run(self, chunk_lists, seeds, n) -> list[float]:
-        """The chunks' forwards and backwards, from zero gradients; their losses."""
+    def _run(self, chunk_lists, seeds, n, lane) -> list[float]:
+        """The chunks' forwards and backwards into lane ``lane``'s gradient
+        buffer, from zeros; their losses."""
         model = self.model
-        model.params.zero_grad()
+        self.optimizer.zero_grad(lane)
         losses = []
         for chunk, seed in zip(chunk_lists, seeds):
             out = model.forward(
@@ -111,16 +103,6 @@ class Lanes(Helper):
             losses.append(loss.item())
             if math.isfinite(losses[-1]):
                 T.backward(T.mul(loss, T.Tensor(len(chunk) / n)))
-        return losses
-
-    def _run_lane1(self, chunk_lists, seeds, n) -> list[float]:
-        """``_run``, with the summed gradient copied into the shared buffer
-        and each ``grad`` left as its view there, which lane 1's Adam half
-        then reads as it is."""
-        losses = self._run(chunk_lists, seeds, n)
-        for t, g in zip(self.optimizer.tensors, self.optimizer.grad_views):
-            g[...] = 0.0 if t.grad is None else t.grad
-            t.grad = g
         return losses
 
     def _adam(self, lo: int, hi: int) -> None:

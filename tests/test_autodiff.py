@@ -1,6 +1,7 @@
 """Tensor engine tests: primitive gradients, optimizer, checkpoint format."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -259,7 +260,7 @@ class TestAdam:
     def test_first_step_magnitude(self):
         opt, w = _adam_on([1.0, -2.0, 3.0])
         before = w.data.copy()
-        w.grad = np.array([0.5, -0.01, 100.0])
+        w.grad[...] = [0.5, -0.01, 100.0]
         opt.step()
         delta = w.data - before
         assert np.all(np.sign(delta) == -np.sign(w.grad))
@@ -268,14 +269,14 @@ class TestAdam:
     def test_zero_grad_no_motion(self):
         opt, w = _adam_on([1.0, 2.0])
         for _ in range(10):
-            w.grad = np.zeros(2)
+            w.grad[...] = 0.0
             opt.step()
         assert np.array_equal(w.data, [1.0, 2.0])
 
     def test_converges_on_quadratic(self):
         opt, w = _adam_on([0.0], lr=0.1)
         for _ in range(100):
-            w.grad = 2 * (w.data - 3.0)
+            w.grad[...] = 2 * (w.data - 3.0)
             opt.step()
         assert abs(w.data[0] - 3.0) < 0.5
 
@@ -316,7 +317,8 @@ _SHAPES = st.lists(st.integers(1, 6), max_size=2).map(tuple)  # () is a scalar
 
 @st.composite
 def _adam_cases(draw):
-    """Shapes, a block size, a split point, per-step gradients (None or drawn)."""
+    """Shapes, a block size, a split point, per-step gradients (None or drawn)
+    and the lane whose buffer gets each gradient."""
     block = draw(st.sampled_from([1, 2, 3, 5, 8, optim.BLOCK]))
     shapes = draw(st.lists(_SHAPES, min_size=1, max_size=5))
     if block == optim.BLOCK:  # tensors that reach and cross a real block edge
@@ -343,24 +345,29 @@ def _adam_cases(draw):
     params = [np.array(rng.standard_normal(shape)) for shape in shapes]
     grads = [[values(shape) if given_grad[k * len(shapes) + i] else None
               for i, shape in enumerate(shapes)] for k in range(steps)]
+    lanes = [draw(st.lists(st.integers(0, 1), min_size=len(shapes), max_size=len(shapes)))
+             for _ in range(steps)]
     lr = draw(st.sampled_from([1e-3, 0.1]))
-    return block, at, params, grads, lr
+    return block, at, params, grads, lanes, lr
 
 
 class TestFlatAdam:
     @given(case=_adam_cases())
     @settings(max_examples=80, deadline=None)
     def test_blocked_split_steps_are_bit_equal_to_the_per_tensor_reference(self, case):
-        block, at, params, grads, lr = case
+        block, at, params, grads, lanes, lr = case
         store = ParameterStore()
         tensors = [store.register(f"p{i}", a.copy()) for i, a in enumerate(params)]
         opt = Adam(store, lr=lr)
         n = opt.params.size
         reference = _ReferenceAdam(params, lr)
         with mock.patch.object(optim, "BLOCK", block):
-            for step_grads in grads:
-                for t, g in zip(tensors, step_grads):
-                    t.grad = None if g is None else g.copy()
+            for step_grads, step_lanes in zip(grads, lanes):
+                for lane in (0, 1):  # the other lane's view of each gradient stays zero
+                    opt.zero_grad(lane)
+                    for t, g, g_lane in zip(tensors, step_grads, step_lanes):
+                        if g is not None and g_lane == lane:
+                            t.grad[...] = g
                 opt.step(at, n)  # the upper range first: the order does not matter
                 opt.step(0, at)
                 reference.step(step_grads)
@@ -378,9 +385,9 @@ class TestFlatAdam:
         assert opt.params.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
         assert np.shares_memory(a.data, opt.params) and np.shares_memory(b.data, opt.params)
         assert a.shape == (2, 3) and b.shape == ()
-        b.grad = np.array(1.0)
+        b.grad[...] = 1.0
         opt.step()
-        assert opt.grads.tolist() == [0.0] * 6 + [1.0]
+        assert opt.grads[0].tolist() == [0.0] * 6 + [1.0]
         assert opt.params[6] == b.data < 7.0
 
 
@@ -592,6 +599,44 @@ class TestFusedOps:
         assert not w.grad[np.setdiff1d(np.arange(k), cols)].any()
         _assert_oracle(b.grad, g.sum(axis=0, keepdims=True))
 
+    def test_sparse_linear_adds_into_the_rows_of_cols_in_place(self):
+        """A preset gradient, signed zeros included: backward keeps the array,
+        leaves every row outside ``cols`` with its bits and adds x.T @ g into
+        the rows of ``cols``."""
+        rng = make_rng(6100)
+        k, m, n = 8, 3, 4
+        cols = np.array([1, 4, 5])
+        block = rng.standard_normal((n, len(cols)))
+        w, b = _rand(rng, k, m), _rand(rng, 1, m)
+        sentinel = rng.standard_normal((k, m))
+        sentinel[[0, 1, 7], 0] = -0.0  # rows 0 and 7 outside ``cols``, row 1 in it
+        w.grad = sentinel.copy()
+        grad = w.grad
+        g = rng.standard_normal((n, m))
+        backward(ad.sum_(ad.mul(ad.sparse_linear(block, cols, w, b), Tensor(g))))
+        outside = np.setdiff1d(np.arange(k), cols)
+        assert w.grad is grad
+        assert w.grad[outside].tobytes() == sentinel[outside].tobytes()
+        assert np.array_equal(w.grad[cols], sentinel[cols] + block.T @ g)
+
+    def test_sparse_linear_backward_allocates_no_array_of_the_weight_size(self):
+        rng = make_rng(6101)
+        k, m, n = 1 << 15, 8, 4  # w is 2 MB
+        cols = np.array([3, 900, 20000])
+        w = Tensor(rng.standard_normal((k, m)), requires_grad=True)
+        b = _rand(rng, 1, m)
+        w.grad = np.zeros_like(w.data)
+        loss = ad.sum_(ad.mul(ad.sparse_linear(rng.standard_normal((n, 3)), cols, w, b),
+                              Tensor(rng.standard_normal((n, m)))))
+        tracemalloc.start()
+        try:
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.data.nbytes
+        assert w.grad[cols].any()
+
     def test_sparse_linear_checks_the_block_width(self):
         w, b = Tensor(np.ones((4, 2)), requires_grad=True), Tensor(np.zeros((1, 2)))
         with pytest.raises(ShapeMismatchError, match=r"sparse_linear: .*\(1, 3\) vs \(2,\)"):
@@ -782,6 +827,17 @@ class TestGradientPrimitives:
         assert np.array_equal(a.grad, weights[0] + weights[1])
         assert np.array_equal(b.grad, weights[0] + weights[1])
         assert a.grad is not b.grad
+
+    def test_a_leaf_owns_its_gradient_and_adds_into_it_in_place(self):
+        """``add`` hands one array to both parents; each leaf keeps its own
+        copy, and a second backward adds into that same array."""
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        y = Tensor(np.array([[3.0, 4.0]]), requires_grad=True)
+        backward(ad.sum_(ad.add(x, y)))
+        assert not np.shares_memory(x.grad, y.grad)
+        grad = x.grad
+        backward(ad.sum_(ad.add(x, y)))
+        assert x.grad is grad and np.array_equal(grad, [[2.0, 2.0]])
 
     def test_sigmoid_matches_the_masked_form_bit_for_bit(self):
         def masked(x):

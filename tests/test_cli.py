@@ -1078,7 +1078,7 @@ def test_a_killed_lane_1_exits_2_with_one_line(workdir, trained, tmp_path, monke
         return run
 
     if command == "train":
-        monkeypatch.setattr(lanes.Lanes, "_run_lane1", killed_in_lane_1(lanes.Lanes._run_lane1))
+        monkeypatch.setattr(lanes.Lanes, "_run", killed_in_lane_1(lanes.Lanes._run))
     else:
         monkeypatch.setattr(cli, "featurize", killed_in_lane_1(cli.featurize))
     capsys.readouterr()

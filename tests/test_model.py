@@ -590,7 +590,8 @@ class TestFingerprintEmbed:
 
         def run(mlp, batch, seed):
             model.fingerprint_mlp = mlp
-            model.params.zero_grad()
+            for t in model.params.tensors.values():
+                t.zero_grad()
             out = model.forward(batch, train=train, rng=make_rng(seed))
             backward(ad.sum_(ad.mul(out, out)))
             return out.data, {name: t.grad for name, t in model.params.tensors.items()}

@@ -315,6 +315,24 @@ needs_helper = pytest.mark.skipif(not helper_module.FORK_HELPER,
                                   reason="the helper is forked on Linux")
 
 
+def batch_grads(optimizer) -> list[np.ndarray]:
+    """Each parameter's batch gradient: lane 0's sum plus lane 1's."""
+    return [a + b for a, b in zip(*optimizer.grad_views)]
+
+
+def serial_chunk_sum(model, mols, labels, mask, chunk_lists, n) -> dict[str, np.ndarray]:
+    """Each parameter's gradient of the chunks' losses scaled by len(chunk) / n,
+    from one backward per chunk in this process (zeros where none reached)."""
+    for t in model.params.tensors.values():
+        t.zero_grad()
+    for chunk in chunk_lists:
+        out = model.forward(MoleculeBatch([mols[i] for i in chunk]), train=True, rng=make_rng(0))
+        loss = masked_loss(out, labels[chunk], mask[chunk], "regression")
+        backward(T.mul(loss, Tensor(len(chunk) / n)))
+    return {name: np.zeros_like(t.data) if t.grad is None else t.grad
+            for name, t in model.params.tensors.items()}
+
+
 class TestLanes:
     @needs_helper
     @pytest.mark.parametrize("loss", ["masked", "output"])
@@ -335,9 +353,9 @@ class TestLanes:
         with lanes.Lanes(model, mols, labels, mask, ad.Adam(model.params)) as pair:
             assert pair.process.is_alive()
             first = pair.step(chunk_lists, seeds, 4)
-            first_grads = [t.grad.copy() for t in pair.optimizer.tensors]
+            first_grads = batch_grads(pair.optimizer)
             second = pair.step([chunk_lists[k] for k in swap], [seeds[k] for k in swap], 4)
-            second_grads = [t.grad for t in pair.optimizer.tensors]
+            second_grads = batch_grads(pair.optimizer)
         assert second == [first[k] for k in swap]
         assert all(np.array_equal(a, b) for a, b in zip(first_grads, second_grads))
         for (i,), seed, value in zip(chunk_lists, seeds, first):
@@ -354,19 +372,32 @@ class TestLanes:
         batch = list(range(len(mols)))
         chunk_lists = list(chunks(batch, lambda i: mols[i].n_atoms))
         assert len(chunk_lists) >= 3
-        model.params.zero_grad()
-        for chunk in chunk_lists:
-            out = model.forward(MoleculeBatch([mols[i] for i in chunk]), train=True,
-                                rng=make_rng(0))
-            loss = masked_loss(out, labels[chunk], mask[chunk], "regression")
-            backward(T.mul(loss, Tensor(len(chunk) / len(batch))))
-        serial = {name: np.zeros_like(t.data) if t.grad is None else t.grad
-                  for name, t in model.params.tensors.items()}
+        serial = serial_chunk_sum(model, mols, labels, mask, chunk_lists, len(batch))
         with lanes.Lanes(model, mols, labels, mask, ad.Adam(model.params)) as pair:
             pair.step(chunk_lists, list(range(len(chunk_lists))), len(batch))
-        for name, t in model.params.tensors.items():
-            want = serial[name]
-            assert np.abs(t.grad - want).max() <= 1e-14 * np.abs(want).max(), name
+            got = batch_grads(pair.optimizer)
+        for (name, want), g in zip(serial.items(), got):
+            assert np.abs(g - want).max() <= 1e-14 * np.abs(want).max(), name
+
+    @pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
+    def test_each_lane_buffer_holds_a_serial_sum_of_its_chunks(self, tiny_dataset, monkeypatch,
+                                                               helper):
+        """Lane k's backwards add into row k of ``optimizer.grads`` only."""
+        monkeypatch.setattr(helper_module, "FORK_HELPER", helper and helper_module.FORK_HELPER)
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels, mask = tiny_dataset.labels, tiny_dataset.mask
+        model = MlfgnnModel(small_config(), seed=0)  # dropout 0
+        batch = list(range(len(mols)))
+        chunk_lists = list(chunks(batch, lambda i: mols[i].n_atoms))
+        assert len(chunk_lists) >= 3
+        serial = [serial_chunk_sum(model, mols, labels, mask, chunk_lists[lane::2], len(batch))
+                  for lane in (0, 1)]
+        optimizer = ad.Adam(model.params)
+        with lanes.Lanes(model, mols, labels, mask, optimizer) as pair:
+            pair.step(chunk_lists, list(range(len(chunk_lists))), len(batch))
+        for lane in (0, 1):
+            for (name, want), got in zip(serial[lane].items(), optimizer.grad_views[lane]):
+                assert np.array_equal(got, want), (lane, name)
 
     def _run_train(self, tiny_dataset, labels=None, epochs=1):
         mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
@@ -523,8 +554,8 @@ class TestLanes:
         with lanes.Lanes(model, mols, labels, mask, optimizer) as pair:
             for _ in range(3):
                 pair.step(chunk_lists, list(range(len(chunk_lists))), len(batch))
-                for t, r in zip(model.params.tensors.values(), reference.params.tensors.values()):
-                    r.grad = t.grad.copy()
+                for g, r in zip(batch_grads(optimizer), reference.params.tensors.values()):
+                    r.grad[...] = g
                 pair.adam_step()
                 serial.step()
                 assert optimizer.params.tobytes() == serial.params.tobytes()
