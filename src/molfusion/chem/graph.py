@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 import struct
 from dataclasses import dataclass, field
@@ -134,10 +135,11 @@ class MolecularGraph:
             adjacency[bond.v].append(bond)
         self._adjacency = adjacency
         self._distances: np.ndarray | None = None
+        self._distance_limit = -math.inf  # the kept matrix is exact up to this many hops
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_adjacency"], state["_distances"]
+        del state["_adjacency"], state["_distances"], state["_distance_limit"]
         state["atoms"] = list(map(_ATOM_ROW, self.atoms))
         state["bonds"] = list(map(_BOND_ROW, self.bonds))
         return state
@@ -162,14 +164,19 @@ class MolecularGraph:
     def neighbors(self, idx: int) -> list[int]:
         return [b.other(idx) for b in self._adjacency[idx]]
 
-    def distance_matrix(self) -> np.ndarray:
+    def distance_matrix(self, limit: int | None = None) -> np.ndarray:
         """All-pairs hop distances, ``[n, n]`` int64, -1 where unreachable.
 
-        Computed on the first call and kept on the graph (read-only), so every
-        fingerprint of one molecule shares one matrix.
+        Given ``limit``, the search may stop after ``limit`` hops, and a pair
+        farther apart may read -1 as well. The graph keeps one matrix
+        (read-only) and the limit it was computed with: a call with a limit at
+        or below that one returns the kept matrix, so every fingerprint of one
+        molecule shares it; a larger limit, or None, computes it again.
         """
-        if self._distances is None:
-            self._distances = _hop_distances(self._adjacency)
+        reach = math.inf if limit is None else limit
+        if reach > self._distance_limit:
+            self._distances = _hop_distances(self._adjacency, limit)
+            self._distance_limit = reach
         return self._distances
 
     def graph_hash(self) -> str:
@@ -224,21 +231,26 @@ def refine(
         return c
 
     bonds = [[(b.order.code, b.other(i)) for b in graph.bonds_of(i)] for i in range(graph.n_atoms)]
+    packers = {d: struct.Struct("<Q" + "IQ" * d).pack for d in set(map(len, bonds))}
+    pack = [packers[len(pairs)] for pairs in bonds]
     out = [list(map(code, invariants))]
     while rounds is None or len(out) <= rounds:
         prev = out[-1]
         nxt = []
         for i, pairs in enumerate(bonds):
-            flat = [x for pair in sorted((oc, prev[j]) for oc, j in pairs) for x in pair]
-            nxt.append(code(struct.pack("<Q" + "IQ" * len(pairs), prev[i], *flat)))
+            flat = [prev[i]]
+            for pair in sorted([(oc, prev[j]) for oc, j in pairs]):
+                flat += pair
+            nxt.append(code(pack[i](*flat)))
         out.append(nxt)
         if rounds is None and len(set(nxt)) <= len(set(prev)):
             break
     return out
 
 
-def _hop_distances(adjacency: list[list[Bond]]) -> np.ndarray:
-    """Breadth-first search from every source at once, one level per round.
+def _hop_distances(adjacency: list[list[Bond]], limit: int | None = None) -> np.ndarray:
+    """Breadth-first search from every source at once, one level per round,
+    for at most ``limit`` levels (all of them when None).
 
     The frontier is a flat array of ``source * width + atom`` keys into the
     distance matrix, which has a padding column ``n`` that counts as visited.
@@ -246,7 +258,7 @@ def _hop_distances(adjacency: list[list[Bond]]) -> np.ndarray:
     with the offset to column ``n``. A level adds the offsets to every key,
     keeps the unvisited keys and sorts them to drop repeats. Each (source,
     atom) pair enters the frontier once, so the work is O(n * E), in one round
-    of numpy calls per level.
+    of numpy calls per level. Pairs farther apart than the last level read -1.
     """
     n = len(adjacency)
     width = n + 1
@@ -259,7 +271,7 @@ def _hop_distances(adjacency: list[list[Bond]]) -> np.ndarray:
     keys = np.arange(n, dtype=np.int64) * (width + 1)  # (s, s) pairs
     dist[keys] = 0
     level = 0
-    while keys.size:
+    while keys.size and level != limit:
         level += 1
         reached = (keys[:, None] + step[keys % width]).ravel()
         reached = reached[dist[reached] < 0]

@@ -65,7 +65,7 @@ def erg_fingerprint(graph: MolecularGraph, max_path: int = 15) -> np.ndarray:
             labels.append(label)
     atoms = np.array(atoms, dtype=np.int64)
     labels = np.array(labels, dtype=np.int64)
-    dist = graph.distance_matrix()[atoms[:, None], atoms]
+    dist = graph.distance_matrix(max_path)[atoms[:, None], atoms]
     # each atom pair once; pairs beyond max_path (or disconnected) are ignored
     p, q = np.nonzero((atoms[:, None] < atoms) & (dist >= 1) & (dist <= max_path))
     # weights accumulate in (atom, atom, label, label, smear) order, so the

@@ -165,7 +165,12 @@ def compute_fingerprint(
     graph: MolecularGraph, config: FeaturizeConfig
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The concatenated fingerprint as ``(cols, values, width)``: its sorted
-    nonzero columns, their values, and its width."""
+    nonzero columns, their values, and its width. The hop distances are
+    searched once, as deep as the deepest enabled component reads."""
+    reads = [config.morgan_radius] * ("morgan" in config.components)
+    reads += [config.erg_max_path] * ("erg" in config.components)
+    if reads:
+        graph.distance_matrix(max(reads))
     parts = []
     if "morgan" in config.components:
         parts.append(morgan_fingerprint(graph, config.morgan_radius, config.morgan_bits))

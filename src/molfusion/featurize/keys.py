@@ -1,14 +1,18 @@
 """Substructure key fingerprint from a fixed predicate table.
 
 The key table ships as a versioned text file (keys_table.txt); bit k is set
-when predicate k holds on the molecule.
+when predicate k holds on the molecule. Every predicate reads "a count of the
+molecule >= a threshold", so the table compiles to one count name and one
+threshold per key, and a molecule is counted once for all keys.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
+from collections import Counter
 from importlib import resources
-from typing import Callable
+from itertools import repeat
 
 import numpy as np
 
@@ -16,10 +20,31 @@ from ..chem.graph import BondOrder, MolecularGraph
 
 _HALOGENS = ("F", "Cl", "Br", "I")
 
+# Each predicate's arguments by kind: "s" a symbol or bond order and "i" an
+# integer, both naming the count, then "k" the threshold; ``bond_pair`` has
+# none and reads a count of at least 1. The count's name is the predicate
+# without "_ge", followed by its naming arguments (see ``_counts``).
+_ARGUMENTS = {
+    "element_ge": "sk",
+    "hetero_ring_ge": "sk",
+    "degree_count_ge": "ik",
+    "ring_size_ge": "ik",
+    "aromatic_ring_size_ge": "ik",
+    "bond_pair": "sss",
+    "bond_pair_ge": "sssk",
+    **dict.fromkeys((
+        "halogen_ge", "hetero_ge", "heavy_ge", "charge_pos_ge", "charge_neg_ge", "charged_ge",
+        "ring_ge", "aromatic_ring_ge", "nonaromatic_ring_ge", "aromatic_atoms_ge", "donor_ge",
+        "acceptor_ge", "acidic_ge", "basic_ge", "double_bonds_ge",
+    ), "k"),
+}
+
 
 class KeyTable:
     """The shipped key predicates, read from ``keys_table.txt`` in index order:
-    ``entries`` holds each key's ``(predicate, args, description)`` as written."""
+    ``entries`` holds each key's ``(predicate, args, description)`` as written.
+    Key k reads ``counts[names[index[k]]] >= thresholds[k]``; an unknown
+    predicate or a wrong number or kind of arguments fails here."""
 
     def __init__(self):
         text = resources.files(__package__).joinpath("keys_table.txt").read_text("utf-8")
@@ -27,7 +52,19 @@ class KeyTable:
                 if line and not line.startswith("#")]
         self.entries = [(predicate, tuple(args.split(",")), description)
                         for _index, predicate, args, description in rows]
-        self._tests = [_compile(predicate, args) for predicate, args, _desc in self.entries]
+        slots: dict[tuple, int] = {}
+        index, thresholds = [], []
+        for predicate, args, _desc in self.entries:
+            kinds = _ARGUMENTS[predicate]
+            values = [int(arg) if kind in "ik" else arg
+                      for kind, arg in zip(kinds, args, strict=True)]
+            thresholds.append(values.pop() if kinds.endswith("k") else 1)
+            if predicate.startswith("bond_pair"):  # either element order names one count
+                values = [min(values[0], values[2]), values[1], max(values[0], values[2])]
+            index.append(slots.setdefault((predicate.removesuffix("_ge"), *values), len(slots)))
+        self.names = list(slots)
+        self.index = np.array(index, dtype=np.int64)
+        self.thresholds = np.array(thresholds, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -38,91 +75,52 @@ def default_key_table() -> KeyTable:
     return KeyTable()
 
 
-class _MoleculeStats:
-    """Counts evaluated once per molecule, shared by all predicates."""
-
-    def __init__(self, g: MolecularGraph):
-        self.element_counts: dict[str, int] = {}
-        for a in g.atoms:
-            self.element_counts[a.element] = self.element_counts.get(a.element, 0) + 1
-        self.n_heavy = g.n_atoms
-        self.halogens = sum(self.element_counts.get(h, 0) for h in _HALOGENS)
-        self.hetero = sum(c for sym, c in self.element_counts.items() if sym != "C")
-        self.pos = sum(1 for a in g.atoms if a.formal_charge > 0)
-        self.neg = sum(1 for a in g.atoms if a.formal_charge < 0)
-        self.aromatic_atoms = sum(1 for a in g.atoms if a.is_aromatic)
-        self.donors = sum(1 for a in g.atoms if a.is_h_donor)
-        self.acceptors = sum(1 for a in g.atoms if a.is_h_acceptor)
-        self.acidic = sum(1 for a in g.atoms if a.is_acidic)
-        self.basic = sum(1 for a in g.atoms if a.is_basic)
-        self.degrees = [a.degree for a in g.atoms]
-
-        self.rings = g.rings
-        self.ring_sizes = [len(r) for r in g.rings]
-        self.aromatic_rings = [
-            r for r in g.rings if all(g.atoms[i].is_aromatic for i in r)
-        ]
-        self.ring_elements = [{g.atoms[i].element for i in r} for r in g.rings]
-
-        self.bond_pairs: dict[tuple[str, str, str], int] = {}
-        self.double_bonds = 0
-        for b in g.bonds:
-            e1, e2 = sorted((g.atoms[b.u].element, g.atoms[b.v].element))
-            key = (e1, b.order.value, e2)
-            self.bond_pairs[key] = self.bond_pairs.get(key, 0) + 1
-            if b.order is BondOrder.DOUBLE:
-                self.double_bonds += 1
-
-    def pair_count(self, s1: str, order: str, s2: str) -> int:
-        e1, e2 = sorted((s1, s2))
-        return self.bond_pairs.get((e1, order, e2), 0)
+_ATOM_COUNTED = operator.attrgetter(
+    "element", "formal_charge", "degree",
+    "is_aromatic", "is_h_donor", "is_h_acceptor", "is_acidic", "is_basic",
+)
+_FLAG_COUNTS = [("aromatic_atoms",), ("donor",), ("acceptor",), ("acidic",), ("basic",)]
 
 
-# Predicate -> (argument kinds, test on the molecule's stats). Kind "s" is a
-# symbol or bond order passed as written, "i" an integer count or size.
-_PREDICATES: dict[str, tuple[str, Callable[..., bool]]] = {
-    "element_ge": ("si", lambda st, sym, k: st.element_counts.get(sym, 0) >= k),
-    "halogen_ge": ("i", lambda st, k: st.halogens >= k),
-    "hetero_ge": ("i", lambda st, k: st.hetero >= k),
-    "heavy_ge": ("i", lambda st, k: st.n_heavy >= k),
-    "degree_count_ge": ("ii", lambda st, d, k: sum(1 for deg in st.degrees if deg >= d) >= k),
-    "charge_pos_ge": ("i", lambda st, k: st.pos >= k),
-    "charge_neg_ge": ("i", lambda st, k: st.neg >= k),
-    "charged_ge": ("i", lambda st, k: st.pos + st.neg >= k),
-    "ring_ge": ("i", lambda st, k: len(st.rings) >= k),
-    "ring_size_ge": ("ii", lambda st, s, k: sum(1 for size in st.ring_sizes if size == s) >= k),
-    "aromatic_ring_ge": ("i", lambda st, k: len(st.aromatic_rings) >= k),
-    "aromatic_ring_size_ge": (
-        "ii", lambda st, s, k: sum(1 for r in st.aromatic_rings if len(r) == s) >= k
-    ),
-    "nonaromatic_ring_ge": ("i", lambda st, k: len(st.rings) - len(st.aromatic_rings) >= k),
-    "hetero_ring_ge": (
-        "si", lambda st, sym, k: sum(1 for els in st.ring_elements if sym in els) >= k
-    ),
-    "aromatic_atoms_ge": ("i", lambda st, k: st.aromatic_atoms >= k),
-    "donor_ge": ("i", lambda st, k: st.donors >= k),
-    "acceptor_ge": ("i", lambda st, k: st.acceptors >= k),
-    "acidic_ge": ("i", lambda st, k: st.acidic >= k),
-    "basic_ge": ("i", lambda st, k: st.basic >= k),
-    "bond_pair": ("sss", lambda st, s1, order, s2: st.pair_count(s1, order, s2) >= 1),
-    "bond_pair_ge": ("sssi", lambda st, s1, order, s2, k: st.pair_count(s1, order, s2) >= k),
-    "double_bonds_ge": ("i", lambda st, k: st.double_bonds >= k),
-}
-
-
-def _compile(predicate: str, args: tuple[str, ...]):
-    """The predicate's test and its arguments, each count as an integer."""
-    kinds, test = _PREDICATES[predicate]
-    return test, tuple(int(arg) if kind == "i" else arg
-                       for kind, arg in zip(kinds, args, strict=True))
+def _counts(g: MolecularGraph) -> Counter:
+    """Every count a key can read, by name; a name that is absent counts 0."""
+    counts = Counter({("heavy",): g.n_atoms, ("ring",): len(g.rings)})
+    for (element, charge, degree, *flags), n in Counter(map(_ATOM_COUNTED, g.atoms)).items():
+        counts["element", element] += n
+        if element in _HALOGENS:
+            counts["halogen",] += n
+        if element != "C":
+            counts["hetero",] += n
+        if charge:
+            counts["charge_pos" if charge > 0 else "charge_neg",] += n
+            counts["charged",] += n
+        for d in range(degree + 1):
+            counts["degree_count", d] += n
+        for name, flag in zip(_FLAG_COUNTS, flags):
+            if flag:
+                counts[name] += n
+    atoms = g.atoms
+    for ring in g.rings:
+        size = len(ring)
+        counts["ring_size", size] += 1
+        if all(atoms[i].is_aromatic for i in ring):
+            counts["aromatic_ring",] += 1
+            counts["aromatic_ring_size", size] += 1
+        else:
+            counts["nonaromatic_ring",] += 1
+        for element in {atoms[i].element for i in ring}:
+            counts["hetero_ring", element] += 1
+    pairs = Counter((atoms[b.u].element, b.order, atoms[b.v].element) for b in g.bonds)
+    for (e1, order, e2), n in pairs.items():
+        counts["bond_pair", min(e1, e2), order.value, max(e1, e2)] += n
+        if order is BondOrder.DOUBLE:
+            counts["double_bonds",] += n
+    return counts
 
 
 def substructure_key_fingerprint(graph: MolecularGraph) -> np.ndarray:
     """Evaluate the key table; returns a {0,1} float vector of len(table)."""
     table = default_key_table()
-    stats = _MoleculeStats(graph)
-    out = np.zeros(len(table), dtype=np.float64)
-    for k, (test, args) in enumerate(table._tests):
-        if test(stats, *args):
-            out[k] = 1.0
-    return out
+    counts = _counts(graph)
+    vector = np.fromiter(map(counts.get, table.names, repeat(0)), np.int64, len(table.names))
+    return (vector[table.index] >= table.thresholds).astype(np.float64)

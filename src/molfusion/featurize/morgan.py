@@ -29,7 +29,8 @@ def _invariants(a: Atom) -> bytes:
 def environment_codes(graph: MolecularGraph, radius: int) -> list[tuple[int, int, int]]:
     """Emitted (atom, radius, code) triples after the ball-growth cutoff."""
     rounds = refine(graph, list(map(_invariants, graph.atoms)), radius)
-    eccentricity = graph.distance_matrix().max(axis=1, initial=0).tolist()
+    # exact on a matrix cut at radius hops or more: min(radius, eccentricity) is unchanged
+    eccentricity = graph.distance_matrix(radius).max(axis=1, initial=0).tolist()
     return [
         (i, r, rounds[r][i])
         for i, ecc in enumerate(eccentricity)

@@ -168,10 +168,18 @@ def _bfs_distances(g, root):
 class TestDistanceMatrix:
     @staticmethod
     def _check(g):
+        """The BFS oracle, in full and, for every limit from 0 to one past the
+        diameter, with the pairs farther apart than the limit at -1."""
         expected = [_bfs_distances(g, i) for i in range(g.n_atoms)]
         got = g.distance_matrix()
         assert got.dtype == np.int64 and got.shape == (g.n_atoms, g.n_atoms)
         assert got.tolist() == expected
+        g = pickle.loads(pickle.dumps(g))  # the kept matrix is not pickled
+        expected = np.array(expected, dtype=np.int64)
+        for limit in range(expected.max() + 2):
+            got = g.distance_matrix(limit)  # larger than the kept limit: searched again
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.where(expected > limit, -1, expected)), limit
 
     def test_frozen_corpus(self):
         for _smiles, g in corpus_util.frozen_corpus_graphs():
@@ -197,7 +205,10 @@ class TestDistanceMatrix:
     def test_long_alkane_closed_form(self):
         g = parse_smiles("C" * 600)
         i = np.arange(600)
-        assert np.array_equal(g.distance_matrix(), np.abs(i[:, None] - i))
+        hops = np.abs(i[:, None] - i)
+        assert np.array_equal(g.distance_matrix(), hops)
+        g = parse_smiles("C" * 600)
+        assert np.array_equal(g.distance_matrix(15), np.where(hops > 15, -1, hops))
 
     def test_computed_once_and_read_only(self):
         g = parse_smiles("c1ccccc1CCO")
@@ -205,6 +216,30 @@ class TestDistanceMatrix:
         assert g.distance_matrix() is d
         with pytest.raises(ValueError):
             d[0, 1] = 5
+
+    def test_kept_matrix_serves_smaller_limits(self):
+        g = parse_smiles("C" * 40)
+        cut = g.distance_matrix(10)
+        assert cut.max() == 10
+        assert g.distance_matrix(3) is cut and g.distance_matrix(10) is cut
+        with pytest.raises(ValueError):
+            cut[0, 1] = 5
+        full = g.distance_matrix()
+        i = np.arange(40)
+        assert np.array_equal(full, np.abs(i[:, None] - i))
+        assert g.distance_matrix(39) is full and g.distance_matrix() is full
+        assert g.distance_matrix(10) is full
+
+    def test_fingerprints_exact_on_a_cut_matrix(self):
+        """Morgan and ErG read the matrix cut at their own limits, and give
+        what they give on the full matrix of a 1600-atom chain."""
+        cut, full = parse_smiles("C" * 1600), parse_smiles("C" * 1600)
+        full.distance_matrix()
+        for radius in (0, 2, 5):
+            assert np.array_equal(morgan_fingerprint(cut, radius), morgan_fingerprint(full, radius))
+        for max_path in (1, 15):
+            assert np.array_equal(erg_fingerprint(cut, max_path), erg_fingerprint(full, max_path))
+        assert cut.distance_matrix(15).max() == 15  # they read a cut matrix
 
 
 def _oracle_environment_key(g, root, radius):
@@ -352,6 +387,86 @@ class TestKeys:
     def test_descriptions_available(self):
         assert "nitrogen" in default_key_table().entries[8][2]
 
+    HAND_BUILT = (
+        "C[N+](C)(C)CC(=O)[O-]", "[NH3+]CCC([O-])=O", "[O-][n+]1ccccc1",  # charged
+        "FC(F)(F)c1ccc(Cl)cc1Br", "ICC(Cl)CBr", "Fc1c(F)c(F)c(F)c(F)c1F",  # halogenated
+        "c1ccc2ccccc2c1", "c1ccc2[nH]ccc2c1", "C1CC2CCC1C2", "c1ccc2c(c1)CCCC2",  # fused
+        "CS(=O)(=O)N", "CC(=S)N", "O=C1CCC(=O)N1", "CS(C)=O", "S=C=S", "C1CCS(=O)(=O)C1",
+    )
+
+    def test_matches_count_oracle(self):
+        """Each key against a count taken straight from atoms, bonds and rings."""
+        graphs = [g for _s, g in corpus_util.frozen_corpus_graphs()]
+        graphs += [random_molecule_graph(n, seed=n) for n in range(1, 81)]
+        graphs += [parse_smiles(s) for s in self.HAND_BUILT]
+        entries = default_key_table().entries
+        fired = set()
+        for g in graphs:
+            want = [_key_oracle(g, predicate, args) for predicate, args, _desc in entries]
+            got = substructure_key_fingerprint(g)
+            assert got.tolist() == [float(bit) for bit in want]
+            fired |= {entries[k][0] for k, bit in enumerate(want) if bit}
+        assert fired == {predicate for predicate, _args, _desc in entries}
+
+    @pytest.mark.parametrize("line", [
+        "0|element_gt|C,1|not a predicate",
+        "0|element_ge|C|no threshold",
+        "0|element_ge|C,two|threshold not an integer",
+        "0|ring_size_ge|six,1|size not an integer",
+        "0|bond_pair|C,single|an element short",
+        "0|element_ge|C,1",
+    ])
+    def test_bad_line_fails_on_load(self, line, tmp_path, monkeypatch):
+        from molfusion.featurize import keys
+
+        (tmp_path / "keys_table.txt").write_text(f"# a table\n{line}\n", "utf-8")
+        monkeypatch.setattr(keys.resources, "files", lambda _package: tmp_path)
+        with pytest.raises((KeyError, ValueError)):
+            keys.KeyTable()
+
+
+def _key_oracle(g, predicate, args):
+    """Whether one key holds, by a brute-force count of what it names."""
+    atoms, rings = g.atoms, g.rings
+
+    def n_atoms(test):
+        return sum(1 for a in atoms if test(a))
+
+    def n_rings(test):
+        return sum(1 for r in rings if test(r, all(atoms[i].is_aromatic for i in r)))
+
+    def n_bonds(s1, order, s2):
+        return sum(1 for b in g.bonds if b.order.value == order
+                   and sorted((atoms[b.u].element, atoms[b.v].element)) == sorted((s1, s2)))
+
+    count = {
+        "element_ge": lambda sym: n_atoms(lambda a: a.element == sym),
+        "halogen_ge": lambda: n_atoms(lambda a: a.element in ("F", "Cl", "Br", "I")),
+        "hetero_ge": lambda: n_atoms(lambda a: a.element != "C"),
+        "heavy_ge": lambda: len(atoms),
+        "degree_count_ge": lambda d: n_atoms(lambda a: len(g.neighbors(a.index)) >= int(d)),
+        "charge_pos_ge": lambda: n_atoms(lambda a: a.formal_charge > 0),
+        "charge_neg_ge": lambda: n_atoms(lambda a: a.formal_charge < 0),
+        "charged_ge": lambda: n_atoms(lambda a: a.formal_charge != 0),
+        "ring_ge": lambda: len(rings),
+        "ring_size_ge": lambda s: n_rings(lambda r, _aro: len(r) == int(s)),
+        "aromatic_ring_ge": lambda: n_rings(lambda _r, aro: aro),
+        "aromatic_ring_size_ge": lambda s: n_rings(lambda r, aro: aro and len(r) == int(s)),
+        "nonaromatic_ring_ge": lambda: n_rings(lambda _r, aro: not aro),
+        "hetero_ring_ge": lambda sym: n_rings(
+            lambda r, _aro: any(atoms[i].element == sym for i in r)),
+        "aromatic_atoms_ge": lambda: n_atoms(lambda a: a.is_aromatic),
+        "donor_ge": lambda: n_atoms(lambda a: a.is_h_donor),
+        "acceptor_ge": lambda: n_atoms(lambda a: a.is_h_acceptor),
+        "acidic_ge": lambda: n_atoms(lambda a: a.is_acidic),
+        "basic_ge": lambda: n_atoms(lambda a: a.is_basic),
+        "bond_pair_ge": n_bonds,
+        "double_bonds_ge": lambda: sum(1 for b in g.bonds if b.order is BondOrder.DOUBLE),
+    }
+    if predicate == "bond_pair":  # a bond of that kind exists
+        return n_bonds(*args) >= 1
+    return count[predicate](*args[:-1]) >= int(args[-1])
+
 
 
 def _erg_loop_oracle(g, max_path):
@@ -443,6 +558,34 @@ def test_morgan_and_key_bits_golden(source):
         digest.update(np.packbits(morgan_fingerprint(g).astype(bool)).tobytes())
         digest.update(np.packbits(substructure_key_fingerprint(g).astype(bool)).tobytes())
     assert digest.hexdigest() == GOLDEN_BITS[source]
+
+
+# sha256 over each molecule's ErG values (max_path 15) and its default
+# featurize output: atom rows, bond rows, src, dst, fingerprint cols and values.
+# Recorded before the BFS stopped at the deepest distance the fingerprints read.
+GOLDEN_FEATURES = {
+    "corpus": "169ad79c0b271a3fc61796ecd7d325e714845383fbd4ce1b1c3063fd921b2b6b",
+    1: "72013f0846b93a2c68e2efa1a0d5dbdac6811e2cbe45142013a3ab308c46617c",
+    2: "940f6c660a244b6c455773723e8e2c3d807fe224b75ea1391620d92abfab95cb",
+    3: "36cc7b5f4050a1d71daf7d29c1393c5c085d71ece8b400a76a5db9cec41653a2",
+    4: "57e3f598015e4c7b5521cb3c1b92654f45b9a1b757299bdea9e2b8af43faae26",
+    5: "0ee5a3d9fc2b6634d302212e572856d3189171a48335ff5835bf1163c7383329",
+}
+
+
+@pytest.mark.parametrize("source", list(GOLDEN_FEATURES))
+def test_featurize_golden(source):
+    if source == "corpus":
+        graphs = [g for _s, g in corpus_util.frozen_corpus_graphs()]
+    else:  # the screen-large benchmark molecules of this seed
+        graphs = [parse_smiles(s) for s in corpus_util.screen_large_smiles(source)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        mol = featurize(g)
+        for array in (erg_fingerprint(g), mol.atom_features, mol.bond_features, mol.src,
+                      mol.dst, mol.fingerprint_cols, mol.fingerprint_values):
+            digest.update(np.ascontiguousarray(array).tobytes())
+    assert digest.hexdigest() == GOLDEN_FEATURES[source]
 
 
 class TestAssembly:
