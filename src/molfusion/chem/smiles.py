@@ -120,12 +120,18 @@ def _scan(s: str):
             if ch == "(":
                 if prev is None:
                     raise SmilesError("branch before any atom", i, _ATOM_START)
-                branch_stack.append(prev)
+                branch_stack.append((prev, len(atoms)))
             elif ch == ")":
                 if not branch_stack:
                     raise UnbalancedParenError("')' without matching '('", i)
-                prev = branch_stack.pop()
+                if pending is not None:
+                    raise SmilesError("bond symbol before ')'", i, _ATOM_START)
+                prev, n_before = branch_stack.pop()
+                if len(atoms) == n_before:
+                    raise SmilesError("empty branch", i, _ATOM_START + ("bond symbol",))
             elif ch in _BOND_CHARS:
+                if prev is None:
+                    raise SmilesError("bond symbol without an atom before it", i, _ATOM_START)
                 if pending is not None:
                     raise SmilesError("two bond symbols in a row", i, _ATOM_START)
                 pending = _BOND_CHARS[ch]
@@ -194,9 +200,11 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
     if element is None:
         if not s[i].isalpha() or not s[i].isupper():
             raise UnknownElementError(f"expected element symbol at {s[i]!r}", i, ("element",))
+        # Nothing after the symbol starts with a lowercase letter, so one
+        # that follows belongs to the symbol: [Co] names cobalt, not C.
         element = s[i]
         i += 1
-        if i < n and s[i].isalpha() and s[i].islower() and element + s[i] in ELEMENTS:
+        if i < n and s[i].isalpha() and s[i].islower():
             element += s[i]
             i += 1
     if element not in ELEMENTS:

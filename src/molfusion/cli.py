@@ -34,12 +34,13 @@ from .autodiff.tensor import no_grad
 from .chem import SmilesError, parse_smiles
 from .chem.graph import Atom, Bond, BondOrder, MolecularGraph
 from .chem.perception import annotate
-from .data import DataError, load_csv, read_csv
+from .data import DataError, load_csv, random_split, read_csv, scaffold_split
 from .featurize import FeaturizeConfig, featurize
 from .helper import LaneEnded, each_row
 from .model import MAX_CHUNK_ATOMS, ModelConfig, MoleculeBatch
 from .model.network import MlfgnnModel
-from .train import SEED_MAX, NonFiniteLossError, TrainConfig, multi_seed
+from .train import (SEED_MAX, NonFiniteLossError, TrainConfig, aggregate, prepare_inputs,
+                    train)
 
 log = logging.getLogger(__name__)
 
@@ -256,25 +257,32 @@ def cmd_train(args) -> int:
     manifest_path = out_dir / "manifest.json"
     manifest.write(manifest_path)
 
+    # Each seed's files are written as soon as it has them, so a run that ends
+    # early keeps the seeds before it; report.json needs every seed.
+    metric_name = "roc_auc" if task == "classification" else "rmse"
+    per_seed, best_epochs, valid_metrics, checkpoints = {}, {}, {}, {}
     status = "failed"
     try:
-        report, results, splits = multi_seed(
-            lambda seed: MlfgnnModel(model_config, seed=seed),
-            dataset,
-            train_config,
-            split_method=args.split,
-            featurize_config=featurize_config,
-            log_dir=out_dir,
-        )
-        for seed, result in results.items():
-            ckpt_path = out_dir / f"seed_{seed}.ckpt"
-            save_checkpoint(ckpt_path, full_config, result.state)
-            report.checkpoints[seed] = ckpt_path.name
-            splits[seed].save(out_dir / f"seed_{seed}_split.json", dataset.checksum)
-        report_payload = report.to_dict()
-        report_payload["best_epochs"] = {str(s): r.best_epoch for s, r in results.items()}
-        report_payload["valid_metrics"] = {str(s): r.valid_metric for s, r in results.items()}
-        (out_dir / "report.json").write_text(json.dumps(report_payload, indent=1, sort_keys=True))
+        mols = prepare_inputs(dataset, featurize_config)
+        # A scaffold split is one partition for every seed; a random one is reseeded.
+        shared_split = scaffold_split(dataset, seed=0) if args.split == "scaffold" else None
+        for seed in train_config.seeds:
+            split = shared_split or random_split(dataset, seed)
+            split.save(out_dir / f"seed_{seed}_split.json", dataset.checksum)
+            model = MlfgnnModel(model_config, seed=seed)
+            result = train(model, mols, dataset.labels, dataset.mask, split, train_config, seed,
+                           out_dir / f"seed_{seed}_log.jsonl")
+            key = str(seed)
+            checkpoints[key] = f"seed_{seed}.ckpt"
+            save_checkpoint(out_dir / checkpoints[key], full_config, result.state)
+            per_seed[key] = result.test_metric
+            best_epochs[key] = result.best_epoch
+            valid_metrics[key] = result.valid_metric
+        mean, std = aggregate(per_seed)
+        report = {"metric": metric_name, "per_seed": per_seed, "mean": mean, "std": std,
+                  "checkpoints": checkpoints, "best_epochs": best_epochs,
+                  "valid_metrics": valid_metrics}
+        (out_dir / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True))
         status = "complete"
     except KeyboardInterrupt:
         status = "interrupted"
@@ -283,8 +291,8 @@ def cmd_train(args) -> int:
         manifest.finished_at = _utc_now()
         manifest.status = status
         manifest.write(manifest_path)
-    mean = "undefined" if report.mean is None else f"{report.mean:.4f}"
-    print(f"{report.metric_name}: {mean} +- {report.std:.4f} over seeds {list(train_config.seeds)}")
+    mean_text = "undefined" if mean is None else f"{mean:.4f}"
+    print(f"{metric_name}: {mean_text} +- {std:.4f} over seeds {list(train_config.seeds)}")
     return EXIT_OK
 
 
@@ -434,6 +442,11 @@ def cmd_gradcheck(args) -> int:
 # -- entry ---------------------------------------------------------------------
 
 
+# --ablate's names, each with the ModelConfig.ablation value it sets.
+_ABLATION_FLAG = {"gat-only": "gat_only", "transformer-only": "transformer_only",
+                  "no-fp": "no_fingerprint"}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="molfusion", description=__doc__)
     parser.add_argument("--version", action="version", version=f"molfusion {__version__}")
@@ -457,12 +470,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--smiles-col", default="smiles")
     p.add_argument("--label-cols", default=None, help="comma list; default: all non-smiles columns")
-    p.add_argument(
-        "--ablate",
-        default=None,
-        choices=["gat-only", "transformer-only", "no-fp"],
-        help="train an ablated variant",
-    )
+    p.add_argument("--ablate", default=None, choices=_ABLATION_FLAG,
+                   help="train an ablated variant")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="predict from a checkpoint")
@@ -485,14 +494,9 @@ def build_parser() -> _Parser:
     p.add_argument("--atoms", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coords-per-group", type=int, default=4)
-    p.add_argument(
-        "--ablate", default=None, choices=["gat-only", "transformer-only", "no-fp"]
-    )
+    p.add_argument("--ablate", default=None, choices=_ABLATION_FLAG)
     p.set_defaults(func=cmd_gradcheck)
     return parser
-
-
-_ABLATION_FLAG = {"gat-only": "gat_only", "transformer-only": "transformer_only", "no-fp": "no_fingerprint"}
 
 
 def main(argv=None) -> int:

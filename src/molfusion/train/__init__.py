@@ -2,13 +2,11 @@
 
 from .loop import (
     SEED_MAX,
-    EvalReport,
     NonFiniteLossError,
     TrainConfig,
     TrainResult,
     aggregate,
     evaluate_metric,
-    multi_seed,
     prepare_inputs,
     train,
 )
@@ -18,7 +16,6 @@ from .metrics import EmptyError, SingleClassError, masked_rmse, rmse, roc_auc, r
 __all__ = [
     "AllMaskedError",
     "EmptyError",
-    "EvalReport",
     "NonFiniteLossError",
     "SEED_MAX",
     "SingleClassError",
@@ -28,7 +25,6 @@ __all__ = [
     "evaluate_metric",
     "masked_loss",
     "masked_rmse",
-    "multi_seed",
     "prepare_inputs",
     "rmse",
     "roc_auc",

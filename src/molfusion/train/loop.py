@@ -1,4 +1,4 @@
-"""Training loop, validation-based selection, multi-seed orchestration."""
+"""Training loop, validation-based selection, mean and spread over seeds."""
 
 from __future__ import annotations
 
@@ -8,14 +8,13 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
 from .. import Config, distinct_integers, integer, optional, real, setting
 from ..autodiff.optim import Adam
 from ..autodiff.rng import split_streams
-from ..data import Dataset, DatasetSplit, random_split, scaffold_split
+from ..data import Dataset, DatasetSplit
 from ..featurize import FeaturizeConfig, FeaturizedMolecule, featurize
 from ..helper import each_row
 from ..model.batch import chunks
@@ -54,29 +53,13 @@ class TrainResult:
     state: dict = field(default_factory=dict)
 
 
-@dataclass
-class EvalReport:
-    metric_name: str
-    per_seed: dict[int, float | None]
-    mean: float | None
-    std: float
-    checkpoints: dict[int, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric_name,
-            "per_seed": {str(k): v for k, v in self.per_seed.items()},
-            "mean": self.mean,
-            "std": self.std,
-            "checkpoints": {str(k): v for k, v in self.checkpoints.items()},
-        }
-
-
-def aggregate(metric_name: str, per_seed: dict[int, float | None]) -> EvalReport:
+def aggregate(per_seed: dict[str, float | None]) -> tuple[float | None, float]:
+    """Mean and sample std of the seeds' defined metrics (mean None when none
+    is defined, std 0.0 below two)."""
     values = [v for v in per_seed.values() if v is not None]
     mean = float(np.mean(values)) if values else None
     std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-    return EvalReport(metric_name, dict(per_seed), mean, std)
+    return mean, std
 
 
 def prepare_inputs(
@@ -216,39 +199,3 @@ def train(
         history=history,
         state=best_state,
     )
-
-
-def multi_seed(
-    model_factory: Callable[[int], MlfgnnModel],
-    dataset: Dataset,
-    config: TrainConfig,
-    split_method: str = "random",
-    fractions=(0.8, 0.1, 0.1),
-    featurize_config: FeaturizeConfig | None = None,
-    log_dir: str | Path | None = None,
-) -> tuple[EvalReport, dict[int, TrainResult], dict[int, DatasetSplit]]:
-    """Run every seed independently and aggregate mean +- sample std.
-
-    Random splits are reseeded per seed; a scaffold split is computed once
-    and shared (initialization and shuffling still vary by seed).
-    """
-    mols = prepare_inputs(dataset, featurize_config)
-    fixed_split = (
-        scaffold_split(dataset, seed=0, fractions=fractions)
-        if split_method == "scaffold"
-        else None
-    )
-    metric_name = "roc_auc" if dataset.task_type == "classification" else "rmse"
-    results: dict[int, TrainResult] = {}
-    splits: dict[int, DatasetSplit] = {}
-    per_seed: dict[int, float] = {}
-    for seed in config.seeds:
-        split = fixed_split if fixed_split is not None else random_split(dataset, seed, fractions)
-        splits[seed] = split
-        model = model_factory(seed)
-        log_path = Path(log_dir) / f"seed_{seed}_log.jsonl" if log_dir else None
-        result = train(model, mols, dataset.labels, dataset.mask, split, config, seed, log_path)
-        results[seed] = result
-        per_seed[seed] = result.test_metric
-    report = aggregate(metric_name, per_seed)
-    return report, results, splits

@@ -23,7 +23,7 @@ from molfusion.autodiff.checkpoint import config_digest
 from molfusion.cli import DERIVED_MODEL_KEYS, main, random_molecule_graph
 from molfusion.featurize import FeaturizeConfig
 from molfusion.model import ModelConfig
-from molfusion.train import TrainConfig
+from molfusion.train import NonFiniteLossError, TrainConfig
 
 import corpus_util
 
@@ -598,7 +598,7 @@ class TestTrainCommand:
             def interrupted(*args, **kwargs):
                 raise KeyboardInterrupt
 
-            monkeypatch.setattr(cli, "multi_seed", interrupted)
+            monkeypatch.setattr(cli, "prepare_inputs", interrupted)
         capsys.readouterr()
         code = main(csv_command("train", data, workdir, None, tmp_path))
         err = capsys.readouterr().err
@@ -610,6 +610,36 @@ class TestTrainCommand:
             assert (code, err) == (130, "interrupted\n")
             assert manifest["status"] == "interrupted"
         assert manifest["started_at"] <= manifest["finished_at"]
+
+    @pytest.mark.parametrize("ending, code, status", [
+        (NonFiniteLossError("non-finite loss at epoch 1"), 2, "failed"),
+        (KeyboardInterrupt(), 130, "interrupted"),
+    ], ids=["error", "ctrl-c"])
+    def test_a_failed_seed_keeps_the_seeds_before_it(self, workdir, tmp_path, monkeypatch,
+                                                      capsys, ending, code, status):
+        """Each seed's files are written when it finishes: a run that ends in
+        seed 1 leaves seed 0's files as a complete run writes them, seed 1's
+        split, and no report."""
+        from molfusion import cli
+
+        argv = ["train", "--data", str(workdir / "reg.csv"), "--task", "reg", "--config",
+                str(workdir / "config.json"), "--seeds", "2", "--epochs", "1", "--out"]
+        assert main([*argv, str(tmp_path / "complete")]) == 0
+        train = cli.train
+
+        def ending_in_seed_1(model, mols, labels, mask, split, config, seed, *rest):
+            if seed == 1:
+                raise ending
+            return train(model, mols, labels, mask, split, config, seed, *rest)
+
+        monkeypatch.setattr(cli, "train", ending_in_seed_1)
+        out = tmp_path / "ended"
+        assert main([*argv, str(out)]) == code
+        for name in ("seed_0.ckpt", "seed_0_split.json", "seed_0_log.jsonl"):
+            assert (out / name).read_bytes() == (tmp_path / "complete" / name).read_bytes()
+        assert (out / "seed_1_split.json").exists()
+        assert not (out / "seed_1.ckpt").exists() and not (out / "report.json").exists()
+        assert json.loads((out / "manifest.json").read_text())["status"] == status
 
     def test_overflowing_loss_is_one_stderr_line(self, workdir, tmp_path):
         """Run as a process, so that numpy's own warnings would reach stderr too."""

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import re
 import struct
 from enum import Enum
 from unittest import mock
@@ -166,6 +167,90 @@ class TestErrors:
     def test_aromatic_bond_needs_aromatic_atoms(self):
         with pytest.raises(SmilesError):
             parse_smiles("C:C")
+
+    @pytest.mark.parametrize("smiles, offset, message", [
+        ("=C", 0, "bond symbol without an atom before it"),
+        ("#N", 0, "bond symbol without an atom before it"),
+        ("-C", 0, "bond symbol without an atom before it"),
+        ("/C", 0, "bond symbol without an atom before it"),
+        ("C.=C", 2, "bond symbol without an atom before it"),
+        ("C(=)C", 3, "bond symbol before ')'"),
+        ("C=.C", 2, "bond symbol before '.'"),
+        ("C()C", 2, "empty branch"),
+        ("C(.)C", 3, "empty branch"),
+    ])
+    def test_a_bond_symbol_sits_between_two_atoms(self, smiles, offset, message):
+        """A bond symbol with no atom on one side, or a branch with no atom,
+        is an error at its byte offset, not a bond that is dropped or moved."""
+        with pytest.raises(SmilesError, match=f"^{re.escape(message)}") as exc_info:
+            parse_smiles(smiles)
+        assert exc_info.value.offset == offset
+        assert "element symbol" in exc_info.value.expected
+
+    @pytest.mark.parametrize("smiles", ["[Co]", "[He]", "[Be]", "[Os]", "[Kr]", "[Ni+2]",
+                                        "[Xe]", "[Ar]", "C[Xx]"])
+    def test_unknown_two_letter_bracket_symbol_is_named(self, smiles):
+        with pytest.raises(UnknownElementError) as exc_info:
+            parse_smiles(smiles)
+        symbol = smiles[smiles.index("[") + 1:][:2]
+        assert str(exc_info.value).startswith(f"unknown element {symbol!r}")
+        assert exc_info.value.offset == smiles.index("[") + 1
+
+    def test_non_ascii_input(self):
+        with pytest.raises(SmilesError, match="must be ASCII") as exc_info:
+            parse_smiles("C\u00e9")
+        assert exc_info.value.offset == 0
+
+    def test_conflicting_ring_bond_orders(self):
+        with pytest.raises(SmilesError, match="conflicting bond orders on ring closure 1"):
+            parse_smiles("C=1CC-1")
+
+
+class TestBracketAtoms:
+    """Bracket-atom grammar: symbol, charge, chirality class, H count, atom class."""
+
+    @pytest.mark.parametrize("smiles, element, charge, explicit_hs, aromatic", [
+        ("[Cl-]", "Cl", -1, 0, False),
+        ("[Na+]", "Na", 1, 0, False),
+        ("[se]1cccc1", "Se", 0, 0, True),
+        ("[nH]1cccc1", "N", 0, 1, True),
+        ("[NH4+]", "N", 1, 4, False),
+        ("[13CH4]", "C", 0, 4, False),
+        ("[Fe+2]", "Fe", 2, 0, False),
+        ("[Fe++]", "Fe", 2, 0, False),
+        ("[O--]", "O", -2, 0, False),
+    ])
+    def test_symbol_charge_and_hs(self, smiles, element, charge, explicit_hs, aromatic):
+        atom = parse_smiles(smiles).atoms[0]
+        assert (atom.element, atom.formal_charge, atom.explicit_hs, atom.is_aromatic) == (
+            element, charge, explicit_hs, aromatic)
+
+    @pytest.mark.parametrize("smiles", ["[N+5]", "[N+++++]", "[O-5]"])
+    def test_charge_out_of_range(self, smiles):
+        with pytest.raises(SmilesError, match=r"formal charge [-]?5 outside \[-4, 4\]"):
+            parse_smiles(smiles)
+
+    def test_atom_class_is_read_and_dropped(self):
+        g = parse_smiles("[CH3:1]C")
+        assert g.n_atoms == 2 and g.atoms[0].explicit_hs == 3
+
+    def test_atom_class_needs_digits(self):
+        with pytest.raises(SmilesError, match="atom class ':' needs digits") as exc_info:
+            parse_smiles("[CH3:]C")
+        assert exc_info.value.offset == 5
+
+    def test_named_chirality_class_reads_other(self):
+        g = parse_smiles("[C@TH1](F)(Cl)Br")
+        assert g.atoms[0].chirality is Chirality.OTHER
+
+    @pytest.mark.parametrize("smiles, message", [
+        ("[H][H]", "hydrogen-hydrogen bond unsupported"),
+        ("C=[H]", "explicit hydrogen must have one single bond"),
+        ("[H]", "isolated explicit hydrogen atom"),
+    ])
+    def test_explicit_hydrogen_errors(self, smiles, message):
+        with pytest.raises(SmilesError, match=message):
+            parse_smiles(smiles)
 
 
 class TestRings:

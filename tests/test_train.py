@@ -31,7 +31,6 @@ from molfusion.train import (
     aggregate,
     evaluate_metric,
     masked_loss,
-    multi_seed,
     prepare_inputs,
     rmse,
     roc_auc,
@@ -255,18 +254,20 @@ class TestTrainLoop:
 
 class TestMultiSeed:
     def test_aggregate_mean_std(self):
-        report = aggregate("rmse", {1: 0.6, 2: 0.7, 3: 0.8})
-        assert report.mean == pytest.approx(0.7)
-        assert report.std == pytest.approx(0.1)
+        mean, std = aggregate({"1": 0.6, "2": 0.7, "3": 0.8})
+        assert mean == pytest.approx(0.7)
+        assert std == pytest.approx(0.1)
 
     def test_single_seed_zero_std(self):
-        report = aggregate("rmse", {5: 0.42})
-        assert report.std == 0.0
+        _mean, std = aggregate({"5": 0.42})
+        assert std == 0.0
+
+    def test_undefined_metrics_are_left_out(self):
+        assert aggregate({"0": None, "1": 0.4}) == (0.4, 0.0)
+        assert aggregate({"0": None}) == (None, 0.0)
 
     def test_seed_order_irrelevant(self):
-        a = aggregate("rmse", {1: 0.5, 2: 0.9})
-        b = aggregate("rmse", {2: 0.9, 1: 0.5})
-        assert (a.mean, a.std) == (b.mean, b.std)
+        assert aggregate({"1": 0.5, "2": 0.9}) == aggregate({"2": 0.9, "1": 0.5})
 
     def test_multi_task_classification_with_missing_labels(self, tmp_path):
         import csv as _csv
@@ -287,28 +288,30 @@ class TestMultiSeed:
                     cells[0] = str(base)
                 writer.writerow([s, *cells])
         ds = load_csv(path, "smiles", ["t0", "t1", "t2"], "classification")
-        config = TrainConfig(epochs=2, patience=5, seeds=(0,))
-        report, results, _splits = multi_seed(
-            lambda seed: MlfgnnModel(
-                small_config(n_tasks=3, task="classification"), seed=seed
-            ),
-            ds,
-            config,
-            featurize_config=SMALL_FEATURIZE,
-        )
-        assert results[0].history  # trained without AllMasked errors
+        mols = prepare_inputs(ds, SMALL_FEATURIZE)
+        model = MlfgnnModel(small_config(n_tasks=3, task="classification"), seed=0)
+        result = train(model, mols, ds.labels, ds.mask, random_split(ds, 0),
+                       TrainConfig(epochs=2, patience=5), seed=0)
+        assert result.history  # trained without AllMasked errors
 
-    def test_multi_seed_runs(self, tiny_dataset):
-        config = TrainConfig(epochs=2, patience=5, seeds=(0, 1))
-        report, results, splits = multi_seed(
-            lambda seed: MlfgnnModel(small_config(), seed=seed),
-            tiny_dataset,
-            config,
-            featurize_config=SMALL_FEATURIZE,
-        )
-        assert set(report.per_seed) == {0, 1}
+    def test_multi_seed_runs(self, tmp_path):
+        data, config = tmp_path / "reg.csv", tmp_path / "config.json"
+        corpus_util.write_regression_csv(data, corpus_util.build_corpus(40))
+        config.write_text(json.dumps({  # the sizes of small_config and SMALL_FEATURIZE
+            "model": {"transformer_layers": 1, "heads": 2, "head_dim": 4, "hidden_dim": 8,
+                      "gat_out_dim": 8, "gat_layers": 1, "fingerprint_embed_dim": 8},
+            "featurize": {"morgan_bits": 64, "erg_max_path": 5},
+        }))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["train", "--data", str(data), "--task", "reg", "--seeds", "2",
+                             "--epochs", "2", "--config", str(config),
+                             "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert set(report["per_seed"]) == {"0", "1"}
+        assert report["metric"] == "rmse"
+        splits = [json.loads((tmp_path / "run" / f"seed_{k}_split.json").read_text())["indices"]
+                  for k in (0, 1)]
         assert splits[0] != splits[1]  # random split reseeded per seed
-        assert report.metric_name == "rmse"
 
 
 needs_helper = pytest.mark.skipif(not helper_module.FORK_HELPER,
