@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 import operator
 import struct
 from dataclasses import dataclass, field
@@ -60,11 +59,10 @@ class Atom:
     explicit_hs: int = 0
     is_aromatic: bool = False
     chirality: Chirality = Chirality.NONE
-    index: int = -1
+    bracket: bool = False  # written in brackets: carries only the H it writes
     # Derived annotations, populated by perception.annotate().
     degree: int = 0
     implicit_hs: int = 0
-    bond_order_sum: int = 0
     hybridization: Hybridization = Hybridization.OTHER
     in_ring: bool = False
     min_ring_size: int = 0  # 0 when not in a ring
@@ -100,22 +98,18 @@ class MolecularGraph:
     """Heavy-atom molecular graph with perceived annotations.
 
     Atoms are indexed 0..n-1; at most one bond per atom pair. ``rings`` holds
-    the smallest set of smallest rings as ordered atom-index cycles, and
-    ``distance_matrix()`` the all-pairs hop distances that the fingerprints
-    read. The bond topology is fixed once the graph is built.
+    the smallest set of smallest rings as ordered atom-index cycles. The bond
+    topology is fixed once the graph is built.
 
     A graph pickles as one row of field values per atom and per bond, beside
     its other attributes (``rings``, and any a caller set); unpickled, its
     ``bonds_of`` lists hold the objects of ``bonds`` in bond order, as built.
-    The distance matrix is a cache and is not pickled.
     """
 
     def __init__(self, atoms: Sequence[Atom], bonds: Sequence[Bond]):
         self.atoms: list[Atom] = list(atoms)
         self.bonds: list[Bond] = list(bonds)
         self.rings: list[list[int]] = []
-        for i, atom in enumerate(self.atoms):
-            atom.index = i
         seen: set[tuple[int, int]] = set()
         for bond in self.bonds:
             u, v = bond.u, bond.v
@@ -128,18 +122,16 @@ class MolecularGraph:
         self._link()
 
     def _link(self) -> None:
-        """Each atom's bonds, in bond order; no distances yet."""
+        """Each atom's bonds, in bond order."""
         adjacency: list[list[Bond]] = [[] for _ in self.atoms]
         for bond in self.bonds:
             adjacency[bond.u].append(bond)
             adjacency[bond.v].append(bond)
         self._adjacency = adjacency
-        self._distances: np.ndarray | None = None
-        self._distance_limit = -math.inf  # the kept matrix is exact up to this many hops
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        del state["_adjacency"], state["_distances"], state["_distance_limit"]
+        del state["_adjacency"]
         state["atoms"] = list(map(_ATOM_ROW, self.atoms))
         state["bonds"] = list(map(_BOND_ROW, self.bonds))
         return state
@@ -163,21 +155,6 @@ class MolecularGraph:
 
     def neighbors(self, idx: int) -> list[int]:
         return [b.other(idx) for b in self._adjacency[idx]]
-
-    def distance_matrix(self, limit: int | None = None) -> np.ndarray:
-        """All-pairs hop distances, ``[n, n]`` int64, -1 where unreachable.
-
-        Given ``limit``, the search may stop after ``limit`` hops, and a pair
-        farther apart may read -1 as well. The graph keeps one matrix
-        (read-only) and the limit it was computed with: a call with a limit at
-        or below that one returns the kept matrix, so every fingerprint of one
-        molecule shares it; a larger limit, or None, computes it again.
-        """
-        reach = math.inf if limit is None else limit
-        if reach > self._distance_limit:
-            self._distances = _hop_distances(self._adjacency, limit)
-            self._distance_limit = reach
-        return self._distances
 
     def graph_hash(self) -> str:
         """Canonical-by-refinement hash; equal for isomorphic parses.
@@ -248,18 +225,21 @@ def refine(
     return out
 
 
-def _hop_distances(adjacency: list[list[Bond]], limit: int | None = None) -> np.ndarray:
-    """Breadth-first search from every source at once, one level per round,
-    for at most ``limit`` levels (all of them when None).
+def hop_distances(graph: MolecularGraph, limit: int | None = None) -> np.ndarray:
+    """All-pairs hop distances, ``[n, n]`` int64 and read-only, -1 where
+    unreachable. Given ``limit``, the search stops after ``limit`` hops, and a
+    pair farther apart reads -1 as well.
 
+    Breadth-first search from every source at once, one level per round.
     The frontier is a flat array of ``source * width + atom`` keys into the
     distance matrix, which has a padding column ``n`` that counts as visited.
     ``step[a]`` holds the key offsets from atom ``a`` to its neighbours, padded
     with the offset to column ``n``. A level adds the offsets to every key,
     keeps the unvisited keys and sorts them to drop repeats. Each (source,
     atom) pair enters the frontier once, so the work is O(n * E), in one round
-    of numpy calls per level. Pairs farther apart than the last level read -1.
+    of numpy calls per level.
     """
+    adjacency = graph._adjacency
     n = len(adjacency)
     width = n + 1
     step = np.full((n, max(map(len, adjacency), default=0)), n, dtype=np.int64)

@@ -229,7 +229,8 @@ def _assign_valence(graph: MolecularGraph) -> None:
     element's maximum valence the atom is a lone-pair ring donor
     (pyrrole-type N, furan O, ...) and its aromatic bonds recount at 1.0.
     Implicit H fills the smallest non-violating default valence after
-    subtracting explicit H and |charge|.
+    subtracting explicit H and |charge|. A bracket atom gets none: it carries
+    exactly the H it writes (OpenSMILES), so ``[CH2]`` is a radical.
 
     Aromatic atoms are sp2. Any other atom's hybridization follows its
     steric number (bonds + hydrogens + lone pairs), with the lone pairs
@@ -261,9 +262,8 @@ def _assign_valence(graph: MolecularGraph) -> None:
             load = bond_sum + atom.explicit_hs + abs(charge)
             for valence in valences:  # the smallest that holds the load, else the largest
                 if valence >= load:
-                    implicit_hs = valence - load
+                    implicit_hs = 0 if atom.bracket else valence - load
                     break
-        atom.bond_order_sum = bond_sum
         atom.implicit_hs = implicit_hs
         if atom.is_aromatic:
             atom.hybridization = Hybridization.SP2
@@ -320,8 +320,7 @@ def _assign_pharmacophore_flags(graph: MolecularGraph) -> None:
             for b in graph.bonds_of(i)
         )
 
-    def is_basic(atom) -> bool:
-        i = atom.index
+    def is_basic(i: int, atom) -> bool:
         return (
             not atom.is_aromatic
             and atom.hybridization in _BASIC_HYBRIDIZATIONS
@@ -333,12 +332,12 @@ def _assign_pharmacophore_flags(graph: MolecularGraph) -> None:
             )
         )
 
-    for atom in atoms:
+    for i, atom in enumerate(atoms):
         element = atom.element
         atom.is_h_acceptor = element in _ACCEPTOR_ELEMENTS and atom.formal_charge <= 0
         atom.is_h_donor = element in _DONOR_ELEMENTS and atom.total_hs >= 1
         atom.is_acidic = False
-        atom.is_basic = element == "N" and is_basic(atom)
+        atom.is_basic = element == "N" and is_basic(i, atom)
 
     # An acid motif's centre has a double-bonded O, so only those centres
     # are looked at.

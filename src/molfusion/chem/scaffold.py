@@ -17,7 +17,7 @@ def murcko_scaffold(graph: MolecularGraph) -> MolecularGraph:
     most once, and the fixed point does not depend on the popping order.
     """
     degree = [len(graph.bonds_of(i)) for i in range(graph.n_atoms)]
-    leaves = [a.index for a in graph.atoms if not a.in_ring and degree[a.index] <= 1]
+    leaves = [i for i, a in enumerate(graph.atoms) if not a.in_ring and degree[i] <= 1]
     kept = [True] * graph.n_atoms
     while leaves:
         idx = leaves.pop()
@@ -26,7 +26,14 @@ def murcko_scaffold(graph: MolecularGraph) -> MolecularGraph:
             degree[nbr] -= 1
             if degree[nbr] == 1 and not graph.atoms[nbr].in_ring:
                 leaves.append(nbr)
-    scaffold = induced_subgraph(graph, [i for i, k in enumerate(kept) if k])
+    keep = [i for i, k in enumerate(kept) if k]
+    scaffold = induced_subgraph(graph, keep)
+    # A bracket atom that lost a side chain no longer writes all its H, so it
+    # takes implicit H for the pruned bonds, as RDKit's MurckoDecompose lets
+    # such an atom do: C[C@@H]1CCCCC1 and CC1CCCCC1 share one scaffold.
+    for new, old in enumerate(keep):
+        if degree[old] < len(graph.bonds_of(old)):
+            scaffold.atoms[new].bracket = False
     if scaffold.n_atoms:
         annotate(scaffold)
     return scaffold

@@ -271,6 +271,7 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
             explicit_hs=explicit_hs,
             is_aromatic=aromatic,
             chirality=chirality,
+            bracket=True,
         ),
         i + 1,
     )

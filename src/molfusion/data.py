@@ -1,7 +1,7 @@
 """Dataset ingestion and split generation.
 
 CSV in (UTF-8, RFC-4180, header required), immutable Dataset out; splits are
-reproducible functions of (checksum, method, seed, fractions) and export as
+reproducible functions of (checksum, method, seed) and export as
 JSON manifests for exact reruns. ``read_csv`` is the one CSV reader: every
 subcommand that takes a CSV goes through it.
 """
@@ -23,6 +23,8 @@ from .autodiff.rng import make_rng
 from .chem import SmilesError, parse_smiles, scaffold_hash
 
 log = logging.getLogger(__name__)
+
+FRACTIONS = (0.8, 0.1, 0.1)  # train, valid, test
 
 
 class DataError(ValueError):
@@ -54,7 +56,6 @@ class Dataset:
     labels: np.ndarray
     mask: np.ndarray
     task_names: tuple[str, ...]
-    task_type: str  # "regression" | "classification"
     checksum: str
 
     def __len__(self) -> int:
@@ -191,30 +192,20 @@ def load_csv(
     mask = ~np.isnan(values)
     labels = np.where(mask, values, 0.0)
     mask.flags.writeable = labels.flags.writeable = False
-    return Dataset(tuple(kept_smiles), labels, mask, tuple(task_columns), task_type, checksum)
+    return Dataset(tuple(kept_smiles), labels, mask, tuple(task_columns), checksum)
 
 
-def _check_fractions(fractions) -> tuple[float, float, float]:
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f < 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError(f"fractions must be 3 non-negative values summing to 1, got {fractions}")
-    return fractions
-
-
-def random_split(
-    dataset: Dataset, seed: int, fractions=(0.8, 0.1, 0.1)
-) -> DatasetSplit:
+def random_split(dataset: Dataset, seed: int) -> DatasetSplit:
     """Seeded shuffle, then contiguous train/valid/test cut.
 
     Valid and test sizes are floored; train takes the remainder.
     """
-    fractions = _check_fractions(fractions)
     n = len(dataset)
     if n < 10:
         raise TooSmallError(f"need at least 10 records to split, got {n}")
     perm = make_rng(seed).permutation(n).tolist()
-    n_valid = int(n * fractions[1])
-    n_test = int(n * fractions[2])
+    n_valid = int(n * FRACTIONS[1])
+    n_test = int(n * FRACTIONS[2])
     n_train = n - n_valid - n_test
     split = DatasetSplit(
         train=perm[:n_train],
@@ -222,15 +213,13 @@ def random_split(
         test=perm[n_train + n_valid :],
         method="random",
         seed=seed,
-        fractions=fractions,
+        fractions=FRACTIONS,
     )
     split.check_partition(n)
     return split
 
 
-def scaffold_split(
-    dataset: Dataset, seed: int, fractions=(0.8, 0.1, 0.1)
-) -> DatasetSplit:
+def scaffold_split(dataset: Dataset, seed: int) -> DatasetSplit:
     """Group records by scaffold and pack whole groups greedily.
 
     Groups are ordered by size descending (ties by lowest record index, so
@@ -239,7 +228,6 @@ def scaffold_split(
     two partitions. The packing itself is deterministic; ``seed`` is recorded
     for provenance only.
     """
-    fractions = _check_fractions(fractions)
     n = len(dataset)
     if n < 10:
         raise TooSmallError(f"need at least 10 records to split, got {n}")
@@ -247,7 +235,7 @@ def scaffold_split(
     for i, smiles in enumerate(dataset.smiles):
         groups.setdefault(scaffold_hash(parse_smiles(smiles)), []).append(i)
     ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[1][0]))
-    targets = [f * n for f in fractions]
+    targets = [f * n for f in FRACTIONS]
     parts: list[list[int]] = [[], [], []]
     for _key, members in ordered:
         deficits = [targets[k] - len(parts[k]) for k in range(3)]
@@ -264,7 +252,7 @@ def scaffold_split(
         test=sorted(parts[2]),
         method="scaffold",
         seed=seed,
-        fractions=fractions,
+        fractions=FRACTIONS,
     )
     split.check_partition(n)
     return split

@@ -4,7 +4,7 @@ Atoms receive a set of pharmacophore labels; every labeled atom pair
 increments the (label pair, shortest-path distance) slot with +-1 distance
 smearing at weight 0.3. The histogram is one weighted ``np.bincount`` over
 the smeared slots of all labeled pairs, with distances read from the
-graph's all-pairs distance matrix. The "none" label exists only to fix the
+hop-distance matrix it is given. The "none" label exists only to fix the
 pair-table layout (21 unordered pairs over 6 labels); it is never assigned,
 so its slots stay zero.
 """
@@ -55,9 +55,8 @@ def atom_labels(graph: MolecularGraph, idx: int) -> list[int]:
     return labels
 
 
-def erg_fingerprint(graph: MolecularGraph, max_path: int = 15) -> np.ndarray:
-    if max_path < 1:
-        raise ValueError("max_path must be >= 1")
+def erg_fingerprint(graph: MolecularGraph, distances: np.ndarray, max_path: int) -> np.ndarray:
+    """``distances``: ``hop_distances(graph, limit)``, exact for any limit >= max_path."""
     atoms, labels = [], []  # one entry per (atom, label), by atom then label
     for i in range(graph.n_atoms):
         for label in atom_labels(graph, i):
@@ -65,7 +64,7 @@ def erg_fingerprint(graph: MolecularGraph, max_path: int = 15) -> np.ndarray:
             labels.append(label)
     atoms = np.array(atoms, dtype=np.int64)
     labels = np.array(labels, dtype=np.int64)
-    dist = graph.distance_matrix(max_path)[atoms[:, None], atoms]
+    dist = distances[atoms[:, None], atoms]
     # each atom pair once; pairs beyond max_path (or disconnected) are ignored
     p, q = np.nonzero((atoms[:, None] < atoms) & (dist >= 1) & (dist <= max_path))
     # weights accumulate in (atom, atom, label, label, smear) order, so the
@@ -80,5 +79,5 @@ def erg_fingerprint(graph: MolecularGraph, max_path: int = 15) -> np.ndarray:
     return hist.astype(np.float64, copy=False)  # bincount of nothing is int64
 
 
-def erg_length(max_path: int = 15) -> int:
+def erg_length(max_path: int) -> int:
     return N_LABEL_PAIRS * max_path

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import Config, distinct_choices, integer, setting
-from ..chem.graph import BondOrder, Chirality, Hybridization, MolecularGraph
+from ..chem.graph import BondOrder, Chirality, Hybridization, MolecularGraph, hop_distances
 from .erg import erg_fingerprint, erg_length
 from .keys import default_key_table, substructure_key_fingerprint
 from .morgan import morgan_fingerprint
@@ -165,19 +165,20 @@ def compute_fingerprint(
     graph: MolecularGraph, config: FeaturizeConfig
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The concatenated fingerprint as ``(cols, values, width)``: its sorted
-    nonzero columns, their values, and its width. The hop distances are
-    searched once, as deep as the deepest enabled component reads."""
+    nonzero columns, their values, and its width. Morgan and ErG share one
+    hop-distance search, as deep as the deeper of them reads."""
     reads = [config.morgan_radius] * ("morgan" in config.components)
     reads += [config.erg_max_path] * ("erg" in config.components)
-    if reads:
-        graph.distance_matrix(max(reads))
+    distances = hop_distances(graph, max(reads)) if reads else None
     parts = []
     if "morgan" in config.components:
-        parts.append(morgan_fingerprint(graph, config.morgan_radius, config.morgan_bits))
+        parts.append(
+            morgan_fingerprint(graph, distances, config.morgan_radius, config.morgan_bits)
+        )
     if "keys" in config.components:
         parts.append(substructure_key_fingerprint(graph))
     if "erg" in config.components:
-        parts.append(erg_fingerprint(graph, config.erg_max_path))
+        parts.append(erg_fingerprint(graph, distances, config.erg_max_path))
     dense = np.concatenate(parts) if parts else np.zeros(0)
     cols = np.flatnonzero(dense)
     return cols, dense[cols], len(dense)

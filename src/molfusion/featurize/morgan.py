@@ -5,7 +5,7 @@ Each atom starts from a hash of its local invariants, and
 sorted (bond order, neighbor code) pairs; the same refinement keys scaffolds.
 An atom emits a new identifier at radius r only while its r-ball is still
 growing, that is while r does not exceed its eccentricity, read from the
-graph's all-pairs distance matrix (once the neighborhood stops expanding the
+hop-distance matrix it is given (once the neighborhood stops expanding the
 environment subgraph repeats and is not re-emitted). Every emitted identifier
 folds into the bit vector by modulo. Hashing uses blake2b truncated to 64
 bits, so bit patterns are stable across runs and platforms.
@@ -26,11 +26,13 @@ def _invariants(a: Atom) -> bytes:
     )
 
 
-def environment_codes(graph: MolecularGraph, radius: int) -> list[tuple[int, int, int]]:
+def environment_codes(
+    graph: MolecularGraph, distances: np.ndarray, radius: int
+) -> list[tuple[int, int, int]]:
     """Emitted (atom, radius, code) triples after the ball-growth cutoff."""
     rounds = refine(graph, list(map(_invariants, graph.atoms)), radius)
     # exact on a matrix cut at radius hops or more: min(radius, eccentricity) is unchanged
-    eccentricity = graph.distance_matrix(radius).max(axis=1, initial=0).tolist()
+    eccentricity = distances.max(axis=1, initial=0).tolist()
     return [
         (i, r, rounds[r][i])
         for i, ecc in enumerate(eccentricity)
@@ -38,11 +40,9 @@ def environment_codes(graph: MolecularGraph, radius: int) -> list[tuple[int, int
     ]
 
 
-def morgan_fingerprint(graph: MolecularGraph, radius: int = 2, n_bits: int = 2048) -> np.ndarray:
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    if n_bits < 64:
-        raise ValueError("n_bits must be >= 64")
+def morgan_fingerprint(
+    graph: MolecularGraph, distances: np.ndarray, radius: int, n_bits: int
+) -> np.ndarray:
     out = np.zeros(n_bits, dtype=np.float64)
-    out[[code % n_bits for _atom, _r, code in environment_codes(graph, radius)]] = 1.0
+    out[[code % n_bits for _atom, _r, code in environment_codes(graph, distances, radius)]] = 1.0
     return out

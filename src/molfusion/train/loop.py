@@ -45,7 +45,6 @@ class TrainConfig(Config):
 
 @dataclass
 class TrainResult:
-    seed: int
     best_epoch: int
     valid_metric: float | None
     test_metric: float | None
@@ -192,7 +191,6 @@ def train(
         model.load_state_arrays(best_state)  # into the shared buffer that lane 1 reads
         test_metric = evaluate_metric(model, mols, labels, mask, split.test, lanes)
     return TrainResult(
-        seed=seed,
         best_epoch=best_epoch,
         valid_metric=best_metric,
         test_metric=test_metric,

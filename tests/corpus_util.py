@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from molfusion.chem import MolecularGraph, parse_smiles
+from molfusion.chem.graph import hop_distances
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -221,9 +222,9 @@ def relabel(graph: MolecularGraph, perm: Sequence[int]) -> MolecularGraph:
 
 
 def n_components(graph: MolecularGraph) -> int:
-    """Connected components, counted from ``distance_matrix()`` as the distinct
+    """Connected components, counted from ``hop_distances`` as the distinct
     sets of mutually reachable atoms (independent of ring perception's forest)."""
-    return len({row.tobytes() for row in graph.distance_matrix() >= 0})
+    return len({row.tobytes() for row in hop_distances(graph) >= 0})
 
 
 def dense_fingerprint(mol) -> np.ndarray:

@@ -16,6 +16,7 @@ import pytest
 import molfusion.autodiff as ad
 from molfusion.autodiff import Tensor, grad_check, make_rng
 from molfusion.chem import parse_smiles
+from molfusion.chem.graph import hop_distances
 from molfusion.cli import main
 from molfusion.data import Dataset, DatasetSplit, load_csv, random_split, scaffold_split
 from molfusion.featurize import (
@@ -47,7 +48,7 @@ def _verdict(number, description, passed):
 def _memory_dataset(smiles_list):
     labels = np.array([[corpus_util.synthetic_property(s)] for s in smiles_list])
     mask = np.ones(labels.shape, dtype=bool)
-    return Dataset(tuple(smiles_list), labels, mask, ("y",), "regression", "na")
+    return Dataset(tuple(smiles_list), labels, mask, ("y",), "na")
 
 
 def test_criterion_1_full_model_gradient_check():
@@ -198,7 +199,8 @@ def test_criterion_5b_morgan_matches_environment_enumerator():
     ok = len(small) >= 50
     for smiles in small:
         g = parse_smiles(smiles)
-        emitted = environment_codes(g, radius)
+        distances = hop_distances(g)
+        emitted = environment_codes(g, distances, radius)
         impl_groups, oracle_groups = {}, {}
         for atom, r, code in emitted:
             impl_groups.setdefault(code, set()).add((atom, r))
@@ -208,7 +210,7 @@ def test_criterion_5b_morgan_matches_environment_enumerator():
         ok &= sorted(impl_groups.values(), key=sorted) == sorted(
             oracle_groups.values(), key=sorted
         )
-        bits = morgan_fingerprint(g, radius, 2048)
+        bits = morgan_fingerprint(g, distances, radius, 2048)
         ok &= set(np.nonzero(bits)[0]) == {c % 2048 for _, _, c in emitted}
     _verdict(
         "5b",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from molfusion.chem import Atom, Bond, BondOrder, MolecularGraph, parse_smiles
+from molfusion.chem.graph import hop_distances
 from molfusion.cli import random_molecule_graph
 from molfusion.featurize import (
     ATOM_FEATURE_DIM,
@@ -24,6 +25,7 @@ from molfusion.featurize import (
     normalized_adjacency,
     substructure_key_fingerprint,
 )
+from molfusion.featurize import features
 from molfusion.featurize.erg import N_LABEL_PAIRS, SMEAR_WEIGHT, atom_labels
 
 import corpus_util
@@ -171,13 +173,12 @@ class TestDistanceMatrix:
         """The BFS oracle, in full and, for every limit from 0 to one past the
         diameter, with the pairs farther apart than the limit at -1."""
         expected = [_bfs_distances(g, i) for i in range(g.n_atoms)]
-        got = g.distance_matrix()
+        got = hop_distances(g)
         assert got.dtype == np.int64 and got.shape == (g.n_atoms, g.n_atoms)
         assert got.tolist() == expected
-        g = pickle.loads(pickle.dumps(g))  # the kept matrix is not pickled
         expected = np.array(expected, dtype=np.int64)
         for limit in range(expected.max() + 2):
-            got = g.distance_matrix(limit)  # larger than the kept limit: searched again
+            got = hop_distances(g, limit)
             assert got.dtype == np.int64
             assert np.array_equal(got, np.where(expected > limit, -1, expected)), limit
 
@@ -194,7 +195,7 @@ class TestDistanceMatrix:
         g = MolecularGraph(atoms, [Bond(0, 1, BondOrder.SINGLE), Bond(1, 2, BondOrder.SINGLE),
                                    Bond(3, 4, BondOrder.SINGLE)])
         self._check(g)
-        assert g.distance_matrix().tolist() == [
+        assert hop_distances(g).tolist() == [
             [0, 1, 2, -1, -1],
             [1, 0, 1, -1, -1],
             [2, 1, 0, -1, -1],
@@ -206,40 +207,30 @@ class TestDistanceMatrix:
         g = parse_smiles("C" * 600)
         i = np.arange(600)
         hops = np.abs(i[:, None] - i)
-        assert np.array_equal(g.distance_matrix(), hops)
-        g = parse_smiles("C" * 600)
-        assert np.array_equal(g.distance_matrix(15), np.where(hops > 15, -1, hops))
+        assert np.array_equal(hop_distances(g), hops)
+        assert np.array_equal(hop_distances(g, 15), np.where(hops > 15, -1, hops))
 
-    def test_computed_once_and_read_only(self):
+    def test_read_only(self):
         g = parse_smiles("c1ccccc1CCO")
-        d = g.distance_matrix()
-        assert g.distance_matrix() is d
-        with pytest.raises(ValueError):
-            d[0, 1] = 5
-
-    def test_kept_matrix_serves_smaller_limits(self):
-        g = parse_smiles("C" * 40)
-        cut = g.distance_matrix(10)
-        assert cut.max() == 10
-        assert g.distance_matrix(3) is cut and g.distance_matrix(10) is cut
-        with pytest.raises(ValueError):
-            cut[0, 1] = 5
-        full = g.distance_matrix()
-        i = np.arange(40)
-        assert np.array_equal(full, np.abs(i[:, None] - i))
-        assert g.distance_matrix(39) is full and g.distance_matrix() is full
-        assert g.distance_matrix(10) is full
+        for d in (hop_distances(g), hop_distances(g, 2)):
+            with pytest.raises(ValueError):
+                d[0, 1] = 5
 
     def test_fingerprints_exact_on_a_cut_matrix(self):
-        """Morgan and ErG read the matrix cut at their own limits, and give
-        what they give on the full matrix of a 1600-atom chain."""
-        cut, full = parse_smiles("C" * 1600), parse_smiles("C" * 1600)
-        full.distance_matrix()
+        """Morgan and ErG given the matrix cut at their own limits give what
+        they give on the full matrix of a 1600-atom chain."""
+        g = parse_smiles("C" * 1600)
+        full = hop_distances(g)
         for radius in (0, 2, 5):
-            assert np.array_equal(morgan_fingerprint(cut, radius), morgan_fingerprint(full, radius))
+            cut = hop_distances(g, radius)
+            assert cut.max() == radius
+            assert np.array_equal(morgan_fingerprint(g, cut, radius, 2048),
+                                  morgan_fingerprint(g, full, radius, 2048))
         for max_path in (1, 15):
-            assert np.array_equal(erg_fingerprint(cut, max_path), erg_fingerprint(full, max_path))
-        assert cut.distance_matrix(15).max() == 15  # they read a cut matrix
+            cut = hop_distances(g, max_path)
+            assert cut.max() == max_path
+            assert np.array_equal(erg_fingerprint(g, cut, max_path),
+                                  erg_fingerprint(g, full, max_path))
 
 
 def _oracle_environment_key(g, root, radius):
@@ -282,18 +273,22 @@ def _oracle_environment_key(g, root, radius):
     return best
 
 
+def _morgan(g, radius=2, n_bits=2048):
+    """Morgan bits over the full hop-distance matrix, radius 2 and 2048 bits
+    unless given."""
+    return morgan_fingerprint(g, hop_distances(g), radius, n_bits)
+
+
 class TestMorgan:
     def test_methane_single_bit(self):
-        assert int(morgan_fingerprint(parse_smiles("C"), 2, 2048).sum()) == 1
+        assert int(_morgan(parse_smiles("C")).sum()) == 1
 
     def test_order_insensitive(self):
-        assert np.array_equal(
-            morgan_fingerprint(parse_smiles("CCO")), morgan_fingerprint(parse_smiles("OCC"))
-        )
+        assert np.array_equal(_morgan(parse_smiles("CCO")), _morgan(parse_smiles("OCC")))
 
     def test_ether_vs_ethanol_differ_at_radius_1(self):
-        f_ether = morgan_fingerprint(parse_smiles("COC"), 1)
-        f_ethanol = morgan_fingerprint(parse_smiles("CCO"), 1)
+        f_ether = _morgan(parse_smiles("COC"), 1)
+        f_ethanol = _morgan(parse_smiles("CCO"), 1)
         assert not np.array_equal(f_ether, f_ethanol)
 
     def test_isomorphism_invariance(self):
@@ -301,16 +296,7 @@ class TestMorgan:
         for smiles in corpus_util.build_corpus(60):
             g = parse_smiles(smiles)
             perm = rng.permutation(g.n_atoms).tolist()
-            assert np.array_equal(
-                morgan_fingerprint(g), morgan_fingerprint(corpus_util.relabel(g, perm))
-            )
-
-    def test_parameter_validation(self):
-        g = parse_smiles("CC")
-        with pytest.raises(ValueError):
-            morgan_fingerprint(g, radius=-1)
-        with pytest.raises(ValueError):
-            morgan_fingerprint(g, n_bits=32)
+            assert np.array_equal(_morgan(g), _morgan(corpus_util.relabel(g, perm)))
 
     def test_environment_partition_matches_bruteforce(self):
         """Emitted ids partition (atom, radius) exactly like canonical balls."""
@@ -319,7 +305,7 @@ class TestMorgan:
         radius = 2
         for smiles in small:
             g = parse_smiles(smiles)
-            emitted = environment_codes(g, radius)
+            emitted = environment_codes(g, hop_distances(g), radius)
             impl_groups = {}
             oracle_groups = {}
             for atom, r, code in emitted:
@@ -330,7 +316,7 @@ class TestMorgan:
             assert sorted(impl_groups.values(), key=sorted) == sorted(
                 oracle_groups.values(), key=sorted
             ), smiles
-            bits = morgan_fingerprint(g, radius, 2048)
+            bits = _morgan(g, radius)
             assert set(np.nonzero(bits)[0]) == {code % 2048 for _, _, code in emitted}
 
 
@@ -444,7 +430,7 @@ def _key_oracle(g, predicate, args):
         "halogen_ge": lambda: n_atoms(lambda a: a.element in ("F", "Cl", "Br", "I")),
         "hetero_ge": lambda: n_atoms(lambda a: a.element != "C"),
         "heavy_ge": lambda: len(atoms),
-        "degree_count_ge": lambda d: n_atoms(lambda a: len(g.neighbors(a.index)) >= int(d)),
+        "degree_count_ge": lambda d: sum(len(g.neighbors(i)) >= int(d) for i in range(len(atoms))),
         "charge_pos_ge": lambda: n_atoms(lambda a: a.formal_charge > 0),
         "charge_neg_ge": lambda: n_atoms(lambda a: a.formal_charge < 0),
         "charged_ge": lambda: n_atoms(lambda a: a.formal_charge != 0),
@@ -490,6 +476,11 @@ def _erg_loop_oracle(g, max_path):
     return out
 
 
+def _erg(g, max_path=15):
+    """ErG values over the full hop-distance matrix, to 15 hops unless given."""
+    return erg_fingerprint(g, hop_distances(g), max_path)
+
+
 class TestErg:
     @pytest.mark.parametrize("max_path", [1, 5, 15])
     def test_matches_loop_oracle(self, max_path):
@@ -497,17 +488,17 @@ class TestErg:
         graphs = [g for _s, g in corpus_util.frozen_corpus_graphs()]
         graphs += [parse_smiles(s) for s in corpus_util.screen_large_smiles(1)]
         for g in graphs:
-            got = erg_fingerprint(g, max_path)
+            got = _erg(g, max_path)
             assert got.dtype == np.float64
             assert np.array_equal(got, _erg_loop_oracle(g, max_path))
 
     def test_no_labeled_atoms(self):
         # halogens carry no pharmacophore label; the carbon has non-C neighbors
-        assert not erg_fingerprint(parse_smiles("ClC(Cl)Cl")).any()
+        assert not _erg(parse_smiles("ClC(Cl)Cl")).any()
 
     def test_smearing_pattern(self):
         # every populated row peaks at one distance with 0.3-weighted wings
-        fp = erg_fingerprint(parse_smiles("NCCO"), max_path=10)
+        fp = _erg(parse_smiles("NCCO"), max_path=10)
         rows = fp.reshape(21, 10)
         populated = rows[np.nonzero(rows.sum(axis=1))[0]]
         assert len(populated) > 0
@@ -522,17 +513,17 @@ class TestErg:
             assert not row[others].any()
 
     def test_ethanolamine_donor_acceptor_distance_3(self):
-        fp = erg_fingerprint(parse_smiles("NCCO"), max_path=15).reshape(21, 15)
+        fp = _erg(parse_smiles("NCCO")).reshape(21, 15)
         # labels: donor=0, acceptor=1; pair (0,1) is row 1 in the 21-pair table
         assert fp[1][3 - 1] >= 1.0
 
     def test_length(self):
         assert erg_length(15) == 315
-        assert erg_fingerprint(parse_smiles("NCCO"), 15).shape == (315,)
+        assert _erg(parse_smiles("NCCO")).shape == (315,)
 
     def test_counts_nonnegative(self):
         for smiles in corpus_util.build_corpus(60):
-            assert (erg_fingerprint(parse_smiles(smiles)) >= 0).all()
+            assert (_erg(parse_smiles(smiles)) >= 0).all()
 
 
 # sha256 over the packed Morgan (radius 2, 2048 bits) and key bits of each
@@ -555,7 +546,7 @@ def test_morgan_and_key_bits_golden(source):
         graphs = [parse_smiles(s) for s in corpus_util.screen_large_smiles(source)]
     digest = hashlib.sha256()
     for g in graphs:
-        digest.update(np.packbits(morgan_fingerprint(g).astype(bool)).tobytes())
+        digest.update(np.packbits(_morgan(g).astype(bool)).tobytes())
         digest.update(np.packbits(substructure_key_fingerprint(g).astype(bool)).tobytes())
     assert digest.hexdigest() == GOLDEN_BITS[source]
 
@@ -582,7 +573,7 @@ def test_featurize_golden(source):
     digest = hashlib.sha256()
     for g in graphs:
         mol = featurize(g)
-        for array in (erg_fingerprint(g), mol.atom_features, mol.bond_features, mol.src,
+        for array in (_erg(g), mol.atom_features, mol.bond_features, mol.src,
                       mol.dst, mol.fingerprint_cols, mol.fingerprint_values):
             digest.update(np.ascontiguousarray(array).tobytes())
     assert digest.hexdigest() == GOLDEN_FEATURES[source]
@@ -597,7 +588,7 @@ class TestAssembly:
         g = parse_smiles("CCO")
         config = FeaturizeConfig()
         mol = featurize(g, config)
-        morgan = morgan_fingerprint(g, config.morgan_radius, config.morgan_bits)
+        morgan = _morgan(g, config.morgan_radius, config.morgan_bits)
         fingerprint = corpus_util.dense_fingerprint(mol)
         assert np.array_equal(fingerprint[:2048], morgan)
         assert fingerprint.shape == (2523,)
@@ -615,15 +606,41 @@ class TestAssembly:
         for smiles in corpus_util.build_corpus(60):
             g = parse_smiles(smiles)
             mol = featurize(g, config)
-            parts = {"morgan": lambda: morgan_fingerprint(g, config.morgan_radius,
-                                                          config.morgan_bits),
+            parts = {"morgan": lambda: _morgan(g, config.morgan_radius, config.morgan_bits),
                      "keys": lambda: substructure_key_fingerprint(g),
-                     "erg": lambda: erg_fingerprint(g, config.erg_max_path)}
+                     "erg": lambda: _erg(g, config.erg_max_path)}
             dense = np.concatenate([parts[c]() for c in components] or [np.zeros(0)])
             assert mol.fingerprint_width == len(dense) == config.fingerprint_length
             assert mol.fingerprint_cols.dtype == np.int64
             assert mol.fingerprint_cols.tolist() == [i for i, v in enumerate(dense) if v != 0]
             assert mol.fingerprint_values.tolist() == [v for v in dense if v != 0]
+
+    @pytest.mark.parametrize("components, radius, max_path, limit", [
+        (("morgan", "keys", "erg"), 2, 15, 15),
+        (("morgan", "keys", "erg"), 16, 3, 16),
+        (("morgan",), 4, 15, 4),
+        (("erg",), 2, 40, 40),
+        (("keys",), 2, 15, None),
+    ])
+    def test_one_hop_distance_search_per_molecule(
+        self, monkeypatch, components, radius, max_path, limit
+    ):
+        """Morgan and ErG share one search, as deep as the deeper of them
+        reads; keys alone need none."""
+        calls = []
+
+        def counted(graph, limit=None):
+            calls.append(limit)
+            return hop_distances(graph, limit)
+
+        monkeypatch.setattr(features, "hop_distances", counted)
+        config = FeaturizeConfig(
+            morgan_radius=radius, erg_max_path=max_path, components=components
+        )
+        smiles = corpus_util.build_corpus(20)
+        for s in smiles:
+            featurize(parse_smiles(s), config)
+        assert calls == ([] if limit is None else [limit] * len(smiles))
 
     def test_featurized_molecules_pickle_small(self):
         """A forked lane sends featurized molecules back pickled. The mean over

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molfusion.chem import SmilesError, parse_smiles
+from molfusion.chem.graph import hop_distances
 from molfusion.cli import main, random_molecule_graph
 from molfusion.featurize import FeaturizeConfig, featurize
 from molfusion.model import ModelConfig, MlfgnnModel, MoleculeBatch
@@ -47,7 +48,7 @@ def _featurize_and_predict(graphs):
         assert np.isfinite(mol.fingerprint_values).all() and mol.fingerprint_values.all()
         assert (np.diff(mol.fingerprint_cols) > 0).all()
         assert np.isfinite(mol.atom_features).all()
-        dist = g.distance_matrix()
+        dist = hop_distances(g)
         assert np.array_equal(dist, dist.T) and not dist.diagonal().any()
     preds = MODEL.predict_batch(MoleculeBatch(mols))
     assert preds.shape == (len(mols), 1)

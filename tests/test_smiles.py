@@ -36,7 +36,7 @@ from molfusion.chem import (
     perceive_rings,
     scaffold_hash,
 )
-from molfusion.chem.graph import induced_subgraph, refine
+from molfusion.chem.graph import hop_distances, induced_subgraph, refine
 from molfusion.chem.perception import _fundamental_cycles, _shortest_cycle_through
 from molfusion.cli import random_molecule_graph
 
@@ -230,6 +230,49 @@ class TestBracketAtoms:
         with pytest.raises(SmilesError, match=r"formal charge [-]?5 outside \[-4, 4\]"):
             parse_smiles(smiles)
 
+    @pytest.mark.parametrize("smiles, index, total_hs", [
+        ("[N]", 0, 0),
+        ("[C]", 0, 0),
+        ("[O-]", 0, 0),
+        ("[CH3]", 0, 3),
+        ("C[CH]C", 1, 1),
+        ("[C]([H])[H]", 0, 2),
+        ("[NH4+]", 0, 4),
+        ("[nH]1cccc1", 0, 1),
+        ("[13CH4]", 0, 4),
+        ("CC(=O)[O-]", 3, 0),
+        ("N[C@@H](C)C(=O)O", 1, 1),
+    ])
+    def test_carries_exactly_the_hs_it_writes(self, smiles, index, total_hs):
+        atom = parse_smiles(smiles).atoms[index]
+        assert atom.bracket and atom.implicit_hs == 0 and atom.total_hs == total_hs
+
+    def test_organic_subset_atoms_fill_their_valence(self):
+        g = parse_smiles("C[CH]C")
+        assert [(a.bracket, a.total_hs) for a in g.atoms] == [(False, 3), (True, 1), (False, 3)]
+
+    def test_scaffold_keeps_the_bracket_flag(self):
+        scaffold = murcko_scaffold(parse_smiles("CC1CC[C]CC1"))  # re-annotated
+        assert scaffold.n_atoms == 6
+        assert scaffold.atoms[3].bracket and scaffold.atoms[3].total_hs == 0
+
+    @pytest.mark.parametrize("smiles, plain", [
+        ("C[C@@H]1CCCCC1", "CC1CCCCC1"),  # ring stereocentre
+        ("c1ccccc1[C@@H](C)c1ccccc1", "c1ccccc1C(C)c1ccccc1"),  # linker stereocentre
+        ("C[C]1CCCCC1", "CC1CCCCC1"),  # bracket radical that lost its methyl
+        ("O=[S]1CCCC1", "O=S1CCCC1"),  # pruned double bond
+    ])
+    def test_scaffold_fills_a_bracket_atom_that_lost_a_side_chain(self, smiles, plain):
+        assert scaffold_hash(parse_smiles(smiles)) == scaffold_hash(parse_smiles(plain))
+
+    @pytest.mark.parametrize("smiles, flags", [
+        ("C[n+]1ccccc1", [False, False, False, False, False, False]),
+        ("C[N+]1(C)CC[CH]CC1", [False, False, False, True, False, False]),
+    ])
+    def test_scaffold_drops_the_flag_only_where_a_side_chain_went(self, smiles, flags):
+        scaffold = murcko_scaffold(parse_smiles(smiles))
+        assert [a.bracket for a in scaffold.atoms] == flags
+
     def test_atom_class_is_read_and_dropped(self):
         g = parse_smiles("[CH3:1]C")
         assert g.n_atoms == 2 and g.atoms[0].explicit_hs == 3
@@ -316,8 +359,8 @@ class TestRings:
     def test_ring_membership_consistency(self):
         g = parse_smiles("Cc1ccccc1")
         ring_atoms = set(g.rings[0])
-        for a in g.atoms:
-            assert a.in_ring == (a.index in ring_atoms)
+        for i, a in enumerate(g.atoms):
+            assert a.in_ring == (i in ring_atoms)
         for b in g.bonds:
             in_listed_ring = any(
                 b.u in r and b.v in r and _adjacent_in_cycle(r, b.u, b.v) for r in g.rings
@@ -511,14 +554,16 @@ def _annotation_rows(g: MolecularGraph) -> list:
 
 
 def test_corpus_annotations_are_pinned():
-    """One digest of every annotation of build_corpus(1786), computed at
-    commit 670bec0, before the parse was made faster: any change to an atom
-    field, a bond field or a ring of any corpus molecule fails here."""
+    """One digest of every annotation of build_corpus(1786): any change to an
+    atom field, a bond field or a ring of any corpus molecule fails here. First
+    pinned before the parse was made faster. Re-pinned when ``Atom`` dropped
+    ``index`` and ``bond_order_sum`` and gained ``bracket``: the rows without
+    those three fields digest to 9bbf7d2c...176da7 both before and after."""
     digest = hashlib.sha256()
     for smiles in corpus_util.build_corpus(1786):
         digest.update(json.dumps(_annotation_rows(parse_smiles(smiles))).encode())
     assert digest.hexdigest() == (
-        "605df2392e431529b1db70f6923a54020ae0a97ff9bc5febcec710605f94dc42")
+        "09b37a12a0b6263ba858e8bf55eb29dcddd2b720331f249f64a3049228ece5f4")
 
 
 class TestGraphPickle:
@@ -528,14 +573,12 @@ class TestGraphPickle:
     ])
     def test_round_trip_keeps_every_field_ring_and_attribute(self, smiles):
         g = parse_smiles(smiles)
-        want_distances = g.distance_matrix().copy()
         g.note = {"doomed": ("cannot featurize", 0.5)}  # an attribute a caller set
         h = pickle.loads(pickle.dumps(g))
         assert _annotation_rows(h) == _annotation_rows(g)
         assert h.atoms == g.atoms and h.bonds == g.bonds and h.rings == g.rings
         assert h.note == g.note
-        assert h._distances is None  # a cache: not pickled
-        assert np.array_equal(h.distance_matrix(), want_distances)
+        assert np.array_equal(hop_distances(h), hop_distances(g))
         position = {id(b): k for k, b in enumerate(h.bonds)}
         for i in range(g.n_atoms):
             assert [position[id(b)] for b in h.bonds_of(i)] == [
@@ -762,10 +805,10 @@ class TestInvariants:
         for smiles in corpus_util.build_corpus(200):
             g = parse_smiles(smiles)
             assert len(g.rings) == g.n_bonds - g.n_atoms + corpus_util.n_components(g)
-            for a in g.atoms:
+            for i, a in enumerate(g.atoms):
                 assert a.implicit_hs >= 0
                 assert -4 <= a.formal_charge <= 4
-                assert a.degree == len(g.bonds_of(a.index))
+                assert a.degree == len(g.bonds_of(i))
             for b in g.bonds:
                 if b.order is BondOrder.AROMATIC:
                     assert g.atoms[b.u].is_aromatic and g.atoms[b.v].is_aromatic
