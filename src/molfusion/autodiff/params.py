@@ -19,9 +19,6 @@ class ParameterStore:
         t = self.tensors[name] = Tensor(data, requires_grad=True)
         return t
 
-    def count_values(self) -> int:
-        return sum(t.size for t in self.tensors.values())
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.tensors.items()}
 

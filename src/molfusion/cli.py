@@ -38,6 +38,7 @@ from .data import DataError, load_csv, random_split, read_csv, scaffold_split
 from .featurize import FeaturizeConfig, featurize
 from .helper import LaneEnded, each_row
 from .model import MAX_CHUNK_ATOMS, ModelConfig, MoleculeBatch
+from .model.config import WIDTH
 from .model.network import MlfgnnModel
 from .train import (SEED_MAX, NonFiniteLossError, TrainConfig, aggregate, prepare_inputs,
                     train)
@@ -98,12 +99,14 @@ def load_config_file(path: str | None) -> dict:
     return config
 
 
-# Model keys that a command works out; a config file may not set them, but a
-# checkpoint's model section records them.
+# Model keys that a command works out; a config file may not set them. A
+# checkpoint's model section records them, head_dim only if an earlier version
+# wrote it.
 DERIVED_MODEL_KEYS = {
     key: Kind("derived", f"left out: it comes from {source}", lambda value: False)
     for key, source in (("task", "train --task"), ("n_tasks", "the label columns"),
-                        ("fingerprint_dim", "the featurize section"))
+                        ("fingerprint_dim", "the featurize section"),
+                        ("head_dim", "hidden_dim / heads"))
 }
 
 
@@ -310,13 +313,22 @@ RETIRED_KEYS = {
 
 def _without_retired_keys(section: dict, name: str) -> dict:
     """Checkpoint section ``name`` without its retired keys; one that holds any
-    other value raises ``ConfigError``, since this version cannot build it."""
+    other value raises ``ConfigError``, since this version cannot build it. A
+    model's ``head_dim``, which earlier versions wrote, loads when
+    ``heads * head_dim == hidden_dim``, as they all required."""
     section = dict(section)
     for key, value in RETIRED_KEYS[name].items():
         if key in section and json.dumps(section[key]) != json.dumps(value):
             raise ConfigError(f"{key} must be {json.dumps(value)}, the only value this "
                               f"version builds, got {section[key]!r}")
         section.pop(key, None)
+    if name == "model" and "head_dim" in section:
+        heads, head_dim, hidden = (section.get(k) for k in ("heads", "head_dim", "hidden_dim"))
+        # Both factors fit before they multiply, so the product is a small integer.
+        if not (WIDTH.fits(heads) and WIDTH.fits(head_dim) and heads * head_dim == hidden):
+            raise ConfigError(f"head_dim must be hidden_dim / heads, got head_dim {head_dim!r} "
+                              f"with heads {heads!r} and hidden_dim {hidden!r}")
+        del section["head_dim"]
     return section
 
 

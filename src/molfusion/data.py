@@ -14,6 +14,7 @@ import io
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from .chem import SmilesError, parse_smiles, scaffold_hash
 log = logging.getLogger(__name__)
 
 FRACTIONS = (0.8, 0.1, 0.1)  # train, valid, test
+# A label is an ASCII decimal; float() would also take "1_0" or Arabic-Indic digits.
+DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 class DataError(ValueError):
@@ -73,24 +76,21 @@ class DatasetSplit:
     test: list[int]
     method: str  # "random" | "scaffold"
     seed: int
-    fractions: tuple[float, float, float]
 
     def check_partition(self, n: int) -> None:
         combined = sorted(self.train + self.valid + self.test)
         if combined != list(range(n)):
             raise DataError("split does not partition the index set")
 
-    def to_manifest(self, checksum: str) -> dict:
-        return {
+    def save(self, path: str | Path, checksum: str) -> None:
+        manifest = {
             "method": self.method,
             "seed": self.seed,
-            "fractions": list(self.fractions),
+            "fractions": list(FRACTIONS),
             "indices": {"train": self.train, "valid": self.valid, "test": self.test},
             "checksum": checksum,
         }
-
-    def save(self, path: str | Path, checksum: str) -> None:
-        Path(path).write_text(json.dumps(self.to_manifest(checksum), indent=1, sort_keys=True))
+        Path(path).write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
 def _parse_label(cell: str, task_type: str, row_num: int, column: str) -> float:
@@ -100,10 +100,12 @@ def _parse_label(cell: str, task_type: str, row_num: int, column: str) -> float:
         return math.nan
     try:
         value = float(cell)
-    except ValueError as exc:
-        raise LabelError(f"row {row_num}, column {column!r}: non-numeric label {cell!r}") from exc
-    if not math.isfinite(value):
+    except ValueError:
+        value = None
+    if value is not None and not math.isfinite(value):
         raise LabelError(f"row {row_num}, column {column!r}: non-finite label {cell!r}")
+    if value is None or not DECIMAL.fullmatch(cell):
+        raise LabelError(f"row {row_num}, column {column!r}: non-numeric label {cell!r}")
     if task_type == "classification" and value not in (0.0, 1.0):
         raise LabelError(
             f"row {row_num}, column {column!r}: classification label must be 0 or 1, got {cell!r}"
@@ -213,7 +215,6 @@ def random_split(dataset: Dataset, seed: int) -> DatasetSplit:
         test=perm[n_train + n_valid :],
         method="random",
         seed=seed,
-        fractions=FRACTIONS,
     )
     split.check_partition(n)
     return split
@@ -252,7 +253,6 @@ def scaffold_split(dataset: Dataset, seed: int) -> DatasetSplit:
         test=sorted(parts[2]),
         method="scaffold",
         seed=seed,
-        fractions=FRACTIONS,
     )
     split.check_partition(n)
     return split

@@ -132,7 +132,7 @@ class TransformerLayer:
         self.ffn2 = Linear(store, rng, f"{prefix}.ffn2", FFN_MULT * dim, dim)
 
     def attend(self, h: Tensor, batch, trace=None) -> Tensor:
-        """Mixed attention of all heads, [N, heads*head_dim], before the output projection.
+        """Mixed attention of all heads, [N, dim], before the output projection.
 
         ``h`` holds the joined atom rows of ``batch`` (a ``MoleculeBatch``),
         whose block-diagonal adjacency is the prior. ``trace``, when given,

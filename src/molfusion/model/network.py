@@ -77,11 +77,6 @@ class MlfgnnModel:
             mlp_in = d
         self.out1 = Linear(store, rng, "output_mlp.lin1", mlp_in, d)
         self.out2 = Linear(store, rng, "output_mlp.lin2", d, c.n_tasks)
-        if self.params.count_values() != c.parameter_count():
-            raise RuntimeError(
-                f"parameter walk ({self.params.count_values()}) disagrees with the "
-                f"closed-form count ({c.parameter_count()})"
-            )
 
     # -- forward -----------------------------------------------------------
 

@@ -37,13 +37,6 @@ from ..model.batch import MoleculeBatch
 from .losses import masked_loss
 
 
-def eval_outputs(model, mols, chunk_lists: list[list[int]]) -> list[np.ndarray]:
-    """The model's outputs on each chunk of ``mols``, without a gradient tape."""
-    with no_grad():
-        return [model.forward(MoleculeBatch([mols[i] for i in chunk])).data
-                for chunk in chunk_lists]
-
-
 class Lanes(Helper):
     """Runs each optimizer batch's chunks, Adam's steps and evals on the two
     lanes. A ``Helper`` whose work is a call of its own method named by the
@@ -79,10 +72,10 @@ class Lanes(Helper):
         self.reply()
 
     def eval(self, chunk_lists: list[list[int]]) -> list[np.ndarray]:
-        """``eval_outputs`` of the chunks, the odd ones run in lane 1."""
-        self.send(("_eval_lane1", chunk_lists[1::2]))
+        """The model's outputs on each chunk, the odd ones run in lane 1."""
+        self.send(("_eval", chunk_lists[1::2]))
         outputs = [None] * len(chunk_lists)
-        outputs[0::2] = eval_outputs(self.model, self.mols, chunk_lists[0::2])
+        outputs[0::2] = self._eval(chunk_lists[0::2])
         outputs[1::2] = self.reply()
         return outputs
 
@@ -108,5 +101,8 @@ class Lanes(Helper):
     def _adam(self, lo: int, hi: int) -> None:
         self.optimizer.step(lo, hi)
 
-    def _eval_lane1(self, chunk_lists) -> list[np.ndarray]:
-        return eval_outputs(self.model, self.mols, chunk_lists)
+    def _eval(self, chunk_lists) -> list[np.ndarray]:
+        """The model's outputs on each chunk, without a gradient tape."""
+        with no_grad():
+            return [self.model.forward(MoleculeBatch([self.mols[i] for i in chunk])).data
+                    for chunk in chunk_lists]

@@ -19,7 +19,7 @@ from ..featurize import FeaturizeConfig, FeaturizedMolecule, featurize
 from ..helper import each_row
 from ..model.batch import chunks
 from ..model.network import MlfgnnModel
-from .lanes import Lanes, eval_outputs
+from .lanes import Lanes
 from .metrics import SingleClassError, masked_rmse, roc_auc_multi
 
 log = logging.getLogger(__name__)
@@ -61,26 +61,23 @@ def aggregate(per_seed: dict[str, float | None]) -> tuple[float | None, float]:
     return mean, std
 
 
-def prepare_inputs(
-    dataset: Dataset, featurize_config: FeaturizeConfig | None = None
-) -> list[FeaturizedMolecule]:
+def prepare_inputs(dataset: Dataset, featurize_config: FeaturizeConfig
+                   ) -> list[FeaturizedMolecule]:
     """Every record featurized once, in dataset order, on the two lanes of
     ``helper.each_row``; a record that fails to parse raises its error."""
-    config = featurize_config or FeaturizeConfig()
     mols = []
-    for _smiles, error, mol in each_row(dataset.smiles,
-                                        lambda graphs: [featurize(g, config) for g in graphs]):
+    for _smiles, error, mol in each_row(
+            dataset.smiles, lambda graphs: [featurize(g, featurize_config) for g in graphs]):
         if error is not None:
             raise error
         mols.append(mol)
     return mols
 
 
-def evaluate_metric(model, mols, labels, mask, indices, lanes: Lanes | None = None
-                    ) -> float | None:
+def evaluate_metric(model, mols, labels, mask, indices, lanes: Lanes) -> float | None:
     """Validation/test metric over ``indices``: mean ROC-AUC for a
-    classification model, pooled RMSE for a regression one. With ``lanes``
-    open, the odd chunks run in lane 1.
+    classification model, pooled RMSE for a regression one. ``lanes`` is open,
+    and the odd chunks run in lane 1.
 
     Returns None for an empty fold or a classification fold without both
     classes in any task (the metric is undefined there).
@@ -88,8 +85,7 @@ def evaluate_metric(model, mols, labels, mask, indices, lanes: Lanes | None = No
     if not indices:
         return None
     chunk_lists = list(chunks(indices, lambda i: mols[i].n_atoms))
-    outputs = lanes.eval(chunk_lists) if lanes else eval_outputs(model, mols, chunk_lists)
-    preds = np.concatenate(outputs)
+    preds = np.concatenate(lanes.eval(chunk_lists))
     sub_labels, sub_mask = labels[indices], mask[indices]
     if model.config.task == "classification":
         try:

@@ -55,7 +55,7 @@ def test_criterion_1_full_model_gradient_check():
     """Finite differences confirm every parameter group at rtol 1e-3."""
     start = time.time()
     config = ModelConfig(
-        transformer_layers=2, heads=2, head_dim=4, hidden_dim=8, gat_out_dim=6,
+        transformer_layers=2, heads=2, hidden_dim=8, gat_out_dim=6,
         gat_layers=2, fingerprint_embed_dim=8,
         fingerprint_dim=SMALL_FEATURIZE.fingerprint_length,
     )
@@ -85,7 +85,7 @@ def test_criterion_1_full_model_gradient_check():
 def test_criterion_2_boundary_identities():
     """Attention/gate/squashing boundary settings reproduce the pure forms."""
     config = ModelConfig(
-        transformer_layers=1, heads=2, head_dim=4, hidden_dim=8, gat_out_dim=6,
+        transformer_layers=1, heads=2, hidden_dim=8, gat_out_dim=6,
         fingerprint_embed_dim=8, fingerprint_dim=SMALL_FEATURIZE.fingerprint_length,
     )
     model = MlfgnnModel(config, seed=2)
@@ -149,7 +149,7 @@ def test_criterion_2_boundary_identities():
 
 def test_criterion_3_permutation_invariance_100_molecules():
     config = ModelConfig(
-        transformer_layers=2, heads=2, head_dim=4, hidden_dim=8, gat_out_dim=6,
+        transformer_layers=2, heads=2, hidden_dim=8, gat_out_dim=6,
         fingerprint_embed_dim=8, fingerprint_dim=SMALL_FEATURIZE.fingerprint_length,
     )
     model = MlfgnnModel(config, seed=5)
@@ -237,7 +237,7 @@ def test_criterion_5c_gat_layer_matches_naive_loop():
 
 
 OVERFIT_CONFIG = ModelConfig(
-    transformer_layers=1, heads=2, head_dim=8, hidden_dim=16, gat_out_dim=16,
+    transformer_layers=1, heads=2, hidden_dim=16, gat_out_dim=16,
     gat_layers=1, fingerprint_embed_dim=16,
     fingerprint_dim=FeaturizeConfig(morgan_bits=256, erg_max_path=8).fingerprint_length,
     dropout_gat=0.0, dropout_ffn=0.0, dropout_attn=0.0,
@@ -252,7 +252,6 @@ def test_criterion_6_overfit_sanity_10_seeds():
     labels, mask = dataset.labels, dataset.mask
     split = DatasetSplit(
         train=list(range(32)), valid=[], test=[], method="random", seed=0,
-        fractions=(1.0, 0.0, 0.0),
     )
     hits = 0
     early_decreases = 0
@@ -318,14 +317,14 @@ def test_criterion_8_split_protocol(tmp_path):
     corpus = corpus_util.scaffold_family_corpus()
     path = corpus_util.write_classification_csv(tmp_path / "fam.csv", corpus)
     dataset = load_csv(path, "smiles", ["active"], "classification")
+    keys = [scaffold_hash(parse_smiles(smiles)) for smiles in dataset.smiles]
     disjoint = True
     for seed in range(50):
         split = scaffold_split(dataset, seed=seed)
         owner = {}
         for part, indices in (("train", split.train), ("valid", split.valid), ("test", split.test)):
             for i in indices:
-                key = scaffold_hash(parse_smiles(dataset.smiles[i]))
-                if owner.setdefault(key, part) != part:
+                if owner.setdefault(keys[i], part) != part:
                     disjoint = False
     ten = _memory_dataset(corpus_util.build_corpus(10))
     sizes = tuple(
@@ -345,7 +344,7 @@ def test_criterion_9_reproducible_cli_runs(tmp_path):
         json.dumps(
             {
                 "model": {
-                    "transformer_layers": 1, "heads": 2, "head_dim": 4, "hidden_dim": 8,
+                    "transformer_layers": 1, "heads": 2, "hidden_dim": 8,
                     "gat_out_dim": 8, "gat_layers": 1, "fingerprint_embed_dim": 8,
                 },
                 "train": {"epochs": 2, "batch_size": 16, "patience": 5},
@@ -374,7 +373,7 @@ def test_criterion_10_interpretability_export(tmp_path):
         json.dumps(
             {
                 "model": {
-                    "transformer_layers": 2, "heads": 2, "head_dim": 4, "hidden_dim": 8,
+                    "transformer_layers": 2, "heads": 2, "hidden_dim": 8,
                     "gat_out_dim": 8, "gat_layers": 2, "fingerprint_embed_dim": 8,
                 },
                 "train": {"epochs": 2, "batch_size": 16, "patience": 5},

@@ -176,7 +176,7 @@ def gradcheck_small_pack(smiles, seed):
     """Finite differences against the tape on a pack of ``smiles`` in a small model."""
     small = FeaturizeConfig(morgan_bits=64, erg_max_path=5)
     config = ModelConfig(
-        transformer_layers=2, heads=2, head_dim=4, hidden_dim=8, gat_out_dim=6,
+        transformer_layers=2, heads=2, hidden_dim=8, gat_out_dim=6,
         fingerprint_embed_dim=8, fingerprint_dim=small.fingerprint_length,
     )
     model = MlfgnnModel(config, seed=seed)
@@ -230,7 +230,7 @@ def test_train_step_gradient_is_the_mean_per_molecule_gradient(mols, monkeypatch
             super().step(lo, hi)
 
     monkeypatch.setattr(loop, "Adam", Recording)
-    split = DatasetSplit(list(range(5)), [], [], "random", 0, (1.0, 0.0, 0.0))
+    split = DatasetSplit(list(range(5)), [], [], "random", 0)
     result = loop.train(MlfgnnModel(config, seed=8), mols, labels, mask, split,
                         TrainConfig(epochs=1, batch_size=5), seed=0)
 

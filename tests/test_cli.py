@@ -35,7 +35,6 @@ TINY_CONFIG = {
     "model": {
         "transformer_layers": 1,
         "heads": 2,
-        "head_dim": 4,
         "hidden_dim": 8,
         "gat_out_dim": 8,
         "gat_layers": 1,
@@ -309,12 +308,13 @@ INTEGER_FIELDS = [
 
 class TestTrainCommand:
     def test_config_checked_before_the_data_is_read(self, workdir, tmp_path, capsys):
-        config = {"model": {"hidden_dim": 7, "heads": 2, "head_dim": 4}}
+        config = {"model": {"hidden_dim": 7, "heads": 2}}
         (tmp_path / "config.json").write_text(json.dumps(config))
         code = main(["train", "--data", str(tmp_path / "missing.csv"), "--task", "reg",
                      "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "run")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("config error: hidden_dim (7) must equal")
+        assert capsys.readouterr().err == (
+            "config error: hidden_dim (7) must be a multiple of heads (2)\n")
 
     @pytest.mark.parametrize("data", ["reg.csv", "missing.csv"])
     def test_repeated_label_col_is_a_config_error(self, workdir, tmp_path, data):
@@ -351,7 +351,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     @pytest.mark.parametrize("config", [
         {"model": {"transformer_layers": 1.5}},
-        {"model": {"heads": 4.0, "head_dim": 16.0}},
+        {"model": {"heads": 4.0}},
         {"model": {"gat_layers": True}},
         {"featurize": {"morgan_bits": 100.5}},
         {"featurize": {"morgan_radius": 1.5}},
@@ -410,11 +410,15 @@ class TestTrainCommand:
          "n_tasks must be left out: it comes from the label columns, got 2"),
         ({"model": {"fingerprint_dim": 7}},
          "fingerprint_dim must be left out: it comes from the featurize section, got 7"),
+        ({"model": {"head_dim": 16}},
+         "head_dim must be left out: it comes from hidden_dim / heads, got 16"),
+        ({"model": {"heads": 3}}, "hidden_dim (64) must be a multiple of heads (3)"),
     ], ids=["lr-true", "lr-nan", "lr-string", "seed-1.5", "seed-string", "seed-negative",
             "components-a-string", "adjacency-bias-no", "adjacency-bias-0", "norm-dyt",
             "dropout-false", "dropout-string", "patience-negative", "patience-0",
             "seeds-an-integer", "key-table-path-an-integer", "key-table-path-null",
-            "components-repeated", "seeds-repeated", "task", "n-tasks", "fingerprint-dim"])
+            "components-repeated", "seeds-repeated", "task", "n-tasks", "fingerprint-dim",
+            "head-dim", "heads-3"])
     def test_bad_value_is_a_config_error_naming_its_field(self, tmp_path, config, message):
         """``train`` names a data file that does not exist, so exit 1 shows the
         config was checked before any row was read. ``norm``,
@@ -544,9 +548,26 @@ class TestTrainCommand:
         _config, arrays = load_checkpoint(out / "seed_0.ckpt")
         assert not any(name.startswith("transformer.") for name in arrays)
 
+    @pytest.mark.parametrize("model_section", [{"hidden_dim": 128}, {"heads": 8}],
+                             ids=["hidden-128", "heads-8"])
+    def test_one_width_key_alone_trains(self, workdir, tmp_path, model_section):
+        """``heads`` splits ``hidden_dim``, so either can change without the
+        other; the checkpoint records the two and no ``head_dim``."""
+        config = {**TINY_CONFIG, "model": model_section}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(workdir / "reg.csv"), "--task", "reg",
+                     "--config", str(tmp_path / "config.json"), "--seeds", "1",
+                     "--epochs", "1", "--out", str(out)]) == 0
+        saved, arrays = load_checkpoint(out / "seed_0.ckpt")
+        heads, width = model_section.get("heads", 4), model_section.get("hidden_dim", 64)
+        assert "head_dim" not in saved["model"]
+        assert (saved["model"]["heads"], saved["model"]["hidden_dim"]) == (heads, width)
+        assert arrays["transformer.layer0.w_q"].shape == (width, width)
+
     def test_bad_config_lists_problems_before_start(self, workdir, capsys):
         bad_config = workdir / "bad_config.json"
-        bad_config.write_text(json.dumps({"model": {"hidden_dim": 7, "heads": 2, "head_dim": 4}}))
+        bad_config.write_text(json.dumps({"model": {"hidden_dim": 7, "heads": 2}}))
         code = main(
             [
                 "train",
@@ -1331,17 +1352,17 @@ def test_bad_checkpoint_config_value_exit_2(workdir, trained, tmp_path, section,
 
 
 class TestRetiredKeys:
-    """``norm``, ``adjacency_bias`` and ``key_table_path`` are no longer
-    settings; checkpoints written before they were retired record them."""
+    """``norm``, ``adjacency_bias``, ``key_table_path`` and ``head_dim`` are no
+    longer settings; checkpoints written before they were retired record them."""
 
     def _old_checkpoint(self, trained, path, **changed):
-        """The trained checkpoint with the retired keys in its header, as an
-        earlier version wrote them, ``changed`` in place of the values this
-        version builds."""
+        """The trained checkpoint (heads 2, hidden_dim 8) with the retired keys
+        in its header, as an earlier version wrote them, ``changed`` in place
+        of the values this version builds (or of ``heads``)."""
         config, arrays = load_checkpoint(trained / "seed_0.ckpt")
-        retired = {"norm": "dyt", "adjacency_bias": True, "key_table_path": None, **changed}
-        config["model"].update(norm=retired["norm"], adjacency_bias=retired["adjacency_bias"])
-        config["featurize"]["key_table_path"] = retired["key_table_path"]
+        model = {"norm": "dyt", "adjacency_bias": True, "head_dim": 4, **changed}
+        config["featurize"]["key_table_path"] = model.pop("key_table_path", None)
+        config["model"].update(model)
         save_checkpoint(path, config, arrays)
         return path
 
@@ -1354,6 +1375,7 @@ class TestRetiredKeys:
 
     @pytest.mark.parametrize("key,value", [
         ("norm", "layernorm"), ("adjacency_bias", False), ("key_table_path", "keys.txt"),
+        ("head_dim", 3), ("head_dim", 8), ("head_dim", "4"), ("head_dim", None),
     ])
     def test_any_other_value_exit_2_naming_the_key(self, workdir, trained, tmp_path, capsys,
                                                    key, value):
@@ -1363,6 +1385,20 @@ class TestRetiredKeys:
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {old}: ") and f"{key} must be " in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("heads", [0, "x", None])
+    def test_head_dim_beside_a_bad_heads_exit_2(self, workdir, trained, tmp_path, heads):
+        """``heads * head_dim`` is not worked out from such a ``heads``. Run as
+        a process, so that a traceback would reach stderr."""
+        old = self._old_checkpoint(trained, tmp_path / "old.ckpt", heads=heads)
+        out = tmp_path / "p.csv"
+        proc = run_process(["predict", "--checkpoint", str(old), "--input",
+                            str(workdir / "reg.csv"), "--out", str(out)])
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"data error: {old}: "), proc.stderr
+        assert "head_dim must be hidden_dim / heads" in lines[0], proc.stderr
         assert not out.exists()
 
 

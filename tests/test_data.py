@@ -147,6 +147,23 @@ class TestLoadCsv:
         with pytest.raises(LabelError):
             load_csv(path, "smiles", ["y"], task_type="classification")
 
+    @pytest.mark.parametrize("cell", ["1_0", "\u0661", "0x1", "1e"],
+                             ids=["underscore", "arabic-indic-one", "hex", "bare-exponent"])
+    def test_label_not_an_ascii_decimal_is_rejected(self, tmp_path, cell):
+        """``float`` reads ``1_0`` as 10.0 and an Arabic-Indic one as 1.0."""
+        path = tmp_path / "d.csv"
+        path.write_text(f"smiles,y\nCCO,{cell}\n", encoding="utf-8")
+        with pytest.raises(LabelError) as err:
+            load_csv(path, "smiles", ["y"])
+        assert str(err.value) == f"row 2, column 'y': non-numeric label {cell!r}"
+
+    def test_ascii_decimal_labels_are_read(self, tmp_path):
+        cells = [" 3 ", "+2", ".5", "5.", "1e3", "-0.25E-1"]
+        path = tmp_path / "d.csv"
+        path.write_text("smiles,y\n" + "".join(f"CCO,{cell}\n" for cell in cells))
+        ds = load_csv(path, "smiles", ["y"])
+        assert ds.labels[:, 0].tolist() == [3.0, 2.0, 0.5, 5.0, 1000.0, -0.025]
+
     def test_missing_column(self, regression_csv):
         with pytest.raises(MissingColumnError):
             load_csv(regression_csv, "smiles", ["nope"])
@@ -283,4 +300,4 @@ class TestManifest:
         assert manifest["indices"] == {"train": split.train, "valid": split.valid,
                                        "test": split.test}
         assert (manifest["method"], manifest["seed"], manifest["fractions"]) == (
-            split.method, split.seed, list(split.fractions))
+            split.method, split.seed, [0.8, 0.1, 0.1])

@@ -10,9 +10,10 @@ from molfusion.autodiff import Tensor, backward, grad_check, make_rng
 from molfusion.autodiff.params import ParameterStore
 from molfusion.chem import parse_smiles
 from molfusion.featurize import FeaturizeConfig, featurize
+from molfusion.featurize.features import ATOM_FEATURE_DIM, BOND_FEATURE_DIM
 from molfusion.model import ConfigError, ModelConfig, MlfgnnModel
 from molfusion.model.batch import MoleculeBatch, chunks
-from molfusion.model.config import LEAKY_SLOPE
+from molfusion.model.config import FFN_MULT, LEAKY_SLOPE
 from molfusion.model.layers import (
     AttentiveGru,
     CrossAttention,
@@ -30,7 +31,6 @@ def small_config(**overrides):
     base = dict(
         transformer_layers=2,
         heads=2,
-        head_dim=4,
         hidden_dim=8,
         gat_out_dim=6,
         gat_layers=2,
@@ -42,6 +42,50 @@ def small_config(**overrides):
     )
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """Total learnable values as a pure function of the config: the oracle
+    of the model's parameter walk."""
+    d, g = config.hidden_dim, config.gat_out_dim
+    fpe, u = config.fingerprint_embed_dim, config.fingerprint_dim
+
+    def linear(i, o):
+        return i * o + o
+
+    def matrix(i, o):
+        return i * o
+
+    def gru(i, h):
+        return 3 * ((i + h) * h + h)
+
+    total = linear(ATOM_FEATURE_DIM, g)  # node init
+    if config.has_gat:
+        total += linear(ATOM_FEATURE_DIM + BOND_FEATURE_DIM, g)  # edge init
+        total += config.gat_layers * (matrix(2 * g, 1) + matrix(g, g) + gru(g, g))
+        total += linear(g, d)  # local-stream projection to shared width
+    if config.has_transformer:
+        total += linear(g, d)  # transformer input adapter
+        per_layer = 3 * matrix(d, d) + linear(d, d)  # q/k/v + output proj
+        per_layer += 2  # attention/adjacency balance scalars
+        per_layer += 2 * (1 + 2 * d)  # two DyT: scalar alpha, per-channel gamma/beta
+        per_layer += linear(d, FFN_MULT * d) + linear(FFN_MULT * d, d)
+        total += config.transformer_layers * per_layer
+    if config.has_gate:
+        total += 1  # mixture gate pre-activation
+    total += matrix(2 * d, 1) + matrix(d, d) + gru(d, d)  # supernode readout
+    if config.has_fingerprint:
+        total += linear(u, fpe) + linear(fpe, fpe)  # fingerprint MLP
+        total += matrix(fpe, d) + 2 * matrix(d, d) + linear(d, d)  # cross-attention
+        mlp_in = 2 * d + fpe
+    else:
+        mlp_in = d
+    total += linear(mlp_in, d) + linear(d, config.n_tasks)  # output MLP
+    return total
+
+
+def values_in(model: MlfgnnModel) -> int:
+    return sum(t.size for t in model.params.tensors.values())
 
 
 def featurized(smiles):
@@ -208,7 +252,7 @@ class TestTransformerBoundaries:
             batch = MoleculeBatch([mol])
             out = layer.attend(h, batch)
             v = (h.data @ layer.w_v.data)
-            d_k = model.config.head_dim
+            d_k = model.config.hidden_dim // layer.heads
             for i in range(layer.heads):
                 cols = slice(i * d_k, (i + 1) * d_k)
                 expected = batch.adjacency @ v[:, cols]
@@ -224,7 +268,7 @@ class TestTransformerBoundaries:
             batch = MoleculeBatch([mol])
             out = layer.attend(h, batch)
             q, k, v = (h.data @ w.data for w in (layer.w_q, layer.w_k, layer.w_v))
-            d_k = model.config.head_dim
+            d_k = model.config.hidden_dim // layer.heads
             for i in range(layer.heads):
                 cols = slice(i * d_k, (i + 1) * d_k)
                 logits = q[:, cols] @ k[:, cols].T / math.sqrt(d_k)
@@ -673,7 +717,7 @@ class TestAblations:
     def test_runs_and_counts_match(self, ablation):
         config = small_config(ablation=ablation)
         model = MlfgnnModel(config, seed=0)
-        assert config.parameter_count() == model.params.count_values()
+        assert parameter_count(config) == values_in(model)
         out = model.forward(MoleculeBatch([featurized("CC(=O)Nc1ccccc1")]))
         assert out.shape == (1, 1)
 
@@ -700,7 +744,7 @@ class TestParameterCount:
         [
             {},
             {"transformer_layers": 3, "gat_layers": 1},
-            {"heads": 4, "head_dim": 2},
+            {"heads": 4, "hidden_dim": 8},
             {"transformer_layers": 1},
             {"gat_out_dim": 10, "fingerprint_embed_dim": 5},
             {"n_tasks": 12, "task": "classification"},
@@ -712,7 +756,7 @@ class TestParameterCount:
     def test_closed_form_matches_walk(self, overrides):
         config = small_config(**overrides)
         model = MlfgnnModel(config, seed=0)
-        assert config.parameter_count() == model.params.count_values()
+        assert parameter_count(config) == values_in(model)
 
     def test_default_parameter_names_unchanged(self):
         """Checkpoints store tensors by these names, in this order."""
@@ -750,7 +794,7 @@ class TestParameterCount:
 
     def test_config_validation_reports_all_problems(self):
         with pytest.raises(ConfigError) as err:
-            ModelConfig(hidden_dim=7, heads=2, head_dim=4, dropout_gat=1.5)
+            ModelConfig(hidden_dim=7, heads=2, dropout_gat=1.5)
         message = str(err.value)
         assert "hidden_dim" in message and "dropout_gat" in message
 

@@ -31,6 +31,7 @@ from molfusion.train import (
     aggregate,
     evaluate_metric,
     masked_loss,
+    masked_rmse,
     prepare_inputs,
     rmse,
     roc_auc,
@@ -47,7 +48,6 @@ def small_config(**overrides):
     base = dict(
         transformer_layers=1,
         heads=2,
-        head_dim=4,
         hidden_dim=8,
         gat_out_dim=8,
         gat_layers=1,
@@ -215,9 +215,8 @@ class TestTrainLoop:
         assert result.best_epoch == best["epoch"]
         assert result.valid_metric == best["valid_metric"]
         # restored model state must reproduce the recorded test metric
-        from molfusion.train import evaluate_metric
-
-        re_eval = evaluate_metric(model, mols, labels, mask, split.test)
+        with lanes.Lanes(model, mols, labels, mask, ad.Adam(model.params)) as pair:
+            re_eval = evaluate_metric(model, mols, labels, mask, split.test, pair)
         assert re_eval == pytest.approx(result.test_metric)
 
     def test_log_lines_carry_gate_and_lambdas(self, tiny_dataset, tmp_path):
@@ -298,7 +297,7 @@ class TestMultiSeed:
         data, config = tmp_path / "reg.csv", tmp_path / "config.json"
         corpus_util.write_regression_csv(data, corpus_util.build_corpus(40))
         config.write_text(json.dumps({  # the sizes of small_config and SMALL_FEATURIZE
-            "model": {"transformer_layers": 1, "heads": 2, "head_dim": 4, "hidden_dim": 8,
+            "model": {"transformer_layers": 1, "heads": 2, "hidden_dim": 8,
                       "gat_out_dim": 8, "gat_layers": 1, "fingerprint_embed_dim": 8},
             "featurize": {"morgan_bits": 64, "erg_max_path": 5},
         }))
@@ -524,8 +523,10 @@ class TestLanes:
         indices = list(range(len(mols)))[::-1]
         chunk_lists = list(chunks(indices, lambda i: mols[i].n_atoms))
         assert len(chunk_lists) >= 3
-        serial = lanes.eval_outputs(model, mols, chunk_lists)
-        serial_metric = evaluate_metric(model, mols, labels, mask, indices)
+        with ad.no_grad():
+            serial = [model.forward(MoleculeBatch([mols[i] for i in chunk])).data
+                      for chunk in chunk_lists]
+        serial_metric = masked_rmse(np.concatenate(serial), labels[indices], mask[indices])
         with lanes.Lanes(model, mols, labels, mask, ad.Adam(model.params)) as pair:
             outputs = pair.eval(chunk_lists)
             metric = evaluate_metric(model, mols, labels, mask, indices, pair)
