@@ -88,12 +88,14 @@ def _problem(name: str, kind: Kind, value) -> str | None:
 def check_config(table: dict[str, Kind], values: dict, cross=None) -> dict:
     """``values``, a config section, once every key names a field of ``table``
     and every value fits its field's kind. Otherwise raises one ``ConfigError``: for
-    the unknown keys if there are any, else for every value that does not fit
-    and what ``cross(bad)`` adds, the section's rules across fields, given the
-    names of those values."""
+    the unknown keys if there are any, naming the keys a section may set (not
+    those of a ``derived`` kind, which no value fits), else for every value that
+    does not fit and what ``cross(bad)`` adds, the section's rules across
+    fields, given the names of those values."""
     unknown = [key for key in values if key not in table]
     if unknown:
-        raise ConfigError(f"unknown keys {unknown}; the keys are {sorted(table)}")
+        settable = sorted(key for key, kind in table.items() if kind.name != "derived")
+        raise ConfigError(f"unknown keys {unknown}; the keys are {settable}")
     problems = {name: _problem(name, table[name], value) for name, value in values.items()}
     problems = {name: problem for name, problem in problems.items() if problem}
     messages = list(problems.values()) + (cross(set(problems)) if cross else [])

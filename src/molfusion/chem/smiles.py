@@ -4,12 +4,14 @@ Supported grammar: the organic subset (B C N O P S F Cl Br I), aromatic
 lowercase atoms, bracket atoms with isotope/chirality/H-count/charge/class,
 ring-closure digits and %nn, branches, bond symbols ``- = # :`` plus the
 directional pair ``/ \\`` (read as single bonds feeding minimal double-bond
-E/Z perception). Multi-fragment input keeps the largest fragment by default.
+E/Z perception). Multi-fragment input keeps the largest fragment.
 """
 
 from __future__ import annotations
 
 import logging
+import re
+from collections import Counter
 
 from .elements import AROMATIC_SYMBOLS, ELEMENTS, ORGANIC_SUBSET
 from .errors import (
@@ -65,11 +67,7 @@ def parse_smiles(s: str) -> MolecularGraph:
     atoms, raw_bonds, saw_dot = _scan(s)
     if not atoms:
         raise EmptyInputError("no atoms in input", 0, _ATOM_START)
-    atoms, raw_bonds = _fold_explicit_hydrogens(atoms, raw_bonds)
-    if not atoms:
-        raise SmilesError("molecule has no heavy atoms", 0)
-    if saw_dot:
-        atoms, raw_bonds = _keep_largest_fragment(atoms, raw_bonds, s)
+    atoms, raw_bonds = _heavy_atoms(atoms, raw_bonds, saw_dot, s)
     graph = _build_graph(atoms, raw_bonds)
     annotate(graph)
     _perceive_double_bond_stereo(graph, raw_bonds)
@@ -175,117 +173,87 @@ def _scan(s: str):
     return atoms, bonds, saw_dot
 
 
+# A bracket atom, every part optional so that a malformed one matches as far
+# as it is well formed: isotope, symbol (aromatic ones first, as written),
+# chirality (@, @@, or a named class such as @TH1), H count, charge, class.
+# No part after the symbol starts with a lowercase letter, so one that follows
+# an uppercase letter belongs to the symbol: [Co] names cobalt, not C.
+_BRACKET = re.compile(
+    rf"""\[ (?P<isotope>[0-9]*)
+    (?P<symbol>{"|".join(AROMATIC_SYMBOLS)}|[A-Z][a-z]?)?
+    (?P<chirality>@(?:@|(?:TH|AL|SP|TB|OH)[0-9]+)?)?
+    (?:H(?P<hs>[0-9]*))?
+    (?P<charge>\+(?:[0-9]+|\+*)|-(?:[0-9]+|-*))?
+    (?P<atom_class>:[0-9]*)?
+    (?P<close>])?""",
+    re.VERBOSE,
+)
+_CHIRALITY = {None: Chirality.NONE, "@": Chirality.TETRAHEDRAL_CCW, "@@": Chirality.TETRAHEDRAL_CW}
+
+
+def _count(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # over int()'s digit limit (4300 by default)
+        from decimal import Decimal  # imported by the few inputs that need it
+
+        return int(Decimal(digits))
+
+
 def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
-    """Parse one bracket atom starting at '['; returns (atom, next index)."""
-    i = start + 1
-    n = len(s)
-
-    def eof_error():
-        return SmilesError("unterminated bracket atom", start, ("']'",))
-
-    # Optional isotope number (accepted, not stored).
-    while i < n and s[i].isdigit():
-        i += 1
-    if i >= n:
-        raise eof_error()
-
-    aromatic = False
-    element = None
-    for sym in AROMATIC_SYMBOLS:
-        if s.startswith(sym, i):
-            element = sym.capitalize() if len(sym) == 2 else sym.upper()
-            aromatic = True
-            i += len(sym)
-            break
-    if element is None:
-        if not s[i].isalpha() or not s[i].isupper():
-            raise UnknownElementError(f"expected element symbol at {s[i]!r}", i, ("element",))
-        # Nothing after the symbol starts with a lowercase letter, so one
-        # that follows belongs to the symbol: [Co] names cobalt, not C.
-        element = s[i]
-        i += 1
-        if i < n and s[i].isalpha() and s[i].islower():
-            element += s[i]
-            i += 1
+    """Parse one bracket atom starting at '['; returns (atom, next index).
+    The first part that is not well formed names the error."""
+    m = _BRACKET.match(s, start)
+    symbol, charge_text = m["symbol"], m["charge"]
+    if symbol is None:
+        at = m.end("isotope")
+        if at == len(s):
+            raise SmilesError("unterminated bracket atom", start, ("']'",))
+        raise UnknownElementError(f"expected element symbol at {s[at]!r}", at, ("element",))
+    element = symbol.capitalize()
     if element not in ELEMENTS:
-        raise UnknownElementError(f"unknown element {element!r}", i - len(element))
-
-    chirality = Chirality.NONE
-    if i < n and s[i] == "@":
-        i += 1
-        if i < n and s[i] == "@":
-            chirality = Chirality.TETRAHEDRAL_CW
-            i += 1
-        elif s[i : i + 2] in ("TH", "AL", "SP", "TB", "OH") and i + 2 < n and s[i + 2].isdigit():
-            # Named classes like @TH1/@AL2/@SP3: recorded as "other".
-            i += 2
-            while i < n and s[i].isdigit():
-                i += 1
-            chirality = Chirality.OTHER
-        else:
-            chirality = Chirality.TETRAHEDRAL_CCW
-
-    explicit_hs = 0
-    if i < n and s[i] == "H":
-        i += 1
-        count = 1
-        if i < n and s[i].isdigit():
-            count = 0
-            while i < n and s[i].isdigit():
-                count = count * 10 + int(s[i])
-                i += 1
-        explicit_hs = count
-
+        raise UnknownElementError(f"unknown element {element!r}", m.start("symbol"))
     charge = 0
-    if i < n and s[i] in "+-":
-        sign = 1 if s[i] == "+" else -1
-        symbol = s[i]
-        i += 1
-        magnitude = 1
-        if i < n and s[i].isdigit():
-            magnitude = 0
-            while i < n and s[i].isdigit():
-                magnitude = magnitude * 10 + int(s[i])
-                i += 1
-        else:
-            while i < n and s[i] == symbol:
-                magnitude += 1
-                i += 1
-        charge = sign * magnitude
+    if charge_text:
+        magnitude = charge_text[1:]
+        charge = _count(magnitude) if magnitude.isdigit() else len(charge_text)
+        charge = -charge if charge_text[0] == "-" else charge
         if abs(charge) > 4:
-            raise SmilesError(f"formal charge {charge} outside [-4, 4]", i - 1)
-
-    if i < n and s[i] == ":":
-        i += 1
-        if i >= n or not s[i].isdigit():
-            raise SmilesError("atom class ':' needs digits", i)
-        while i < n and s[i].isdigit():
-            i += 1
-
-    if i >= n or s[i] != "]":
-        raise eof_error()
-    return (
-        Atom(
-            element=element,
-            formal_charge=charge,
-            explicit_hs=explicit_hs,
-            is_aromatic=aromatic,
-            chirality=chirality,
-            bracket=True,
-        ),
-        i + 1,
+            raise SmilesError(f"formal charge {charge} outside [-4, 4]", m.end("charge") - 1)
+    if m["atom_class"] == ":":
+        raise SmilesError("atom class ':' needs digits", m.end("atom_class"))
+    if not m["close"]:
+        raise SmilesError("unterminated bracket atom", start, ("']'",))
+    atom = Atom(
+        element=element,
+        formal_charge=charge,
+        explicit_hs=0 if m["hs"] is None else _count(m["hs"] or "1"),
+        is_aromatic=symbol[0].islower(),
+        chirality=_CHIRALITY.get(m["chirality"], Chirality.OTHER),
+        bracket=True,
     )
+    return atom, m.end()
 
 
-def _fold_explicit_hydrogens(atoms, bonds):
-    """Fold bracket [H] atoms into the neighbor's explicit-H count."""
-    h_idx = {i for i, a in enumerate(atoms) if a.element == "H"}
-    if not h_idx:
+def _heavy_atoms(atoms, bonds, saw_dot: bool, source: str):
+    """Fold each bracket [H] into its neighbour's explicit-H count; keep the
+    fragment with the most heavy atoms (the first of equal ones, with a
+    warning); number the kept atoms from 0 in written order. Input with
+    neither comes back as it is."""
+    is_h = [a.element == "H" for a in atoms]
+    if not (saw_dot or any(is_h)):
         return atoms, bonds
+    fragment = list(range(len(atoms)))  # union-find parents
+
+    def root(a: int) -> int:
+        while fragment[a] != a:
+            fragment[a] = a = fragment[fragment[a]]
+        return a
+
     folded_into: dict[int, int] = {}
     kept_bonds = []
     for b in bonds:
-        hu, hv = b.u in h_idx, b.v in h_idx
+        hu, hv = is_h[b.u], is_h[b.v]
         if hu and hv:
             raise SmilesError("hydrogen-hydrogen bond unsupported")
         if hu or hv:
@@ -295,63 +263,28 @@ def _fold_explicit_hydrogens(atoms, bonds):
             folded_into[h] = heavy
             continue
         kept_bonds.append(b)
-    for h in h_idx:
-        if h not in folded_into:
-            raise SmilesError("isolated explicit hydrogen atom")
-        atoms[folded_into[h]].explicit_hs += 1 + atoms[h].explicit_hs
-    remap = {}
-    new_atoms = []
-    for i, a in enumerate(atoms):
-        if i in h_idx:
-            continue
-        remap[i] = len(new_atoms)
-        new_atoms.append(a)
+        fragment[root(b.u)] = root(b.v)
+    if len(folded_into) < sum(is_h):
+        raise SmilesError("isolated explicit hydrogen atom")
+    for h, heavy in folded_into.items():
+        atoms[heavy].explicit_hs += 1 + atoms[h].explicit_hs
+    keep = [i for i, flag in enumerate(is_h) if not flag]
+    roots = [root(i) for i in keep]
+    sizes = Counter(roots)  # in order of each fragment's first atom
+    if len(sizes) > 1:
+        best = max(sizes, key=sizes.get)
+        log.warning(
+            "multi-fragment SMILES %r: keeping largest fragment (%d of %d atoms)",
+            source,
+            sizes[best],
+            len(keep),
+        )
+        keep = [i for i, r in zip(keep, roots) if r == best]
+    remap = {old: new for new, old in enumerate(keep)}
+    kept_bonds = [b for b in kept_bonds if b.u in remap]
     for b in kept_bonds:
         b.u, b.v = remap[b.u], remap[b.v]
-    return new_atoms, kept_bonds
-
-
-def _keep_largest_fragment(atoms, bonds, source: str):
-    """Keep the fragment with the most heavy atoms (first wins on ties)."""
-    n = len(atoms)
-    adj = [[] for _ in range(n)]
-    for b in bonds:
-        adj[b.u].append(b.v)
-        adj[b.v].append(b.u)
-    comp = [-1] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        cid = len(comps)
-        stack, members = [start], []
-        comp[start] = cid
-        while stack:
-            a = stack.pop()
-            members.append(a)
-            for nbr in adj[a]:
-                if comp[nbr] < 0:
-                    comp[nbr] = cid
-                    stack.append(nbr)
-        comps.append(sorted(members))
-    if len(comps) == 1:
-        return atoms, bonds
-    best = max(range(len(comps)), key=lambda c: (len(comps[c]), -c))
-    log.warning(
-        "multi-fragment SMILES %r: keeping largest fragment (%d of %d atoms)",
-        source,
-        len(comps[best]),
-        n,
-    )
-    keep = comps[best]
-    remap = {old: new for new, old in enumerate(keep)}
-    new_atoms = [atoms[old] for old in keep]
-    new_bonds = []
-    for b in bonds:
-        if b.u in remap:
-            b.u, b.v = remap[b.u], remap[b.v]
-            new_bonds.append(b)
-    return new_atoms, new_bonds
+    return [atoms[i] for i in keep], kept_bonds
 
 
 def _build_graph(atoms, raw_bonds) -> MolecularGraph:

@@ -184,8 +184,7 @@ def compute_fingerprint(
     return cols, dense[cols], len(dense)
 
 
-def featurize(graph: MolecularGraph, config: FeaturizeConfig | None = None) -> FeaturizedMolecule:
-    config = config or FeaturizeConfig()
+def featurize(graph: MolecularGraph, config: FeaturizeConfig) -> FeaturizedMolecule:
     src, dst, bond_features = featurize_bonds(graph)
     cols, values, width = compute_fingerprint(graph, config)
     return FeaturizedMolecule(

@@ -294,7 +294,7 @@ def test_readme_config_block_and_table_follow_the_field_tables():
             assert default.startswith("from "), (name, key)
 
 
-MODEL_KEYS = sorted({**ModelConfig.field_table(), **DERIVED_MODEL_KEYS})
+MODEL_KEYS = sorted(key for key in ModelConfig.field_table() if key not in DERIVED_MODEL_KEYS)
 # (section, key, upper bound) of each integer field a config file may set,
 # the bound read from what the field must be.
 INTEGER_FIELDS = [
@@ -390,6 +390,10 @@ class TestTrainCommand:
         ({"model": {"adjacency_bias": 0}},
          f"unknown keys ['adjacency_bias']; the keys are {MODEL_KEYS}"),
         ({"model": {"norm": "dyt"}}, f"unknown keys ['norm']; the keys are {MODEL_KEYS}"),
+        ({"model": {"widht": 3}},
+         "unknown keys ['widht']; the keys are ['ablation', 'dropout_attn', 'dropout_ffn', "
+         "'dropout_gat', 'fingerprint_embed_dim', 'gat_layers', 'gat_out_dim', 'heads', "
+         "'hidden_dim', 'transformer_layers']"),
         ({"model": {"dropout_gat": False}},
          "dropout_gat must be a finite number in [0, 1), got False"),
         ({"model": {"dropout_gat": "x"}}, "dropout_gat must be a finite number in [0, 1), got 'x'"),
@@ -414,7 +418,7 @@ class TestTrainCommand:
          "head_dim must be left out: it comes from hidden_dim / heads, got 16"),
         ({"model": {"heads": 3}}, "hidden_dim (64) must be a multiple of heads (3)"),
     ], ids=["lr-true", "lr-nan", "lr-string", "seed-1.5", "seed-string", "seed-negative",
-            "components-a-string", "adjacency-bias-no", "adjacency-bias-0", "norm-dyt",
+            "components-a-string", "adjacency-bias-no", "adjacency-bias-0", "norm-dyt", "widht",
             "dropout-false", "dropout-string", "patience-negative", "patience-0",
             "seeds-an-integer", "key-table-path-an-integer", "key-table-path-null",
             "components-repeated", "seeds-repeated", "task", "n-tasks", "fingerprint-dim",

@@ -572,7 +572,7 @@ def test_featurize_golden(source):
         graphs = [parse_smiles(s) for s in corpus_util.screen_large_smiles(source)]
     digest = hashlib.sha256()
     for g in graphs:
-        mol = featurize(g)
+        mol = featurize(g, FeaturizeConfig())
         for array in (_erg(g), mol.atom_features, mol.bond_features, mol.src,
                       mol.dst, mol.fingerprint_cols, mol.fingerprint_values):
             digest.update(np.ascontiguousarray(array).tobytes())
@@ -646,11 +646,12 @@ class TestAssembly:
         """A forked lane sends featurized molecules back pickled. The mean over
         build_corpus(300) was 25.4 KB with dense 2523-wide fingerprint rows,
         and is 6.0 KB with the sparse form."""
-        mols = [featurize(parse_smiles(s)) for s in corpus_util.build_corpus(300)]
+        config = FeaturizeConfig()
+        mols = [featurize(parse_smiles(s), config) for s in corpus_util.build_corpus(300)]
         assert np.mean([len(pickle.dumps(m)) for m in mols]) < 8000
 
     def test_directed_edges(self):
-        mol = featurize(parse_smiles("CCO"))
+        mol = featurize(parse_smiles("CCO"), FeaturizeConfig())
         src, dst, feats = mol.src, mol.dst, mol.bond_features
         assert len(src) == 4  # 2 bonds, both directions
         assert feats.shape == (4, 13)

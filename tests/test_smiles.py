@@ -286,6 +286,12 @@ class TestBracketAtoms:
         g = parse_smiles("[C@TH1](F)(Cl)Br")
         assert g.atoms[0].chirality is Chirality.OTHER
 
+    def test_counts_of_over_4300_digits_are_read(self):
+        """``int`` refuses a string of over 4300 digits; an H count or a
+        charge written with that many still reads."""
+        atom = parse_smiles("[NH" + "0" * 5000 + "4+" + "0" * 5000 + "1]").atoms[0]
+        assert (atom.explicit_hs, atom.formal_charge) == (4, 1)
+
     @pytest.mark.parametrize("smiles, message", [
         ("[H][H]", "hydrogen-hydrogen bond unsupported"),
         ("C=[H]", "explicit hydrogen must have one single bond"),
@@ -564,6 +570,73 @@ def test_corpus_annotations_are_pinned():
         digest.update(json.dumps(_annotation_rows(parse_smiles(smiles))).encode())
     assert digest.hexdigest() == (
         "09b37a12a0b6263ba858e8bf55eb29dcddd2b720331f249f64a3049228ece5f4")
+
+
+def _golden_strings() -> list[str]:
+    """About 20k seeded strings: every corpus line, dot-joins of corpus
+    molecules with hydrogen and ion fragments, corpus lines with 1-3
+    one-character edits, and bracket atoms built from their parts or from
+    random characters."""
+    rng = np.random.default_rng(31)
+    corpus = (corpus_util.BENCHMARKS / "corpus.smi").read_text().split()
+
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    ions = ["[H]", "[H+]", "[HH]", "[Na+]", "[Cl-]"]
+    joins = []
+    for _ in range(4000):
+        parts = [pick(corpus) for _ in range(rng.integers(1, 3))]
+        parts += [pick(ions) for _ in range(rng.integers(0, 3))]
+        parts = ["[H]" + p if rng.random() < 0.3 else p for p in parts]
+        joins.append(".".join(parts[k] for k in rng.permutation(len(parts))))
+    alphabet = "CNOSPFIBrlcnospH()[]=#-+@/\\.%:*$0123456789 "
+    edited = []
+    for _ in range(10000):
+        s = pick(corpus)
+        for _ in range(rng.integers(1, 4)):
+            at, ch, kind = rng.integers(len(s) + 1), pick(alphabet), rng.integers(3)
+            s = (s[:at] + ch + s[at:], s[:at] + s[at + 1:], s[:at] + ch + s[at + 1:])[kind]
+        edited.append(s)
+    bracket_parts = [
+        ["", "13", "2", "0", "123"],
+        ["C", "c", "N", "n", "O", "o", "s", "se", "as", "te", "Cl", "Co", "Xx", "H", "Hg",
+         "Na", "Fe", "b", "p", "x", "", "sn", "@"],
+        ["", "@", "@@", "@TH1", "@TH", "@SP12", "@@TH2", "@OH"],
+        ["", "H", "H0", "H2", "H4", "H12"],
+        ["", "+", "-", "++", "--", "+2", "-3", "+5", "+++++", "+0", "+-", "-05"],
+        ["", ":", ":1", ":12"],
+        ["]", "]", "]", "", "x]"],
+    ]
+    brackets = []
+    for k in range(4000):
+        if k % 2:
+            atom = "[" + "".join(pick(options) for options in bracket_parts)
+        else:
+            atom = "[" + "".join(pick("[]0123456789@HTALSPcnosepCNOSFlrgu+-:")
+                                 for _ in range(rng.integers(0, 8)))
+        brackets.append(pick(["{}", "C{}C", "{}1CC1", "c1cc{}cc1", "{}([H])", "[H]{}.C"]
+                             ).format(atom))
+    return corpus + joins + edited + brackets
+
+
+def test_parse_outcomes_are_pinned(caplog):
+    """One digest of what parsing each of ``_golden_strings()`` gives: every
+    annotation row of a graph with the warnings it logged, or the class,
+    message, offset and expected tokens of a ``SmilesError``. Pinned before the
+    bracket-atom pattern and the single renumbering pass replaced the
+    character walk and the two passes."""
+    digest = hashlib.sha256()
+    for smiles in _golden_strings():
+        caplog.clear()
+        try:
+            outcome = _annotation_rows(parse_smiles(smiles))
+        except SmilesError as exc:
+            outcome = [type(exc).__name__, str(exc), exc.offset, list(exc.expected)]
+        outcome.append([record.getMessage() for record in caplog.records])
+        digest.update(json.dumps(outcome).encode())
+    assert digest.hexdigest() == (
+        "3eea96d6fe215d1e4911e8f967833bce8a0471cf4f75071e66d32ac698d79fdc")
 
 
 class TestGraphPickle:
