@@ -20,7 +20,8 @@ of its shape and lies inside the payload, and that the payload hashes to
 ``payload_sha256``; a version 1 file (the same layout without
 ``payload_sha256``) gets every check but the hash. Any file that fails a
 check or does not follow this layout raises ``CheckpointError``. Writing is
-deterministic: identical config + arrays give identical bytes.
+deterministic: identical config + arrays give identical bytes. Loaded arrays
+are read-only views of the file's bytes, which are read once and not copied.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def load_checkpoint(path: str | Path, force: bool = False) -> tuple[dict, dict[s
                 f"{path}: config digest mismatch (checkpoint corrupted or edited); "
                 "pass force=True to load anyway"
             )
-        payload = raw[12 + header_len :]
+        payload = memoryview(raw)[12 + header_len :]
         if version >= 2 and hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
             raise CheckpointError(f"{path}: payload checksum mismatch (checkpoint corrupted)")
         arrays = {}
@@ -111,8 +112,8 @@ def load_checkpoint(path: str | Path, force: bool = False) -> tuple[dict, dict[s
                     f"{path}: tensor {entry['name']!r} of shape {shape} does not fit "
                     f"{nbytes} bytes at payload offset {start}"
                 )
-            arr = np.frombuffer(payload[start : start + nbytes], dtype="<f8")
-            arrays[entry["name"]] = arr.reshape(shape).copy()
+            arr = np.frombuffer(payload, dtype="<f8", count=nbytes // 8, offset=start)
+            arrays[entry["name"]] = arr.reshape(shape)
     except CheckpointError:
         raise
     except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:

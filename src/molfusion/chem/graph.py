@@ -51,6 +51,9 @@ STEREO_NONE = 0
 STEREO_Z = 2
 STEREO_E = 3
 
+# The most hydrogens an atom may carry: graph_hash packs the count as "<i".
+MAX_HS = 2**31 - 1
+
 
 @dataclass
 class Atom:
@@ -110,23 +113,23 @@ class MolecularGraph:
         self.atoms: list[Atom] = list(atoms)
         self.bonds: list[Bond] = list(bonds)
         self.rings: list[list[int]] = []
-        seen: set[tuple[int, int]] = set()
+        self._link()
+
+    def _link(self) -> None:
+        """Each atom's bonds, in bond order. A self-bond, or a bond between
+        atoms that an earlier bond already joins, raises ``ValueError``."""
+        adjacency: list[list[Bond]] = [[] for _ in self.atoms]
         for bond in self.bonds:
             u, v = bond.u, bond.v
             if u == v:
                 raise ValueError(f"self-bond on atom {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate bond between atoms {key}")
-            seen.add(key)
-        self._link()
-
-    def _link(self) -> None:
-        """Each atom's bonds, in bond order."""
-        adjacency: list[list[Bond]] = [[] for _ in self.atoms]
-        for bond in self.bonds:
-            adjacency[bond.u].append(bond)
-            adjacency[bond.v].append(bond)
+            # v's list, not u's: a written chain bonds each atom to one that
+            # is already there, so v's list is most often still empty.
+            for earlier in adjacency[v]:
+                if earlier.u == u or earlier.v == u:
+                    raise ValueError(f"duplicate bond between atoms {min(u, v), max(u, v)}")
+            adjacency[u].append(bond)
+            adjacency[v].append(bond)
         self._adjacency = adjacency
 
     def __getstate__(self) -> dict:

@@ -26,6 +26,8 @@ _STERIC_TO_HYB = {
     5: Hybridization.SP3D,
     6: Hybridization.SP3D2,
 }
+# Enum members bound once: reading one off its class is slow on a per-atom path.
+_SP2, _OTHER_HYB = Hybridization.SP2, Hybridization.OTHER
 
 # Positive charge on these elements raises the maximum allowed bond valence
 # (ammonium-style cations).
@@ -36,6 +38,7 @@ _DONOR_ELEMENTS = frozenset({"N", "O"})
 _LONE_PAIR_ELEMENTS = frozenset({"N", "O", "S"})
 _ACID_CENTERS = frozenset({"C", "S", "P"})
 _BASIC_HYBRIDIZATIONS = frozenset({Hybridization.SP2, Hybridization.SP3})
+_SINGLE, _DOUBLE, _AROMATIC = BondOrder.SINGLE, BondOrder.DOUBLE, BondOrder.AROMATIC
 
 
 def annotate(graph: MolecularGraph) -> MolecularGraph:
@@ -68,38 +71,39 @@ def perceive_rings(graph: MolecularGraph) -> list[list[int]]:
     such, the candidates are just the fundamental cycles, which are
     independent, and all of them are kept.
     """
-    fundamental = _fundamental_cycles(graph)
+    masks: list[int] = []
+    fundamental = _fundamental_cycles(graph, masks)
     target = len(fundamental)
     if not target:
         return []
 
-    bit: dict[tuple[int, int], int] = {}
-    for k, bond in enumerate(graph.bonds):
-        bit[bond.u, bond.v] = bit[bond.v, bond.u] = 1 << k
-
-    def edge_mask(cycle: list[int]) -> int:
-        mask = bit[cycle[-1], cycle[0]]
-        for a, b in zip(cycle, cycle[1:]):
-            mask |= bit[a, b]
-        return mask
-
     # Each fundamental cycle has its own non-tree bond, so the masks differ.
-    candidates = {edge_mask(cycle): cycle for cycle in fundamental}
+    candidates = dict(zip(masks, fundamental))
     seen = shared = 0
-    for mask in candidates:
+    for mask in masks:
         shared |= seen & mask
         seen |= mask
     fused = 0  # the bonds of fundamental cycles that share a bond
-    for mask in candidates:
+    for mask in masks:
         if mask & shared:
             fused |= mask
+    if fused:
+        # A cycle is the sum of the fundamental cycles of its non-tree bonds
+        # (see above), so its mask is the XOR of theirs. A fundamental
+        # cycle's non-tree bond joins its first and last atoms.
+        closing: dict[tuple[int, int], int] = {}
+        for cycle, mask in zip(fundamental, masks):
+            closing[cycle[0], cycle[-1]] = closing[cycle[-1], cycle[0]] = mask
     while fused:
         low = fused & -fused
         fused ^= low
         # A mask fixes its cycle up to rotation and direction, which
         # _rotate_cycle removes, so the first cycle offered for it stays.
         cycle = _shortest_cycle_through(graph, graph.bonds[low.bit_length() - 1])
-        candidates.setdefault(edge_mask(cycle), cycle)
+        mask = closing.get((cycle[-1], cycle[0]), 0)
+        for pair in zip(cycle, cycle[1:]):
+            mask ^= closing.get(pair, 0)
+        candidates.setdefault(mask, cycle)
 
     ordered = sorted(candidates.items(), key=lambda kv: (len(kv[1]), sorted(kv[1])))
     if len(ordered) == target:
@@ -129,10 +133,14 @@ def _rotate_cycle(cycle: list[int]) -> list[int]:
     return rotated
 
 
-def _fundamental_cycles(graph: MolecularGraph) -> list[list[int]]:
+def _fundamental_cycles(
+    graph: MolecularGraph, masks: list[int] | None = None
+) -> list[list[int]]:
     """The cycle that each non-tree bond of a breadth-first spanning forest
-    closes, in bond order."""
-    n = graph.n_atoms
+    closes, in bond order. Given ``masks``, appends each cycle's bond mask to
+    it: bit k stands for ``graph.bonds[k]``."""
+    adjacency = graph._adjacency
+    n = len(adjacency)
     parent = [-1] * n
     parent_bond: list[Bond | None] = [None] * n
     depth = [-1] * n
@@ -143,18 +151,25 @@ def _fundamental_cycles(graph: MolecularGraph) -> list[list[int]]:
         queue = [root]
         for a in queue:  # grows while read: breadth-first order
             d = depth[a] + 1
-            for bond in graph.bonds_of(a):
+            for bond in adjacency[a]:
                 b = bond.v if bond.u == a else bond.u
                 if depth[b] < 0:
                     depth[b] = d
                     parent[b] = a
                     parent_bond[b] = bond
                     queue.append(b)
-    cycles = []
-    for bond in graph.bonds:
+    up_bit = [0] * n  # the bit of the tree bond from each atom to its parent
+    closing = []  # (bit, u, v) of each non-tree bond
+    for k, bond in enumerate(graph.bonds):
         u, v = bond.u, bond.v
-        if parent_bond[u] is bond or parent_bond[v] is bond:
-            continue
+        if parent_bond[u] is bond:
+            up_bit[u] = 1 << k
+        elif parent_bond[v] is bond:
+            up_bit[v] = 1 << k
+        else:
+            closing.append((1 << k, u, v))
+    cycles = []
+    for bit, u, v in closing:
         path_u, path_v = [u], [v]
         while depth[path_u[-1]] > depth[path_v[-1]]:
             path_u.append(parent[path_u[-1]])
@@ -164,16 +179,22 @@ def _fundamental_cycles(graph: MolecularGraph) -> list[list[int]]:
             path_u.append(parent[path_u[-1]])
             path_v.append(parent[path_v[-1]])
         cycles.append(path_u + path_v[-2::-1])
+        if masks is not None:
+            # Every path atom below the meeting atom reaches it by its tree bond.
+            for a in path_u[:-1] + path_v[:-1]:
+                bit |= up_bit[a]
+            masks.append(bit)
     return cycles
 
 
 def _shortest_cycle_through(graph: MolecularGraph, bond: Bond) -> list[int] | None:
     """Shortest path between endpoints avoiding the bond itself, plus the bond."""
+    adjacency = graph._adjacency
     u, v = bond.u, bond.v
     prev = {u: None}
     queue = [u]
     for a in queue:  # grows while read: breadth-first order
-        for b in graph.bonds_of(a):
+        for b in adjacency[a]:
             if b is bond:
                 continue
             nbr = b.v if b.u == a else b.u
@@ -190,34 +211,39 @@ def _shortest_cycle_through(graph: MolecularGraph, bond: Bond) -> list[int] | No
 
 
 def _mark_ring_membership(graph: MolecularGraph) -> None:
-    """Ring flags and smallest ring sizes, from one pass over the ring edges.
+    """Ring flags and smallest ring sizes, walking each ring's bonds through
+    the adjacency lists.
 
-    Aromatic bonds survive only inside rings whose atoms are all aromatic;
-    any other aromatic bond becomes single.
+    Aromatic bonds survive only inside rings whose atoms are all aromatic:
+    every aromatic bond becomes single, and those bonds get their order back.
     """
-    atoms = graph.atoms
-    ring_edges: set[tuple[int, int]] = set()
-    aromatic_ring_edges: set[tuple[int, int]] = set()
-    smallest: dict[int, int] = {}
+    atoms, adjacency = graph.atoms, graph._adjacency
+    smallest = [0] * len(atoms)
+    for bond in graph.bonds:
+        bond.in_ring = False
+    kept = []  # the aromatic bonds of rings of aromatic atoms
     for ring in graph.rings:
         size = len(ring)
-        edges = {(a, b) if a < b else (b, a) for a, b in zip(ring, ring[1:] + ring[:1])}
-        ring_edges |= edges
-        if all(atoms[a].is_aromatic for a in ring):
-            aromatic_ring_edges |= edges
+        aromatic = all(atoms[a].is_aromatic for a in ring)
+        before = ring[-1]
         for a in ring:
-            if smallest.get(a, size) >= size:
+            if not smallest[a] or smallest[a] > size:
                 smallest[a] = size
-    for i, atom in enumerate(atoms):
-        size = smallest.get(i, 0)
+            for bond in adjacency[a]:
+                if bond.u == before or bond.v == before:
+                    bond.in_ring = True
+                    if aromatic and bond.order is _AROMATIC:
+                        kept.append(bond)
+                    break
+            before = a
+    for atom, size in zip(atoms, smallest):
         atom.in_ring = size > 0
         atom.min_ring_size = size
     for bond in graph.bonds:
-        u, v = bond.u, bond.v
-        key = (u, v) if u < v else (v, u)
-        bond.in_ring = key in ring_edges
-        if bond.order is BondOrder.AROMATIC and key not in aromatic_ring_edges:
-            bond.order = BondOrder.SINGLE
+        if bond.order is _AROMATIC:
+            bond.order = _SINGLE
+    for bond in kept:
+        bond.order = _AROMATIC
 
 
 def _assign_valence(graph: MolecularGraph) -> None:
@@ -241,23 +267,24 @@ def _assign_valence(graph: MolecularGraph) -> None:
         t = bond.order.twice_valence
         twice[bond.u] += t
         twice[bond.v] += t
-    for i, atom in enumerate(graph.atoms):
-        bonds = graph.bonds_of(i)
-        atom.degree = len(bonds)
-        atom.mass, valences, electrons = ELEMENTS[atom.element]
+    for i, (atom, bonds) in enumerate(zip(graph.atoms, graph._adjacency)):
+        atom.degree = degree = len(bonds)
+        element = atom.element
+        atom.mass, valences, electrons = ELEMENTS[element]
         charge = atom.formal_charge
-        bond_sum = round(twice[i] / 2)
+        t = twice[i]
+        bond_sum = round(t / 2)
         implicit_hs = 0
         if valences:
             most = valences[-1]
-            if charge > 0 and atom.element in _CATION_EXPANDABLE:
+            if charge > 0 and element in _CATION_EXPANDABLE:
                 most += charge
             if bond_sum > most and atom.is_aromatic:
-                aromatic = sum(b.order is BondOrder.AROMATIC for b in bonds)
-                bond_sum = round((twice[i] - aromatic) / 2)
+                aromatic = sum(b.order is _AROMATIC for b in bonds)
+                bond_sum = round((t - aromatic) / 2)
             if bond_sum > most:
                 raise ValenceViolationError(
-                    f"atom {i} ({atom.element}) has bond valence {bond_sum}, maximum is {most}"
+                    f"atom {i} ({element}) has bond valence {bond_sum}, maximum is {most}"
                 )
             load = bond_sum + atom.explicit_hs + abs(charge)
             for valence in valences:  # the smallest that holds the load, else the largest
@@ -266,14 +293,14 @@ def _assign_valence(graph: MolecularGraph) -> None:
                     break
         atom.implicit_hs = implicit_hs
         if atom.is_aromatic:
-            atom.hybridization = Hybridization.SP2
+            atom.hybridization = _SP2
         elif electrons is None:
-            atom.hybridization = Hybridization.OTHER
+            atom.hybridization = _OTHER_HYB
         else:
             hs = atom.explicit_hs + implicit_hs
-            lone_pairs = max(0, electrons - charge - bond_sum - hs) // 2
-            steric = atom.degree + hs + lone_pairs
-            atom.hybridization = _STERIC_TO_HYB.get(steric, Hybridization.OTHER)
+            unshared = electrons - charge - bond_sum - hs
+            lone_pairs = unshared // 2 if unshared > 0 else 0
+            atom.hybridization = _STERIC_TO_HYB.get(degree + hs + lone_pairs, _OTHER_HYB)
 
 
 def _assign_conjugation(graph: MolecularGraph) -> None:
@@ -284,24 +311,24 @@ def _assign_conjugation(graph: MolecularGraph) -> None:
     conjugated when both sides offer pi or a lone pair and at least one side
     has a real pi bond. Aromatic bonds are always conjugated.
     """
-    single, aromatic = BondOrder.SINGLE, BondOrder.AROMATIC
+    adjacency = graph._adjacency
     has_pi = [False] * graph.n_atoms
     for bond in graph.bonds:
-        if bond.order is not single:
+        if bond.order is not _SINGLE:
             has_pi[bond.u] = has_pi[bond.v] = True
     donor = [a.element in _LONE_PAIR_ELEMENTS and a.formal_charge <= 0 for a in graph.atoms]
 
     def adjacent_pi_or_donor(i: int, skip: Bond) -> bool:
         return any(
-            b is not skip and (b.order is not single or donor[b.v if b.u == i else b.u])
-            for b in graph.bonds_of(i)
+            b is not skip and (b.order is not _SINGLE or donor[b.v if b.u == i else b.u])
+            for b in adjacency[i]
         )
 
     for bond in graph.bonds:
         u, v = bond.u, bond.v
-        if bond.order is aromatic:
+        if bond.order is _AROMATIC:
             bond.is_conjugated = True
-        elif bond.order is not single:
+        elif bond.order is not _SINGLE:
             bond.is_conjugated = adjacent_pi_or_donor(u, bond) or adjacent_pi_or_donor(v, bond)
         else:
             bond.is_conjugated = (
@@ -312,12 +339,12 @@ def _assign_conjugation(graph: MolecularGraph) -> None:
 
 
 def _assign_pharmacophore_flags(graph: MolecularGraph) -> None:
-    atoms = graph.atoms
+    atoms, adjacency = graph.atoms, graph._adjacency
 
     def double_bonded_to(i: int, elements: tuple[str, ...]) -> bool:
         return any(
-            b.order is BondOrder.DOUBLE and atoms[b.v if b.u == i else b.u].element in elements
-            for b in graph.bonds_of(i)
+            b.order is _DOUBLE and atoms[b.v if b.u == i else b.u].element in elements
+            for b in adjacency[i]
         )
 
     def is_basic(i: int, atom) -> bool:
@@ -328,14 +355,14 @@ def _assign_pharmacophore_flags(graph: MolecularGraph) -> None:
             and not double_bonded_to(i, ("O",))
             and not any(
                 atoms[nbr].element == "C" and double_bonded_to(nbr, ("O", "S"))
-                for nbr in graph.neighbors(i)
+                for nbr in (b.v if b.u == i else b.u for b in adjacency[i])
             )
         )
 
     for i, atom in enumerate(atoms):
         element = atom.element
         atom.is_h_acceptor = element in _ACCEPTOR_ELEMENTS and atom.formal_charge <= 0
-        atom.is_h_donor = element in _DONOR_ELEMENTS and atom.total_hs >= 1
+        atom.is_h_donor = element in _DONOR_ELEMENTS and atom.explicit_hs + atom.implicit_hs >= 1
         atom.is_acidic = False
         atom.is_basic = element == "N" and is_basic(i, atom)
 
@@ -343,7 +370,7 @@ def _assign_pharmacophore_flags(graph: MolecularGraph) -> None:
     # are looked at.
     centers = set()
     for bond in graph.bonds:
-        if bond.order is BondOrder.DOUBLE:
+        if bond.order is _DOUBLE:
             u, v = atoms[bond.u], atoms[bond.v]
             if u.element == "O" and v.element in _ACID_CENTERS:
                 centers.add(bond.v)
@@ -351,13 +378,13 @@ def _assign_pharmacophore_flags(graph: MolecularGraph) -> None:
                 centers.add(bond.u)
     for center in centers:
         double_os, single_os = [], []
-        for b in graph.bonds_of(center):
+        for b in adjacency[center]:
             nbr = atoms[b.v if b.u == center else b.u]
             if nbr.element != "O":
                 continue
-            if b.order is BondOrder.DOUBLE:
+            if b.order is _DOUBLE:
                 double_os.append(nbr)
-            elif b.order is BondOrder.SINGLE and (nbr.total_hs >= 1 or nbr.formal_charge < 0):
+            elif b.order is _SINGLE and (nbr.total_hs >= 1 or nbr.formal_charge < 0):
                 single_os.append(nbr)
         if single_os:
             for o in double_os + single_os:

@@ -21,7 +21,16 @@ from .errors import (
     UnclosedRingError,
     UnknownElementError,
 )
-from .graph import Atom, Bond, BondOrder, Chirality, MolecularGraph
+from .graph import (
+    MAX_HS,
+    STEREO_E,
+    STEREO_Z,
+    Atom,
+    Bond,
+    BondOrder,
+    Chirality,
+    MolecularGraph,
+)
 from .perception import annotate
 
 log = logging.getLogger(__name__)
@@ -35,6 +44,7 @@ _BOND_CHARS = {
     "\\": BondOrder.SINGLE,
 }
 _DIRECTIONS = {"/": 1, "\\": -1}
+_SINGLE, _AROMATIC = BondOrder.SINGLE, BondOrder.AROMATIC
 
 # Atoms written without brackets: symbol -> (element, aromatic). The only
 # two-character keys are Br and Cl, whose first characters are keys too.
@@ -42,16 +52,6 @@ _ORGANIC_ATOMS = {sym: (sym, False) for sym in ORGANIC_SUBSET}
 _ORGANIC_ATOMS.update({sym: (sym.upper(), True) for sym in "bcnops"})
 
 _ATOM_START = ("element symbol", "aromatic symbol", "'['")
-
-
-class _RawBond:
-    __slots__ = ("u", "v", "order", "direction")
-
-    def __init__(self, u, v, order, direction):
-        self.u = u
-        self.v = v
-        self.order = order  # None means "default": aromatic-or-single
-        self.direction = direction  # sign is relative to written u -> v order
 
 
 def parse_smiles(s: str) -> MolecularGraph:
@@ -64,26 +64,39 @@ def parse_smiles(s: str) -> MolecularGraph:
         raise EmptyInputError("empty SMILES input", 0, _ATOM_START)
     if not s.isascii():
         raise SmilesError("SMILES must be ASCII", 0)
-    atoms, raw_bonds, saw_dot = _scan(s)
+    atoms, bonds, directions = _scan(s)
     if not atoms:
         raise EmptyInputError("no atoms in input", 0, _ATOM_START)
-    atoms, raw_bonds = _heavy_atoms(atoms, raw_bonds, saw_dot, s)
-    graph = _build_graph(atoms, raw_bonds)
+    atoms, bonds, directions = _heavy_atoms(atoms, bonds, directions, s)
+    if ":" in s:  # only a ':' bond can be aromatic with a non-aromatic end
+        for bond in bonds:
+            if bond.order is _AROMATIC and not (
+                atoms[bond.u].is_aromatic and atoms[bond.v].is_aromatic
+            ):
+                raise SmilesError("':' bond requires two aromatic atoms")
+    try:
+        graph = MolecularGraph(atoms, bonds)
+    except ValueError as exc:  # a ring closure repeating a bond, as in C1C1
+        raise SmilesError(str(exc)) from exc
     annotate(graph)
-    _perceive_double_bond_stereo(graph, raw_bonds)
+    if any(directions):
+        _perceive_double_bond_stereo(graph, directions)
     return graph
 
 
 def _scan(s: str):
-    """Single pass over the string producing atoms and raw bonds."""
+    """Single pass over the string producing the atoms, the bonds and each
+    bond's written direction (+1 after '/', -1 after '\\', else 0; the sign
+    is relative to the bond's u -> v order). A bond written without a symbol
+    is aromatic between two aromatic atoms and single otherwise."""
     atoms: list[Atom] = []
-    bonds: list[_RawBond] = []
+    bonds: list[Bond] = []
+    directions: list[int] = []
     prev: int | None = None
     pending: BondOrder | None = None  # the bond symbol read since the last atom
-    direction = 0  # +1 after '/', -1 after '\\'
+    direction = 0
     branch_stack: list[int] = []
     open_rings: dict[int, tuple[int, BondOrder | None, int, int]] = {}
-    saw_dot = False
     i, n = 0, len(s)
 
     def close_ring(num: int, pos: int) -> None:
@@ -99,7 +112,11 @@ def _scan(s: str):
                     raise SmilesError(f"conflicting bond orders on ring closure {num}", pos)
                 order = o_order
                 bond_direction = bond_direction or -o_direction
-            bonds.append(_RawBond(o_atom, prev, order, bond_direction))
+            if order is None:
+                both = atoms[o_atom].is_aromatic and atoms[prev].is_aromatic
+                order = _AROMATIC if both else _SINGLE
+            bonds.append(Bond(o_atom, prev, order))
+            directions.append(bond_direction)
         else:
             open_rings[num] = (prev, pending, direction, pos)
 
@@ -110,7 +127,9 @@ def _scan(s: str):
             if sym not in _ORGANIC_ATOMS:
                 sym = ch
             element, aromatic = _ORGANIC_ATOMS[sym]
-            atom = Atom(element, is_aromatic=aromatic)
+            # Positional arguments (charge 0, no explicit H): this is the
+            # parse's most made object, and keywords cost about a third more.
+            atom = Atom(element, 0, 0, aromatic)
             i += len(sym)
         elif ch == "[":
             atom, i = _parse_bracket(s, i)
@@ -138,7 +157,6 @@ def _scan(s: str):
                 if pending is not None:
                     raise SmilesError("bond symbol before '.'", i, _ATOM_START)
                 prev = None
-                saw_dot = True
             elif ch.isdigit():
                 close_ring(int(ch), i)
                 pending, direction = None, 0
@@ -156,9 +174,13 @@ def _scan(s: str):
                 )
             i += 1
             continue
+        k = len(atoms)
         if prev is not None:
-            bonds.append(_RawBond(prev, len(atoms), pending, direction))
-        prev = len(atoms)
+            if pending is None:
+                pending = _AROMATIC if atom.is_aromatic and atoms[prev].is_aromatic else _SINGLE
+            bonds.append(Bond(prev, k, pending))
+            directions.append(direction)
+        prev = k
         atoms.append(atom)
         pending, direction = None, 0
 
@@ -170,7 +192,7 @@ def _scan(s: str):
         raise UnclosedRingError(f"ring bond(s) {nums} never closed", first_pos)
     if pending is not None:
         raise SmilesError("dangling bond symbol at end of input", n - 1, _ATOM_START)
-    return atoms, bonds, saw_dot
+    return atoms, bonds, directions
 
 
 # A bracket atom, every part optional so that a malformed one matches as far
@@ -191,20 +213,17 @@ _BRACKET = re.compile(
 _CHIRALITY = {None: Chirality.NONE, "@": Chirality.TETRAHEDRAL_CCW, "@@": Chirality.TETRAHEDRAL_CW}
 
 
-def _count(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # over int()'s digit limit (4300 by default)
-        from decimal import Decimal  # imported by the few inputs that need it
-
-        return int(Decimal(digits))
+def _digits(text: str) -> str:
+    """A count's digits without leading zeros, so that a count of any length
+    is compared by its length before ``int`` reads it."""
+    return text.lstrip("0") or "0"
 
 
 def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
     """Parse one bracket atom starting at '['; returns (atom, next index).
     The first part that is not well formed names the error."""
     m = _BRACKET.match(s, start)
-    symbol, charge_text = m["symbol"], m["charge"]
+    symbol, hs_text, charge_text = m["symbol"], m["hs"], m["charge"]
     if symbol is None:
         at = m.end("isotope")
         if at == len(s):
@@ -213,13 +232,22 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
     element = symbol.capitalize()
     if element not in ELEMENTS:
         raise UnknownElementError(f"unknown element {element!r}", m.start("symbol"))
+    explicit_hs = 0
+    if hs_text is not None:
+        hs = _digits(hs_text or "1")
+        if len(hs) > len(str(MAX_HS)) or int(hs) > MAX_HS:
+            raise SmilesError(f"H count {hs} above {MAX_HS}", m.end("hs") - 1)
+        explicit_hs = int(hs)
     charge = 0
     if charge_text:
         magnitude = charge_text[1:]
-        charge = _count(magnitude) if magnitude.isdigit() else len(charge_text)
-        charge = -charge if charge_text[0] == "-" else charge
-        if abs(charge) > 4:
-            raise SmilesError(f"formal charge {charge} outside [-4, 4]", m.end("charge") - 1)
+        magnitude = _digits(magnitude if magnitude.isdigit() else str(len(charge_text)))
+        sign = "-" if charge_text[0] == "-" else ""
+        if len(magnitude) > 1 or magnitude > "4":
+            raise SmilesError(
+                f"formal charge {sign}{magnitude} outside [-4, 4]", m.end("charge") - 1
+            )
+        charge = int(sign + magnitude)
     if m["atom_class"] == ":":
         raise SmilesError("atom class ':' needs digits", m.end("atom_class"))
     if not m["close"]:
@@ -227,7 +255,7 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
     atom = Atom(
         element=element,
         formal_charge=charge,
-        explicit_hs=0 if m["hs"] is None else _count(m["hs"] or "1"),
+        explicit_hs=explicit_hs,
         is_aromatic=symbol[0].islower(),
         chirality=_CHIRALITY.get(m["chirality"], Chirality.OTHER),
         bracket=True,
@@ -235,14 +263,14 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
     return atom, m.end()
 
 
-def _heavy_atoms(atoms, bonds, saw_dot: bool, source: str):
+def _heavy_atoms(atoms, bonds, directions, source: str):
     """Fold each bracket [H] into its neighbour's explicit-H count; keep the
     fragment with the most heavy atoms (the first of equal ones, with a
     warning); number the kept atoms from 0 in written order. Input with
-    neither comes back as it is."""
+    neither comes back as it is; ``directions`` stays aligned with the bonds."""
     is_h = [a.element == "H" for a in atoms]
-    if not (saw_dot or any(is_h)):
-        return atoms, bonds
+    if not ("." in source or any(is_h)):
+        return atoms, bonds, directions
     fragment = list(range(len(atoms)))  # union-find parents
 
     def root(a: int) -> int:
@@ -251,23 +279,26 @@ def _heavy_atoms(atoms, bonds, saw_dot: bool, source: str):
         return a
 
     folded_into: dict[int, int] = {}
-    kept_bonds = []
-    for b in bonds:
+    kept = []  # (bond, direction) of the bonds between heavy atoms
+    for b, direction in zip(bonds, directions):
         hu, hv = is_h[b.u], is_h[b.v]
         if hu and hv:
             raise SmilesError("hydrogen-hydrogen bond unsupported")
         if hu or hv:
             h, heavy = (b.u, b.v) if hu else (b.v, b.u)
-            if b.order not in (None, BondOrder.SINGLE) or h in folded_into:
+            if b.order is not _SINGLE or h in folded_into:
                 raise SmilesError("explicit hydrogen must have one single bond")
             folded_into[h] = heavy
             continue
-        kept_bonds.append(b)
+        kept.append((b, direction))
         fragment[root(b.u)] = root(b.v)
     if len(folded_into) < sum(is_h):
         raise SmilesError("isolated explicit hydrogen atom")
     for h, heavy in folded_into.items():
-        atoms[heavy].explicit_hs += 1 + atoms[h].explicit_hs
+        atom = atoms[heavy]
+        atom.explicit_hs += 1 + atoms[h].explicit_hs
+        if atom.explicit_hs > MAX_HS:
+            raise SmilesError(f"H count {atom.explicit_hs} above {MAX_HS}")
     keep = [i for i, flag in enumerate(is_h) if not flag]
     roots = [root(i) for i in keep]
     sizes = Counter(roots)  # in order of each fragment's first atom
@@ -281,44 +312,24 @@ def _heavy_atoms(atoms, bonds, saw_dot: bool, source: str):
         )
         keep = [i for i, r in zip(keep, roots) if r == best]
     remap = {old: new for new, old in enumerate(keep)}
-    kept_bonds = [b for b in kept_bonds if b.u in remap]
-    for b in kept_bonds:
+    kept = [(b, direction) for b, direction in kept if b.u in remap]
+    for b, _direction in kept:
         b.u, b.v = remap[b.u], remap[b.v]
-    return [atoms[i] for i in keep], kept_bonds
+    return [atoms[i] for i in keep], [b for b, _ in kept], [d for _, d in kept]
 
 
-def _build_graph(atoms, raw_bonds) -> MolecularGraph:
-    bonds = []
-    for rb in raw_bonds:
-        order = rb.order
-        if order is None:
-            both_aromatic = atoms[rb.u].is_aromatic and atoms[rb.v].is_aromatic
-            order = BondOrder.AROMATIC if both_aromatic else BondOrder.SINGLE
-        elif order is BondOrder.AROMATIC:
-            if not (atoms[rb.u].is_aromatic and atoms[rb.v].is_aromatic):
-                raise SmilesError("':' bond requires two aromatic atoms")
-        bonds.append(Bond(rb.u, rb.v, order))
-    try:
-        return MolecularGraph(atoms, bonds)
-    except ValueError as exc:  # a ring closure repeating a bond, as in C1C1
-        raise SmilesError(str(exc)) from exc
-
-
-def _perceive_double_bond_stereo(graph: MolecularGraph, raw_bonds) -> None:
-    """Set E/Z stereo codes on double bonds flanked by directional bonds.
+def _perceive_double_bond_stereo(graph: MolecularGraph, directions: list[int]) -> None:
+    """Set E/Z stereo codes on double bonds flanked by directional bonds;
+    ``directions[k]`` is the written direction of ``graph.bonds[k]``.
 
     ``F/C=C/F`` is E (trans), ``F/C=C\\F`` is Z (cis): equal written-direction
     signs across the double bond mean opposite sides.
     """
     directional: dict[tuple[int, int], int] = {}
-    for rb in raw_bonds:
-        if rb.direction:
-            directional[(rb.u, rb.v)] = rb.direction
-            directional[(rb.v, rb.u)] = -rb.direction
-    if not directional:
-        return
-    from .graph import STEREO_E, STEREO_Z
-
+    for bond, direction in zip(graph.bonds, directions):
+        if direction:
+            directional[(bond.u, bond.v)] = direction
+            directional[(bond.v, bond.u)] = -direction
     for bond in graph.bonds:
         if bond.order is not BondOrder.DOUBLE:
             continue

@@ -346,8 +346,7 @@ def build_model_from_checkpoint(
             _without_retired_keys(config["featurize"], "featurize")
         )
         width = featurize_config.fingerprint_length
-        model = MlfgnnModel(model_config, seed=0)
-        model.load_state_arrays(arrays)
+        model = MlfgnnModel(model_config, state=arrays)
     except (TypeError, ValueError, KeyError) as exc:
         raise CheckpointError(
             f"{path}: config or tensors do not build the model ({type(exc).__name__}: {exc})"

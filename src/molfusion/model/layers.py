@@ -11,7 +11,10 @@ from .config import FFN_MULT, LEAKY_SLOPE
 
 
 def _register_matrix(store, rng, prefix, in_dim, out_dim):
-    return store.register(prefix, P.uniform_fan_in(rng, (in_dim, out_dim)))
+    """A uniform fan-in weight drawn from ``rng``; with no ``rng``, an unset
+    one that a checkpoint's values fill (``MlfgnnModel``'s ``state``)."""
+    shape = (in_dim, out_dim)
+    return store.register(prefix, np.empty(shape) if rng is None else P.uniform_fan_in(rng, shape))
 
 
 class Linear:

@@ -33,10 +33,16 @@ class MlfgnnModel:
     branches (and their parameters) via ``config.ablation``.
     """
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
+    def __init__(
+        self, config: ModelConfig, seed: int = 0, state: dict[str, np.ndarray] | None = None
+    ):
+        """Weights drawn from ``seed``; or, given ``state`` (the arrays of a
+        checkpoint), every parameter takes its value there and nothing is
+        drawn. A ``state`` whose names or shapes do not match raises as
+        ``load_state_arrays`` does."""
         self.config = config
         self.params = ParameterStore()
-        rng = make_rng(seed)
+        rng = None if state is not None else make_rng(seed)
         store = self.params
         c = config
         d, g = c.hidden_dim, c.gat_out_dim
@@ -77,6 +83,8 @@ class MlfgnnModel:
             mlp_in = d
         self.out1 = Linear(store, rng, "output_mlp.lin1", mlp_in, d)
         self.out2 = Linear(store, rng, "output_mlp.lin2", d, c.n_tasks)
+        if state is not None:
+            self.load_state_arrays(state)
 
     # -- forward -----------------------------------------------------------
 

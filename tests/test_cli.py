@@ -534,6 +534,38 @@ class TestTrainCommand:
                 key = scaffold_hash(parse_smiles(ds.smiles[i]))
                 assert owner.setdefault(key, part) == part
 
+    @pytest.mark.parametrize("smiles", ["C1CC[CH9999999999]C1", "[C+" + "9" * 5000 + "]"],
+                             ids=["h-count", "charge"])
+    def test_a_huge_count_is_an_unparseable_row(self, workdir, tmp_path, smiles):
+        """An H count past what ``graph_hash`` packs, or a charge too long to
+        print, is a malformed SMILES: a scaffold split drops its row, and
+        predict writes an ERROR cell for it."""
+        lines = (workdir / "reg.csv").read_text().splitlines()
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join([*lines[:40], f"{smiles},1.0"]) + "\n")
+        out = tmp_path / "run"
+        code = main(
+            [
+                "train",
+                "--data", str(data),
+                "--task", "reg",
+                "--split", "scaffold",
+                "--config", str(workdir / "config.json"),
+                "--seeds", "1",
+                "--epochs", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        manifest = json.loads((out / "seed_0_split.json").read_text())
+        assert sorted(i for part in manifest["indices"].values() for i in part) == list(range(39))
+        preds = tmp_path / "preds.csv"
+        code = main(["predict", "--checkpoint", str(out / "seed_0.ckpt"),
+                     "--input", str(data), "--out", str(preds)])
+        assert code == 0
+        written = preds.read_text().splitlines()
+        assert len(written) == 41 and "ERROR:" in written[-1]
+
     def test_gat_only_checkpoint_lacks_transformer(self, workdir):
         out = workdir / "gat_only_run"
         code = main(
@@ -729,6 +761,38 @@ class TestPredictCommand:
         # and to 1e-12 against one molecule at a time
         single = np.array([model.predict(mol)[0] for mol in mols])
         assert np.abs(written - single).max() <= 1e-12 * np.abs(single).max()
+
+    def test_checkpoint_model_draws_no_weights(self, workdir, trained, tmp_path, monkeypatch):
+        """predict builds its model from the checkpoint alone: with the random
+        streams refused, it writes the predictions of a seeded model that
+        loads the same arrays, bit for bit."""
+        from molfusion.cli import build_model_from_checkpoint
+        from molfusion.chem import parse_smiles
+        from molfusion.featurize import featurize
+        from molfusion.model import MlfgnnModel, MoleculeBatch, chunks
+        from molfusion.model import network
+
+        def refuse(seed):
+            raise AssertionError("building from a checkpoint drew random weights")
+
+        ckpt = str(trained / "seed_0.ckpt")
+        out = tmp_path / "preds.csv"
+        monkeypatch.setattr(network, "make_rng", refuse)
+        model, fcfg = build_model_from_checkpoint(ckpt)
+        code = main(["predict", "--checkpoint", ckpt,
+                     "--input", str(workdir / "reg.csv"), "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 0
+        config, arrays = load_checkpoint(ckpt)
+        seeded = MlfgnnModel(ModelConfig.from_dict(config["model"]), seed=0)
+        seeded.load_state_arrays(arrays)
+        assert list(model.state_arrays()) == list(seeded.state_arrays())
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        mols = [featurize(parse_smiles(row["smiles"]), fcfg) for row in rows]
+        expected = np.concatenate([seeded.predict_batch(MoleculeBatch(run))[:, 0]
+                                   for run in chunks(mols, lambda mol: mol.n_atoms)])
+        written = np.array([float(row["prediction"]) for row in rows])
+        assert written.tobytes() == expected.tobytes()
 
     def test_classification_outputs_probabilities(self, workdir):
         out_dir = workdir / "cls_run"

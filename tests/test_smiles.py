@@ -292,6 +292,32 @@ class TestBracketAtoms:
         atom = parse_smiles("[NH" + "0" * 5000 + "4+" + "0" * 5000 + "1]").atoms[0]
         assert (atom.explicit_hs, atom.formal_charge) == (4, 1)
 
+    def test_a_charge_of_thousands_of_digits_is_a_smiles_error(self):
+        """The charge is named as written, without making a number of it to
+        print: ``int`` refuses to print one of over 4300 digits."""
+        smiles = "[C+" + "9" * 5000 + "]"
+        with pytest.raises(SmilesError, match=r"^formal charge 9{5000} outside \[-4, 4\]") as exc:
+            parse_smiles(smiles)
+        assert exc.value.offset == len(smiles) - 2
+
+    @pytest.mark.parametrize("smiles, offset", [
+        ("C1CC[CH9999999999]C1", 16),
+        ("[CH2147483648]", 12),
+        ("[NH0000" + "9" * 5000 + "]", 5006),
+    ], ids=["ring-atom", "one-past", "5000-digits"])
+    def test_an_h_count_beyond_what_graph_hash_packs_is_a_smiles_error(self, smiles, offset):
+        with pytest.raises(SmilesError, match="^H count [0-9]+ above 2147483647") as exc:
+            parse_smiles(smiles)
+        assert exc.value.offset == offset
+
+    def test_the_largest_h_count_parses_and_hashes(self):
+        g = parse_smiles("C1CC[CH2147483647]C1")
+        assert g.atoms[3].total_hs == 2**31 - 1 and g.graph_hash()
+
+    def test_folded_hydrogens_past_the_bound_are_a_smiles_error(self):
+        with pytest.raises(SmilesError, match="^H count 2147483648 above 2147483647"):
+            parse_smiles("[H][CH2147483646][H]")
+
     @pytest.mark.parametrize("smiles, message", [
         ("[H][H]", "hydrogen-hydrogen bond unsupported"),
         ("C=[H]", "explicit hydrogen must have one single bond"),
@@ -637,6 +663,36 @@ def test_parse_outcomes_are_pinned(caplog):
         digest.update(json.dumps(outcome).encode())
     assert digest.hexdigest() == (
         "3eea96d6fe215d1e4911e8f967833bce8a0471cf4f75071e66d32ac698d79fdc")
+
+
+def test_annotate_on_an_annotated_copy_gives_the_parse_rows():
+    """``annotate`` sets every derived field whatever the graph holds: a copy
+    of a parsed graph carries the parse's fields, stale for a re-annotation,
+    as the graphs that ``murcko_scaffold`` annotates do."""
+    smiles = [s for s, _g in corpus_util.frozen_corpus_graphs()]
+    smiles += corpus_util.screen_large_smiles(1)
+    for s in smiles:
+        g = parse_smiles(s)
+        copy = induced_subgraph(g, range(g.n_atoms))
+        assert _annotation_rows(annotate(copy)) == _annotation_rows(g), s
+
+
+class TestGraphBonds:
+    """``MolecularGraph``'s own bond errors: a parse reaches the repeated pair
+    only through a ring closure (``C1C1``) and never writes a self-bond."""
+
+    def test_a_self_bond(self):
+        with pytest.raises(ValueError, match=r"^self-bond on atom 0$"):
+            MolecularGraph([Atom("C"), Atom("C")], [Bond(0, 1, BondOrder.SINGLE),
+                                                    Bond(0, 0, BondOrder.SINGLE)])
+
+    @pytest.mark.parametrize("first, second", [((0, 1), (0, 1)), ((0, 1), (1, 0)),
+                                               ((1, 0), (0, 1)), ((1, 0), (1, 0))])
+    def test_a_pair_bonded_twice(self, first, second):
+        bonds = [Bond(*first, BondOrder.SINGLE), Bond(1, 2, BondOrder.SINGLE),
+                 Bond(*second, BondOrder.DOUBLE)]
+        with pytest.raises(ValueError, match=r"^duplicate bond between atoms \(0, 1\)$"):
+            MolecularGraph([Atom("C") for _ in range(3)], bonds)
 
 
 class TestGraphPickle:
