@@ -357,11 +357,13 @@ def softplus(a: Tensor) -> Tensor:
     return _make(data, (a,), back, "softplus")
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
-    """Inverted dropout: scales kept entries by 1/(1-rate); identity in eval."""
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: each entry is kept with probability 1-rate, drawn
+    from ``rng``, and scaled by 1/(1-rate). With no ``rng`` (eval) or a zero
+    rate it is the identity and returns ``a`` itself."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
     keep = rng.random(a.shape) >= rate
     scale = 1.0 / (1.0 - rate)
@@ -498,7 +500,7 @@ def segment_softmax(scores: Tensor, segment_ids: np.ndarray, num_segments: int) 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray,
               lambda_attn: Tensor | None = None, lambda_adj: Tensor | None = None,
-              adjacency: np.ndarray | None = None, hook=None) -> Tensor:
+              adjacency: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
     """Scaled dot-product attention of queries [m, heads*d_k] over keys and
     values [n, heads*d_k], all heads stacked.
 
@@ -506,10 +508,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray,
     P_i = softmax(Q_i K_i^T / sqrt(d_k) + mask), where the additive ``mask``
     [m, n] shuts out the keys a query must not see. With ``lambda_attn`` and
     ``lambda_adj`` ([1, 1] each) the values are weighted by
-    lambda_attn * P_i + lambda_adj * adjacency instead. ``hook``, when given,
-    receives the [heads, m, n] probabilities P. The result is
-    [m, heads*d_k], head i in its own columns. Backward keeps P, since
-    recomputing it costs more than storing it at these sizes.
+    lambda_attn * P_i + lambda_adj * adjacency instead. Returns the result
+    [m, heads*d_k], head i in its own columns, and the [heads, m, n]
+    probabilities P before any blend, which the caller must not write to.
+    Backward keeps P, since recomputing it costs more than storing it at
+    these sizes.
     """
     m, width = q.shape
     n = k.shape[0]
@@ -521,8 +524,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray,
     scores = (q_h @ k_t) * scale + mask
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
-    if hook is not None:
-        hook(p)
     blend = lambda_attn is not None
     weights = lambda_attn.data * p + lambda_adj.data * adjacency if blend else p
     data = (weights @ v_h).transpose(1, 0, 2).reshape(m, width)
@@ -541,4 +542,4 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray,
               (v, g_v.transpose(1, 0, 2).reshape(n, width)))
 
     parents = (q, k, v, lambda_attn, lambda_adj) if blend else (q, k, v)
-    return _make(data, parents, back, "attention")
+    return _make(data, parents, back, "attention"), p

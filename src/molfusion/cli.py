@@ -30,7 +30,6 @@ from . import ConfigError, Kind, __version__, check_config, integer
 from .autodiff.checkpoint import CheckpointError, config_digest, load_checkpoint, save_checkpoint
 from .autodiff.gradcheck import grad_check
 from .autodiff.rng import make_rng
-from .autodiff.tensor import no_grad
 from .chem import SmilesError, parse_smiles
 from .chem.graph import Atom, Bond, BondOrder, MolecularGraph
 from .chem.perception import annotate
@@ -383,9 +382,7 @@ def cmd_explain(args) -> int:
     model, featurize_config = build_model_from_checkpoint(args.checkpoint, force=args.force)
     mol = featurize(parse_smiles(args.smiles), featurize_config)
     trace: dict = {}
-    with no_grad():
-        out = model.forward(MoleculeBatch([mol]), trace=trace)
-    prediction = out.data[0].tolist()
+    prediction = model.predict_batch(MoleculeBatch([mol]), trace)[0].tolist()
     lambda_attn, lambda_adj = model.lambda_values()
     bundle = {
         "smiles": args.smiles,
@@ -394,12 +391,12 @@ def cmd_explain(args) -> int:
         "gate_alpha": trace["gate_alpha"],
         "lambda_attn": lambda_attn,
         "lambda_adj": lambda_adj,
-        "gat_attention": [m.tolist() for m in trace.get("gat_attention", [])],
+        "gat_attention": [m.tolist() for m in trace["gat_attention"]],
         "transformer_attention": [
-            [head.tolist() for head in layer] for layer in trace.get("transformer_attention", [])
+            [head.tolist() for head in layer] for layer in trace["transformer_attention"]
         ],
-        "readout_attention": trace.get("readout_attention", np.zeros(0)).tolist(),
-        "cross_attention": [head.tolist() for head in trace.get("cross_attention", [])],
+        "readout_attention": trace["readout_attention"].tolist(),
+        "cross_attention": [head.tolist() for head in trace["cross_attention"]],
         "cross_attention_tokens": ["virtual_node", *range(mol.n_atoms)],
     }
     Path(args.out).write_text(json.dumps(bundle, sort_keys=True))

@@ -63,7 +63,8 @@ class FingerprintMlp:
 
     The input rows [B, in_dim] come as their values ``block`` [B, len(cols)]
     on the sorted columns ``cols``, zero elsewhere; ``lin1`` multiplies only
-    those rows of its weight (``T.sparse_linear``).
+    those rows of its weight (``T.sparse_linear``). The hidden layer drops
+    out at ``dropout_rate`` when a call passes an ``rng``.
     """
 
     def __init__(self, store, rng, prefix, in_dim, embed_dim, dropout_rate):
@@ -71,9 +72,9 @@ class FingerprintMlp:
         self.lin2 = Linear(store, rng, f"{prefix}.lin2", embed_dim, embed_dim)
         self.dropout_rate = dropout_rate
 
-    def __call__(self, block: np.ndarray, cols: np.ndarray, train=False, rng=None) -> Tensor:
+    def __call__(self, block: np.ndarray, cols: np.ndarray, rng=None) -> Tensor:
         h = T.sparse_linear(block, cols, self.lin1.w, self.lin1.b)
-        return self.lin2(T.dropout(T.relu(h), self.dropout_rate, rng, train))
+        return self.lin2(T.dropout(T.relu(h), self.dropout_rate, rng))
 
 
 class AttentiveGru:
@@ -82,30 +83,32 @@ class AttentiveGru:
 
     Member row e belongs to center ``ids[e]``. Its score is LeakyReLU of a
     shared vector over [center || member]; scores are softmax-normalized per
-    center, optionally dropped out at train time, and weight the transformed
-    members. A GRU folds the ELU of that context into the center state, so a
-    center without members gets the GRU of a zero context. Returns the new
-    centers and the [members, 1] attention before dropout.
+    center, dropped out at ``dropout_rate`` when a call passes an ``rng``,
+    and weight the transformed members. A GRU folds the ELU of that context
+    into the center state, so a center without members gets the GRU of a
+    zero context. Returns the new centers and the [members, 1] attention
+    before dropout.
 
     The GAT layers pass atoms as centers and directed edges (keyed by
     ``src``) as members; the supernode readout passes each molecule's
     anchor (the sum of its node states) as center and its atoms as members.
     """
 
-    def __init__(self, store, rng, prefix, dim):
+    def __init__(self, store, rng, prefix, dim, dropout_rate=0.0):
         self.attn_w = _register_matrix(store, rng, f"{prefix}.attn_w", 2 * dim, 1)
         self.agg_w = _register_matrix(store, rng, f"{prefix}.agg_w", dim, dim)
         self.gru = GruCell(store, rng, f"{prefix}.gru", dim, dim)
+        self.dropout_rate = dropout_rate
 
     def __call__(self, centers: Tensor, members: Tensor, ids: np.ndarray,
-                 dropout_rate=0.0, train=False, rng=None) -> tuple[Tensor, Tensor]:
+                 rng=None) -> tuple[Tensor, Tensor]:
         n = centers.shape[0]
         scores = T.leaky_relu(
             T.matmul(T.concat([T.gather_rows(centers, ids), members], axis=1), self.attn_w),
             LEAKY_SLOPE,
         )
         attn = T.segment_softmax(scores, ids, n)
-        weights = T.dropout(attn, dropout_rate, rng, train)
+        weights = T.dropout(attn, self.dropout_rate, rng)
         context = T.elu(T.segment_sum(T.mul(weights, T.matmul(members, self.agg_w)), ids, n))
         return self.gru(context, centers), attn
 
@@ -118,11 +121,15 @@ class TransformerLayer:
     concatenate through an output projection, then residual + DyT,
     position-wise FFN, residual + DyT. Attention runs on the joined atom rows
     of a batch under its block-diagonal mask, so each molecule attends only
-    over its own atoms.
+    over its own atoms. When a call passes an ``rng``, the attention output
+    drops out at ``dropout_attn`` and the FFN's hidden layer at
+    ``dropout_ffn``.
     """
 
-    def __init__(self, store, rng, prefix, dim, heads):
+    def __init__(self, store, rng, prefix, dim, heads, dropout_attn, dropout_ffn):
         self.heads = heads
+        self.dropout_attn = dropout_attn
+        self.dropout_ffn = dropout_ffn
         self.w_q = _register_matrix(store, rng, f"{prefix}.w_q", dim, dim)
         self.w_k = _register_matrix(store, rng, f"{prefix}.w_k", dim, dim)
         self.w_v = _register_matrix(store, rng, f"{prefix}.w_v", dim, dim)
@@ -134,24 +141,23 @@ class TransformerLayer:
         self.ffn1 = Linear(store, rng, f"{prefix}.ffn1", dim, FFN_MULT * dim)
         self.ffn2 = Linear(store, rng, f"{prefix}.ffn2", FFN_MULT * dim, dim)
 
-    def attend(self, h: Tensor, batch, trace=None) -> Tensor:
-        """Mixed attention of all heads, [N, dim], before the output projection.
+    def attend(self, h: Tensor, batch) -> tuple[Tensor, np.ndarray]:
+        """Mixed attention of all heads, [N, dim], before the output
+        projection, and the [heads, N, N] softmax weights (``T.attention``).
 
         ``h`` holds the joined atom rows of ``batch`` (a ``MoleculeBatch``),
-        whose block-diagonal adjacency is the prior. ``trace``, when given,
-        gets the per-head softmax weights appended as one list.
+        whose block-diagonal adjacency is the prior.
         """
-        hook = None if trace is None else (lambda p: trace.append(list(p.copy())))
         q, k, v = (T.matmul(h, w) for w in (self.w_q, self.w_k, self.w_v))
         return T.attention(q, k, v, self.heads, batch.atom_mask, self.lambda_attn,
-                           self.lambda_adj, batch.adjacency, hook=hook)
+                           self.lambda_adj, batch.adjacency)
 
-    def __call__(self, h, batch, dropout_attn=0.0, dropout_ffn=0.0, train=False, rng=None,
-                 trace=None):
-        attn = self.out(self.attend(h, batch, trace))
-        x = self.norm1(T.add(h, T.dropout(attn, dropout_attn, rng, train)))
-        f = self.ffn2(T.dropout(T.gelu(self.ffn1(x)), dropout_ffn, rng, train))
-        return self.norm2(T.add(x, f))
+    def __call__(self, h: Tensor, batch, rng=None) -> tuple[Tensor, np.ndarray]:
+        """The layer's output [N, dim] and its softmax weights, as ``attend``'s."""
+        mixed, p = self.attend(h, batch)
+        x = self.norm1(T.add(h, T.dropout(self.out(mixed), self.dropout_attn, rng)))
+        f = self.ffn2(T.dropout(T.gelu(self.ffn1(x)), self.dropout_ffn, rng))
+        return self.norm2(T.add(x, f)), p
 
 
 class MixedInformation:
@@ -161,7 +167,8 @@ class MixedInformation:
     to the shared width then GELU; the global stream is the transformer
     output under GELU. A sigmoid-parametrized scalar gate alpha in [0,1]
     weighs them: alpha * local + (1 - alpha) * global; ablations that drop a
-    stream use alpha 1 or 0 without a gate.
+    stream use alpha 1 or 0 without a gate. A call returns the mixed states
+    and alpha as a float.
     """
 
     def __init__(self, store, rng, prefix, gat_dim, dim, has_gat, has_gate):
@@ -176,7 +183,7 @@ class MixedInformation:
             mean_h = T.mul(mean_h, Tensor(1.0 / len(gat_outputs)))
         return T.gelu(self.local_proj(mean_h))
 
-    def __call__(self, gat_outputs, transformer_out, trace=None):
+    def __call__(self, gat_outputs, transformer_out) -> tuple[Tensor, float]:
         f_local = self.local_stream(gat_outputs) if gat_outputs is not None else None
         f_global = T.gelu(transformer_out) if transformer_out is not None else None
         if f_global is None:
@@ -189,9 +196,7 @@ class MixedInformation:
             alpha = T.sigmoid(self.gate)
             alpha_value = float(alpha.data[0, 0])
             mixed = T.add(T.mul(alpha, f_local), T.mul(T.sub(Tensor(1.0), alpha), f_global))
-        if trace is not None:
-            trace["gate_alpha"] = alpha_value
-        return mixed
+        return mixed, alpha_value
 
 
 class CrossAttention:
@@ -204,15 +209,13 @@ class CrossAttention:
         self.w_v = _register_matrix(store, rng, f"{prefix}.w_v", dim, dim)
         self.out = Linear(store, rng, f"{prefix}.out", dim, dim)
 
-    def __call__(self, fp_embed, virtual, node_states, token_mask, trace=None) -> Tensor:
+    def __call__(self, fp_embed, virtual, node_states, token_mask) -> tuple[Tensor, np.ndarray]:
         """Each of the B fingerprint rows [B, fp_dim] attends over the token rows
         [virtual [B, dim]; node_states [N, dim]] under ``token_mask`` [B, B+N],
-        which keeps each row on its own molecule's tokens; returns [B, dim]."""
-
-        hook = None if trace is None else (
-            lambda p: trace.update(cross_attention=list(p[:, 0].copy()))
-        )
+        which keeps each row on its own molecule's tokens; returns [B, dim]
+        and the [heads, B, B+N] softmax weights."""
         tokens = T.concat([virtual, node_states], axis=0)
         q = T.matmul(fp_embed, self.w_q)
         k, v = T.matmul(tokens, self.w_k), T.matmul(tokens, self.w_v)
-        return self.out(T.attention(q, k, v, self.heads, token_mask, hook=hook))
+        out, p = T.attention(q, k, v, self.heads, token_mask)
+        return self.out(out), p

@@ -52,7 +52,8 @@ class MlfgnnModel:
                 store, rng, "edge_init", ATOM_FEATURE_DIM + BOND_FEATURE_DIM, g
             )
             self.gat_stack = [
-                AttentiveGru(store, rng, f"gat.layer{i}", g) for i in range(c.gat_layers)
+                AttentiveGru(store, rng, f"gat.layer{i}", g, c.dropout_gat)
+                for i in range(c.gat_layers)
             ]
         else:
             self.edge_init = None
@@ -60,7 +61,8 @@ class MlfgnnModel:
         if c.has_transformer:
             self.adapter = Linear(store, rng, "transformer.adapter", g, d)
             self.transformer_stack = [
-                TransformerLayer(store, rng, f"transformer.layer{i}", d, c.heads)
+                TransformerLayer(store, rng, f"transformer.layer{i}", d, c.heads,
+                                 c.dropout_attn, c.dropout_ffn)
                 for i in range(c.transformer_layers)
             ]
         else:
@@ -93,15 +95,25 @@ class MlfgnnModel:
         """Predict [B, n_tasks] for a packed batch (one molecule is a batch of
         one); raw logits for classification tasks.
 
-        ``rng`` drives dropout and is required when ``train`` is true;
-        ``trace``, when given, collects the attention maps and gate values of
-        a batch of one.
+        ``train`` picks dropout, drawn from ``rng``, which it then requires;
+        in eval every block gets no ``rng`` and drops nothing. ``trace``, when
+        given, needs a batch of one and gets every key each time, an ablated
+        branch's as an empty list:
+
+        - ``transformer_attention``: per layer, the per-head [N, N] weights;
+        - ``gat_attention``: per layer, the dense [N, N] weights of edge
+          src -> dst at [src, dst];
+        - ``gate_alpha``: the mixture's alpha, a float;
+        - ``readout_attention``: the [N] readout weights;
+        - ``cross_attention``: per head, the fingerprint query's [1 + N]
+          weights over the virtual node and the atoms.
         """
         c = self.config
         if train and rng is None:
             raise ValueError("training forward needs an rng for dropout")
         if trace is not None and batch.size != 1:
             raise ValueError("trace needs a batch of one molecule")
+        rng = rng if train else None
         atom_feats = Tensor(batch.atom_features)
         h0 = T.relu(self.node_init(atom_feats))  # [N, g]
 
@@ -110,25 +122,18 @@ class MlfgnnModel:
             width = batch.fingerprint_width
             if width != c.fingerprint_dim:
                 raise T.ShapeMismatchError("fingerprint", (width,), (c.fingerprint_dim,))
-            fp_embed = self.fingerprint_mlp(batch.fingerprint_block, batch.fingerprint_cols,
-                                            train=train, rng=rng)
+            fp_embed = self.fingerprint_mlp(batch.fingerprint_block, batch.fingerprint_cols, rng)
 
-        transformer_out = None
+        transformer_out, transformer_maps = None, []
         if c.has_transformer:
-            if trace is not None:
-                trace.setdefault("transformer_attention", [])
             x = self.adapter(h0)
             for layer in self.transformer_stack:
-                x = layer(
-                    x, batch, c.dropout_attn, c.dropout_ffn, train, rng,
-                    trace["transformer_attention"] if trace is not None else None,
-                )
+                x, p = layer(x, batch, rng)
+                transformer_maps.append(p)
             transformer_out = x
 
-        gat_outputs = None
+        gat_outputs, gat_maps = None, []
         if c.has_gat:
-            if trace is not None:
-                trace.setdefault("gat_attention", [])
             src, dst = batch.src, batch.dst
             edge_in = T.concat(
                 [T.gather_rows(atom_feats, dst), Tensor(batch.bond_features)], axis=1
@@ -138,33 +143,41 @@ class MlfgnnModel:
             gat_outputs = []
             for i, layer in enumerate(self.gat_stack):
                 members = edge_ctx if i == 0 else T.gather_rows(states, dst)
-                states, attn = layer(states, members, src, c.dropout_gat, train, rng)
-                if trace is not None:
-                    dense = np.zeros((batch.n_atoms, batch.n_atoms))
-                    dense[src, dst] = attn.data[:, 0]
-                    trace["gat_attention"].append(dense)
+                states, attn = layer(states, members, src, rng)
+                gat_maps.append(attn)
                 gat_outputs.append(states)
 
-        mixed = self.mixture(gat_outputs, transformer_out, trace)
+        mixed, alpha = self.mixture(gat_outputs, transformer_out)
         # Supernode readout: each molecule's anchor, the sum of its node
         # states, attends over those states.
         anchor = T.segment_sum(mixed, batch.graph_ids, batch.size)
-        molecule_vec, attn = self.readout(anchor, mixed, batch.graph_ids)
-        if trace is not None:
-            trace["readout_attention"] = attn.data[:, 0].copy()
+        molecule_vec, readout_attn = self.readout(anchor, mixed, batch.graph_ids)
 
+        cross_heads = []
         if c.has_fingerprint:
-            fused = self.cross_attention(fp_embed, molecule_vec, mixed, batch.token_mask, trace)
+            fused, p = self.cross_attention(fp_embed, molecule_vec, mixed, batch.token_mask)
+            cross_heads = p[:, 0]  # the first molecule's query row, per head
             representation = T.concat([fused, molecule_vec, fp_embed], axis=1)
         else:
             representation = molecule_vec
         hidden = T.relu(self.out1(representation))
-        return self.out2(T.dropout(hidden, c.dropout_ffn, rng, train))
+        out = self.out2(T.dropout(hidden, c.dropout_ffn, rng))
+        if trace is not None:
+            trace.update(
+                transformer_attention=[list(heads) for heads in transformer_maps],
+                gat_attention=[_dense(attn, batch) for attn in gat_maps],
+                gate_alpha=alpha,
+                readout_attention=readout_attn.data[:, 0],
+                cross_attention=list(cross_heads),
+            )
+        return out
 
-    def predict_batch(self, batch: MoleculeBatch) -> np.ndarray:
-        """Eval-mode predictions [B, n_tasks], no tape; sigmoid applied for classification."""
+    def predict_batch(self, batch: MoleculeBatch, trace: dict | None = None) -> np.ndarray:
+        """Eval-mode predictions [B, n_tasks], no tape: raw values for
+        regression, sigmoid probabilities for classification. ``trace`` is
+        ``forward``'s."""
         with T.no_grad():
-            out = self.forward(batch).data
+            out = self.forward(batch, trace=trace).data
         if self.config.task == "classification":
             return T._sigmoid_np(out)
         return out
@@ -190,3 +203,10 @@ class MlfgnnModel:
 
     def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         self.params.load_state_arrays(state)
+
+
+def _dense(attn: Tensor, batch: MoleculeBatch) -> np.ndarray:
+    """Per-edge [E, 1] attention as an [N, N] matrix, edge src -> dst at [src, dst]."""
+    dense = np.zeros((batch.n_atoms, batch.n_atoms))
+    dense[batch.src, batch.dst] = attn.data[:, 0]
+    return dense

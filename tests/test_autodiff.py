@@ -227,26 +227,26 @@ class TestOpSemantics:
 class TestDropout:
     def test_eval_mode_identity(self):
         x = Tensor(np.ones((4, 4)))
-        out = ad.dropout(x, 0.5, make_rng(0), train=False)
+        out = ad.dropout(x, 0.5, None)
         assert out is x
 
     def test_train_expectation_preserved(self):
         rng = make_rng(123)
         x = Tensor(np.ones((100, 1000)))
-        kept = ad.dropout(x, 0.3, rng, train=True)
+        kept = ad.dropout(x, 0.3, rng)
         assert kept.data.mean() == pytest.approx(1.0, rel=0.01)
 
     def test_gradient_respects_mask(self):
         x = Tensor(np.ones((3, 3)), requires_grad=True)
         rng = make_rng(5)
-        out = ad.dropout(x, 0.5, rng, train=True)
+        out = ad.dropout(x, 0.5, rng)
         backward(ad.sum_(out))
         scale = 1.0 / 0.5
         assert set(np.unique(x.grad)) <= {0.0, scale}
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            ad.dropout(Tensor([[1.0]]), 1.0, make_rng(0), train=True)
+            ad.dropout(Tensor([[1.0]]), 1.0, make_rng(0))
 
 
 def _adam_on(values, lr=1e-3):
@@ -774,32 +774,33 @@ class TestFusedOps:
         q, k, v = (_rand(rng, n, width) for _ in range(3))
         lambdas = {"lambda_attn": _rand(rng, 1, 1), "lambda_adj": _rand(rng, 1, 1)} if blend else {}
         extra = (*lambdas.values(), adjacency) if blend else ()
-        seen = []
-        out = ad.attention(q, k, v, heads, mask, *extra, hook=seen.append)
+        out, seen = ad.attention(q, k, v, heads, mask, *extra)
         lam = [float(t.data[0, 0]) for t in lambdas.values()] if blend else None
         want, probs = self.attention_oracle(q.data, k.data, v.data, heads, mask, lam, adjacency)
         _assert_oracle(out.data, want)
-        _assert_oracle(seen[0], probs)
+        _assert_oracle(seen, probs)
         w = Tensor(rng.standard_normal((n, width)))
-        report = grad_check(lambda: ad.sum_(ad.mul(ad.attention(q, k, v, heads, mask, *extra), w)),
-                            {"q": q, "k": k, "v": v, **lambdas}, rtol=1e-5, atol=1e-8)
+        report = grad_check(
+            lambda: ad.sum_(ad.mul(ad.attention(q, k, v, heads, mask, *extra)[0], w)),
+            {"q": q, "k": k, "v": v, **lambdas}, rtol=1e-5, atol=1e-8,
+        )
         assert report.passed, report.summary()
 
     def test_attention_one_query_one_key(self):
         rng = make_rng(6450)
         q, k, v = (_rand(rng, 1, 6) for _ in range(3))
         lam_attn, lam_adj = _rand(rng, 1, 1), _rand(rng, 1, 1)
-        out = ad.attention(q, k, v, 2, np.zeros((1, 1)), lam_attn, lam_adj, np.ones((1, 1)))
+        out, _ = ad.attention(q, k, v, 2, np.zeros((1, 1)), lam_attn, lam_adj, np.ones((1, 1)))
         scale = lam_attn.data[0, 0] + lam_adj.data[0, 0]  # the one weight is 1 before the blend
         _assert_oracle(out.data, scale * v.data)
         report = grad_check(
             lambda: ad.sum_(ad.mul(ad.attention(q, k, v, 2, np.zeros((1, 1)), lam_attn, lam_adj,
-                                                np.ones((1, 1))), v)),
+                                                np.ones((1, 1)))[0], v)),
             {"q": q, "k": k, "v": v, "lambda_attn": lam_attn, "lambda_adj": lam_adj},
             rtol=1e-5, atol=1e-8,
         )
         assert report.passed, report.summary()
-        backward(ad.sum_(ad.attention(q, k, v, 2, np.zeros((1, 1)))))
+        backward(ad.sum_(ad.attention(q, k, v, 2, np.zeros((1, 1)))[0]))
         assert not q.grad.any() and not k.grad.any()  # one key: the weight is constant
 
 

@@ -1471,6 +1471,49 @@ class TestRetiredKeys:
 
 
 class TestExplainCommand:
+    # sha256 of the bundle that ``explain`` writes for CC(=O)Nc1ccccc1O from
+    # seed 0 of a one-seed regression run on ``reg.csv`` under TINY_CONFIG,
+    # per ``--ablate`` value ("none": the full model).
+    BUNDLE_SHA256 = {
+        "none": "2d5819960d3330b26940fec2be847d829df444e100458030eff4ba8ddcb33ea9",
+        "gat-only": "a2154c4ef2403b27f82b4f4a3b93ebf7d0079aa3dd4d6edcb3e643bb1038ea77",
+        "transformer-only": "0d8e7caa684c44e0552a099e9acb49fa4fcaa1ce69b0cf27fb433f7806a3f55e",
+        "no-fp": "c18b0c6cacc75c54cc5b02c2f7aa1e4bad894b2c46c1395f9f41b20eec64b00e",
+    }
+
+    @staticmethod
+    def _train(workdir, out, task, ablate=None):
+        data = workdir / ("reg.csv" if task == "reg" else "cls.csv")
+        args = ["train", "--data", str(data), "--task", task, "--config",
+                str(workdir / "config.json"), "--seeds", "1", "--out", str(out)]
+        assert main(args + (["--ablate", ablate] if ablate else [])) == 0
+        return out / "seed_0.ckpt"
+
+    @staticmethod
+    def _explain(checkpoint, smiles, out) -> bytes:
+        assert main(["explain", "--checkpoint", str(checkpoint), "--smiles", smiles,
+                     "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("ablate", ["none", "gat-only", "transformer-only", "no-fp"])
+    def test_regression_bundle_bytes_are_pinned(self, workdir, tmp_path, ablate):
+        checkpoint = self._train(workdir, tmp_path / "run", "reg",
+                                 None if ablate == "none" else ablate)
+        bundle = self._explain(checkpoint, "CC(=O)Nc1ccccc1O", tmp_path / "e.json")
+        assert hashlib.sha256(bundle).hexdigest() == self.BUNDLE_SHA256[ablate]
+
+    def test_classification_prediction_is_what_predict_writes(self, workdir, tmp_path):
+        """A probability, as ``predict`` writes it, not the raw logit."""
+        checkpoint = self._train(workdir, tmp_path / "run", "cls")
+        smiles = "CC(=O)Nc1ccccc1O"
+        (tmp_path / "in.csv").write_text(f"smiles\n{smiles}\n")
+        assert main(["predict", "--checkpoint", str(checkpoint), "--input",
+                     str(tmp_path / "in.csv"), "--out", str(tmp_path / "p.csv")]) == 0
+        rows = list(csv.reader((tmp_path / "p.csv").read_text().splitlines()))
+        bundle = json.loads(self._explain(checkpoint, smiles, tmp_path / "e.json"))
+        assert bundle["prediction"] == [float(rows[1][1])]
+        assert 0.0 < bundle["prediction"][0] < 1.0
+
     def test_bundle_contents(self, workdir, trained):
         out = workdir / "explain.json"
         code = main(

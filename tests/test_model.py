@@ -189,12 +189,12 @@ class TestGatLayer:
 
     def test_dropout_acts_on_the_weights_not_the_returned_attention(self):
         store = ParameterStore()
-        layer = AttentiveGru(store, make_rng(0), "gat", 4)
+        layer = AttentiveGru(store, make_rng(0), "gat", 4, dropout_rate=0.5)
         states = Tensor(make_rng(1).standard_normal((4, 4)))
         src, dst = np.array([0, 0, 0, 1, 2, 3]), np.array([1, 2, 3, 0, 0, 0])
         reps = ad.gather_rows(states, dst)
         out, attn = layer(states, reps, src)
-        dropped, dropped_attn = layer(states, reps, src, 0.5, True, make_rng(2))
+        dropped, dropped_attn = layer(states, reps, src, make_rng(2))
         assert np.array_equal(dropped_attn.data, attn.data)
         assert not np.array_equal(dropped.data, out.data)
 
@@ -250,7 +250,7 @@ class TestTransformerBoundaries:
             layer.lambda_adj.data[:] = 1.0
             h = Tensor(rng.standard_normal((mol.n_atoms, model.config.hidden_dim)))
             batch = MoleculeBatch([mol])
-            out = layer.attend(h, batch)
+            out, _ = layer.attend(h, batch)
             v = (h.data @ layer.w_v.data)
             d_k = model.config.hidden_dim // layer.heads
             for i in range(layer.heads):
@@ -266,7 +266,7 @@ class TestTransformerBoundaries:
             layer.lambda_adj.data[:] = 0.0
             h = Tensor(rng.standard_normal((mol.n_atoms, model.config.hidden_dim)))
             batch = MoleculeBatch([mol])
-            out = layer.attend(h, batch)
+            out, _ = layer.attend(h, batch)
             q, k, v = (h.data @ w.data for w in (layer.w_q, layer.w_k, layer.w_v))
             d_k = model.config.hidden_dim // layer.heads
             for i in range(layer.heads):
@@ -281,14 +281,13 @@ class TestTransformerBoundaries:
         layer = model.transformer_stack[0]
         rng = make_rng(2)
         h = Tensor(rng.standard_normal((1, model.config.hidden_dim)))
-        trace = []
         batch = MoleculeBatch([mol])
-        out = layer.attend(h, batch, trace)
+        out, p = layer.attend(h, batch)
         lam_a = layer.lambda_attn.data[0, 0]
         lam_b = layer.lambda_adj.data[0, 0]
         v = h.data @ layer.w_v.data
-        assert len(trace[0]) == layer.heads
-        for head in trace[0]:
+        assert len(p) == layer.heads
+        for head in p:
             assert head == pytest.approx(1.0)
         assert np.allclose(out.data, (lam_a + lam_b) * v)
 
@@ -347,9 +346,9 @@ class TestMixture:
         gat_out = [Tensor(rng.standard_normal((3, config.gat_out_dim))) for _ in range(2)]
         trans_out = Tensor(rng.standard_normal((3, config.hidden_dim)))
         pure_local = mix.local_stream(gat_out)
-        assert np.array_equal(mix(gat_out, trans_out).data, pure_local.data)
+        assert np.array_equal(mix(gat_out, trans_out)[0].data, pure_local.data)
         mix.gate.data[...] = -np.inf
-        assert np.array_equal(mix(gat_out, trans_out).data, ad.gelu(trans_out).data)
+        assert np.array_equal(mix(gat_out, trans_out)[0].data, ad.gelu(trans_out).data)
         mix.gate.data[...] = saved
 
     def test_logged_alpha_is_the_forward_alpha(self):
@@ -485,19 +484,19 @@ class TestMultiHeadAttention:
         v = Tensor(rng.standard_normal((n, width)), requires_grad=True)
         prior = rng.uniform(size=(m, n))
         no_mask = np.zeros((m, n))
-        plain = ad.attention(q, k, v, heads, no_mask)
+        plain, _ = ad.attention(q, k, v, heads, no_mask)
         assert plain.shape == (m, width)
         assert np.allclose(plain.data, self.oracle(q.data, k.data, v.data, heads, lambda w: w),
                            rtol=1e-12, atol=1e-14)
 
         lam_attn, lam_adj = Tensor([[0.3]]), Tensor([[0.7]])
-        mixed = ad.attention(q, k, v, heads, no_mask, lam_attn, lam_adj, prior)
+        mixed, _ = ad.attention(q, k, v, heads, no_mask, lam_attn, lam_adj, prior)
         expected = self.oracle(q.data, k.data, v.data, heads, lambda w: 0.3 * w + 0.7 * prior)
         assert np.allclose(mixed.data, expected, rtol=1e-12, atol=1e-14)
         w = Tensor(rng.standard_normal((m, width)))
         report = grad_check(
             lambda: ad.sum_(ad.mul(ad.attention(q, k, v, heads, no_mask, lam_attn, lam_adj,
-                                                prior), w)),
+                                                prior)[0], w)),
             {"q": q, "k": k, "v": v}, rtol=1e-5, atol=1e-8,
         )
         assert report.passed, report.summary()
@@ -513,8 +512,8 @@ class TestMultiHeadAttention:
         mask = np.where(same, 0.0, -1e30)
         prior = rng.uniform(size=same.shape) * same
 
-        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), heads, mask, Tensor([[0.3]]),
-                           Tensor([[0.7]]), prior)
+        out, _ = ad.attention(Tensor(q), Tensor(k), Tensor(v), heads, mask, Tensor([[0.3]]),
+                              Tensor([[0.7]]), prior)
         assert out.shape == (sum(sizes), width)
         for b in range(len(sizes)):
             rows = np.flatnonzero(graph_ids == b)
@@ -543,7 +542,7 @@ class TestCrossAttention:
         token = rng.standard_normal(8)
         virtual = Tensor(token[None, :])
         nodes = Tensor(np.tile(token, (3, 1)))
-        out = attn(fp, virtual, nodes, np.zeros((1, 4)))
+        out, _ = attn(fp, virtual, nodes, np.zeros((1, 4)))
         v = token[None, :] @ attn.w_v.data
         expected = v @ attn.out.w.data + attn.out.b.data
         assert np.allclose(out.data, expected, atol=1e-12)
@@ -626,11 +625,11 @@ class TestFingerprintEmbed:
         model = MlfgnnModel(ModelConfig(fingerprint_dim=config.fingerprint_length), seed=0)
         sparse_mlp = model.fingerprint_mlp
 
-        def dense_mlp(block, cols, train=False, rng=None):
+        def dense_mlp(block, cols, rng=None):
             x = np.zeros((len(block), config.fingerprint_length))
             x[:, cols] = block
             h = ad.linear(Tensor(x), sparse_mlp.lin1.w, sparse_mlp.lin1.b)
-            return sparse_mlp.lin2(ad.dropout(ad.relu(h), sparse_mlp.dropout_rate, rng, train))
+            return sparse_mlp.lin2(ad.dropout(ad.relu(h), sparse_mlp.dropout_rate, rng))
 
         def run(mlp, batch, seed):
             model.fingerprint_mlp = mlp
@@ -825,17 +824,21 @@ class TestTapeOps:
 
     FUSED = ("linear", "sparse_linear", "dyt", "gru_cell", "segment_softmax", "attention")
 
-    def test_train_forward_of_a_corpus_chunk(self, monkeypatch):
-        from collections import Counter
-
-        from molfusion.autodiff import tensor
-        from molfusion.model.batch import chunks
-
-        config = FeaturizeConfig()
+    @staticmethod
+    def corpus_chunk(config: FeaturizeConfig) -> list:
+        """The first chunk of the benchmark corpus: 17 molecules, 63 atoms."""
         graphs = [g for _smiles, g in corpus_util.frozen_corpus_graphs()[:40]]
         chunk = next(chunks([featurize(g, config) for g in graphs], lambda m: m.n_atoms))
         assert (len(chunk), sum(m.n_atoms for m in chunk)) == (17, 63)
-        model = MlfgnnModel(ModelConfig(fingerprint_dim=config.fingerprint_length), seed=0)
+        return chunk
+
+    @staticmethod
+    def counted_ops(monkeypatch):
+        """A Counter of tape nodes by op name, counted from here on."""
+        from collections import Counter
+
+        from molfusion.autodiff import tensor
+
         ops = Counter()
         make = tensor._make
 
@@ -844,6 +847,13 @@ class TestTapeOps:
             return make(data, parents, backward_fn, op)
 
         monkeypatch.setattr(tensor, "_make", counted)
+        return ops
+
+    def test_train_forward_of_a_corpus_chunk(self, monkeypatch):
+        config = FeaturizeConfig()
+        chunk = self.corpus_chunk(config)
+        model = MlfgnnModel(ModelConfig(fingerprint_dim=config.fingerprint_length), seed=0)
+        ops = self.counted_ops(monkeypatch)
         out = model.forward(MoleculeBatch(chunk), train=True, rng=make_rng(0))
         assert out.op_name == "linear" and out.requires_grad
         assert sum(ops.values()) == 94
@@ -851,3 +861,25 @@ class TestTapeOps:
             "linear": 14, "sparse_linear": 1, "dyt": 4, "gru_cell": 3, "segment_softmax": 3,
             "attention": 3,
         }
+
+    @pytest.mark.parametrize("ablation,train_ops,eval_ops", [
+        ("none", 94, 86),
+        ("gat_only", 59, 55),
+        ("transformer_only", 58, 52),
+        ("no_fingerprint", 83, 76),
+    ])
+    def test_tape_nodes_per_forward_of_each_ablation(self, monkeypatch, ablation, train_ops,
+                                                     eval_ops):
+        """Train (dropout on) and eval forwards on the same chunk record these
+        counts, so a change to the blocks cannot add ops unnoticed."""
+        config = FeaturizeConfig()
+        batch = MoleculeBatch(self.corpus_chunk(config))
+        model = MlfgnnModel(
+            ModelConfig(fingerprint_dim=config.fingerprint_length, ablation=ablation), seed=0
+        )
+        ops = self.counted_ops(monkeypatch)
+        model.forward(batch, train=True, rng=make_rng(0))
+        assert sum(ops.values()) == train_ops
+        ops.clear()
+        model.predict_batch(batch)
+        assert sum(ops.values()) == eval_ops
