@@ -341,9 +341,10 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """1/(1+e^-x) without overflow: e^-|x| never exceeds 1."""
+    """1/(1+e^-x) without overflow: e^-|x| never exceeds 1. One division,
+    (1 or e)/(1+e), whose quotients are those of the two-branch form."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(a: Tensor) -> Tensor:

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -189,7 +190,10 @@ _BOND_ROW = operator.attrgetter(*Bond.__dataclass_fields__)
 
 
 def refine(
-    graph: MolecularGraph, invariants: Sequence[bytes], rounds: int | None = None
+    graph: MolecularGraph,
+    invariants: Sequence[bytes],
+    rounds: int | None = None,
+    memo: dict[bytes, int] | None = None,
 ) -> list[list[int]]:
     """Iterated neighbourhood hashing (Morgan 1965; ECFP): every round's codes.
 
@@ -198,9 +202,12 @@ def refine(
     code, neighbour code) pairs (``"IQ"`` each), so ``out[r][v]`` codes the
     radius-r view of atom v. Each distinct payload is hashed once per call.
     Runs ``rounds`` rounds or, when None, until a round does not raise the
-    number of distinct codes (see ``MolecularGraph.graph_hash``).
+    number of distinct codes (see ``MolecularGraph.graph_hash``). A caller
+    that refines several graphs may share ``memo``, the payload-to-code
+    table, across the calls: a code is a pure function of its payload.
     """
-    memo: dict[bytes, int] = {}
+    if memo is None:
+        memo = {}
 
     def code(payload: bytes) -> int:
         c = memo.get(payload)
@@ -228,27 +235,53 @@ def refine(
     return out
 
 
-def hop_distances(graph: MolecularGraph, limit: int | None = None) -> np.ndarray:
-    """All-pairs hop distances, ``[n, n]`` int64 and read-only, -1 where
-    unreachable. Given ``limit``, the search stops after ``limit`` hops, and a
-    pair farther apart reads -1 as well.
+def takes_chunks(per_chunk: Callable) -> Callable:
+    """Lets ``per_chunk(graphs, *args)``, which returns one row per graph of
+    a chunk, take a lone graph too: a chunk of one, whose row it returns."""
+
+    @functools.wraps(per_chunk)
+    def call(graphs, *args):
+        if isinstance(graphs, MolecularGraph):
+            return per_chunk([graphs], *args)[0]
+        return per_chunk(graphs, *args)
+
+    return call
+
+
+def hop_distances(
+    graphs: MolecularGraph | Sequence[MolecularGraph], limit: int | None = None
+) -> np.ndarray:
+    """All-pairs hop distances over the joined graphs of a chunk (or of one
+    graph), ``[N, N]`` int64 and read-only, where N counts the atoms of all
+    the graphs and atom i of graph m is row ``i`` plus the atoms of the graphs
+    before m. The matrix is block-diagonal: -1 across molecules and wherever
+    unreachable. Given ``limit``, the search stops after ``limit`` hops, and
+    a pair farther apart reads -1 as well.
 
     Breadth-first search from every source at once, one level per round.
     The frontier is a flat array of ``source * width + atom`` keys into the
-    distance matrix, which has a padding column ``n`` that counts as visited.
+    distance matrix, which has a padding column ``N`` that counts as visited.
     ``step[a]`` holds the key offsets from atom ``a`` to its neighbours, padded
-    with the offset to column ``n``. A level adds the offsets to every key,
+    with the offset to column ``N``. A level adds the offsets to every key,
     keeps the unvisited keys and sorts them to drop repeats. Each (source,
-    atom) pair enters the frontier once, so the work is O(n * E), in one round
-    of numpy calls per level.
+    atom) pair of a molecule enters the frontier once, so the search is
+    O(N * E) in one round of numpy calls per level of the deepest molecule,
+    paid once per chunk; the matrix itself is O(N^2), so a caller keeps its
+    chunks small (``model.batch.chunks``).
     """
-    adjacency = graph._adjacency
-    n = len(adjacency)
+    if isinstance(graphs, MolecularGraph):
+        graphs = [graphs]
+    n = sum(graph.n_atoms for graph in graphs)
     width = n + 1
-    step = np.full((n, max(map(len, adjacency), default=0)), n, dtype=np.int64)
-    for a, bonds in enumerate(adjacency):
-        step[a, : len(bonds)] = [b.other(a) for b in bonds]
-    step -= np.arange(n, dtype=np.int64)[:, None]
+    depth = max((len(bonds) for graph in graphs for bonds in graph._adjacency), default=0)
+    offsets = []  # step, row by row
+    start = 0
+    for graph in graphs:
+        for a, bonds in enumerate(graph._adjacency):
+            offsets += [b.other(a) - a for b in bonds]
+            offsets += [n - start - a] * (depth - len(bonds))
+        start += graph.n_atoms
+    step = np.array(offsets, dtype=np.int64).reshape(n, depth)
     dist = np.full(n * width, -1, dtype=np.int64)
     dist[n::width] = 0  # the padding column
     keys = np.arange(n, dtype=np.int64) * (width + 1)  # (s, s) pairs

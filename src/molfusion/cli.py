@@ -207,8 +207,7 @@ def cmd_featurize(args) -> int:
     overrides = {"components": args.fingerprints.split(",")} if args.fingerprints else {}
     featurize_config = FeaturizeConfig.from_dict({**file_config.get("featurize", {}), **overrides})
     _header, rows, _checksum = read_csv(args.input, [args.smiles_col])
-    featurized = each_csv_row(args, rows,
-                              lambda graphs: [featurize(g, featurize_config) for g in graphs])
+    featurized = each_csv_row(args, rows, lambda graphs: featurize(graphs, featurize_config))
     with open(args.out, "w") as fh:
         for row_num, (smiles, error, mol) in enumerate(featurized, start=2):
             record = {"row": row_num, "smiles": smiles}
@@ -364,7 +363,7 @@ def cmd_predict(args) -> int:
     n_tasks = model.config.n_tasks
     pred_cols = [f"prediction_{i}" for i in range(n_tasks)] if n_tasks > 1 else ["prediction"]
     predicted = each_csv_row(args, rows, lambda graphs: model.predict_batch(
-        MoleculeBatch([featurize(g, featurize_config) for g in graphs])))
+        MoleculeBatch(featurize(graphs, featurize_config))))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.smiles_col, *pred_cols])
@@ -418,10 +417,10 @@ def cmd_gradcheck(args) -> int:
         file_config, "regression", 1, ablation=args.ablate
     )
     # Two molecules of different sizes, so the check covers the cross-molecule masks.
-    batch = MoleculeBatch([
-        featurize(random_molecule_graph(n, seed=args.seed + i), featurize_config)
+    batch = MoleculeBatch(featurize([
+        random_molecule_graph(n, seed=args.seed + i)
         for i, n in enumerate((args.atoms, args.atoms // 2 or args.atoms + 1))
-    ])
+    ], featurize_config))
     model = MlfgnnModel(model_config, seed=args.seed)
 
     from .autodiff import tensor as T

@@ -2,18 +2,22 @@
 
 Atoms receive a set of pharmacophore labels; every labeled atom pair
 increments the (label pair, shortest-path distance) slot with +-1 distance
-smearing at weight 0.3. The histogram is one weighted ``np.bincount`` over
-the smeared slots of all labeled pairs, with distances read from the
-hop-distance matrix it is given. The "none" label exists only to fix the
-pair-table layout (21 unordered pairs over 6 labels); it is never assigned,
-so its slots stay zero.
+smearing at weight 0.3. A call takes a chunk of molecules and the chunk's
+block-diagonal hop-distance matrix (-1 across molecules). Its histograms are
+one weighted ``np.bincount`` over the smeared slots of all labeled pairs of
+the chunk, each molecule's slots offset by its row; the pair selection reads
+a square of the chunk's labeled atoms, so the cost is quadratic per chunk.
+The "none" label exists only to fix the pair-table layout (21 unordered
+pairs over 6 labels); it is never assigned, so its slots stay zero.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from ..chem.graph import MolecularGraph
+from ..chem.graph import MolecularGraph, takes_chunks
 
 ERG_LABELS = ("donor", "acceptor", "positive", "negative", "aromatic", "none")
 SMEAR_WEIGHT = 0.3
@@ -48,35 +52,50 @@ def atom_labels(graph: MolecularGraph, idx: int) -> list[int]:
     hydrophobic_aromatic = a.is_aromatic or (
         a.element == "C"
         and a.degree >= 1
-        and all(graph.atoms[n].element == "C" for n in graph.neighbors(idx))
+        and all(graph.atoms[b.other(idx)].element == "C" for b in graph.bonds_of(idx))
     )
     if hydrophobic_aromatic:
         labels.append(4)
     return labels
 
 
-def erg_fingerprint(graph: MolecularGraph, distances: np.ndarray, max_path: int) -> np.ndarray:
-    """``distances``: ``hop_distances(graph, limit)``, exact for any limit >= max_path."""
-    atoms, labels = [], []  # one entry per (atom, label), by atom then label
-    for i in range(graph.n_atoms):
-        for label in atom_labels(graph, i):
-            atoms.append(i)
-            labels.append(label)
+@takes_chunks
+def erg_fingerprint(
+    graphs: Sequence[MolecularGraph], distances: np.ndarray, max_path: int
+) -> np.ndarray:
+    """``[len(graphs), erg_length(max_path)]``, one row per molecule.
+    ``distances``: ``hop_distances(graphs, limit)``, exact for any limit >= max_path."""
+    length = erg_length(max_path)
+    owners, atoms, labels = [], [], []  # one entry per (atom, label), by atom then label
+    start = 0
+    for k, graph in enumerate(graphs):
+        first = len(atoms)
+        for i in range(graph.n_atoms):
+            for label in atom_labels(graph, i):
+                atoms.append(start + i)
+                labels.append(label)
+        owners += [k] * (len(atoms) - first)
+        start += graph.n_atoms
+    owners = np.array(owners, dtype=np.int64)
     atoms = np.array(atoms, dtype=np.int64)
     labels = np.array(labels, dtype=np.int64)
     dist = distances[atoms[:, None], atoms]
-    # each atom pair once; pairs beyond max_path (or disconnected) are ignored
+    # each atom pair once; pairs beyond max_path, disconnected or in two
+    # molecules (-1) are ignored
     p, q = np.nonzero((atoms[:, None] < atoms) & (dist >= 1) & (dist <= max_path))
-    # weights accumulate in (atom, atom, label, label, smear) order, so the
-    # float sums are those of the pair-by-pair loop, bit for bit
+    # weights accumulate in (atom, atom, label, label, smear) order, atoms
+    # numbered molecule by molecule, so each molecule's float sums are those
+    # of the pair-by-pair loop, bit for bit
     order = np.lexsort((labels[q], labels[p], atoms[q], atoms[p]))
     p, q = p[order], q[order]
     smeared = dist[p, q][:, None] + _SMEAR_OFFSETS
-    slots = (_PAIR_TABLE[labels[p], labels[q]] * max_path - 1)[:, None] + smeared
+    slots = (owners[p] * length + _PAIR_TABLE[labels[p], labels[q]] * max_path - 1)[:, None]
+    slots = slots + smeared
     weights = np.broadcast_to(_SMEAR_WEIGHTS, smeared.shape)
     inside = (smeared >= 1) & (smeared <= max_path)
-    hist = np.bincount(slots[inside], weights[inside], minlength=N_LABEL_PAIRS * max_path)
-    return hist.astype(np.float64, copy=False)  # bincount of nothing is int64
+    hist = np.bincount(slots[inside], weights[inside], minlength=len(graphs) * length)
+    # bincount of nothing is int64
+    return hist.astype(np.float64, copy=False).reshape(len(graphs), length)
 
 
 def erg_length(max_path: int) -> int:

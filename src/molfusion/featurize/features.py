@@ -26,17 +26,33 @@ molecule pickles to about 6 KB (25 KB with a dense row). ``MoleculeBatch``
 joins the columns of a chunk, and the model's first fingerprint layer
 multiplies only those rows of its weight; ``featurize`` output densifies
 each row as it writes it.
+
+``featurize`` takes the graphs of one row-loop chunk. Atom rows and edges
+are built per molecule; the fingerprints are built per chunk, on the
+chunk's joined graphs: one hop-distance matrix, block-diagonal with -1
+across molecules, one ``[B, width]`` row per component, and one dense
+``[B, width]`` block whose nonzeros give each molecule its slice. The
+matrix costs the square of the chunk's atoms, so callers pass chunks of at
+most ``MAX_CHUNK_ATOMS`` atoms, or one larger molecule alone.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .. import Config, distinct_choices, integer, setting
-from ..chem.graph import BondOrder, Chirality, Hybridization, MolecularGraph, hop_distances
+from ..chem.graph import (
+    BondOrder,
+    Chirality,
+    Hybridization,
+    MolecularGraph,
+    hop_distances,
+    takes_chunks,
+)
 from .erg import erg_fingerprint, erg_length
 from .keys import default_key_table, substructure_key_fingerprint
 from .morgan import morgan_fingerprint
@@ -161,38 +177,53 @@ def normalized_adjacency(n_atoms: int, src: np.ndarray, dst: np.ndarray) -> np.n
     return adj / adj.sum(axis=1, keepdims=True)
 
 
-def compute_fingerprint(
-    graph: MolecularGraph, config: FeaturizeConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The concatenated fingerprint as ``(cols, values, width)``: its sorted
-    nonzero columns, their values, and its width. Morgan and ErG share one
-    hop-distance search, as deep as the deeper of them reads."""
+def compute_fingerprint(graphs: Sequence[MolecularGraph], config: FeaturizeConfig) -> np.ndarray:
+    """The concatenated fingerprints of a chunk, dense, ``[len(graphs), width]``.
+    Morgan and ErG share one hop-distance search over the chunk, as deep as
+    the deeper of them reads."""
     reads = [config.morgan_radius] * ("morgan" in config.components)
     reads += [config.erg_max_path] * ("erg" in config.components)
-    distances = hop_distances(graph, max(reads)) if reads else None
-    parts = []
+    distances = hop_distances(graphs, max(reads)) if reads else None
+    parts = [np.zeros((len(graphs), 0))]  # with no component, [B, 0]
     if "morgan" in config.components:
         parts.append(
-            morgan_fingerprint(graph, distances, config.morgan_radius, config.morgan_bits)
+            morgan_fingerprint(graphs, distances, config.morgan_radius, config.morgan_bits)
         )
     if "keys" in config.components:
-        parts.append(substructure_key_fingerprint(graph))
+        parts.append(substructure_key_fingerprint(graphs))
     if "erg" in config.components:
-        parts.append(erg_fingerprint(graph, distances, config.erg_max_path))
-    dense = np.concatenate(parts) if parts else np.zeros(0)
-    cols = np.flatnonzero(dense)
-    return cols, dense[cols], len(dense)
+        parts.append(erg_fingerprint(graphs, distances, config.erg_max_path))
+    return np.concatenate(parts, axis=1)
 
 
-def featurize(graph: MolecularGraph, config: FeaturizeConfig) -> FeaturizedMolecule:
-    src, dst, bond_features = featurize_bonds(graph)
-    cols, values, width = compute_fingerprint(graph, config)
-    return FeaturizedMolecule(
-        atom_features=featurize_atoms(graph),
-        src=src,
-        dst=dst,
-        bond_features=bond_features,
-        fingerprint_cols=cols,
-        fingerprint_values=values,
-        fingerprint_width=width,
-    )
+@takes_chunks
+def featurize(
+    graphs: Sequence[MolecularGraph], config: FeaturizeConfig
+) -> list[FeaturizedMolecule]:
+    """One ``FeaturizedMolecule`` per graph of a chunk, each array what the
+    graph featurized alone gets, byte for byte. The fingerprint's numpy work
+    runs once per chunk, at a cost quadratic in the chunk's atoms, so callers
+    pass ``model.batch.chunks`` packings.
+
+    A lone ``MolecularGraph`` is a chunk of one and gives one molecule, not a
+    list. Callers that hold one molecule use that form: ``explain``, and the
+    benchmark's per-molecule reference (``benchmarks/run.py``), which calls
+    ``featurize(parse_smiles(s), config)`` and so pins it."""
+    dense = compute_fingerprint(graphs, config)
+    width = dense.shape[1]
+    flat = np.flatnonzero(dense != 0)  # a bool array's nonzeros are found faster
+    cols, values = flat % width, dense.ravel()[flat]
+    ends = np.searchsorted(flat, np.arange(len(graphs) + 1) * width).tolist()
+    mols = []
+    for graph, start, end in zip(graphs, ends, ends[1:]):
+        src, dst, bond_features = featurize_bonds(graph)
+        mols.append(FeaturizedMolecule(
+            atom_features=featurize_atoms(graph),
+            src=src,
+            dst=dst,
+            bond_features=bond_features,
+            fingerprint_cols=cols[start:end],
+            fingerprint_values=values[start:end],
+            fingerprint_width=width,
+        ))
+    return mols

@@ -3,7 +3,8 @@
 The key table ships as a versioned text file (keys_table.txt); bit k is set
 when predicate k holds on the molecule. Every predicate reads "a count of the
 molecule >= a threshold", so the table compiles to one count name and one
-threshold per key, and a molecule is counted once for all keys.
+threshold per key, and a molecule is counted once for all keys. A call
+takes a chunk of molecules and looks the table up once for all of them.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import functools
 import operator
 from collections import Counter
 from importlib import resources
-from itertools import repeat
+from itertools import chain, repeat
+from typing import Sequence
 
 import numpy as np
 
-from ..chem.graph import BondOrder, MolecularGraph
+from ..chem.graph import BondOrder, MolecularGraph, takes_chunks
 
 _HALOGENS = ("F", "Cl", "Br", "I")
 
@@ -118,9 +120,13 @@ def _counts(g: MolecularGraph) -> Counter:
     return counts
 
 
-def substructure_key_fingerprint(graph: MolecularGraph) -> np.ndarray:
-    """Evaluate the key table; returns a {0,1} float vector of len(table)."""
+@takes_chunks
+def substructure_key_fingerprint(graphs: Sequence[MolecularGraph]) -> np.ndarray:
+    """Evaluate the key table on each molecule of a chunk; returns a {0,1}
+    float matrix ``[len(graphs), len(table)]``."""
     table = default_key_table()
-    counts = _counts(graph)
-    vector = np.fromiter(map(counts.get, table.names, repeat(0)), np.int64, len(table.names))
-    return (vector[table.index] >= table.thresholds).astype(np.float64)
+    names = table.names
+    counts = chain.from_iterable(map(c.get, names, repeat(0)) for c in map(_counts, graphs))
+    vectors = np.fromiter(counts, np.int64, len(graphs) * len(names))
+    vectors = vectors.reshape(len(graphs), len(names))
+    return (vectors[:, table.index] >= table.thresholds).astype(np.float64)

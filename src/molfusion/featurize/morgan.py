@@ -7,17 +7,20 @@ An atom emits a new identifier at radius r only while its r-ball is still
 growing, that is while r does not exceed its eccentricity, read from the
 hop-distance matrix it is given (once the neighborhood stops expanding the
 environment subgraph repeats and is not re-emitted). Every emitted identifier
-folds into the bit vector by modulo. Hashing uses blake2b truncated to 64
+folds into its molecule's bit vector by modulo. A call takes a chunk of
+molecules and the chunk's block-diagonal matrix, and shares one memo of
+hashed payloads across the chunk. Hashing uses blake2b truncated to 64
 bits, so bit patterns are stable across runs and platforms.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Sequence
 
 import numpy as np
 
-from ..chem.graph import Atom, MolecularGraph, refine
+from ..chem.graph import Atom, MolecularGraph, refine, takes_chunks
 
 
 def _invariants(a: Atom) -> bytes:
@@ -26,23 +29,35 @@ def _invariants(a: Atom) -> bytes:
     )
 
 
+@takes_chunks
 def environment_codes(
-    graph: MolecularGraph, distances: np.ndarray, radius: int
-) -> list[tuple[int, int, int]]:
-    """Emitted (atom, radius, code) triples after the ball-growth cutoff."""
-    rounds = refine(graph, list(map(_invariants, graph.atoms)), radius)
+    graphs: Sequence[MolecularGraph], distances: np.ndarray, radius: int
+) -> list[list[tuple[int, int, int]]]:
+    """Each molecule's emitted (atom, radius, code) triples after the
+    ball-growth cutoff, atoms numbered within their molecule."""
     # exact on a matrix cut at radius hops or more: min(radius, eccentricity) is unchanged
     eccentricity = distances.max(axis=1, initial=0).tolist()
-    return [
-        (i, r, rounds[r][i])
-        for i, ecc in enumerate(eccentricity)
-        for r in range(min(radius, ecc) + 1)
-    ]
+    memo: dict[bytes, int] = {}
+    emitted = []
+    start = 0
+    for graph in graphs:
+        rounds = refine(graph, list(map(_invariants, graph.atoms)), radius, memo)
+        emitted.append([
+            (i, r, rounds[r][i])
+            for i, ecc in enumerate(eccentricity[start : start + graph.n_atoms])
+            for r in range(min(radius, ecc) + 1)
+        ])
+        start += graph.n_atoms
+    return emitted
 
 
+@takes_chunks
 def morgan_fingerprint(
-    graph: MolecularGraph, distances: np.ndarray, radius: int, n_bits: int
+    graphs: Sequence[MolecularGraph], distances: np.ndarray, radius: int, n_bits: int
 ) -> np.ndarray:
-    out = np.zeros(n_bits, dtype=np.float64)
-    out[[code % n_bits for _atom, _r, code in environment_codes(graph, distances, radius)]] = 1.0
-    return out
+    """``[len(graphs), n_bits]`` bits, one row per molecule."""
+    out = np.zeros(len(graphs) * n_bits, dtype=np.float64)
+    out[[k * n_bits + code % n_bits
+         for k, emitted in enumerate(environment_codes(graphs, distances, radius))
+         for _atom, _r, code in emitted]] = 1.0
+    return out.reshape(len(graphs), n_bits)

@@ -67,7 +67,7 @@ def prepare_inputs(dataset: Dataset, featurize_config: FeaturizeConfig
     ``helper.each_row``; a record that fails to parse raises its error."""
     mols = []
     for _smiles, error, mol in each_row(
-            dataset.smiles, lambda graphs: [featurize(g, featurize_config) for g in graphs]):
+            dataset.smiles, lambda graphs: featurize(graphs, featurize_config)):
         if error is not None:
             raise error
         mols.append(mol)

@@ -967,8 +967,8 @@ class TestPredictLanes:
         assert [r["smiles"] for r in records if "error" in r] == ["xx((bad"] * 4 + ["C1CC"]
 
     def _fail_rows(self, monkeypatch, failures):
-        """Featurizing the SMILES ``s`` waits ``failures[s][1]`` seconds,
-        then raises ``DataError(failures[s][0])``. The parsed graph itself
+        """Featurizing a chunk that holds the SMILES ``s`` waits
+        ``failures[s][1]`` seconds, then raises ``DataError(failures[s][0])``. The parsed graph itself
         carries the mark: a map keyed by ``id(graph)`` would mark a healthy
         graph that reuses the id of a freed, doomed one."""
         from molfusion import cli, helper
@@ -982,12 +982,13 @@ class TestPredictLanes:
                 graph.doomed = failures[smiles]
             return graph
 
-        def featurize_failing(graph, config):
-            if hasattr(graph, "doomed"):
-                message, delay = graph.doomed
-                time.sleep(delay)
-                raise DataError(message)
-            return featurize(graph, config)
+        def featurize_failing(graphs, config):
+            for graph in graphs:
+                if hasattr(graph, "doomed"):
+                    message, delay = graph.doomed
+                    time.sleep(delay)
+                    raise DataError(message)
+            return featurize(graphs, config)
 
         monkeypatch.setattr(helper, "parse_smiles", parse_marking)
         monkeypatch.setattr(cli, "featurize", featurize_failing)
@@ -1045,13 +1046,13 @@ class TestPredictLanes:
             parsed_smiles[id(graph)] = s
             return graph
 
-        def featurize_skewed(graph, config):
+        def featurize_skewed(graphs, config):
             here = os.getpid() == parent
             if here:
-                featurized_here.add(parsed_smiles[id(graph)])
+                featurized_here.update(parsed_smiles[id(graph)] for graph in graphs)
             if here == (slow_lane == "cli"):
-                time.sleep(0.003)
-            return featurize(graph, config)
+                time.sleep(0.003 * len(graphs))
+            return featurize(graphs, config)
 
         real_fork, forks = os.fork, []
 
@@ -1096,10 +1097,10 @@ class TestPredictLanes:
             parsed[0] += 1
             return parse(s)
 
-        def featurize_stalled(graph, config):
+        def featurize_stalled(graphs, config):
             if os.getpid() != parent:
-                time.sleep(0.05)
-            return featurize(graph, config)
+                time.sleep(0.05 * len(graphs))
+            return featurize(graphs, config)
 
         def each_row_measured(*args):
             for written, row in enumerate(each_row(*args)):

@@ -27,6 +27,7 @@ from molfusion.featurize import (
 )
 from molfusion.featurize import features
 from molfusion.featurize.erg import N_LABEL_PAIRS, SMEAR_WEIGHT, atom_labels
+from molfusion.model.batch import chunks
 
 import corpus_util
 
@@ -626,21 +627,24 @@ class TestAssembly:
         self, monkeypatch, components, radius, max_path, limit
     ):
         """Morgan and ErG share one search, as deep as the deeper of them
-        reads; keys alone need none."""
+        reads, over each ``featurize`` call's whole chunk of molecules; keys
+        alone need none."""
         calls = []
 
-        def counted(graph, limit=None):
-            calls.append(limit)
-            return hop_distances(graph, limit)
+        def counted(graphs, limit=None):
+            calls.append((len(graphs), limit))
+            return hop_distances(graphs, limit)
 
         monkeypatch.setattr(features, "hop_distances", counted)
         config = FeaturizeConfig(
             morgan_radius=radius, erg_max_path=max_path, components=components
         )
-        smiles = corpus_util.build_corpus(20)
-        for s in smiles:
-            featurize(parse_smiles(s), config)
-        assert calls == ([] if limit is None else [limit] * len(smiles))
+        graphs = [parse_smiles(s) for s in corpus_util.build_corpus(20)]
+        packing = list(chunks(graphs, lambda g: g.n_atoms))
+        assert len(packing) < len(graphs)
+        for chunk in packing:
+            assert len(featurize(chunk, config)) == len(chunk)
+        assert calls == ([] if limit is None else [(len(c), limit) for c in packing])
 
     def test_featurized_molecules_pickle_small(self):
         """A forked lane sends featurized molecules back pickled. The mean over
@@ -660,3 +664,97 @@ class TestAssembly:
     def test_unknown_component_rejected(self):
         with pytest.raises(ValueError):
             FeaturizeConfig(components=("morgan", "maccs"))
+
+
+def _fields(mol) -> list:
+    """Every field of a featurized molecule, arrays as (dtype, shape, bytes)."""
+    arrays = (mol.atom_features, mol.src, mol.dst, mol.bond_features,
+              mol.fingerprint_cols, mol.fingerprint_values)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays] + [mol.fingerprint_width]
+
+
+class TestChunks:
+    """``featurize`` of a chunk gives each molecule what it gets alone."""
+
+    # one atom and no bond; degree 6; no atom of any of the four has an ErG label
+    SPECIAL = ("C", "FS(F)(F)(F)(F)F", "ClC(Cl)Cl", "FC(F)F")
+
+    @staticmethod
+    def _graphs():
+        graphs = [g for _s, g in corpus_util.frozen_corpus_graphs()]
+        graphs += [parse_smiles(s) for s in corpus_util.screen_large_smiles(1)]
+        return graphs + [parse_smiles(s) for s in TestChunks.SPECIAL]
+
+    @pytest.mark.parametrize("config", [
+        FeaturizeConfig(),
+        FeaturizeConfig(components=("morgan",)),
+        FeaturizeConfig(components=("keys",)),
+        FeaturizeConfig(components=("erg",)),
+        FeaturizeConfig(components=()),
+        FeaturizeConfig(morgan_radius=16, erg_max_path=3),
+    ], ids=["default", "morgan", "keys", "erg", "none", "radius16-path3"])
+    def test_chunk_makeup_cannot_change_a_byte(self, config):
+        """Seeded random chunks of every molecule, then chunks of the special
+        molecules alone: ``C`` alone, twice, and beside two more molecules
+        with no ErG label."""
+        graphs = self._graphs()
+        alone = [_fields(featurize(g, config)) for g in graphs]
+        rng = np.random.default_rng(7)
+        order = rng.permutation(len(graphs)).tolist()
+        packing = []
+        while order:
+            size = int(rng.integers(1, 13))
+            packing.append(order[:size])
+            order = order[size:]
+        c = len(graphs) - len(self.SPECIAL)  # the index of "C"
+        packing += [[c], [c, c], [c + 2, c + 3, c]]
+        for chunk in packing:
+            got = featurize([graphs[i] for i in chunk], config)
+            assert [_fields(mol) for mol in got] == [alone[i] for i in chunk], chunk
+
+    def test_empty_chunk(self):
+        assert featurize([], FeaturizeConfig()) == []
+
+    def test_block_diagonal_distances(self):
+        graphs = [parse_smiles(s) for s in ("CCO", "C", "c1ccccc1", "C1CC1N")]
+        for limit in (None, 1, 2):
+            joined = hop_distances(graphs, limit)
+            start = 0
+            for g in graphs:
+                end = start + g.n_atoms
+                assert np.array_equal(joined[start:end, start:end], hop_distances(g, limit))
+                assert (joined[start:end, end:] == -1).all()
+                assert (joined[end:, start:end] == -1).all()
+                start = end
+            assert start == len(joined)
+
+    def test_degree_overflow_names_the_atom_within_its_molecule(self, caplog):
+        graphs = [parse_smiles(s) for s in ("CCO", "FS(F)(F)(F)(F)F")]
+        with caplog.at_level("WARNING", logger="molfusion.featurize.features"):
+            featurize(graphs, FeaturizeConfig())
+        assert [r.getMessage() for r in caplog.records] == [
+            "atom 1 degree 6 overflows one-hot, clipping to 5"]
+
+
+@pytest.mark.parametrize("source", list(GOLDEN_FEATURES))
+def test_golden_digests_in_chunk_packing(source):
+    """Both golden digests again, each molecule featurized in its
+    ``model.batch.chunks`` packing instead of alone."""
+    if source == "corpus":
+        graphs = [g for _s, g in corpus_util.frozen_corpus_graphs()]
+    else:
+        graphs = [parse_smiles(s) for s in corpus_util.screen_large_smiles(source)]
+    bits, features_digest = hashlib.sha256(), hashlib.sha256()
+    for chunk in chunks(graphs, lambda g: g.n_atoms):
+        distances = hop_distances(chunk)
+        morgan = morgan_fingerprint(chunk, distances, 2, 2048)
+        keys = substructure_key_fingerprint(chunk)
+        erg = erg_fingerprint(chunk, distances, 15)
+        for k, mol in enumerate(featurize(chunk, FeaturizeConfig())):
+            bits.update(np.packbits(morgan[k].astype(bool)).tobytes())
+            bits.update(np.packbits(keys[k].astype(bool)).tobytes())
+            for array in (erg[k], mol.atom_features, mol.bond_features, mol.src,
+                          mol.dst, mol.fingerprint_cols, mol.fingerprint_values):
+                features_digest.update(np.ascontiguousarray(array).tobytes())
+    assert bits.hexdigest() == GOLDEN_BITS[source]
+    assert features_digest.hexdigest() == GOLDEN_FEATURES[source]
