@@ -20,8 +20,10 @@ of its shape and lies inside the payload, and that the payload hashes to
 ``payload_sha256``; a version 1 file (the same layout without
 ``payload_sha256``) gets every check but the hash. Any file that fails a
 check or does not follow this layout raises ``CheckpointError``. Writing is
-deterministic: identical config + arrays give identical bytes. Loaded arrays
-are read-only views of the file's bytes, which are read once and not copied.
+deterministic: identical config + arrays give identical bytes, each array
+written as its C-contiguous little-endian float64 values (a 0-d array with
+shape ``[]``). Loaded arrays are read-only views of the file's bytes, which
+are read once and not copied.
 """
 
 from __future__ import annotations
@@ -53,34 +55,41 @@ def config_digest(config: dict) -> str:
 
 
 def save_checkpoint(path: str | Path, config: dict, arrays: dict[str, np.ndarray]) -> None:
-    entries = []
-    payload = bytearray()
+    """Write ``arrays`` under ``config`` to ``path``, through ``<path>.tmp``.
+
+    The payload is hashed and then written straight from each array's
+    buffer, with no copy of it; a write that fails removes the ``.tmp`` file
+    and raises."""
+    entries, buffers, offset = [], [], 0
+    payload_sha256 = hashlib.sha256()
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "offset": len(payload),
-                "nbytes": arr.nbytes,
-            }
-        )
-        payload.extend(arr.tobytes())
+        # no copy for a C-contiguous <f8 array; a 0-d array stays 0-d
+        arr = np.asarray(arrays[name], dtype="<f8", order="C")
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset,
+                        "nbytes": arr.nbytes})
+        buffers.append(arr.reshape(-1).view(np.uint8))  # its bytes, not a copy
+        payload_sha256.update(buffers[-1])
+        offset += arr.nbytes
     header = {
         "format_version": FORMAT_VERSION,
         "config_digest": config_digest(config),
         "config": config,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": payload_sha256.hexdigest(),
         "tensors": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
-    tmp.replace(path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            for buffer in buffers:
+                fh.write(buffer)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path, force: bool = False) -> tuple[dict, dict[str, np.ndarray]]:

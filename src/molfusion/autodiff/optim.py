@@ -4,10 +4,11 @@
 gradient buffer per lane of the same layout beside it, all shared anonymous
 ``mmap``s that a forked process shares; backwards add into a lane's buffer in
 place. ``step`` reads the gradient as lane 0's plus lane 1's and updates a
-range of elements in blocks of ``BLOCK``, so that a block's temporaries stay
-in cache. The arithmetic works element by element, so steps split at any
-element give the same bits as steps over the whole vector: ``train.lanes``
-steps the first half in the training process and the second half in lane 1.
+range of elements in blocks of ``BLOCK``, each computed in place in two
+preallocated block-sized arrays that stay in cache. The arithmetic works
+element by element, so steps split at any element give the same bits as
+steps over the whole vector: ``train.lanes`` steps the first half in the
+training process and the second half in lane 1.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class Adam:
         self.grads = grads.reshape(2, -1)
         self.grad_views = [grad_views[: len(shapes)], grad_views[len(shapes) :]]
         self.moments: dict[tuple[int, int], list] = {}
+        # a block's two temporaries, so that ``step`` allocates nothing per block
+        self._scratch = np.empty((2, min(BLOCK, self.params.size)))
         self.zero_grad(0)
 
     def zero_grad(self, lane: int) -> None:
@@ -75,10 +78,19 @@ class Adam:
         v_scale = 1.0 - BETA2**steps
         for start in range(lo, hi, BLOCK):
             end = min(start + BLOCK, hi)
-            g = self.grads[0, start:end] + self.grads[1, start:end]
             m, v = m_all[start - lo : end - lo], v_all[start - lo : end - lo]
+            a, b = self._scratch[:, : end - start]
+            np.add(self.grads[0, start:end], self.grads[1, start:end], out=a)  # g
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(1.0 - BETA1, a, out=b)
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            self.params[start:end] -= self.lr * (m / m_scale) / (np.sqrt(v / v_scale) + EPS)
+            np.multiply(1.0 - BETA2, a, out=b)
+            b *= a
+            v += b
+            np.divide(m, m_scale, out=a)  # lr * m / m_scale
+            a *= self.lr
+            np.divide(v, v_scale, out=b)  # sqrt(v / v_scale) + eps
+            np.sqrt(b, out=b)
+            b += EPS
+            a /= b
+            self.params[start:end] -= a

@@ -71,8 +71,12 @@ class RunManifest:
 
     def write(self, path: Path) -> None:
         tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(asdict(self), indent=1, sort_keys=True))
-        tmp.replace(path)
+        try:
+            tmp.write_text(json.dumps(asdict(self), indent=1, sort_keys=True))
+            tmp.replace(path)
+        except BaseException:  # a failed write leaves no .tmp behind
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _utc_now() -> str:

@@ -26,6 +26,7 @@ each chunk's work on two lanes: this process and one ``Helper``.
 from __future__ import annotations
 
 import pickle
+import select
 import signal
 import sys
 from collections import deque
@@ -69,6 +70,7 @@ class Helper:
         self.work = work
         self.process = None
         self.conn = None
+        self._poll = None
         self._inline = deque()  # messages whose work runs when their reply is asked for
 
     def __enter__(self) -> "Helper":
@@ -82,6 +84,10 @@ class Helper:
             self.process = ctx.Process(target=self._serve, args=(child_conn,), daemon=True)
             self.process.start()
             child_conn.close()
+            # Polled by ``ready`` on every chunk: a poll object registered
+            # once, where ``Connection.poll`` builds a selector per call.
+            self._poll = select.poll()
+            self._poll.register(self.conn.fileno(), select.POLLIN)
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -106,8 +112,9 @@ class Helper:
             self._inline.append(message)
 
     def ready(self) -> bool:
-        """Whether ``reply`` would return without waiting for the helper."""
-        return self.process is None or self.conn.poll()
+        """Whether ``reply`` would return without waiting for the helper. A
+        hang-up or an error counts, so that ``reply`` raises ``LaneEnded``."""
+        return self.process is None or bool(self._poll.poll(0))
 
     def reply(self):
         """The oldest reply not yet asked for; waits for it."""

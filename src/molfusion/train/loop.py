@@ -130,7 +130,8 @@ def train(
     optimizer = Adam(model.params, lr=config.lr)
     best_metric: float | None = None
     best_epoch = 0
-    best_state = model.state_arrays()
+    # set by epoch 1, which has no validation metric or improves on None
+    best_state: dict[str, np.ndarray]
     non_improving = 0
     history: list[dict] = []
     with Lanes(model, mols, labels, mask, optimizer) as lanes, \

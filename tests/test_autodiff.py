@@ -1,5 +1,6 @@
 """Tensor engine tests: primitive gradients, optimizer, checkpoint format."""
 
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -391,6 +392,58 @@ class TestFlatAdam:
         assert opt.params[6] == b.data < 7.0
 
 
+def _adam_step_out_of_place(opt, lo, hi):
+    """``Adam.step`` as one out-of-place expression per block, the arithmetic
+    that the in-place step must match bit for bit."""
+    if (lo, hi) not in opt.moments:
+        opt.moments[lo, hi] = [0, np.zeros(hi - lo), np.zeros(hi - lo)]
+    moments = opt.moments[lo, hi]
+    moments[0] += 1
+    steps, m_all, v_all = moments
+    m_scale = 1.0 - optim.BETA1**steps
+    v_scale = 1.0 - optim.BETA2**steps
+    for start in range(lo, hi, optim.BLOCK):
+        end = min(start + optim.BLOCK, hi)
+        g = opt.grads[0, start:end] + opt.grads[1, start:end]
+        m, v = m_all[start - lo : end - lo], v_all[start - lo : end - lo]
+        m *= optim.BETA1
+        m += (1.0 - optim.BETA1) * g
+        v *= optim.BETA2
+        v += (1.0 - optim.BETA2) * g * g
+        opt.params[start:end] -= opt.lr * (m / m_scale) / (np.sqrt(v / v_scale) + optim.EPS)
+
+
+class TestInPlaceAdam:
+    @pytest.mark.parametrize("block,n", [(8, 39), (optim.BLOCK, 2 * optim.BLOCK + 7)])
+    def test_steps_are_bit_equal_to_the_out_of_place_expression(self, block, n):
+        """25 steps on both lanes' gradients, zero, tiny and large among them,
+        split at ``n // 2`` (an odd element) as ``train.lanes`` splits them."""
+        rng = np.random.default_rng(7)
+        at = n // 2
+        assert at % 2 == 1
+        with mock.patch.object(optim, "BLOCK", block):
+            opts = []
+            for _ in range(2):
+                store = ParameterStore()
+                store.register("w", np.random.default_rng(3).standard_normal(n))
+                opts.append(Adam(store, lr=1e-2))
+            got, want = opts
+            for _ in range(25):
+                scale = rng.choice([0.0, 1e-310, 1e-8, 1.0, 1e3, 1e150], size=(2, n))
+                grads = rng.standard_normal((2, n)) * scale
+                for opt in opts:
+                    opt.grads[...] = grads
+                got.step(0, at)
+                got.step(at, n)
+                _adam_step_out_of_place(want, 0, at)
+                _adam_step_out_of_place(want, at, n)
+                assert got.params.tobytes() == want.params.tobytes()
+                for key in ((0, at), (at, n)):
+                    assert got.moments[key][0] == want.moments[key][0]
+                    assert got.moments[key][1].tobytes() == want.moments[key][1].tobytes()
+                    assert got.moments[key][2].tobytes() == want.moments[key][2].tobytes()
+
+
 class TestGradCheckHarness:
     def test_quadratic_tight(self):
         x = Tensor(np.array([[1.0, -2.0, 0.5]]), requires_grad=True)
@@ -523,6 +576,85 @@ class TestCheckpoint:
         start = 12 + hlen + entry["offset"]
         values = struct.unpack("<2d", raw[start : start + 16])
         assert values == (1.5, -2.0)
+
+
+    def test_model_checkpoint_bytes_are_pinned(self, tmp_path):
+        """The file of a default model's initial state, byte for byte."""
+        from molfusion.model import MlfgnnModel, ModelConfig
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"pin": 1}, MlfgnnModel(ModelConfig(), seed=0).state_arrays())
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "3af1ee2e2fe25b32d6457001e70a3d3fb44547e900fe4966cb89528ef5850be2")
+
+    def test_save_makes_no_copy_of_the_payload(self, tmp_path):
+        arrays = {"big": np.ones(1 << 19), "small": np.ones(3)}  # 4 MB and 24 bytes
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            save_checkpoint(tmp_path / "model.ckpt", {"k": 1}, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+        _, loaded = load_checkpoint(tmp_path / "model.ckpt")
+        assert np.array_equal(loaded["big"], arrays["big"])
+
+    @pytest.mark.parametrize("arr", [
+        np.arange(12.0).reshape(3, 4)[:, ::2],
+        np.array([[1.5, -2.0, 3.25]], dtype=">f8"),
+        np.arange(-2, 3),
+    ], ids=["strided-view", "big-endian", "int64"])
+    def test_arrays_are_written_as_their_c_contiguous_little_endian_copy(self, tmp_path, arr):
+        copy = np.ascontiguousarray(arr, dtype="<f8")
+        save_checkpoint(tmp_path / "a.ckpt", {}, {"w": arr})
+        save_checkpoint(tmp_path / "b.ckpt", {}, {"w": copy})
+        raw = (tmp_path / "a.ckpt").read_bytes()
+        assert raw == (tmp_path / "b.ckpt").read_bytes()
+        assert raw.endswith(copy.tobytes())
+        _, loaded = load_checkpoint(tmp_path / "a.ckpt")
+        assert loaded["w"].shape == arr.shape and np.array_equal(loaded["w"], arr)
+
+    def test_0d_array_round_trips_with_its_shape(self, tmp_path):
+        save_checkpoint(tmp_path / "model.ckpt", {}, {"s": np.array(2.5), "v": np.ones(2)})
+        _, loaded = load_checkpoint(tmp_path / "model.ckpt")
+        assert loaded["s"].shape == () and loaded["s"] == 2.5
+        assert b'"shape":[]' in (tmp_path / "model.ckpt").read_bytes()
+
+    def test_failed_write_leaves_no_tmp_file(self, tmp_path, monkeypatch):
+        """A write that fails mid-payload (a full disk, say) removes the
+        ``.tmp`` file, raises, and leaves an existing checkpoint as it was."""
+        import errno
+
+        from molfusion.autodiff import checkpoint
+
+        class FullDisk:
+            """A file whose fifth write, the second array's, fails."""
+
+            def __init__(self, path, mode):
+                self.fh, self.writes = open(path, mode), 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 5:
+                    self.fh.write(bytes(data)[:5])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"k": 1}, {"w": np.ones(2)})
+        before = path.read_bytes()
+        monkeypatch.setattr(checkpoint, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, {"k": 2}, {"a": np.ones(4), "b": np.ones(4)})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        assert path.read_bytes() == before
 
 
 def _sigmoid(x):

@@ -625,6 +625,24 @@ class TestTrainCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("failing", ["seed_0.ckpt.tmp", "manifest.json.tmp"])
+    def test_failed_write_exit_2_leaves_no_tmp(self, workdir, tmp_path, monkeypatch, capsys,
+                                               failing):
+        """A checkpoint or manifest write that fails (here, its rename) exits 2
+        and leaves no ``.tmp`` file in ``--out``."""
+        real_replace = Path.replace
+
+        def replace(self, target):
+            if self.name == failing:
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", replace)
+        code = main(csv_command("train", workdir / "reg.csv", workdir, None, tmp_path))
+        assert code == 2
+        assert "Permission denied" in capsys.readouterr().err
+        assert not list((tmp_path / "run").glob("*.tmp"))
+
     @pytest.mark.parametrize("cell,message", [
         ("nan", "row 2, column 'solubility': non-finite label 'nan'"),
         ("inf", "row 2, column 'solubility': non-finite label 'inf'"),

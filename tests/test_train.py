@@ -219,6 +219,49 @@ class TestTrainLoop:
             re_eval = evaluate_metric(model, mols, labels, mask, split.test, pair)
         assert re_eval == pytest.approx(result.test_metric)
 
+    @pytest.mark.parametrize("empty_valid", [False, True], ids=["valid", "no-valid"])
+    def test_snapshot_taken_only_when_the_best_state_changes(self, tiny_dataset, monkeypatch,
+                                                             empty_valid):
+        """No parameter snapshot before epoch 1, then one per improving epoch,
+        or per epoch without a validation metric; the last one is returned and
+        restored."""
+        mols = prepare_inputs(tiny_dataset, SMALL_FEATURIZE)
+        labels, mask = tiny_dataset.labels, tiny_dataset.mask
+        split = random_split(tiny_dataset, 0)
+        if empty_valid:
+            split = dataclasses.replace(split, train=split.train + split.valid, valid=[])
+        model = MlfgnnModel(small_config(), seed=2)
+        events, snapshots = [], []
+        real_step, real_state = lanes.Lanes.step, model.state_arrays
+
+        def step(self, *args):
+            events.append("step")
+            return real_step(self, *args)
+
+        def state_arrays():
+            events.append("snapshot")
+            snapshots.append(real_state())
+            return snapshots[-1]
+
+        monkeypatch.setattr(lanes.Lanes, "step", step)
+        model.state_arrays = state_arrays
+        config = TrainConfig(epochs=8, lr=2e-2, batch_size=16, patience=50)
+        result = train(model, mols, labels, mask, split, config, seed=2)
+        assert events[0] == "step"
+        best, want = None, 0
+        for h in result.history:
+            metric = h["valid_metric"]
+            if metric is None or best is None or metric < best:
+                best = best if metric is None else metric
+                want += 1
+        assert events.count("snapshot") == want
+        assert 1 < want < len(result.history) or empty_valid
+        assert result.state is snapshots[-1]
+        restored = real_state()
+        assert restored.keys() == result.state.keys()
+        for name, arr in result.state.items():
+            assert arr.tobytes() == restored[name].tobytes()
+
     def test_log_lines_carry_gate_and_lambdas(self, tiny_dataset, tmp_path):
         import json
 
